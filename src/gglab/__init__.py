@@ -1,7 +1,7 @@
 """gglab: exact verification of groupoid actions, invariants, and the
 Galois correspondence machinery built on them."""
 
-from .linalg import BACKEND, Subspace
+from .linalg import Subspace
 from .fields import Field, FieldError
 from .groupoid import Groupoid, GroupoidError, Subgroupoid, validate_groupoid
 from .algebra import Algebra, AlgebraError, validate_algebra
@@ -10,6 +10,9 @@ from .instances import BUILTIN_NAMES, Instance, load_builtin, load_instance
 from .suite import run_suite
 
 __version__ = "0.1.0"
+
+# gglab has one row-reduction kernel, in Python (``_purerref``).
+BACKEND = "python"
 
 __all__ = [
     "BACKEND",

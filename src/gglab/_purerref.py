@@ -1,8 +1,9 @@
-"""Pure-Python row-reduction kernels.
+"""Row-reduction kernels: the one exact Gaussian elimination in gglab.
 
-Fallback twin of the compiled ``_fastrref`` extension: ``rref_mod`` has
-the identical contract (in-place reduction of an int64 matrix mod p,
-returning the pivot columns) so the two are interchangeable.
+``rref_mod`` reduces an int64 matrix mod p and ``rref_frac`` an object
+matrix of Fractions.  Each copies the matrix into Python lists of rows,
+reduces those, stores the result back into the matrix and returns the
+pivot columns; ``linalg.rref`` is their only caller.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ def rref_mod(mat: np.ndarray, p: int) -> list[int]:
     m, n = mat.shape
     if m == 0 or n == 0:
         return []
-    rows = [list(map(int, r)) for r in mat]
+    rows = mat.tolist()
     pivots: list[int] = []
     r = 0
     for c in range(n):
@@ -40,14 +41,16 @@ def rref_mod(mat: np.ndarray, p: int) -> list[int]:
         r += 1
         if r == m:
             break
-    mat[...] = np.array(rows, dtype=np.int64)
+    mat[...] = rows
     return pivots
 
 
 def rref_frac(mat: np.ndarray) -> list[int]:
     """Reduce an object matrix of Fractions to RREF in place."""
     m, n = mat.shape
-    rows = [[Fraction(x) for x in r] for r in mat]
+    if m == 0 or n == 0:
+        return []
+    rows = [[Fraction(x) for x in r] for r in mat.tolist()]
     pivots: list[int] = []
     r = 0
     for c in range(n):
@@ -69,7 +72,5 @@ def rref_frac(mat: np.ndarray) -> list[int]:
         r += 1
         if r == m:
             break
-    for i in range(m):
-        for j in range(n):
-            mat[i, j] = rows[i][j]
+    mat[...] = rows
     return pivots

@@ -64,13 +64,6 @@ class Algebra:
     def full_space(self) -> Subspace:
         return Subspace.full(self.field, self.dim)
 
-    def element_repr(self, v: np.ndarray) -> str:
-        terms = [
-            f"{self.field.scalar_json(c)}*{lbl}"
-            for c, lbl in zip(v, self.labels)
-            if c != 0
-        ]
-        return " + ".join(terms) if terms else "0"
 
 
 def validate_algebra(field: Field, labels, table, unit) -> Algebra:
@@ -109,10 +102,6 @@ def validate_algebra(field: Field, labels, table, unit) -> Algebra:
         if not np.array_equal(alg.mul(b, unit), b):
             raise AlgebraError(f"unit law fails: {labels[i]}*1 != {labels[i]}")
     return alg
-
-
-def multiply(alg: Algebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return alg.mul(x, y)
 
 
 def center(alg: Algebra) -> Subspace:
@@ -161,21 +150,6 @@ def subalgebra_generated(alg: Algebra, seed, include_unit: bool = True) -> Subsp
             nxt.flags["is_subalgebra"] = True
             return nxt
         cur = nxt
-
-
-def solve_commutation_system(
-    field: Field, blocks: list[tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Solve stacked affine conditions A_i x = b_i on one unknown vector.
-
-    Returns (particular solution or None, nullspace basis).  None means
-    the inhomogeneous system is provably inconsistent.
-    """
-    mats = np.vstack([a for a, _ in blocks])
-    rhs = np.concatenate([b for _, b in blocks])
-    part = linalg.solve(field, mats, rhs)
-    null = linalg.nullspace(field, mats)
-    return part, null
 
 
 def subspace_algebra(alg: Algebra, sub: Subspace, unit_vec: np.ndarray, labels=None) -> tuple[Algebra, np.ndarray]:

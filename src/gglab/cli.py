@@ -1,7 +1,8 @@
 """Command-line surface for gglab.
 
 Every verb takes an instance file path or --builtin NAME.  Exit status
-is 0 exactly when no check recorded a violation.
+is 0 when no check recorded a violation, 1 when one did, and 2 for a bad
+instance or an internal error.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .galois import GaloisContext, check_galois_coordinates, solve_galois_coordinates
 from .groupoid import enumerate_subgroupoids
@@ -51,11 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("suite", help="run the verification suite")
     _add_instance_args(sp)
-    sp.add_argument("--scope", choices=("s3", "s4", "all"), default="all")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-
-    sp = sub.add_parser("report", help="full suite, report only")
-    _add_instance_args(sp)
+    sp.add_argument("--scope", choices=("s3", "all"), default="all")
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("builtin", help="describe or emit a builtin instance")
@@ -139,9 +137,9 @@ def _cmd_theta_table(args) -> int:
     return 0
 
 
-def _cmd_suite(args, scope=None) -> int:
+def _cmd_suite(args) -> int:
     inst = _get_instance(args)
-    report = run_suite(inst, scope=scope or args.scope)
+    report = run_suite(inst, scope=args.scope)
     if args.format == "json":
         sys.stdout.write(report.to_json())
     else:
@@ -174,12 +172,14 @@ def main(argv=None) -> int:
             return _cmd_theta_table(args)
         if args.verb == "suite":
             return _cmd_suite(args)
-        if args.verb == "report":
-            return _cmd_suite(args, scope="all")
         if args.verb == "builtin":
             return _cmd_builtin(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:  # a bug, not a violation: exit 1 is reserved for those
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")
 

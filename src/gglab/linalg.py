@@ -1,30 +1,17 @@
 """Exact linear algebra over a Field: RREF, nullspace, solving, subspaces.
 
 Row-reduced echelon form is the canonical form everywhere: two subspaces
-are equal iff their reduced bases are identical arrays.
-
-The F_p row-reduction kernel is compiled (Cython) when the extension
-built; set GG_LAB_PURE=1 to force the pure-Python fallback.  Rational
-matrices always use the pure path.
+are equal iff their reduced bases are identical arrays.  Every reduction
+goes through ``rref``, which hands F_p matrices to ``_purerref.rref_mod``
+and rational ones to ``_purerref.rref_frac``.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from . import _purerref
 from .fields import Field
-
-try:
-    from . import _fastrref  # type: ignore[attr-defined]
-
-    _HAVE_FAST = True
-except ImportError:
-    _HAVE_FAST = False
-
-BACKEND = "compiled" if _HAVE_FAST and not os.environ.get("GG_LAB_PURE") else "python"
 
 
 def rref(field: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -32,12 +19,8 @@ def rref(field: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     if mat.ndim != 2:
         raise ValueError("rref expects a matrix")
     if field.modular:
-        work = np.ascontiguousarray(mat % field.p, dtype=np.int64)
-        if BACKEND == "compiled":
-            pivots = _fastrref.rref_mod(work, field.p)
-        else:
-            pivots = _purerref.rref_mod(work, field.p)
-        return work, list(pivots)
+        work = np.asarray(mat % field.p, dtype=np.int64)
+        return work, _purerref.rref_mod(work, field.p)
     work = mat.astype(object, copy=True)
     pivots = _purerref.rref_frac(work)
     return work, pivots
@@ -99,11 +82,12 @@ def residual(field: Field, a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.nd
 class Subspace:
     """A linear subspace of F^n in canonical (RREF) basis form.
 
-    ``flags`` carry certified structural facts (is_subalgebra, is_ideal,
+    ``pivots`` are the pivot columns of ``basis``, one per row.  ``flags``
+    carry certified structural facts (is_subalgebra, is_ideal,
     is_unital_ideal); they are set only after an explicit product check.
     """
 
-    __slots__ = ("field", "ambient", "basis", "flags")
+    __slots__ = ("field", "ambient", "basis", "pivots", "flags")
 
     def __init__(self, field: Field, ambient: int, basis: np.ndarray, flags: dict | None = None):
         basis = np.asarray(basis)
@@ -111,7 +95,8 @@ class Subspace:
             basis = field.zeros((0, ambient))
         self.field = field
         self.ambient = ambient
-        self.basis = row_space(field, basis)
+        reduced, self.pivots = rref(field, basis)
+        self.basis = reduced[: len(self.pivots)]
         self.flags = dict(flags or {})
 
     @classmethod
@@ -137,10 +122,16 @@ class Subspace:
         return self.coords(v) is not None
 
     def coords(self, v: np.ndarray) -> np.ndarray | None:
-        """Coefficients of v over the basis rows, or None if v is outside."""
-        if self.dim == 0:
-            return self.field.zeros(0) if not np.any(v != 0) else None
-        return solve(self.field, self.basis.T, v)
+        """Coefficients of v over the basis rows, or None if v is outside.
+
+        Row i of the RREF basis is the only one with a nonzero entry (a 1)
+        at pivot column i, so the only candidate coefficients are v's
+        entries at the pivots; v lies in the span iff they reproduce it.
+        """
+        c = self.field.vector(v[self.pivots])
+        if np.any(self.field.reduce(v - np.dot(c, self.basis)) != 0):
+            return None
+        return c
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.basis)

@@ -1,12 +1,14 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
+import gglab
+from gglab import suite
 from gglab.cli import main
-from gglab.instances import BUILTIN_NAMES, builtin, emit_instance
+from gglab.instances import BUILTIN_NAMES, builtin, emit_instance, load_builtin
+from gglab.suite import run_suite
 
 
 def run_cli(args, capsys):
@@ -82,10 +84,34 @@ def test_suite_scope_json(capsys):
     assert doc["violations"] == 0
 
 
-def test_report_verb(capsys):
-    code, out, _ = run_cli(["report", "--builtin", "trivial", "--format", "json"], capsys)
+def test_suite_default_scope_is_all(capsys):
+    code, out, _ = run_cli(["suite", "--builtin", "trivial", "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out)["scope"] == "all"
+
+
+def test_removed_cli_surface():
+    for argv in (["report", "--builtin", "trivial"], ["suite", "--builtin", "trivial", "--scope", "s4"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    with pytest.raises(ValueError, match="unknown scope"):
+        run_suite(load_builtin("trivial"), scope="s4")
+
+
+def test_internal_error_is_not_a_violation(monkeypatch, capsys):
+    def broken(act, t):
+        raise TypeError("broken fixer")
+
+    # Section 3 calls the fixer only inside the lemma_2_1 handler, which
+    # must let a bug through instead of recording a violation
+    monkeypatch.setattr(suite, "fixer_subgroupoid", broken)
+    with pytest.raises(TypeError, match="broken fixer"):
+        run_suite(load_builtin("trivial"), scope="s3")
+    code, out, err = run_cli(["suite", "--builtin", "trivial", "--scope", "s3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("Traceback")
+    assert err.endswith("\ninternal error: TypeError: broken fixer\n")
 
 
 def test_builtin_emit_loads_back(tmp_path, capsys):
@@ -115,10 +141,5 @@ def test_json_determinism_subprocess():
     assert a.returncode == 0 and a.stdout == b.stdout
 
 
-def test_pure_backend_env(tmp_path):
-    cmd = [sys.executable, "-c", "import gglab, sys; sys.stdout.write(gglab.BACKEND)"]
-    # inherit the environment so an uninstalled checkout keeps its PYTHONPATH
-    env = {**os.environ, "GG_LAB_PURE": "1"}
-    r = subprocess.run(cmd, capture_output=True, text=True, env=env)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout == "python"
+def test_backend_is_python():
+    assert gglab.BACKEND == "python"

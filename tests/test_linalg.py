@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,21 +55,45 @@ def test_rref_preserves_row_space(rows):
     assert s1 == s2
 
 
-def test_compiled_matches_pure():
-    try:
-        from gglab import _fastrref
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    rng = np.random.default_rng(0)
-    for _ in range(30):
-        m, n = rng.integers(1, 9, size=2)
-        mat = rng.integers(0, 7, size=(m, n), dtype=np.int64)
-        a = np.ascontiguousarray(mat.copy())
-        b = mat.copy()
-        pa = list(_fastrref.rref_mod(a, 7))
-        pb = list(_purerref.rref_mod(b, 7))
-        assert pa == pb
-        assert np.array_equal(a, b)
+def _row_space_oracle(mat, p):
+    """Every combination c @ mat mod p with c in F_p^m, by brute force."""
+    return {
+        tuple(int(x) for x in np.dot(np.array(c, dtype=np.int64), mat) % p)
+        for c in itertools.product(range(p), repeat=mat.shape[0])
+    }
+
+
+kernel_inputs = st.sampled_from([2, 3, 5]).flatmap(
+    lambda p: st.tuples(
+        st.just(p),
+        st.integers(0, 4).flatmap(
+            lambda m: st.integers(0, 5).flatmap(
+                lambda n: st.lists(
+                    st.lists(st.integers(0, p - 1), min_size=n, max_size=n), min_size=m, max_size=m
+                ).map(lambda rows: np.array(rows, dtype=np.int64).reshape(m, n))
+            )
+        ),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_inputs)
+def test_rref_mod_form_and_row_space(case):
+    p, mat = case
+    work = mat.copy()
+    pivots = _purerref.rref_mod(work, p)
+    m, n = mat.shape
+    assert work.dtype == np.int64 and work.shape == (m, n)
+    assert np.all((work >= 0) & (work < p))
+    assert pivots == sorted(set(pivots)) and len(pivots) <= m
+    for i, c in enumerate(pivots):
+        assert not np.any(work[i, :c])  # leading entry of row i ...
+        col = np.zeros(m, dtype=np.int64)
+        col[i] = 1
+        assert np.array_equal(work[:, c], col)  # ... is a 1, alone in its column
+    assert not np.any(work[len(pivots):])
+    assert _row_space_oracle(work, p) == _row_space_oracle(mat, p)
 
 
 def test_nullspace_annihilates():
@@ -112,6 +138,42 @@ def test_subspace_contains_and_coords():
     assert c is not None
     assert np.array_equal(linalg.matmul(F5, c, s.basis), v)
     assert not s.contains(F5.vector([0, 1, 0]))
+
+
+def _coords_cases(field, scalars):
+    """(m x n matrix, vector): a combination of its rows or an arbitrary vector."""
+
+    def build(m, n):
+        row = st.lists(scalars, min_size=n, max_size=n)
+        mats = st.lists(row, min_size=m, max_size=m).map(lambda rows: field.array(rows).reshape(m, n))
+        combos = st.lists(scalars, min_size=m, max_size=m).map(field.vector)
+        vectors = lambda a: st.one_of(combos.map(lambda c: field.reduce(np.dot(c, a))), row.map(field.vector))
+        return mats.flatmap(lambda a: st.tuples(st.just(a), vectors(a)))
+
+    return st.integers(0, 4).flatmap(lambda m: st.integers(1, 5).flatmap(lambda n: build(m, n)))
+
+
+@pytest.mark.parametrize(
+    "field, scalars",
+    [
+        (F5, st.integers(0, 4)),
+        (Q, st.fractions(min_value=-3, max_value=3, max_denominator=3)),
+    ],
+    ids=["F5", "Q"],
+)
+def test_subspace_coords_agree_with_solve(field, scalars):
+    @settings(max_examples=150, deadline=None)
+    @given(_coords_cases(field, scalars))
+    def check(case):
+        mat, v = case
+        s = Subspace(field, mat.shape[1], mat)
+        c = s.coords(v)
+        assert (c is None) == (linalg.solve(field, s.basis.T, v) is None)
+        if c is not None:
+            assert c.shape == (s.dim,)
+            assert np.array_equal(field.reduce(np.dot(c, s.basis)), field.reduce(v))
+
+    check()
 
 
 def test_all_subspaces_count():
