@@ -3,7 +3,7 @@ rings, and the injectivity machinery built on them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,9 +25,6 @@ class GaloisCoordinates:
 
     pairs: list[tuple[np.ndarray, np.ndarray]]
     certified: bool = False
-
-    def to_json(self, f) -> list:
-        return [[f.vector_json(x), f.vector_json(y)] for x, y in self.pairs]
 
 
 def coordinate_sums(act: Action, coords: GaloisCoordinates) -> dict[int, np.ndarray]:
@@ -111,17 +108,6 @@ def j_module(act: Action, g: int) -> JModule:
         c = act.apply_truncated(g, x)  # beta_g(x 1_{g^-1}), a fixed element
         rows.append(f.reduce(alg.right_mult(c) - alg.left_mult(x)))
     return JModule(g, Subspace(f, n, linalg.nullspace(f, np.vstack(rows))))
-
-
-def support(act: Action, h: Subgroupoid, jmods: dict[int, JModule] | None = None) -> list[int]:
-    """S_H: members of H with nonzero J module."""
-    jmods = jmods or {}
-    out = []
-    for a in sorted(h.members):
-        jm = jmods.get(a) or j_module(act, a)
-        if jm.dim > 0:
-            out.append(a)
-    return out
 
 
 @dataclass
@@ -268,11 +254,12 @@ def theta(act: Action, h: Subgroupoid) -> Subspace:
     return invariants(act, h.members)
 
 
-def gamma(act: Action, h: Subgroupoid, jmods: dict[int, JModule]) -> tuple[Subspace, bool]:
-    """Sum of the J_h over H, plus a directness certificate (dim check)."""
+def gamma(act: Action, members, jmods: dict[int, JModule]) -> tuple[Subspace, bool]:
+    """Sum of the J_g over the arrows ``members``, plus a directness
+    certificate (dim check)."""
     f = act.field
     n = act.algebra.dim
-    parts = [jmods[a].space for a in sorted(h.members)]
+    parts = [jmods[a].space for a in sorted(members)]
     total = sum(p.dim for p in parts)
     stacked = (
         np.vstack([p.basis for p in parts if p.dim]) if total else f.zeros((0, n))
@@ -338,7 +325,7 @@ class GaloisContext:
         key = frozenset(h.members)
         cache = self.__dict__.setdefault("_gamma_cache", {})
         if key not in cache:
-            cache[key] = gamma(self.act, h, self.jmodules)
+            cache[key] = gamma(self.act, h.members, self.jmodules)
         return cache[key]
 
     def support(self, h: Subgroupoid) -> list[int]:

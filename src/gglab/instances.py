@@ -319,67 +319,52 @@ def _klein_m2f3() -> dict:
     }
 
 
-def _klein_disjoint2() -> dict:
-    """Two disjoint Klein copies acting blockwise on M2(F3) x M2(F3)."""
-    one = _klein_m2f3()
-    names1 = [f"{nm}1" for nm in ["e", "a", "b", "c"]]
-    names2 = [f"{nm}2" for nm in ["e", "a", "b", "c"]]
-    names = names1 + names2
-    und = None
+def _disjoint_copies(doc: dict, k: int, name: str) -> dict:
+    """k copies of the instance ``doc`` side by side, each acting on its own
+    block of R^k.
 
-    def block_compose(a, b):
-        if a[-1] != b[-1]:
-            return und
-        return _KLEIN_TABLE[(a[:-1], b[:-1])] + a[-1]
+    Copy i (from 1) renames arrow ``a`` to ``a{i}`` and basis label ``x``
+    to ``x.{i}``.  Galois coordinates are not carried over.
+    """
+    gsec, asec, act = doc["groupoid"], doc["algebra"], doc["action"]
+    n = len(asec["basis"])
+    copies = range(1, k + 1)
 
-    compose = [[block_compose(a, b) for b in names] for a in names]
-    labels = [f"{lbl}.1" for lbl in one["algebra"]["basis"]] + [
-        f"{lbl}.2" for lbl in one["algebra"]["basis"]
+    def rename(a, i):
+        return None if a is None else f"{a}{i}"
+
+    def block(vec, i):
+        return [0] * (n * (i - 1)) + list(vec) + [0] * (n * (k - i))
+
+    def block_matrix(mat, i):
+        rows = [[0] * (n * k) for _ in range(n * k)]
+        for r, row in enumerate(mat):
+            rows[n * (i - 1) + r] = block(row, i)
+        return rows
+
+    compose = [
+        [rename(v, i) if i == j else None for j in copies for v in row]
+        for i in copies
+        for row in gsec["compose"]
     ]
-    structure = []
-    for i, j, k, c in one["algebra"]["structure"]:
-        structure.append([i, j, k, c])
-        structure.append([i + 4, j + 4, k + 4, c])
-
-    def block_matrix(m, which):
-        out = [[0] * 8 for _ in range(8)]
-        off = 4 * which
-        for i in range(4):
-            for j in range(4):
-                out[off + i][off + j] = m[i][j]
-        return out
-
-    maps = {}
-    for nm in ["e", "a", "b", "c"]:
-        maps[f"{nm}1"] = block_matrix(one["action"]["maps"][nm], 0)
-        maps[f"{nm}2"] = block_matrix(one["action"]["maps"][nm], 1)
     return {
-        "meta": {
-            "name": "klein_disjoint2",
-            "flags": {
-                "galois_expected": True,
-                "central_galois_expected": True,
-                "hirata_expected": True,
-            },
-        },
-        "field": {"kind": "Fp", "p": 3},
+        "meta": {"name": name, "flags": dict(doc["meta"]["flags"])},
+        "field": dict(doc["field"]),
         "groupoid": {
-            "arrows": names,
+            "arrows": [rename(a, i) for i in copies for a in gsec["arrows"]],
             "compose": compose,
-            "inverse": names,
-            "identities": ["e1", "e2"],
+            "inverse": [rename(a, i) for i in copies for a in gsec["inverse"]],
+            "identities": [rename(a, i) for i in copies for a in gsec["identities"]],
         },
         "algebra": {
-            "basis": labels,
-            "structure": structure,
-            "unit": [1, 0, 0, 1, 1, 0, 0, 1],
+            "basis": [f"{lbl}.{i}" for i in copies for lbl in asec["basis"]],
+            # each entry once per copy, in this order, so klein_disjoint2's emitted JSON stays fixed
+            "structure": [[a + n * c, b + n * c, e + n * c, v] for a, b, e, v in asec["structure"] for c in range(k)],
+            "unit": list(asec["unit"]) * k,
         },
         "action": {
-            "idempotents": {
-                "e1": [1, 0, 0, 1, 0, 0, 0, 0],
-                "e2": [0, 0, 0, 0, 1, 0, 0, 1],
-            },
-            "maps": maps,
+            "idempotents": {rename(nm, i): block(vec, i) for i in copies for nm, vec in act["idempotents"].items()},
+            "maps": {rename(nm, i): block_matrix(mat, i) for nm, mat in act["maps"].items() for i in copies},
         },
     }
 
@@ -427,6 +412,6 @@ _BUILDERS = {
     "trivial": _trivial,
     "pair_f5": _pair_f5,
     "klein_m2f3": _klein_m2f3,
-    "klein_disjoint2": _klein_disjoint2,
+    "klein_disjoint2": lambda: _disjoint_copies(_klein_m2f3(), 2, "klein_disjoint2"),
     "cyclic_shift_c3": _cyclic_shift_c3,
 }

@@ -5,12 +5,20 @@ Hypothesis gating discipline: every statement check certifies its
 hypotheses first and records pass/skip/violation per instance; a failed
 hypothesis always yields "skip" with the failed hypothesis named, never
 a silent omission and never a spurious violation.
+
+Each check is one function, registered with ``@check`` under its MANIFEST
+id.  It reads the facts it shares with other checks off ``SuiteState``,
+where each is computed once, on first use, and returns an ``Outcome``.
+``run_suite`` walks MANIFEST, times each call and records the result.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from functools import cached_property
+from itertools import combinations
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -18,9 +26,12 @@ from .action import Action, ActionError, fixer_subgroupoid, invariants, restrict
 from .algebra import AlgebraError, commutant
 from .galois import (
     GaloisContext,
+    GaloisCoordinates,
     GaloisError,
+    SkewGroupoidRing,
     build_skew_groupoid_ring,
     check_galois_coordinates,
+    gamma,
     j_isomorphism_check,
     product_space,
     solve_galois_coordinates,
@@ -31,14 +42,14 @@ from .instances import Instance
 from .linalg import Subspace
 from .report import CheckRecord, VerificationReport
 from .separability import (
+    SeparableEnumeration,
     double_centralizer_check,
     enumerate_separable_subalgebras,
     is_central_galois,
-    is_separable_subalgebra_over,
     separability_idempotent,
 )
 
-# check id -> anchor; order is the run order of a full-scope suite
+# (check id, anchor, scope); order is the run order of a full-scope suite
 MANIFEST: list[tuple[str, str, str]] = [
     ("validate_groupoid", "plumbing", "s3"),
     ("validate_algebra", "plumbing", "s3"),
@@ -71,897 +82,843 @@ MANIFEST: list[tuple[str, str, str]] = [
     ("theorem_4_4", "theorem_4_4", "s4"),
 ]
 
-ANCHORS = {cid: anchor for cid, anchor, _ in MANIFEST}
-
 # A construction that certifies its result raises one of these when the
 # certificate fails, which falsifies the statement being checked.  Any
 # other exception is a bug and propagates instead of becoming a violation.
 CERTIFICATE_ERRORS = (GroupoidError, ActionError, AlgebraError, GaloisError)
 
 
-def _label(sub: Subgroupoid) -> str:
-    return sub.label()
+class Outcome(NamedTuple):
+    """What a check returns; ``run_suite`` adds the id, anchor and seconds."""
+
+    verdict: str
+    detail: str = ""
+    witnesses: dict | None = None
+    hypothesis: str = "met"
+
+
+def _skip(detail: str, witnesses: dict | None = None) -> Outcome:
+    return Outcome("skip", detail, witnesses, "unmet")
 
 
 @dataclass
 class SuiteState:
-    """Everything computed so far, shared between the check stages."""
+    """The facts checks share, each computed once, on first use."""
 
     inst: Instance
-    ctx: GaloisContext
-    restrictions: dict[frozenset, tuple[Action, np.ndarray]] | None = None
-    separable_enum=None
-    azumaya_cert=None
-    central: bool = False
-    hirata_expected: bool = False
+    restrictions: dict[frozenset, tuple[Action, np.ndarray]] = dc_field(default_factory=dict)
+    identity_results: dict[tuple, tuple[bool, bool]] = dc_field(default_factory=dict)
 
     def restriction(self, h: Subgroupoid):
-        if self.restrictions is None:
-            self.restrictions = {}
         key = frozenset(h.members)
         if key not in self.restrictions:
             self.restrictions[key] = restrict(self.inst.action, h)
         return self.restrictions[key]
+
+    @cached_property
+    def coordinate_failures(self) -> list[tuple[int, np.ndarray]]:
+        """(arrow, residual) where the instance's own coordinates fail."""
+        given = self.inst.coordinates
+        return [] if given is None else check_galois_coordinates(self.inst.action, given)[1]
+
+    @cached_property
+    def coords(self) -> GaloisCoordinates | None:
+        """Certified coordinates: the instance's own, else solved for."""
+        if self.inst.coordinates is None:
+            return solve_galois_coordinates(self.inst.action)
+        return None if self.coordinate_failures else self.inst.coordinates
+
+    @cached_property
+    def ctx(self) -> GaloisContext:
+        return GaloisContext(self.inst.action, self.coords)
+
+    @property
+    def galois(self) -> bool:
+        """The Galois gate: a certified coordinate system exists."""
+        return self.ctx.galois_certified
+
+    @cached_property
+    def skew(self) -> tuple[SkewGroupoidRing | None, str]:
+        """The skew groupoid ring, or None and why its certificate failed."""
+        try:
+            return build_skew_groupoid_ring(self.inst.action), ""
+        except CERTIFICATE_ERRORS as e:
+            return None, str(e)
+
+    @cached_property
+    def theta_wide(self) -> tuple[bool, list[str] | None]:
+        """Whether theta is injective on the wide subgroupoids; else a coinciding pair."""
+        return _injective([(h, self.ctx.theta(h)) for h in self.ctx.wide_subgroupoids])
+
+    @cached_property
+    def gamma_wide_inj(self) -> bool:
+        return _injective([(h, self.ctx.gamma(h)[0]) for h in self.ctx.wide_subgroupoids])[0]
+
+    @cached_property
+    def dcp_fail(self) -> dict | None:
+        """The first subgroupoid whose invariant ring is not its own bicommutant."""
+        alg = self.inst.algebra
+        for h in self.ctx.all_subgroupoids:
+            th = self.ctx.theta(h)
+            vv = commutant(alg, commutant(alg, th, alg.full_space), alg.full_space)
+            if vv != th:
+                return {"subgroupoid": h.label(), "invariants_dim": th.dim, "bicommutant_dim": vv.dim}
+        return None
+
+    @cached_property
+    def azu(self) -> bool:
+        """R is Azumaya: separable over its center."""
+        return separability_idempotent(self.inst.algebra, self.ctx.center) is not None
+
+    @cached_property
+    def central(self) -> bool:
+        return is_central_galois(self.ctx.center, self.ctx.invariant_ring, self.galois)
+
+    @property
+    def hirata(self) -> bool:
+        """The Hirata gate: Hirata separability expected (flagged, or central
+        Galois) and the Galois gate met."""
+        return (bool(self.inst.flags.get("hirata_expected", False)) or self.central) and self.galois
+
+    @property
+    def s4(self) -> bool:
+        """Section 4's standing hypothesis: a certified central Galois algebra."""
+        return self.central and self.galois
+
+    @cached_property
+    def center_enum(self) -> SeparableEnumeration:
+        return enumerate_separable_subalgebras(self.inst.algebra, self.ctx.center, pool=_pool(self))
+
+    @cached_property
+    def base_enum(self) -> SeparableEnumeration:
+        # for central Galois instances the base R^beta equals the center
+        if self.ctx.invariant_ring == self.ctx.center:
+            return self.center_enum
+        return enumerate_separable_subalgebras(self.inst.algebra, self.ctx.invariant_ring, pool=_pool(self))
+
+    @cached_property
+    def theta_image(self) -> tuple[bool, bool]:
+        """Whether theta's wide image lies in, and covers, the separable
+        subalgebras over the base."""
+        sep = {s.key() for s in self.base_enum.subalgebras}
+        image = {self.ctx.theta(h).key() for h in self.ctx.wide_subgroupoids}
+        return image <= sep, sep <= image
+
+    @property
+    def ft_holds(self) -> bool:
+        """theta is a bijection onto the separable subalgebras over the base."""
+        return self.theta_wide[0] and all(self.theta_image)
+
+    @property
+    def ft_decided(self) -> bool:
+        return self.base_enum.exhaustive
+
+    def identities(self, s: Subspace) -> tuple[bool, bool]:
+        """Theorem 4.1 on a separable S over the base: V_R(S) = sum of J_g
+        over H_S, and S = sum of J_g over H_{V_R(S)}."""
+        key = s.key()
+        if key not in self.identity_results:
+            act, alg, ctx = self.inst.action, self.inst.algebra, self.ctx
+            vrs = commutant(alg, s, alg.full_space)
+            sum1, direct1 = ctx.gamma(fixer_subgroupoid(act, s))
+            sum2, direct2 = ctx.gamma(fixer_subgroupoid(act, vrs))
+            self.identity_results[key] = (direct1 and sum1 == vrs, direct2 and sum2 == s)
+        return self.identity_results[key]
+
+    @cached_property
+    def identity_all(self) -> bool:
+        """The first identity holds on every separable S over the base."""
+        return all(self.identities(s)[0] for s in self.base_enum.subalgebras)
+
+
+CHECKS: dict[str, Callable[[SuiteState], Outcome]] = {}
+
+
+def check(cid: str):
+    """Register the decorated function as the MANIFEST check ``cid``."""
+
+    def register(fn):
+        if cid in CHECKS:
+            raise ValueError(f"check {cid!r} registered twice")
+        CHECKS[cid] = fn
+        return fn
+
+    return register
 
 
 def run_suite(inst: Instance, scope: str = "all") -> VerificationReport:
     if scope not in ("s3", "all"):
         raise ValueError(f"unknown scope {scope!r}")
     report = VerificationReport(instance=inst.name, scope=scope)
-    act = inst.action
-
-    def rec(check_id, verdict, hypothesis="met", detail="", witnesses=None, t0=None):
-        return report.add(
+    state = SuiteState(inst)
+    for cid, anchor, check_scope in MANIFEST:
+        if scope != "all" and check_scope != scope:
+            continue
+        start = time.perf_counter()
+        out = CHECKS[cid](state)
+        seconds = time.perf_counter() - start
+        report.add(
             CheckRecord(
-                check_id=check_id,
-                anchor=ANCHORS[check_id],
-                hypothesis=hypothesis,
-                verdict=verdict,
-                detail=detail,
-                witnesses=witnesses or {},
-                seconds=0.0 if t0 is None else time.monotonic() - t0,
+                check_id=cid,
+                anchor=anchor,
+                hypothesis=out.hypothesis,
+                verdict=out.verdict,
+                detail=out.detail,
+                witnesses=out.witnesses or {},
+                seconds=seconds,
             )
         )
+    return report
 
-    # --- validators (already certified during load; record the facts) -----
-    g = inst.groupoid
-    rec(
-        "validate_groupoid",
+
+# --- validators (already certified during load; record the facts) ----------
+
+
+@check("validate_groupoid")
+def _validate_groupoid(state: SuiteState) -> Outcome:
+    g = state.inst.groupoid
+    return Outcome("pass", f"{g.size} arrows, {len(g.identities)} identities", {"arrows": list(g.names)})
+
+
+@check("validate_algebra")
+def _validate_algebra(state: SuiteState) -> Outcome:
+    inst = state.inst
+    return Outcome(
         "pass",
-        detail=f"{g.size} arrows, {len(g.identities)} identities",
-        witnesses={"arrows": list(g.names)},
-    )
-    rec(
-        "validate_algebra",
-        "pass",
-        detail=f"dim {inst.algebra.dim} over {inst.field.kind}"
-        + (f"({inst.field.p})" if inst.field.modular else ""),
-        witnesses={"basis": list(inst.algebra.labels)},
-    )
-    rec(
-        "validate_action",
-        "pass",
-        detail="all action axioms certified; R is the direct sum of the E_e",
-        witnesses={"ideal_dims": {g.names[e]: act.ideals[e].dim for e in g.identities}},
+        f"dim {inst.algebra.dim} over {inst.field.kind}" + (f"({inst.field.p})" if inst.field.modular else ""),
+        {"basis": list(inst.algebra.labels)},
     )
 
-    # --- Galois coordinates ------------------------------------------------
-    coords = inst.coordinates
-    if coords is not None:
-        ok, failures = check_galois_coordinates(act, coords)
-        if ok:
-            rec(
-                "galois_coordinates",
-                "pass",
-                detail=f"instance coordinates certified ({len(coords.pairs)} pairs)",
-                witnesses={"pairs": len(coords.pairs)},
-            )
-        else:
-            a, res = failures[0]
-            rec(
-                "galois_coordinates",
-                "violation",
-                detail=f"instance coordinates fail at arrow {g.names[a]}",
-                witnesses={
-                    "arrow": g.names[a],
-                    "residual": inst.field.vector_json(res),
-                },
-            )
-            coords = None
-    else:
-        coords = solve_galois_coordinates(act)
-        if coords is not None:
-            rec(
-                "galois_coordinates",
-                "pass",
-                detail=f"solver found and certified {len(coords.pairs)} pairs",
-                witnesses={"pairs": len(coords.pairs)},
-            )
-        else:
-            rec(
-                "galois_coordinates",
-                "inconclusive",
-                detail="no coordinates with basis-pinned x side; not a proof of non-Galois",
-            )
 
-    ctx = GaloisContext(act, coords)
-    state = SuiteState(inst=inst, ctx=ctx)
-    galois = ctx.galois_certified
-    gate = "met" if galois else "unmet"
+@check("validate_action")
+def _validate_action(state: SuiteState) -> Outcome:
+    g, act = state.inst.groupoid, state.inst.action
+    return Outcome(
+        "pass",
+        "all action axioms certified; R is the direct sum of the E_e",
+        {"ideal_dims": {g.names[e]: act.ideals[e].dim for e in g.identities}},
+    )
 
-    # --- J modules and the connecting-arrow observation --------------------
-    jdims = {g.names[a]: ctx.jmodules[a].dim for a in g.arrows()}
-    rec("jmodules", "pass", detail="J modules computed", witnesses={"dims": jdims})
 
-    bad = [
-        g.names[a]
-        for a in g.arrows()
-        if g.source[a] != g.target[a] and ctx.jmodules[a].dim > 0
-    ]
-    if bad:
-        rec(
-            "connecting_arrows",
+# --- Galois coordinates, J modules and the connecting-arrow observation -----
+
+
+@check("galois_coordinates")
+def _galois_coordinates(state: SuiteState) -> Outcome:
+    inst = state.inst
+    if state.coordinate_failures:
+        a, res = state.coordinate_failures[0]
+        name = inst.groupoid.names[a]
+        return Outcome(
             "violation",
-            detail="nonzero J module on an arrow with d(g) != r(g)",
-            witnesses={"arrows": bad},
+            f"instance coordinates fail at arrow {name}",
+            {"arrow": name, "residual": inst.field.vector_json(res)},
         )
-    else:
-        conn = [g.names[a] for a in g.arrows() if g.source[a] != g.target[a]]
-        rec(
-            "connecting_arrows",
-            "pass",
-            detail=(
-                "J_g = 0 on every connecting arrow (forced by R = direct sum of E_e); "
-                "observation only"
-                if conn
-                else "no connecting arrows"
-            ),
-            witnesses={"connecting_arrows": conn},
-        )
+    if state.coords is None:
+        return Outcome("inconclusive", "no coordinates with basis-pinned x side; not a proof of non-Galois")
+    n = len(state.coords.pairs)
+    if inst.coordinates is None:
+        return Outcome("pass", f"solver found and certified {n} pairs", {"pairs": n})
+    return Outcome("pass", f"instance coordinates certified ({n} pairs)", {"pairs": n})
 
-    # --- Lemma 2.1: fixers are subgroupoids ---------------------------------
-    fixer_probes: list[tuple[str, Subspace]] = [
+
+@check("jmodules")
+def _jmodules(state: SuiteState) -> Outcome:
+    g, jm = state.inst.groupoid, state.ctx.jmodules
+    return Outcome("pass", "J modules computed", {"dims": {g.names[a]: jm[a].dim for a in g.arrows()}})
+
+
+@check("connecting_arrows")
+def _connecting_arrows(state: SuiteState) -> Outcome:
+    g, jm = state.inst.groupoid, state.ctx.jmodules
+    conn = [a for a in g.arrows() if g.source[a] != g.target[a]]
+    bad = [g.names[a] for a in conn if jm[a].dim > 0]
+    if bad:
+        return Outcome("violation", "nonzero J module on an arrow with d(g) != r(g)", {"arrows": bad})
+    return Outcome(
+        "pass",
+        "J_g = 0 on every connecting arrow (forced by R = direct sum of E_e); observation only"
+        if conn
+        else "no connecting arrows",
+        {"connecting_arrows": [g.names[a] for a in conn]},
+    )
+
+
+# --- Section 2 ----------------------------------------------------------------
+
+
+@check("lemma_2_1")
+def _lemma_2_1(state: SuiteState) -> Outcome:
+    """Fixers are subgroupoids."""
+    inst, ctx = state.inst, state.ctx
+    probes = [
         ("span(1)", Subspace.span(inst.field, inst.algebra.unit)),
         ("center", ctx.center),
         ("invariants", ctx.invariant_ring),
     ]
-    for h in ctx.wide_subgroupoids:
-        fixer_probes.append((f"theta{_label(h)}", ctx.theta(h)))
-    lemma21_fail = None
+    probes += [(f"theta{h.label()}", ctx.theta(h)) for h in ctx.wide_subgroupoids]
     fixers = {}
-    for label, t in fixer_probes:
+    for label, t in probes:
         try:
-            fixers[label] = fixer_subgroupoid(act, t)
+            fixers[label] = fixer_subgroupoid(inst.action, t)
         except CERTIFICATE_ERRORS as e:  # closure failure is a theorem violation
-            lemma21_fail = (label, str(e))
-            break
-    if lemma21_fail:
-        rec(
-            "lemma_2_1",
-            "violation",
-            detail=f"fixer of {lemma21_fail[0]} is not a subgroupoid",
-            witnesses={"subalgebra": lemma21_fail[0], "error": lemma21_fail[1]},
-        )
-    else:
-        rec(
-            "lemma_2_1",
-            "pass",
-            detail=f"{len(fixer_probes)} fixer sets certified closed",
-            witnesses={"fixers": {k: _label(v) for k, v in sorted(fixers.items())}},
-        )
+            return Outcome(
+                "violation",
+                f"fixer of {label} is not a subgroupoid",
+                {"subalgebra": label, "error": str(e)},
+            )
+    return Outcome(
+        "pass",
+        f"{len(probes)} fixer sets certified closed",
+        {"fixers": {k: v.label() for k, v in sorted(fixers.items())}},
+    )
 
-    # --- Prop 2.2: restrictions are actions and stay Galois -----------------
-    t0 = time.monotonic()
-    restr_notes = []
+
+@check("prop_2_2")
+def _prop_2_2(state: SuiteState) -> Outcome:
+    """Restrictions are actions and stay Galois."""
+    act, ctx, galois = state.inst.action, state.ctx, state.galois
+    gate = "met" if galois else "unmet"
+    notes = []
     restr_ok = True
     for h in ctx.all_subgroupoids:
         try:
             sub_act, _ = state.restriction(h)
         except CERTIFICATE_ERRORS as e:
             restr_ok = False
-            restr_notes.append(f"{_label(h)}: {e}")
+            notes.append(f"{h.label()}: {e}")
             continue
         if galois:
-            sub_coords = _truncated_coordinates(act, coords, h, sub_act)
+            sub_coords = _truncated_coordinates(act, state.coords, h, sub_act)
             if sub_coords is None:
                 sub_coords = solve_galois_coordinates(sub_act)
             if sub_coords is None:
-                restr_notes.append(f"{_label(h)}: restricted coordinates not found")
+                notes.append(f"{h.label()}: restricted coordinates not found")
     if not restr_ok:
-        rec(
-            "prop_2_2",
-            "violation",
-            hypothesis=gate,
-            detail="a restriction failed action validation",
-            witnesses={"failures": restr_notes},
-            t0=t0,
-        )
-    elif restr_notes:
-        rec(
-            "prop_2_2",
+        return Outcome("violation", "a restriction failed action validation", {"failures": notes}, gate)
+    if notes:
+        return Outcome(
             "inconclusive",
-            hypothesis=gate,
-            detail="restrictions validate; some restricted coordinate solves inconclusive",
-            witnesses={"notes": restr_notes},
-            t0=t0,
+            "restrictions validate; some restricted coordinate solves inconclusive",
+            {"notes": notes},
+            gate,
         )
-    else:
-        rec(
-            "prop_2_2",
-            gate == "met" and "pass" or "skip",
-            hypothesis=gate,
-            detail=(
-                f"{len(ctx.all_subgroupoids)} restrictions validated"
-                + (" and re-certified Galois" if galois else "; Galois gate unmet")
-            ),
-            t0=t0,
-        )
+    return Outcome(
+        "pass" if galois else "skip",
+        f"{len(ctx.all_subgroupoids)} restrictions validated"
+        + (" and re-certified Galois" if galois else "; Galois gate unmet"),
+        hypothesis=gate,
+    )
 
-    # --- skew groupoid ring and the j isomorphism ---------------------------
-    t0 = time.monotonic()
-    try:
-        skew = build_skew_groupoid_ring(act)
-        rec(
-            "skew_ring",
-            "pass",
-            detail=f"dim {skew.dim}; associativity and unit re-certified",
-            witnesses={"dim": skew.dim},
-            t0=t0,
-        )
-    except CERTIFICATE_ERRORS as e:
-        skew = None
-        rec(
-            "skew_ring",
-            "violation",
-            detail="skew groupoid ring failed re-certification",
-            witnesses={"error": str(e)},
-            t0=t0,
-        )
 
-    if skew is not None and galois:
-        t0 = time.monotonic()
-        jrep = j_isomorphism_check(act, skew, ctx.invariant_ring)
-        rec(
-            "j_isomorphism",
-            "pass" if jrep.ok else "violation",
-            detail=(
-                f"dim skew ring {jrep.dim_skew} vs dim End {jrep.dim_end}; "
-                f"injective={jrep.injective} surjective={jrep.surjective} "
-                f"multiplicative={jrep.multiplicative} unital={jrep.unital}"
-            ),
-            witnesses={
-                "dim_skew": jrep.dim_skew,
-                "dim_end": jrep.dim_end,
-                "injective": jrep.injective,
-                "surjective": jrep.surjective,
-                "multiplicative": jrep.multiplicative,
-                "unital": jrep.unital,
-            },
-            t0=t0,
-        )
-    else:
-        rec(
-            "j_isomorphism",
-            "skip",
-            hypothesis="unmet",
-            detail="needs a certified Galois coordinate system",
-        )
+# --- skew groupoid ring and the j isomorphism ----------------------------------
 
-    # --- Lemma 3.1 on every subgroupoid via its restriction -----------------
-    t0 = time.monotonic()
-    if galois:
-        failures = []
-        wide_count = 0
-        total = 0
-        for h in ctx.all_subgroupoids:
-            sub_act, _ = state.restriction(h)
-            sub_ctx = GaloisContext(sub_act)
-            inv = invariants(sub_act, list(sub_act.groupoid.arrows()))
-            vr = commutant(sub_act.algebra, inv, sub_act.algebra.full_space)
-            parts = [sub_ctx.jmodules[a] for a in sub_act.groupoid.arrows()]
-            dims = sum(p.dim for p in parts)
-            stacked = (
-                np.vstack([p.space.basis for p in parts if p.dim])
-                if dims
-                else sub_act.field.zeros((0, sub_act.algebra.dim))
+
+@check("skew_ring")
+def _skew_ring(state: SuiteState) -> Outcome:
+    skew, error = state.skew
+    if skew is None:
+        return Outcome("violation", "skew groupoid ring failed re-certification", {"error": error})
+    return Outcome("pass", f"dim {skew.dim}; associativity and unit re-certified", {"dim": skew.dim})
+
+
+@check("j_isomorphism")
+def _j_isomorphism(state: SuiteState) -> Outcome:
+    skew, _ = state.skew
+    if skew is None or not state.galois:
+        return _skip("needs a certified Galois coordinate system")
+    jrep = j_isomorphism_check(state.inst.action, skew, state.ctx.invariant_ring)
+    return Outcome(
+        "pass" if jrep.ok else "violation",
+        f"dim skew ring {jrep.dim_skew} vs dim End {jrep.dim_end}; "
+        f"injective={jrep.injective} surjective={jrep.surjective} "
+        f"multiplicative={jrep.multiplicative} unital={jrep.unital}",
+        {
+            "dim_skew": jrep.dim_skew,
+            "dim_end": jrep.dim_end,
+            "injective": jrep.injective,
+            "surjective": jrep.surjective,
+            "multiplicative": jrep.multiplicative,
+            "unital": jrep.unital,
+        },
+    )
+
+
+# --- Section 3 ----------------------------------------------------------------
+
+
+@check("lemma_3_1")
+def _lemma_3_1(state: SuiteState) -> Outcome:
+    """V_R(R^beta) is the direct sum of the J_g, on every subgroupoid's restriction."""
+    if not state.galois:
+        return _skip("Galois gate unmet")
+    subs = state.ctx.all_subgroupoids
+    failures = []
+    for h in subs:
+        sub_act, _ = state.restriction(h)
+        sub_ctx = GaloisContext(sub_act)
+        alg = sub_act.algebra
+        vr = commutant(alg, sub_ctx.invariant_ring, alg.full_space)
+        total, direct = gamma(sub_act, sub_act.groupoid.arrows(), sub_ctx.jmodules)
+        equal = total == vr
+        if not (equal and direct):
+            failures.append(
+                {
+                    "subgroupoid": h.label(),
+                    "equal": equal,
+                    "direct": direct,
+                    "commutant_dim": vr.dim,
+                    "sum_dim": total.dim,
+                }
             )
-            total_space = Subspace(sub_act.field, sub_act.algebra.dim, stacked)
-            equal = total_space == vr
-            direct = total_space.dim == dims
-            total += 1
-            if h.wide:
-                wide_count += 1
-            if not (equal and direct):
-                failures.append(
-                    {
-                        "subgroupoid": _label(h),
-                        "equal": equal,
-                        "direct": direct,
-                        "commutant_dim": vr.dim,
-                        "sum_dim": total_space.dim,
-                    }
-                )
-        rec(
-            "lemma_3_1",
-            "violation" if failures else "pass",
-            detail=f"{total} restriction checks ({wide_count} wide); decomposition "
-            + ("violated" if failures else "exact and direct everywhere"),
-            witnesses={"failures": failures} if failures else {"checks": total, "wide": wide_count},
-            t0=t0,
-        )
-    else:
-        rec("lemma_3_1", "skip", hypothesis="unmet", detail="Galois gate unmet")
+    wide = sum(h.wide for h in subs)
+    return Outcome(
+        "violation" if failures else "pass",
+        f"{len(subs)} restriction checks ({wide} wide); decomposition "
+        + ("violated" if failures else "exact and direct everywhere"),
+        {"failures": failures} if failures else {"checks": len(subs), "wide": wide},
+    )
 
-    # --- Lemma 3.2 -----------------------------------------------------------
+
+@check("lemma_3_2")
+def _lemma_3_2(state: SuiteState) -> Outcome:
     # theta's fixed domain is the wide subgroupoids; the all-subgroupoid
     # reading is reported as data alongside but never judged
-    t0 = time.monotonic()
-    if galois:
-        checked = 0
-        bad_pairs = []
-        all_domain = 0
-        all_domain_coincidences = []
-        for h, l in subgroupoid_pairs(ctx.all_subgroupoids):
-            if any(ctx.jmodules[a].dim == 0 for a in h.members | l.members):
-                continue  # hypothesis J != 0 on H and L unmet for this pair
-            coincide = ctx.theta(h) == ctx.theta(l) and h.members != l.members
-            if h.wide and l.wide:
-                checked += 1
-                if coincide:
-                    bad_pairs.append([_label(h), _label(l)])
-            else:
-                all_domain += 1
-                if coincide:
-                    all_domain_coincidences.append([_label(h), _label(l)])
-        rec(
-            "lemma_3_2",
-            "violation" if bad_pairs else "pass",
-            detail=f"{checked} gated wide pairs; theta(H)=theta(L) forces H=L",
-            witnesses={
-                "pairs": bad_pairs,
-                "non_wide_pairs_reported": all_domain,
-                "non_wide_coincidences": all_domain_coincidences,
-            }
-            if bad_pairs
-            else {
-                "checked": checked,
-                "non_wide_pairs_reported": all_domain,
-                "non_wide_coincidences": all_domain_coincidences,
-            },
-            t0=t0,
-        )
-    else:
-        rec("lemma_3_2", "skip", hypothesis="unmet", detail="Galois gate unmet")
-
-    # --- Theorem 3.3 ----------------------------------------------------------
-    t0 = time.monotonic()
-    all_j_nonzero = all(ctx.jmodules[a].dim > 0 for a in g.arrows())
-    theta_wide_inj, theta_wide_coincidence = _injective(
-        [(h, ctx.theta(h)) for h in ctx.wide_subgroupoids]
+    if not state.galois:
+        return _skip("Galois gate unmet")
+    ctx = state.ctx
+    checked = 0
+    bad_pairs = []
+    non_wide = 0
+    non_wide_coincidences = []
+    for h, l in subgroupoid_pairs(ctx.all_subgroupoids):
+        if any(ctx.jmodules[a].dim == 0 for a in h.members | l.members):
+            continue  # hypothesis J != 0 on H and L unmet for this pair
+        coincide = ctx.theta(h) == ctx.theta(l) and h.members != l.members
+        if h.wide and l.wide:
+            checked += 1
+            if coincide:
+                bad_pairs.append([h.label(), l.label()])
+        else:
+            non_wide += 1
+            if coincide:
+                non_wide_coincidences.append([h.label(), l.label()])
+    witnesses = {"non_wide_pairs_reported": non_wide, "non_wide_coincidences": non_wide_coincidences}
+    witnesses.update({"pairs": bad_pairs} if bad_pairs else {"checked": checked})
+    return Outcome(
+        "violation" if bad_pairs else "pass",
+        f"{checked} gated wide pairs; theta(H)=theta(L) forces H=L",
+        witnesses,
     )
-    if galois and all_j_nonzero:
-        rec(
-            "theorem_3_3",
-            "pass" if theta_wide_inj else "violation",
-            detail=f"all J_g nonzero; theta injective on {len(ctx.wide_subgroupoids)} wide subgroupoids: {theta_wide_inj}",
-            witnesses=(
-                {"wide_subgroupoids": len(ctx.wide_subgroupoids)}
-                if theta_wide_inj
-                else {"coincidence": theta_wide_coincidence}
-            ),
-            t0=t0,
-        )
-    else:
-        why = "Galois gate unmet" if not galois else "some J_g = 0"
-        rec(
-            "theorem_3_3",
-            "skip",
-            hypothesis="unmet",
-            detail=f"{why}; theta injective on wide subgroupoids anyway: {theta_wide_inj}",
-            witnesses={"theta_injective_wide": theta_wide_inj},
-            t0=t0,
-        )
 
-    # --- flags: Azumaya / central Galois / Hirata chain ------------------------
-    t0 = time.monotonic()
-    azu, azu_cert = _azumaya(state)
-    rec(
-        "azumaya",
-        "pass",
-        detail=f"separable over its center: {azu}",
-        witnesses={"azumaya": azu},
-        t0=t0,
+
+def _theta_wide_witness(state: SuiteState) -> dict:
+    injective, coincidence = state.theta_wide
+    return {"wide_subgroupoids": len(state.ctx.wide_subgroupoids)} if injective else {"coincidence": coincidence}
+
+
+@check("theorem_3_3")
+def _theorem_3_3(state: SuiteState) -> Outcome:
+    ctx = state.ctx
+    injective = state.theta_wide[0]
+    if not state.galois or not all(ctx.jmodules[a].dim > 0 for a in state.inst.groupoid.arrows()):
+        why = "Galois gate unmet" if not state.galois else "some J_g = 0"
+        return _skip(
+            f"{why}; theta injective on wide subgroupoids anyway: {injective}",
+            {"theta_injective_wide": injective},
+        )
+    return Outcome(
+        "pass" if injective else "violation",
+        f"all J_g nonzero; theta injective on {len(ctx.wide_subgroupoids)} wide subgroupoids: {injective}",
+        _theta_wide_witness(state),
     )
-    central = is_central_galois(ctx.center, ctx.invariant_ring, galois)
-    state.central = central
-    rec(
-        "central_galois",
+
+
+# --- flags: Azumaya / central Galois / Hirata chain ------------------------------
+
+
+@check("azumaya")
+def _azumaya(state: SuiteState) -> Outcome:
+    return Outcome("pass", f"separable over its center: {state.azu}", {"azumaya": state.azu})
+
+
+@check("central_galois")
+def _central_galois(state: SuiteState) -> Outcome:
+    ctx = state.ctx
+    return Outcome(
         "pass",
-        detail=f"C(R) = R^beta with certified coordinates: {central}",
-        witnesses={
-            "central_galois": central,
+        f"C(R) = R^beta with certified coordinates: {state.central}",
+        {
+            "central_galois": state.central,
             "center_dim": ctx.center.dim,
             "invariants_dim": ctx.invariant_ring.dim,
         },
     )
-    expected_central = inst.flags.get("central_galois_expected")
-    if expected_central is not None and expected_central != central:
-        rec(
-            "remark_2_3",
-            "violation",
-            detail="instance flag central_galois_expected disagrees with the computed flag",
-            witnesses={"expected": expected_central, "computed": central},
-        )
-    elif central:
-        rec(
-            "remark_2_3",
-            "pass" if azu else "violation",
-            detail="central Galois algebra is Azumaya (checked in that order); Hirata flag derived",
-            witnesses={"azumaya": azu},
-        )
-    else:
-        rec(
-            "remark_2_3",
-            "skip",
-            hypothesis="unmet",
-            detail="not a central Galois algebra; chain not applicable",
-        )
-    state.hirata_expected = bool(inst.flags.get("hirata_expected", False)) or central
 
-    # --- Lemma 3.4 product rule -------------------------------------------------
-    t0 = time.monotonic()
-    hirata_gate = "met" if (state.hirata_expected and galois) else "unmet"
+
+@check("remark_2_3")
+def _remark_2_3(state: SuiteState) -> Outcome:
+    expected = state.inst.flags.get("central_galois_expected")
+    if expected is not None and expected != state.central:
+        return Outcome(
+            "violation",
+            "instance flag central_galois_expected disagrees with the computed flag",
+            {"expected": expected, "computed": state.central},
+        )
+    if not state.central:
+        return _skip("not a central Galois algebra; chain not applicable")
+    return Outcome(
+        "pass" if state.azu else "violation",
+        "central Galois algebra is Azumaya (checked in that order); Hirata flag derived",
+        {"azumaya": state.azu},
+    )
+
+
+@check("lemma_3_4")
+def _lemma_3_4(state: SuiteState) -> Outcome:
+    """The product rule; the table is reported whether or not the gate is met."""
+    alg, ctx, g = state.inst.algebra, state.ctx, state.inst.groupoid
+    jm = ctx.jmodules
     pair_rows = []
-    all_equal = True
     for a, b in ctx.composable_pairs():  # (g,h) with d(g) = r(h)
-        jh = ctx.jmodules[b].space
-        jg = ctx.jmodules[a].space
-        prod = product_space(inst.algebra, jh, jg)  # J_h J_g
-        prod_rev = product_space(inst.algebra, jg, jh)
-        target = ctx.jmodules[g.comp[a][b]].space
-        equal = prod == target
-        included = target.contains_space(prod)
-        all_equal = all_equal and equal
+        jh, jg = jm[b].space, jm[a].space
+        prod = product_space(alg, jh, jg)  # J_h J_g
+        target = jm[g.comp[a][b]].space
         pair_rows.append(
             {
                 "g": g.names[a],
                 "h": g.names[b],
                 "gh": g.names[g.comp[a][b]],
-                "equal": equal,
-                "included": included,
-                "reversed_equal": prod_rev == target,
+                "equal": prod == target,
+                "included": target.contains_space(prod),
+                "reversed_equal": product_space(alg, jg, jh) == target,
             }
         )
-    particular = []
-    particular_ok = True
-    for a in g.arrows():
-        lhs = product_space(
-            inst.algebra, ctx.jmodules[g.inv[a]].space, ctx.jmodules[a].space
+    particular = [
+        {
+            "g": g.names[a],
+            "equal": product_space(alg, jm[g.inv[a]].space, jm[a].space) == v_in_ideal(state.inst.action, a),
+        }
+        for a in g.arrows()
+    ]
+    witnesses = {"pairs": pair_rows, "particular": particular}
+    if not state.hirata:
+        return _skip(
+            "Hirata separability not expected; product table reported, inclusions not upgraded to failures",
+            witnesses,
         )
-        rhs = v_in_ideal(act, a)
-        ok = lhs == rhs
-        particular_ok = particular_ok and ok
-        particular.append({"g": g.names[a], "equal": ok})
-    if hirata_gate == "met":
-        ok = all_equal and particular_ok
-        rec(
-            "lemma_3_4",
-            "pass" if ok else "violation",
-            detail=f"{len(pair_rows)} composable pairs; J_h J_g = J_gh and J_g^-1 J_g = V_Eg(R)",
-            witnesses={"pairs": pair_rows, "particular": particular},
-            t0=t0,
-        )
-    else:
-        rec(
-            "lemma_3_4",
-            "skip",
-            hypothesis="unmet",
-            detail="Hirata separability not expected; product table reported, inclusions not upgraded to failures",
-            witnesses={"pairs": pair_rows, "particular": particular},
-            t0=t0,
-        )
+    ok = all(row["equal"] for row in pair_rows + particular)
+    return Outcome(
+        "pass" if ok else "violation",
+        f"{len(pair_rows)} composable pairs; J_h J_g = J_gh and J_g^-1 J_g = V_Eg(R)",
+        witnesses,
+    )
 
-    # --- Theorem 3.5 --------------------------------------------------------------
-    if hirata_gate == "met":
-        rec(
-            "theorem_3_5",
-            "pass" if theta_wide_inj else "violation",
-            detail=f"Hirata-separable/central Galois instance; theta injective: {theta_wide_inj}",
-            witnesses=(
-                {"wide_subgroupoids": len(ctx.wide_subgroupoids)}
-                if theta_wide_inj
-                else {"coincidence": theta_wide_coincidence}
-            ),
-        )
-    else:
-        rec("theorem_3_5", "skip", hypothesis="unmet", detail="hypothesis (Hirata/central) unmet")
 
-    # --- Lemma 3.6: sigma injective on the support ----------------------------------
-    t0 = time.monotonic()
-    if galois:
-        clashes = []
-        for h in ctx.all_subgroupoids:
-            sup = ctx.support(h)
-            for i in range(len(sup)):
-                for j in range(i + 1, len(sup)):
-                    if ctx.jmodules[sup[i]].space == ctx.jmodules[sup[j]].space:
-                        clashes.append(
-                            {
-                                "subgroupoid": _label(h),
-                                "g": g.names[sup[i]],
-                                "h": g.names[sup[j]],
-                            }
-                        )
-        rec(
-            "lemma_3_6",
-            "violation" if clashes else "pass",
-            detail="sigma restricted to each support set is injective",
-            witnesses={"clashes": clashes} if clashes else {"subgroupoids": len(ctx.all_subgroupoids)},
-            t0=t0,
-        )
-    else:
-        rec("lemma_3_6", "skip", hypothesis="unmet", detail="Galois gate unmet")
+@check("theorem_3_5")
+def _theorem_3_5(state: SuiteState) -> Outcome:
+    if not state.hirata:
+        return _skip("hypothesis (Hirata/central) unmet")
+    injective = state.theta_wide[0]
+    return Outcome(
+        "pass" if injective else "violation",
+        f"Hirata-separable/central Galois instance; theta injective: {injective}",
+        _theta_wide_witness(state),
+    )
 
-    # --- Lemma 3.7 ---------------------------------------------------------------------
-    t0 = time.monotonic()
-    if galois:
-        fails = []
-        for h in ctx.wide_subgroupoids:
-            gam, _ = ctx.gamma(h)
-            vs = commutant(
-                inst.algebra, invariants(act, ctx.support(h)), inst.algebra.full_space
-            )
-            if gam != vs:
-                fails.append(
-                    {"subgroupoid": _label(h), "gamma_dim": gam.dim, "commutant_dim": vs.dim}
-                )
-        rec(
-            "lemma_3_7",
-            "violation" if fails else "pass",
-            detail=f"gamma(H) = V_R(R^(beta_S_H)) on {len(ctx.wide_subgroupoids)} wide subgroupoids",
-            witnesses={"failures": fails} if fails else {"checked": len(ctx.wide_subgroupoids)},
-            t0=t0,
-        )
-    else:
-        rec("lemma_3_7", "skip", hypothesis="unmet", detail="Galois gate unmet")
 
-    # --- Lemma 3.8 -------------------------------------------------------------------------
-    t0 = time.monotonic()
-    gamma_wide_inj, _ = _injective([(h, ctx.gamma(h)[0]) for h in ctx.wide_subgroupoids])
-    if galois and gamma_wide_inj:
-        squeezed = []
-        for h in ctx.wide_subgroupoids:
-            sup = set(ctx.support(h))
-            for hp in ctx.all_subgroupoids:
-                if sup < hp.members < h.members:
-                    squeezed.append({"subgroupoid": _label(h), "between": _label(hp)})
-        rec(
-            "lemma_3_8",
-            "violation" if squeezed else "pass",
-            detail="no proper subgroupoid strictly between S_H and H",
-            witnesses={"violations": squeezed} if squeezed else {"wide": len(ctx.wide_subgroupoids)},
-            t0=t0,
-        )
-    else:
-        why = "Galois gate unmet" if not galois else "gamma not injective on wide subgroupoids"
-        rec("lemma_3_8", "skip", hypothesis="unmet", detail=why, t0=t0)
+@check("lemma_3_6")
+def _lemma_3_6(state: SuiteState) -> Outcome:
+    """sigma is injective on the support."""
+    if not state.galois:
+        return _skip("Galois gate unmet")
+    ctx, g = state.ctx, state.inst.groupoid
+    clashes = [
+        {"subgroupoid": h.label(), "g": g.names[a], "h": g.names[b]}
+        for h in ctx.all_subgroupoids
+        for a, b in combinations(ctx.support(h), 2)
+        if ctx.jmodules[a].space == ctx.jmodules[b].space
+    ]
+    return Outcome(
+        "violation" if clashes else "pass",
+        "sigma restricted to each support set is injective",
+        {"clashes": clashes} if clashes else {"subgroupoids": len(ctx.all_subgroupoids)},
+    )
 
-    # --- Theorem 3.9 sweep ---------------------------------------------------------------------
-    t0 = time.monotonic()
-    if azu:
-        enum = _center_enumeration(state)
-        sweep_fails = []
-        rows = []
-        for s in enum.subalgebras:
-            res = double_centralizer_check(inst.algebra, s, ctx.center)
-            ok = res.double_centralizer_holds and res.commutant_separable and res.tensor_clause != "fails"
-            rows.append(
-                {
-                    "dim": s.dim,
-                    "double_centralizer": res.double_centralizer_holds,
-                    "commutant_separable": res.commutant_separable,
-                    "tensor_clause": res.tensor_clause,
-                }
-            )
-            if not ok:
-                sweep_fails.append({"subalgebra": s.to_json(), "result": rows[-1]})
-        rec(
-            "theorem_3_9",
-            "violation" if sweep_fails else "pass",
-            detail=f"{len(enum.subalgebras)} separable subalgebras containing the center swept ({enum.note})",
-            witnesses={"failures": sweep_fails} if sweep_fails else {"swept": len(enum.subalgebras), "mode": enum.note},
-            t0=t0,
-        )
-    else:
-        rec(
-            "theorem_3_9",
-            "skip",
-            hypothesis="unmet",
-            detail="R is not Azumaya (hypothesis not met)",
-            t0=t0,
-        )
 
-    # --- Theorems 3.10 / 3.11 ---------------------------------------------------------------------
-    t0 = time.monotonic()
-    dcp_fail = None
-    for h in ctx.all_subgroupoids:
-        th = ctx.theta(h)
-        vv = commutant(
-            inst.algebra,
-            commutant(inst.algebra, th, inst.algebra.full_space),
-            inst.algebra.full_space,
-        )
-        if vv != th:
-            dcp_fail = {
-                "subgroupoid": _label(h),
-                "invariants_dim": th.dim,
-                "bicommutant_dim": vv.dim,
-            }
-            break
-    theta_all_inj, _ = _injective([(h, ctx.theta(h)) for h in ctx.all_subgroupoids])
-    gamma_all_inj, _ = _injective([(h, ctx.gamma(h)[0]) for h in ctx.all_subgroupoids])
+@check("lemma_3_7")
+def _lemma_3_7(state: SuiteState) -> Outcome:
+    if not state.galois:
+        return _skip("Galois gate unmet")
+    act, alg, ctx = state.inst.action, state.inst.algebra, state.ctx
+    fails = []
+    for h in ctx.wide_subgroupoids:
+        gam, _ = ctx.gamma(h)
+        vs = commutant(alg, invariants(act, ctx.support(h)), alg.full_space)
+        if gam != vs:
+            fails.append({"subgroupoid": h.label(), "gamma_dim": gam.dim, "commutant_dim": vs.dim})
+    return Outcome(
+        "violation" if fails else "pass",
+        f"gamma(H) = V_R(R^(beta_S_H)) on {len(ctx.wide_subgroupoids)} wide subgroupoids",
+        {"failures": fails} if fails else {"checked": len(ctx.wide_subgroupoids)},
+    )
+
+
+@check("lemma_3_8")
+def _lemma_3_8(state: SuiteState) -> Outcome:
+    if not state.galois:
+        return _skip("Galois gate unmet")
+    if not state.gamma_wide_inj:
+        return _skip("gamma not injective on wide subgroupoids")
+    ctx = state.ctx
+    squeezed = []
+    for h in ctx.wide_subgroupoids:
+        sup = set(ctx.support(h))
+        for hp in ctx.all_subgroupoids:
+            if sup < hp.members < h.members:
+                squeezed.append({"subgroupoid": h.label(), "between": hp.label()})
+    return Outcome(
+        "violation" if squeezed else "pass",
+        "no proper subgroupoid strictly between S_H and H",
+        {"violations": squeezed} if squeezed else {"wide": len(ctx.wide_subgroupoids)},
+    )
+
+
+@check("theorem_3_9")
+def _theorem_3_9(state: SuiteState) -> Outcome:
+    """The double-centralizer sweep over separable subalgebras containing the center."""
+    if not state.azu:
+        return _skip("R is not Azumaya (hypothesis not met)")
+    enum = state.center_enum
+    fails = []
+    for s in enum.subalgebras:
+        res = double_centralizer_check(state.inst.algebra, s, state.ctx.center)
+        row = {
+            "dim": s.dim,
+            "double_centralizer": res.double_centralizer_holds,
+            "commutant_separable": res.commutant_separable,
+            "tensor_clause": res.tensor_clause,
+        }
+        if not (res.double_centralizer_holds and res.commutant_separable and res.tensor_clause != "fails"):
+            fails.append({"subalgebra": s.to_json(), "result": row})
+    return Outcome(
+        "violation" if fails else "pass",
+        f"{len(enum.subalgebras)} separable subalgebras containing the center swept ({enum.note})",
+        {"failures": fails} if fails else {"swept": len(enum.subalgebras), "mode": enum.note},
+    )
+
+
+def _dcp_unmet(state: SuiteState) -> str | None:
+    """Why the hypotheses of Theorems 3.10 and 3.11 fail, or None."""
+    if not state.galois:
+        return "Galois gate unmet"
+    if state.dcp_fail is not None:
+        return "double-centralizer hypothesis unmet for an invariant ring"
+    return None
+
+
+@check("theorem_3_10")
+def _theorem_3_10(state: SuiteState) -> Outcome:
+    ctx = state.ctx
     both = {
-        "theta_injective": {"wide": theta_wide_inj, "all": theta_all_inj},
-        "gamma_injective": {"wide": gamma_wide_inj, "all": gamma_all_inj},
+        "theta_injective": {
+            "wide": state.theta_wide[0],
+            "all": _injective([(h, ctx.theta(h)) for h in ctx.all_subgroupoids])[0],
+        },
+        "gamma_injective": {
+            "wide": state.gamma_wide_inj,
+            "all": _injective([(h, ctx.gamma(h)[0]) for h in ctx.all_subgroupoids])[0],
+        },
     }
-    if galois and dcp_fail is None:
-        # judged on theta's fixed wide domain; all-subgroupoid reading reported
-        ok = theta_wide_inj == gamma_wide_inj
-        rec(
-            "theorem_3_10",
-            "pass" if ok else "violation",
-            detail="double centralizer holds for every invariant ring; theta and gamma injectivity coincide",
-            witnesses=both if ok else {"table": both, "note": "equivalence failed on wide domain"},
-            t0=t0,
+    why = _dcp_unmet(state)
+    if why:
+        fail = state.dcp_fail
+        return _skip(why, both if fail is None else {**both, "double_centralizer_failure": fail})
+    # judged on theta's fixed wide domain; all-subgroupoid reading reported
+    ok = state.theta_wide[0] == state.gamma_wide_inj
+    return Outcome(
+        "pass" if ok else "violation",
+        "double centralizer holds for every invariant ring; theta and gamma injectivity coincide",
+        both if ok else {"table": both, "note": "equivalence failed on wide domain"},
+    )
+
+
+@check("theorem_3_11")
+def _theorem_3_11(state: SuiteState) -> Outcome:
+    why = _dcp_unmet(state)
+    if why:
+        return _skip(why)
+    ctx = state.ctx
+    bad = []
+    pairs = 0
+    non_wide_pairs = 0
+    non_wide_discrepancies = []
+    for h, l in subgroupoid_pairs(ctx.all_subgroupoids):
+        eq_gamma = ctx.gamma(h)[0] == ctx.gamma(l)[0]
+        eq_theta = ctx.theta(h) == ctx.theta(l)
+        outside = join(h, l).members - (h.members & l.members)
+        j_zero = all(ctx.jmodules[a].dim == 0 for a in outside)
+        row = {
+            "H": h.label(),
+            "L": l.label(),
+            "gamma_equal": eq_gamma,
+            "theta_equal": eq_theta,
+            "j_zero_outside_intersection": j_zero,
+        }
+        if h.wide and l.wide:
+            pairs += 1
+            if not (eq_gamma == eq_theta == j_zero):
+                bad.append(row)
+        else:
+            non_wide_pairs += 1
+            if not (eq_gamma == eq_theta == j_zero):
+                non_wide_discrepancies.append(row)
+    witnesses = {"non_wide_pairs_reported": non_wide_pairs, "non_wide_discrepancies": non_wide_discrepancies}
+    witnesses.update({"failures": bad} if bad else {"pairs": pairs})
+    return Outcome(
+        "violation" if bad else "pass",
+        f"three-way equivalence checked on {pairs} wide subgroupoid pairs",
+        witnesses,
+    )
+
+
+# --- Section 4: gated on R being a certified central Galois algebra ------------
+
+_S4_UNMET = _skip("standing hypothesis unmet: R is not a certified central Galois algebra")
+
+
+@check("fundamental_theorem")
+def _fundamental_theorem(state: SuiteState) -> Outcome:
+    if not state.s4:
+        return _S4_UNMET
+    enum = state.base_enum
+    n = len(enum.subalgebras)
+    injective = state.theta_wide[0]
+    image_separable, onto = state.theta_image
+    if state.ft_decided:
+        detail = (
+            f"theta {'is' if state.ft_holds else 'is NOT'} a bijection onto the "
+            f"{n} separable subalgebras (exhaustive)"
         )
     else:
-        why = (
-            "Galois gate unmet"
-            if not galois
-            else "double-centralizer hypothesis unmet for an invariant ring"
+        detail = (
+            f"injective={injective}, image separable={image_separable}; "
+            f"surjectivity onto {n} pool candidates: "
+            + ("no counterexample found" if onto else "counterexample found")
         )
-        w = dict(both)
-        if dcp_fail:
-            w["double_centralizer_failure"] = dcp_fail
-        rec("theorem_3_10", "skip", hypothesis="unmet", detail=why, witnesses=w, t0=t0)
+    return Outcome(
+        "pass" if state.ft_decided else "inconclusive",
+        detail,
+        {
+            "wide_subgroupoids": len(state.ctx.wide_subgroupoids),
+            "separable_subalgebras": n,
+            "mode": enum.note,
+            "injective": injective,
+            "image_separable": image_separable,
+            "surjective": onto,
+            "holds": state.ft_holds,
+        },
+    )
 
-    t0 = time.monotonic()
-    if galois and dcp_fail is None:
-        bad = []
-        pairs = 0
-        non_wide_pairs = 0
-        non_wide_discrepancies = []
-        for h, l in subgroupoid_pairs(ctx.all_subgroupoids):
-            eq_gamma = ctx.gamma(h)[0] == ctx.gamma(l)[0]
-            eq_theta = ctx.theta(h) == ctx.theta(l)
-            hv = join(h, l)
-            outside = hv.members - (h.members & l.members)
-            j_zero = all(ctx.jmodules[a].dim == 0 for a in outside)
-            row = {
-                "H": _label(h),
-                "L": _label(l),
-                "gamma_equal": eq_gamma,
-                "theta_equal": eq_theta,
-                "j_zero_outside_intersection": j_zero,
-            }
-            if h.wide and l.wide:
-                pairs += 1
-                if not (eq_gamma == eq_theta == j_zero):
-                    bad.append(row)
-            else:
-                non_wide_pairs += 1
-                if not (eq_gamma == eq_theta == j_zero):
-                    non_wide_discrepancies.append(row)
-        rec(
-            "theorem_3_11",
-            "violation" if bad else "pass",
-            detail=f"three-way equivalence checked on {pairs} wide subgroupoid pairs",
-            witnesses={
-                "failures": bad,
-                "non_wide_pairs_reported": non_wide_pairs,
-                "non_wide_discrepancies": non_wide_discrepancies,
-            }
-            if bad
-            else {
-                "pairs": pairs,
-                "non_wide_pairs_reported": non_wide_pairs,
-                "non_wide_discrepancies": non_wide_discrepancies,
-            },
-            t0=t0,
+
+@check("theorem_4_1")
+def _theorem_4_1(state: SuiteState) -> Outcome:
+    if not state.s4:
+        return _S4_UNMET
+    if not (state.ft_holds and state.ft_decided):
+        return _skip("R does not (decidably) satisfy the fundamental theorem")
+    subs = state.base_enum.subalgebras
+    fails = []
+    for s in subs:
+        ok1, ok2 = state.identities(s)
+        if not (ok1 and ok2):
+            fails.append({"subalgebra": s.to_json(), "v_r": ok1, "s_sum": ok2})
+    return Outcome(
+        "violation" if fails else "pass",
+        f"both displayed identities on {len(subs)} separable subalgebras",
+        {"failures": fails} if fails else {"checked": len(subs)},
+    )
+
+
+@check("lemma_4_2")
+def _lemma_4_2(state: SuiteState) -> Outcome:
+    """R separable over R^beta => separable over every theta(H)."""
+    if not state.s4:
+        return _S4_UNMET
+    if not state.azu:  # central Galois: R^beta = C(R), so Azumaya == separable over R^beta
+        return _skip("R is not separable over its invariants")
+    ctx = state.ctx
+    missing = [
+        h.label()
+        for h in ctx.wide_subgroupoids
+        if separability_idempotent(state.inst.algebra, ctx.theta(h)) is None
+    ]
+    return Outcome(
+        "violation" if missing else "pass",
+        f"certificates over all {len(ctx.wide_subgroupoids)} invariant rings",
+        {"missing": missing} if missing else {"checked": len(ctx.wide_subgroupoids)},
+    )
+
+
+# Theorems 4.3 and 4.4: the two directions of the characterization
+
+
+@check("theorem_4_3")
+def _theorem_4_3(state: SuiteState) -> Outcome:
+    if not state.s4:
+        return _S4_UNMET
+    if not state.azu:
+        return _skip("hypothesis unmet: R not separable over invariants")
+    if not state.identity_all:
+        return _skip("hypothesis unmet: decomposition fails for some separable S")
+    if not state.ft_decided:
+        return Outcome("inconclusive", "hypothesis met on the pool, but the enumeration is pool-restricted")
+    holds = state.ft_holds
+    return Outcome(
+        "pass" if holds else "violation",
+        "V_R(S) decomposition holds for every separable S; fundamental theorem follows",
+        {"holds": holds} if holds else {"holds": holds, "mode": state.base_enum.note},
+    )
+
+
+@check("theorem_4_4")
+def _theorem_4_4(state: SuiteState) -> Outcome:
+    if not state.s4:
+        return _S4_UNMET
+    holds, identity_all = state.ft_holds, state.identity_all
+    if not state.ft_decided:
+        return Outcome(
+            "inconclusive",
+            "pool-restricted enumeration; biconditional checked only on the pool",
+            {"fundamental_theorem_so_far": holds, "decomposition_on_pool": identity_all},
         )
-    else:
-        why = (
-            "Galois gate unmet"
-            if not galois
-            else "double-centralizer hypothesis unmet for an invariant ring"
-        )
-        rec("theorem_3_11", "skip", hypothesis="unmet", detail=why, t0=t0)
-
-    if scope == "s3":
-        return report
-
-    # ======================= Section 4 =======================================
-    s4_gate = "met" if (state.central and galois) else "unmet"
-    base = ctx.invariant_ring
-
-    if s4_gate == "met":
-        t0 = time.monotonic()
-        enum = _base_enumeration(state)
-        theta_map = {}
-        for h in ctx.wide_subgroupoids:
-            theta_map[_label(h)] = ctx.theta(h)
-        sep_keys = {s.key() for s in enum.subalgebras}
-        image_keys = {s.key() for s in theta_map.values()}
-        injective = theta_wide_inj
-        image_separable = image_keys <= sep_keys
-        onto = sep_keys <= image_keys
-        ft_holds = injective and image_separable and onto
-        ft_decided = enum.exhaustive
-        if ft_decided:
-            detail = (
-                f"theta {'is' if ft_holds else 'is NOT'} a bijection onto the "
-                f"{len(enum.subalgebras)} separable subalgebras (exhaustive)"
-            )
-        else:
-            detail = (
-                f"injective={injective}, image separable={image_separable}; "
-                f"surjectivity onto {len(enum.subalgebras)} pool candidates: "
-                + ("no counterexample found" if onto else "counterexample found")
-            )
-        rec(
-            "fundamental_theorem",
-            "pass" if ft_decided else "inconclusive",
-            hypothesis="met",
-            detail=detail,
-            witnesses={
-                "wide_subgroupoids": len(ctx.wide_subgroupoids),
-                "separable_subalgebras": len(enum.subalgebras),
-                "mode": enum.note,
-                "injective": injective,
-                "image_separable": image_separable,
-                "surjective": onto,
-                "holds": ft_holds,
-            },
-            t0=t0,
-        )
-
-        # Theorem 4.1: gated on the fundamental theorem actually holding
-        t0 = time.monotonic()
-        if ft_holds and ft_decided:
-            fails = []
-            for s in enum.subalgebras:
-                ok1, ok2 = _theorem_4_1_identities(state, s)
-                if not (ok1 and ok2):
-                    fails.append({"subalgebra": s.to_json(), "v_r": ok1, "s_sum": ok2})
-            rec(
-                "theorem_4_1",
-                "violation" if fails else "pass",
-                detail=f"both displayed identities on {len(enum.subalgebras)} separable subalgebras",
-                witnesses={"failures": fails} if fails else {"checked": len(enum.subalgebras)},
-                t0=t0,
-            )
-        else:
-            rec(
-                "theorem_4_1",
-                "skip",
-                hypothesis="unmet",
-                detail="R does not (decidably) satisfy the fundamental theorem",
-                t0=t0,
-            )
-
-        # Lemma 4.2: R separable over R^beta => separable over every theta(H)
-        t0 = time.monotonic()
-        if azu:  # central Galois: R^beta = C(R), so Azumaya == separable over R^beta
-            missing = []
-            for h in ctx.wide_subgroupoids:
-                cert = separability_idempotent(inst.algebra, ctx.theta(h))
-                if cert is None:
-                    missing.append(_label(h))
-            rec(
-                "lemma_4_2",
-                "violation" if missing else "pass",
-                detail=f"certificates over all {len(ctx.wide_subgroupoids)} invariant rings",
-                witnesses={"missing": missing} if missing else {"checked": len(ctx.wide_subgroupoids)},
-                t0=t0,
-            )
-        else:
-            rec(
-                "lemma_4_2",
-                "skip",
-                hypothesis="unmet",
-                detail="R is not separable over its invariants",
-                t0=t0,
-            )
-
-        # Theorem 4.3 and 4.4: the two directions of the characterization
-        t0 = time.monotonic()
-        identity_all = all(_theorem_4_1_identities(state, s)[0] for s in enum.subalgebras)
-        if azu and identity_all:
-            if ft_decided:
-                rec(
-                    "theorem_4_3",
-                    "pass" if ft_holds else "violation",
-                    detail="V_R(S) decomposition holds for every separable S; fundamental theorem follows",
-                    witnesses={"holds": ft_holds} if ft_holds else {"holds": ft_holds, "mode": enum.note},
-                    t0=t0,
-                )
-            else:
-                rec(
-                    "theorem_4_3",
-                    "inconclusive",
-                    detail="hypothesis met on the pool, but the enumeration is pool-restricted",
-                    t0=t0,
-                )
-        else:
-            rec(
-                "theorem_4_3",
-                "skip",
-                hypothesis="unmet",
-                detail="hypothesis unmet: "
-                + ("R not separable over invariants" if not azu else "decomposition fails for some separable S"),
-                t0=t0,
-            )
-
-        t0 = time.monotonic()
-        if ft_decided:
-            biconditional = ft_holds == identity_all
-            rec(
-                "theorem_4_4",
-                "pass" if biconditional else "violation",
-                detail=(
-                    f"fundamental theorem {'holds' if ft_holds else 'fails'} and the V_R(S) "
-                    f"decomposition {'holds' if identity_all else 'fails'} -- biconditional "
-                    + ("respected" if biconditional else "VIOLATED")
-                ),
-                witnesses={"fundamental_theorem": ft_holds, "decomposition_for_all_separable": identity_all},
-                t0=t0,
-            )
-        else:
-            rec(
-                "theorem_4_4",
-                "inconclusive",
-                detail="pool-restricted enumeration; biconditional checked only on the pool",
-                witnesses={"fundamental_theorem_so_far": ft_holds, "decomposition_on_pool": identity_all},
-                t0=t0,
-            )
-    else:
-        for cid in ("fundamental_theorem", "theorem_4_1", "lemma_4_2", "theorem_4_3", "theorem_4_4"):
-            rec(
-                cid,
-                "skip",
-                hypothesis="unmet",
-                detail="standing hypothesis unmet: R is not a certified central Galois algebra",
-            )
-
-    return report
+    biconditional = holds == identity_all
+    return Outcome(
+        "pass" if biconditional else "violation",
+        f"fundamental theorem {'holds' if holds else 'fails'} and the V_R(S) "
+        f"decomposition {'holds' if identity_all else 'fails'} -- biconditional "
+        + ("respected" if biconditional else "VIOLATED"),
+        {"fundamental_theorem": holds, "decomposition_for_all_separable": identity_all},
+    )
 
 
 def _truncated_coordinates(act, coords, h, sub_act):
     """Restricted coordinates (x_i 1_H, y_i 1_H), certified or None."""
-    from .galois import GaloisCoordinates
-
     if coords is None:
         return None
     f = act.field
-    g = act.groupoid
+    ids = sorted(set(act.groupoid.identities) & h.members)
     one_h = f.zeros(act.algebra.dim)
-    for e in sorted(set(g.identities) & h.members):
+    for e in ids:
         one_h = f.reduce(one_h + act.idempotents[e])
-    ring = Subspace(f, act.algebra.dim, np.vstack([act.ideals[e].basis for e in sorted(set(g.identities) & h.members)]))
-    pairs = []
-    for x, y in coords.pairs:
-        xt = act.algebra.mul(x, one_h)
-        yt = act.algebra.mul(y, one_h)
-        cx, cy = ring.coords(xt), ring.coords(yt)
-        if cx is None or cy is None:
+    pairs = [(act.algebra.mul(x, one_h), act.algebra.mul(y, one_h)) for x, y in coords.pairs]
+    if not h.wide:  # a wide H has 1_H = 1_R and keeps the ambient basis
+        ring = Subspace(f, act.algebra.dim, np.vstack([act.ideals[e].basis for e in ids]))
+        pairs = [(ring.coords(x), ring.coords(y)) for x, y in pairs]
+        if any(c is None for pair in pairs for c in pair):
             return None
-        pairs.append((cx, cy))
-    if h.wide:
-        pairs = [(act.algebra.mul(x, one_h), act.algebra.mul(y, one_h)) for x, y in coords.pairs]
-    from .galois import check_galois_coordinates as _check
-
     cand = GaloisCoordinates(pairs)
-    ok, _ = _check(sub_act, cand)
+    ok, _ = check_galois_coordinates(sub_act, cand)
     return cand if ok else None
 
 
@@ -970,24 +927,14 @@ def _injective(pairs: list[tuple[Subgroupoid, Subspace]]):
     for h, space in pairs:
         k = space.key()
         if k in seen and seen[k].members != h.members:
-            return False, [_label(seen[k]), _label(h)]
+            return False, [seen[k].label(), h.label()]
         seen[k] = h
     return True, None
 
 
-def _azumaya(state: SuiteState):
-    if state.azumaya_cert is None:
-        cert = separability_idempotent(state.inst.algebra, state.ctx.center)
-        state.azumaya_cert = (cert is not None, cert)
-    return state.azumaya_cert
-
-
 def _pool(state: SuiteState) -> list[Subspace]:
     """Seed pool: subalgebras from <=2 basis elements, theta images, user seeds."""
-    from .algebra import subalgebra_generated
-
     inst = state.inst
-    ctx = state.ctx
     pool = []
     n = inst.algebra.dim
     basis = inst.algebra.basis_vectors()
@@ -995,57 +942,8 @@ def _pool(state: SuiteState) -> list[Subspace]:
         pool.append(Subspace.span(inst.field, basis[i]))
         for j in range(i + 1, n):
             pool.append(Subspace.span(inst.field, np.vstack([basis[i], basis[j]])))
-    for h in ctx.wide_subgroupoids:
-        pool.append(ctx.theta(h))
+    for h in state.ctx.wide_subgroupoids:
+        pool.append(state.ctx.theta(h))
     for _, gens in inst.subalgebra_seeds:
         pool.append(Subspace.span(inst.field, np.vstack(gens)))
     return pool
-
-
-def _center_enumeration(state: SuiteState):
-    if getattr(state, "_center_enum", None) is None:
-        state._center_enum = enumerate_separable_subalgebras(
-            state.inst.algebra, state.ctx.center, pool=_pool(state)
-        )
-    return state._center_enum
-
-
-def _base_enumeration(state: SuiteState):
-    # for central Galois instances the base R^beta equals the center
-    if state.ctx.invariant_ring == state.ctx.center:
-        return _center_enumeration(state)
-    if getattr(state, "_base_enum", None) is None:
-        state._base_enum = enumerate_separable_subalgebras(
-            state.inst.algebra, state.ctx.invariant_ring, pool=_pool(state)
-        )
-    return state._base_enum
-
-
-def _theorem_4_1_identities(state: SuiteState, s: Subspace) -> tuple[bool, bool]:
-    """V_R(S) = sum of J_g over H_S, and S = sum of J_g over H_{S'}."""
-    inst = state.inst
-    ctx = state.ctx
-    act = inst.action
-    f = inst.field
-    n = inst.algebra.dim
-
-    def jsum(members):
-        dims = 0
-        rows = []
-        for a in sorted(members):
-            jm = ctx.jmodules[a]
-            dims += jm.dim
-            if jm.dim:
-                rows.append(jm.space.basis)
-        space = Subspace(f, n, np.vstack(rows) if rows else f.zeros((0, n)))
-        return space, space.dim == dims
-
-    hs = fixer_subgroupoid(act, s)
-    vrs = commutant(inst.algebra, s, inst.algebra.full_space)
-    sum1, direct1 = jsum(hs.members)
-    ok1 = direct1 and sum1 == vrs
-
-    hsp = fixer_subgroupoid(act, vrs)
-    sum2, direct2 = jsum(hsp.members)
-    ok2 = direct2 and sum2 == s
-    return ok1, ok2
