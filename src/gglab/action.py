@@ -42,9 +42,9 @@ class Action:
     def ideals(self) -> dict[int, Subspace]:
         """E_e = 1_e R for each identity, as subspaces of R."""
         out = {}
+        eye = self.field.eye(self.algebra.dim)
         for e, one_e in self.idempotents.items():
-            rows = [self.algebra.mul(b, one_e) for b in self.algebra.basis_vectors()]
-            sub = Subspace(self.field, self.algebra.dim, np.vstack(rows))
+            sub = Subspace(self.field, self.algebra.dim, self.algebra.products(eye, one_e[None])[:, 0])
             sub.flags["is_ideal"] = True
             sub.flags["is_unital_ideal"] = True
             out[e] = sub
@@ -64,9 +64,10 @@ class Action:
         return self.algebra.mul(x, self.unit_idempotent(g))
 
     def apply_truncated(self, g: int, x: np.ndarray) -> np.ndarray:
-        """beta_g(x * 1_{g^-1}): project to E_{g^-1}, then transport."""
-        xg = self.truncate(self.groupoid.inv[g], x)
-        return linalg.matmul(self.field, self.beta[g], xg)
+        """beta_g(x * 1_{g^-1}) of x, or of each row of x: project to
+        E_{g^-1}, then transport."""
+        xg = linalg.matmul(self.field, x, self.idempotent_mult[self.groupoid.source[g]].T)
+        return linalg.matmul(self.field, xg, self.beta[g].T)
 
 
 def validate_action(g: Groupoid, alg: Algebra, idempotents, beta) -> Action:
@@ -96,15 +97,17 @@ def validate_action(g: Groupoid, alg: Algebra, idempotents, beta) -> Action:
     act = Action(groupoid=g, algebra=alg, idempotents=idem, beta=bmats)
 
     # central orthogonal idempotents summing to 1 (standing assumption R = sum E_e)
-    for e, v in idem.items():
-        if not np.array_equal(alg.mul(v, v), v):
+    ids = list(idem)
+    stacked = np.array(list(idem.values()), dtype=field.dtype).reshape(len(ids), n)
+    prods = alg.products(stacked, stacked)
+    for k, (e, v) in enumerate(idem.items()):
+        if not np.array_equal(prods[k, k], v):
             raise ActionError(f"1_{names[e]} is not idempotent")
-        for b in alg.basis_vectors():
-            if not np.array_equal(alg.mul(v, b), alg.mul(b, v)):
-                raise ActionError(f"1_{names[e]} is not central")
-    for e in g.identities:
-        for f in g.identities:
-            if e < f and np.any(alg.mul(idem[e], idem[f]) != 0):
+        if not np.array_equal(alg.left_mult(v), alg.right_mult(v)):
+            raise ActionError(f"1_{names[e]} is not central")
+    for k, e in enumerate(ids):
+        for l, f in enumerate(ids):
+            if e < f and np.any(prods[k, l] != 0):
                 raise ActionError(f"1_{names[e]} and 1_{names[f]} are not orthogonal")
     total = field.zeros(n)
     for e in g.identities:
@@ -121,29 +124,24 @@ def validate_action(g: Groupoid, alg: Algebra, idempotents, beta) -> Action:
         dmat = act.idempotent_mult[g.source[a]]
         if not np.array_equal(linalg.matmul(field, m, dmat), m):
             raise ActionError(f"beta_{names[a]} does not vanish off its domain ideal")
-        for row in dom.basis:
-            img = linalg.matmul(field, m, row)
-            if not cod.contains(img):
-                raise ActionError(f"beta_{names[a]} maps outside E_{names[g.target[a]]}")
+        imgs = linalg.matmul(field, dom.basis, m.T)  # beta_a of each basis row
+        if cod.coords_rows(imgs) is None:
+            raise ActionError(f"beta_{names[a]} maps outside E_{names[g.target[a]]}")
         # bijective onto E_a
-        imgs = np.vstack([linalg.matmul(field, m, row) for row in dom.basis]) if dom.dim else field.zeros((0, n))
         if linalg.rank(field, imgs) != cod.dim or dom.dim != cod.dim:
             raise ActionError(f"beta_{names[a]} is not bijective onto E_{names[g.target[a]]}")
         # unit preservation and multiplicativity on a basis of the domain
         if not np.array_equal(linalg.matmul(field, m, idem[g.source[a]]), idem[g.target[a]]):
             raise ActionError(f"beta_{names[a]} does not send 1_{names[g.source[a]]} to 1_{names[g.target[a]]}")
-        for x in dom.basis:
-            for y in dom.basis:
-                lhs = linalg.matmul(field, m, alg.mul(x, y))
-                rhs = alg.mul(linalg.matmul(field, m, x), linalg.matmul(field, m, y))
-                if not np.array_equal(lhs, rhs):
-                    raise ActionError(f"beta_{names[a]} is not multiplicative on E_{names[g.source[a]]}")
+        lhs = linalg.matmul(field, alg.products(dom.basis, dom.basis), m.T)
+        if not np.array_equal(lhs, alg.products(imgs, imgs)):
+            raise ActionError(f"beta_{names[a]} is not multiplicative on E_{names[g.source[a]]}")
 
     for e in g.identities:
         # identity on E_e
-        for row in ideals[e].basis:
-            if not np.array_equal(linalg.matmul(field, bmats[e], row), row):
-                raise ActionError(f"beta_{names[e]} is not the identity on E_{names[e]}")
+        rows = ideals[e].basis
+        if not np.array_equal(linalg.matmul(field, rows, bmats[e].T), rows):
+            raise ActionError(f"beta_{names[e]} is not the identity on E_{names[e]}")
 
     for a in g.arrows():
         for b in g.arrows():
@@ -240,15 +238,12 @@ def restrict(act: Action, h: Subgroupoid) -> tuple[Action, np.ndarray]:
     labels = [f"r{i}" for i in range(ring.dim)]
     sub_alg, embed = subspace_algebra(act.algebra, ring, unit, labels)
 
-    def to_sub(vec):
-        c = ring.coords(vec)
+    def to_sub(rows):
+        c = ring.coords_rows(rows)
         if c is None:
             raise ActionError("restriction left the restricted ring")
         return c
 
-    idem = {pos[e]: to_sub(act.idempotents[e]) for e in h_ids}
-    beta = {}
-    for a in members:
-        cols = [to_sub(linalg.matmul(field, act.beta[a], row)) for row in ring.basis]
-        beta[pos[a]] = field.reduce(np.vstack(cols).T)
+    idem = {pos[e]: to_sub(act.idempotents[e][None])[0] for e in h_ids}
+    beta = {pos[a]: to_sub(linalg.matmul(field, ring.basis, act.beta[a].T)).T for a in members}
     return validate_action(sub_g, sub_alg, idem, beta), embed

@@ -32,12 +32,20 @@ class Algebra:
     def dim(self) -> int:
         return len(self.labels)
 
+    def products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """All products x*y for rows x of xs and y of ys, shape (len(xs), len(ys), n).
+
+        Two contractions with the structure-constant table, each reduced:
+        first the rows of x*b_j for every x, then the combinations by y.
+        """
+        n = self.dim
+        left = self.field.reduce(np.dot(xs, self.table.reshape(n, n * n))).reshape(len(xs), n, n)
+        return self.field.reduce(np.matmul(ys, left))
+
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             raise AlgebraError("dimension mismatch")
-        n = self.dim
-        m = np.dot(x, self.table.reshape(n, n * n)).reshape(n, n)
-        return self.field.reduce(np.dot(y, m))
+        return self.products(x[None], y[None])[0, 0]
 
     def left_mult(self, x: np.ndarray) -> np.ndarray:
         """Matrix of y -> x*y acting on column vectors."""
@@ -95,11 +103,14 @@ def validate_algebra(field: Field, labels, table, unit) -> Algebra:
         raise AlgebraError(
             f"associativity fails at triple ({labels[i]},{labels[j]},{labels[k]})"
         )
+    # column i of left_mult(unit) is 1*b_i, of right_mult(unit) b_i*1
+    eye = field.eye(n)
+    left_ok = np.all(alg.left_mult(unit) == eye, axis=0)
+    right_ok = np.all(alg.right_mult(unit) == eye, axis=0)
     for i in range(n):
-        b = alg.basis_vector(i)
-        if not np.array_equal(alg.mul(unit, b), b):
+        if not left_ok[i]:
             raise AlgebraError(f"unit law fails: 1*{labels[i]} != {labels[i]}")
-        if not np.array_equal(alg.mul(b, unit), b):
+        if not right_ok[i]:
             raise AlgebraError(f"unit law fails: {labels[i]}*1 != {labels[i]}")
     return alg
 
@@ -117,20 +128,27 @@ def commutant(alg: Algebra, s1: Subspace, s2: Subspace) -> Subspace:
         return s2
     if s2.dim == 0:
         return s2
-    rows = []
-    for s in s1.basis:
-        rows.append(linalg.matmul(alg.field, alg.left_mult(s) - alg.right_mult(s), s2.basis.T))
-    stacked = alg.field.reduce(np.vstack(rows))
+    # row (a, k), column j: coordinate k of s_a t_j - t_j s_a
+    diff = alg.products(s1.basis, s2.basis) - alg.products(s2.basis, s1.basis).transpose(1, 0, 2)
+    stacked = alg.field.reduce(diff.transpose(0, 2, 1).reshape(s1.dim * alg.dim, s2.dim))
     coeffs = linalg.nullspace(alg.field, stacked)
     if coeffs.shape[0] == 0:
         return Subspace.zero(alg.field, alg.dim)
     return Subspace(alg.field, alg.dim, linalg.matmul(alg.field, coeffs, s2.basis))
 
 
+def product_rows(alg: Algebra, a: Subspace, b: Subspace) -> np.ndarray:
+    """Every product xy of basis rows x of a and y of b, one per row."""
+    return alg.products(a.basis, b.basis).reshape(a.dim * b.dim, alg.dim)
+
+
+def product_space(alg: Algebra, a: Subspace, b: Subspace) -> Subspace:
+    """Span of all products xy, x in a, y in b."""
+    return Subspace(alg.field, alg.dim, product_rows(alg, a, b))
+
+
 def _is_mult_closed(alg: Algebra, sub: Subspace) -> bool:
-    return all(
-        sub.contains(alg.mul(u, v)) for u in sub.basis for v in sub.basis
-    )
+    return sub.coords_rows(product_rows(alg, sub, sub)) is not None
 
 
 def is_unital_subalgebra(alg: Algebra, sub: Subspace) -> bool:
@@ -144,12 +162,11 @@ def subalgebra_generated(alg: Algebra, seed, include_unit: bool = True) -> Subsp
         vecs = [alg.unit] + vecs
     cur = Subspace.span(alg.field, vecs) if vecs else Subspace.zero(alg.field, alg.dim)
     while True:
-        prods = [alg.mul(u, v) for u in cur.basis for v in cur.basis]
-        nxt = Subspace(alg.field, alg.dim, np.vstack([cur.basis] + [p.reshape(1, -1) for p in prods]))
-        if nxt.dim == cur.dim:
-            nxt.flags["is_subalgebra"] = True
-            return nxt
-        cur = nxt
+        prods = product_rows(alg, cur, cur)
+        if cur.coords_rows(prods) is not None:
+            cur.flags["is_subalgebra"] = True
+            return cur
+        cur = Subspace(alg.field, alg.dim, np.vstack([cur.basis, prods]))
 
 
 def subspace_algebra(alg: Algebra, sub: Subspace, unit_vec: np.ndarray, labels=None) -> tuple[Algebra, np.ndarray]:
@@ -158,14 +175,10 @@ def subspace_algebra(alg: Algebra, sub: Subspace, unit_vec: np.ndarray, labels=N
     Returns (algebra on sub's basis, embedding matrix rows -> ambient).
     """
     k = sub.dim
-    table = alg.field.zeros((k, k, k))
-    for i in range(k):
-        for j in range(k):
-            prod = alg.mul(sub.basis[i], sub.basis[j])
-            coords = sub.coords(prod)
-            if coords is None:
-                raise AlgebraError("subspace is not closed under multiplication")
-            table[i, j, :] = coords
+    table = sub.coords_rows(product_rows(alg, sub, sub))
+    if table is None:
+        raise AlgebraError("subspace is not closed under multiplication")
+    table = table.reshape(k, k, k)
     unit_coords = sub.coords(unit_vec)
     if unit_coords is None:
         raise AlgebraError("designated unit lies outside the subspace")

@@ -12,10 +12,10 @@ import json
 import sys
 import traceback
 
-from .galois import GaloisContext, check_galois_coordinates, solve_galois_coordinates
+from .galois import GaloisContext
 from .groupoid import enumerate_subgroupoids
 from .instances import BUILTIN_NAMES, Instance, builtin, emit_instance, load_builtin, load_instance
-from .suite import run_suite
+from .suite import SuiteState, run_suite
 
 
 def _add_instance_args(p: argparse.ArgumentParser):
@@ -74,20 +74,16 @@ def _cmd_validate(args) -> int:
 
 def _cmd_solve_coordinates(args) -> int:
     inst = _get_instance(args)
-    coords = inst.coordinates
-    source = "instance file"
-    if coords is not None:
-        ok, failures = check_galois_coordinates(inst.action, coords)
-        if not ok:
-            a, _ = failures[0]
-            print(f"instance coordinates FAIL at arrow {inst.groupoid.names[a]}")
-            return 1
-    else:
-        coords = solve_galois_coordinates(inst.action)
-        source = "solver"
+    state = SuiteState(inst)
+    if state.coordinate_failures:
+        a, _ = state.coordinate_failures[0]
+        print(f"instance coordinates FAIL at arrow {inst.groupoid.names[a]}")
+        return 1
+    coords = state.coords
     if coords is None:
         print("no coordinate system found (basis-pinned solve); inconclusive")
         return 0
+    source = "solver" if inst.coordinates is None else "instance file"
     print(f"certified Galois coordinate system ({source}), {len(coords.pairs)} pairs:")
     f = inst.field
     for x, y in coords.pairs:
@@ -118,10 +114,7 @@ def _cmd_subgroupoids(args) -> int:
 
 def _cmd_theta_table(args) -> int:
     inst = _get_instance(args)
-    coords = inst.coordinates or solve_galois_coordinates(inst.action)
-    if coords is not None and not coords.certified:
-        check_galois_coordinates(inst.action, coords)
-    ctx = GaloisContext(inst.action, coords)
+    ctx = SuiteState(inst).ctx
     rows = []
     for h in ctx.wide_subgroupoids:
         th = ctx.theta(h)

@@ -39,6 +39,10 @@ class Field:
 
     def __post_init__(self):
         if self.kind == "Fp":
+            # F_p elements are int64 and products of two must fit; the bound
+            # also keeps trial division below 2^15.5 steps
+            if self.p >= 2**31:
+                raise FieldError(f"{self.p} is too large: F_p needs p < 2^31")
             if not _is_prime(self.p):
                 raise FieldError(f"{self.p} is not prime")
         elif self.kind == "Q":

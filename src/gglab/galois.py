@@ -26,16 +26,20 @@ class GaloisCoordinates:
     pairs: list[tuple[np.ndarray, np.ndarray]]
     certified: bool = False
 
+    def rows(self, act: Action) -> np.ndarray:
+        """x_1, y_1, x_2, y_2, ... as the rows of one array."""
+        vecs = [v for pair in self.pairs for v in pair]
+        return np.array(vecs, dtype=act.field.dtype).reshape(len(vecs), act.algebra.dim)
+
 
 def coordinate_sums(act: Action, coords: GaloisCoordinates) -> dict[int, np.ndarray]:
     """For each arrow g: sum_i x_i * beta_g(y_i 1_{g^-1})."""
-    alg = act.algebra
+    rows = coords.rows(act)
     out = {}
     for g in act.groupoid.arrows():
-        s = act.field.zeros(alg.dim)
-        for x, y in coords.pairs:
-            s = act.field.reduce(s + alg.mul(x, act.apply_truncated(g, y)))
-        out[g] = s
+        # the terms are the diagonal of all products x_i * beta_g(y_j 1_{g^-1})
+        prods = act.algebra.products(rows[0::2], act.apply_truncated(g, rows[1::2]))
+        out[g] = act.field.reduce(prods.diagonal().sum(axis=-1))
     return out
 
 
@@ -66,15 +70,13 @@ def solve_galois_coordinates(act: Action) -> GaloisCoordinates | None:
     f = act.field
     n = alg.dim
     gp = act.groupoid
-    # unknown: concatenated y_1..y_n; row blocks: one per arrow
+    # unknown: concatenated y_1..y_n; row blocks: one per arrow, whose
+    # column block i is left_mult(b_i) @ beta_a with left_mult(b_i) = table[i].T
+    lefts = alg.table.transpose(0, 2, 1)
     blocks = []
     rhs = []
     for a in gp.arrows():
-        row = f.zeros((n, n * n))
-        for i in range(n):
-            m = linalg.matmul(f, alg.left_mult(alg.basis_vector(i)), act.beta[a])
-            row[:, i * n : (i + 1) * n] = m
-        blocks.append(row)
+        blocks.append(f.reduce(np.matmul(lefts, act.beta[a])).transpose(1, 0, 2).reshape(n, n * n))
         rhs.append(act.idempotents[a] if a in gp.identities else f.zeros(n))
     sol = linalg.solve(f, np.vstack(blocks), np.concatenate(rhs))
     if sol is None:
@@ -103,11 +105,12 @@ def j_module(act: Action, g: int) -> JModule:
     alg = act.algebra
     n = alg.dim
     gp = act.groupoid
-    rows = [f.reduce(act.idempotent_mult[gp.target[g]] - f.eye(n))]  # r in E_g
-    for x in alg.basis_vectors():
-        c = act.apply_truncated(g, x)  # beta_g(x 1_{g^-1}), a fixed element
-        rows.append(f.reduce(alg.right_mult(c) - alg.left_mult(x)))
-    return JModule(g, Subspace(f, n, linalg.nullspace(f, np.vstack(rows))))
+    eye = f.eye(n)
+    cs = act.apply_truncated(g, eye)  # row x: c_x = beta_g(b_x 1_{g^-1})
+    # block x, row k, column i: coordinate k of b_i c_x - b_x b_i
+    blocks = alg.products(eye, cs).transpose(1, 2, 0) - alg.table.transpose(0, 2, 1)
+    rows = np.vstack([act.idempotent_mult[gp.target[g]] - eye, blocks.reshape(n * n, n)])
+    return JModule(g, Subspace(f, n, linalg.nullspace(f, f.reduce(rows))))
 
 
 @dataclass
@@ -146,18 +149,20 @@ def build_skew_groupoid_ring(act: Action) -> SkewGroupoidRing:
         pos += act.ideal(g).dim
 
     table = f.zeros((dim, dim, dim))
-    for i, (g, rg) in enumerate(slots):
-        x = act.ideal(g).basis[rg]
-        for j, (h, rh) in enumerate(slots):
+    for g in gp.arrows():
+        xs = act.ideal(g).basis
+        for h in gp.arrows():
             if not gp.composable(g, h):
                 continue
-            y = act.ideal(h).basis[rh]
-            z = alg.mul(x, act.apply_truncated(g, y))
             gh = gp.comp[g][h]
-            coords = act.ideal(gh).coords(z)
+            prods = alg.products(xs, act.apply_truncated(g, act.ideal(h).basis))
+            coords = act.ideal(gh).coords_rows(prods.reshape(-1, alg.dim))
             if coords is None:
                 raise GaloisError("skew product left its ideal; theorem violation")
-            table[i, j, block_start[gh] : block_start[gh] + act.ideal(gh).dim] = coords
+            rows = slice(block_start[g], block_start[g] + len(xs))
+            cols = slice(block_start[h], block_start[h] + act.ideal(h).dim)
+            out = slice(block_start[gh], block_start[gh] + act.ideal(gh).dim)
+            table[rows, cols, out] = coords.reshape(len(xs), act.ideal(h).dim, act.ideal(gh).dim)
 
     unit = f.zeros(dim)
     for e in gp.identities:
@@ -173,16 +178,13 @@ def endomorphism_space(act: Action, invariant_ring: Subspace) -> Subspace:
     F @ R_s = R_s @ F for every basis element s (flattened, canonical)."""
     f = act.field
     n = act.algebra.dim
-    rows = []
-    eye = f.eye(n)
-    for s in invariant_ring.basis:
-        rs = act.algebra.right_mult(s)
-        # row-major flattening: F Rs - Rs F = 0 becomes
-        # (I (x) Rs^T - Rs (x) I) flat(F) = 0
-        rows.append(f.reduce(linalg.kron(f, eye, rs.T) - linalg.kron(f, rs, eye)))
-    if not rows:
+    if invariant_ring.dim == 0:
         return Subspace.full(f, n * n)
-    return Subspace(f, n * n, linalg.nullspace(f, np.vstack(rows)))
+    # right_mult(s) for each basis row s; F R_s - R_s F = 0 on row-major
+    # flat F is the Sylvester operator of (R_s, R_s^T), negated
+    rs = act.algebra.products(f.eye(n), invariant_ring.basis).transpose(1, 2, 0)
+    rows = linalg.sylvester(f, rs, rs.transpose(0, 2, 1))
+    return Subspace(f, n * n, linalg.nullspace(f, rows.reshape(-1, n * n)))
 
 
 @dataclass
@@ -211,34 +213,22 @@ def j_isomorphism_check(act: Action, skew: SkewGroupoidRing, invariant_ring: Sub
     f = act.field
     n = act.algebra.dim
     end_space = endomorphism_space(act, invariant_ring)
-    mats = [skew.element_matrix(i) for i in range(skew.dim)]
-    flat = np.vstack([m.reshape(1, n * n) for m in mats]) if mats else f.zeros((0, n * n))
-    image = Subspace(f, n * n, flat)
+    d = skew.dim
+    mats = np.array([skew.element_matrix(i) for i in range(d)], dtype=f.dtype).reshape(d, n * n)
+    image = Subspace(f, n * n, mats)
     injective = image.dim == skew.dim
     surjective = image == end_space
 
+    # one i at a time, which keeps the arrays at d * n^2 entries
+    square = mats.reshape(d, n, n)
     mult = True
-    for i in range(skew.dim):
-        for j in range(skew.dim):
-            prod = skew.algebra.mul(
-                skew.algebra.basis_vector(i), skew.algebra.basis_vector(j)
-            )
-            want = f.zeros((n, n))
-            for k, c in enumerate(prod):
-                if c != 0:
-                    want = f.reduce(want + c * mats[k])
-            got = linalg.matmul(f, mats[i], mats[j])
-            if not np.array_equal(want, got):
-                mult = False
-                break
-        if not mult:
+    for i in range(d):
+        want = f.reduce(np.dot(skew.algebra.table[i], mats))  # j(b_i b_j) = sum_k table[i, j, k] j(b_k)
+        got = f.reduce(np.matmul(square[i], square)).reshape(d, n * n)  # j(b_i) j(b_j)
+        if not np.array_equal(want, got):
+            mult = False
             break
-
-    juni = f.zeros((n, n))
-    for k, c in enumerate(skew.algebra.unit):
-        if c != 0:
-            juni = f.reduce(juni + c * mats[k])
-    unital = np.array_equal(juni, f.eye(n))
+    unital = np.array_equal(f.reduce(np.dot(skew.algebra.unit, mats)).reshape(n, n), f.eye(n))
     return JIsomorphismReport(
         dim_skew=skew.dim,
         dim_end=end_space.dim,
@@ -266,14 +256,6 @@ def gamma(act: Action, members, jmods: dict[int, JModule]) -> tuple[Subspace, bo
     )
     space = Subspace(f, n, stacked)
     return space, space.dim == total
-
-
-def product_space(alg: Algebra, a: Subspace, b: Subspace) -> Subspace:
-    """Span of all products xy, x in a, y in b."""
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(alg.field, alg.dim)
-    rows = [alg.mul(x, y) for x in a.basis for y in b.basis]
-    return Subspace(alg.field, alg.dim, np.vstack(rows))
 
 
 def v_in_ideal(act: Action, g: int) -> Subspace:

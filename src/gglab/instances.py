@@ -82,6 +82,7 @@ def load_instance_dict(doc: dict) -> Instance:
     asec = _need(doc, "algebra", "instance")
     labels = _need(asec, "basis", "algebra")
     n = len(labels)
+    _certify_headroom(f, n, "the algebra")
     table = f.zeros((n, n, n))
     for entry in _need(asec, "structure", "algebra"):
         if len(entry) != 4:
@@ -103,6 +104,9 @@ def load_instance_dict(doc: dict) -> Instance:
             [[f.parse_scalar(v) for v in row] for row in mat]
         )
     act = validate_action(g, alg, idem, beta)
+    # the skew groupoid ring, sum of E_{r(g)} over all arrows g, is the
+    # largest algebra the suite builds (it contains every E_e, so R)
+    _certify_headroom(f, sum(act.ideal(a).dim for a in g.arrows()), "the skew groupoid ring")
 
     coords = None
     if "coordinates" in doc:
@@ -135,6 +139,20 @@ def load_instance_dict(doc: dict) -> Instance:
         subalgebra_seeds=seeds,
         flags=flags,
     )
+
+
+def _certify_headroom(f: Field, dim: int, what: str) -> None:
+    """Refuse F_p unless every int64 accumulation on algebras up to ``dim`` fits.
+
+    The longest accumulations sum dim^2 products of two canonical residues
+    before reducing: coordinates in R (x) R (relations, coset
+    representatives) and in End(R).  Each product is at most (p-1)^2.
+    """
+    if f.modular and dim * dim * (f.p - 1) ** 2 >= 2**63:
+        raise InstanceError(
+            f"field: F_{f.p} is too large for {what} (dim {dim}): "
+            f"{dim}^2 * ({f.p}-1)^2 >= 2^63 overflows int64 arithmetic"
+        )
 
 
 def load_instance(path) -> Instance:

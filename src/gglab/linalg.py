@@ -53,8 +53,19 @@ def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return field.reduce(np.dot(a, b))
 
 
-def kron(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return field.reduce(np.kron(a, b))
+def sylvester(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrices of X -> a[s] X - X b[s]^T on row-major flattened X, over s.
+
+    Row (x, j) and column (y, l) of matrix s hold a[s, x, y] where j = l,
+    minus b[s, j, l] where x = y: kron(a[s], I) - kron(I, b[s]), built by
+    index assignment.
+    """
+    k, m, _ = a.shape
+    n = b.shape[1]
+    op = field.zeros((k, m, n, m, n))
+    op[:, :, np.arange(n), :, np.arange(n)] = a
+    op[:, np.arange(m), :, np.arange(m), :] -= b
+    return field.reduce(op.reshape(k, m * n, m * n))
 
 
 def solve(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -122,19 +133,25 @@ class Subspace:
         return self.coords(v) is not None
 
     def coords(self, v: np.ndarray) -> np.ndarray | None:
-        """Coefficients of v over the basis rows, or None if v is outside.
+        """Coefficients of v over the basis rows, or None if v is outside."""
+        c = self.coords_rows(v.reshape(1, -1))
+        return None if c is None else c[0]
+
+    def coords_rows(self, vs: np.ndarray) -> np.ndarray | None:
+        """Coefficients of every row of vs, or None if some row is outside.
 
         Row i of the RREF basis is the only one with a nonzero entry (a 1)
-        at pivot column i, so the only candidate coefficients are v's
-        entries at the pivots; v lies in the span iff they reproduce it.
+        at pivot column i, so the only candidate coefficients are the
+        entries at the pivots; the rows lie in the span iff they reproduce
+        them.
         """
-        c = self.field.vector(v[self.pivots])
-        if np.any(self.field.reduce(v - np.dot(c, self.basis)) != 0):
+        c = self.field.reduce(vs[:, self.pivots])
+        if np.any(self.field.reduce(vs - np.dot(c, self.basis)) != 0):
             return None
         return c
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis)
+        return self.coords_rows(other.basis) is not None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, commutant, is_unital_subalgebra, subalgebra_generated
+from .algebra import (
+    Algebra,
+    commutant,
+    is_unital_subalgebra,
+    product_space,
+    subalgebra_generated,
+    subspace_algebra,
+)
 from .config import caps
 from .fields import Field
 from .linalg import Subspace, all_subspaces
@@ -35,17 +42,12 @@ class RelativeTensorSquare:
         return len(self.quotient_coords)
 
     def reduce_vector(self, v: np.ndarray) -> np.ndarray:
-        """Canonical coset representative: eliminate pivot coordinates."""
-        f = self.algebra.field
-        out = v.astype(f.dtype, copy=True)
-        for row, piv in zip(self.relations, self.rel_pivots):
-            c = out[piv]
-            if c != 0:
-                out = f.reduce(out - c * row)
-        return out
+        """Canonical coset representatives of the vectors along v's last axis.
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        return self.reduce_vector(v)[self.quotient_coords]
+        A pivot column of the RREF relations is a unit column, so
+        eliminating every pivot coordinate at once is the same as one by one.
+        """
+        return self.algebra.field.reduce(v - np.matmul(v[..., self.rel_pivots], self.relations))
 
     def lift(self, q: np.ndarray) -> np.ndarray:
         n2 = self.algebra.dim ** 2
@@ -55,26 +57,19 @@ class RelativeTensorSquare:
 
 
 def tensor_square(alg: Algebra, sub: Subspace) -> RelativeTensorSquare:
-    """Build R (x)_S R from the relation span {bi*s (x) bj - bi (x) s*bj}."""
+    """Build R (x)_S R from the relation span {bi*s (x) bj - bi (x) s*bj}.
+
+    The relation of (s, i, j) is row (i, j) of ``linalg.sylvester`` with
+    a[s, i] = bi*s and b[s, j] = s*bj.
+    """
     f = alg.field
     n = alg.dim
-    rows = []
-    basis = alg.basis_vectors()
-    for s in sub.basis:
-        for i in range(n):
-            left = alg.mul(basis[i], s)  # bi*s
-            for j in range(n):
-                right = alg.mul(s, basis[j])  # s*bj
-                rel = f.zeros(n * n)
-                rel[i * n : (i + 1) * n] -= right
-                rel = rel.reshape(n, n)
-                rel[:, j] = f.reduce(rel[:, j] + left)
-                rows.append(f.reduce(rel.reshape(n * n)))
-    if rows:
-        rel_mat, pivots = linalg.rref(f, np.vstack(rows))
-        rel_mat = rel_mat[: len(pivots)]
-    else:
-        rel_mat, pivots = f.zeros((0, n * n)), []
+    eye = f.eye(n)
+    left = alg.products(eye, sub.basis).transpose(1, 0, 2)  # [s, i] = bi*s
+    right = alg.products(sub.basis, eye)  # [s, j] = s*bj
+    rows = linalg.sylvester(f, left, right).reshape(sub.dim * n * n, n * n)
+    rel_mat, pivots = linalg.rref(f, rows)
+    rel_mat = rel_mat[: len(pivots)]
     quotient = [c for c in range(n * n) if c not in set(pivots)]
     return RelativeTensorSquare(alg, sub, rel_mat, pivots, quotient)
 
@@ -105,23 +100,18 @@ class SeparabilityCertificate:
 
 def _mu_matrix(alg: Algebra) -> np.ndarray:
     """Multiplication map R (x) R -> R on flat coordinates."""
-    f = alg.field
     n = alg.dim
-    m = f.zeros((n, n * n))
-    for i in range(n):
-        for j in range(n):
-            m[:, i * n + j] = alg.mul(alg.basis_vector(i), alg.basis_vector(j))
-    return m
+    return alg.table.reshape(n * n, n).T
 
 
-def _commute_operator(alg: Algebra, r: np.ndarray) -> np.ndarray:
-    """r.z - z.r on flat R (x) R coordinates (bimodule actions)."""
-    f = alg.field
-    n = alg.dim
-    eye = f.eye(n)
-    return f.reduce(
-        linalg.kron(f, alg.left_mult(r), eye) - linalg.kron(f, eye, alg.right_mult(r))
-    )
+def _commute_operators(alg: Algebra) -> np.ndarray:
+    """z -> b_r z - z b_r on flat R (x) R coordinates (bimodule actions), for each r.
+
+    Left multiplication by b_r is table[r].T, right multiplication
+    table[:, r].T.
+    """
+    t = alg.table
+    return linalg.sylvester(alg.field, t.transpose(0, 2, 1), t.transpose(1, 2, 0))
 
 
 def separability_idempotent(alg: Algebra, sub: Subspace) -> SeparabilityCertificate | None:
@@ -133,25 +123,12 @@ def separability_idempotent(alg: Algebra, sub: Subspace) -> SeparabilityCertific
     f = alg.field
     n = alg.dim
     ts = tensor_square(alg, sub)
+    qc = ts.quotient_coords
     q = ts.dim
-    lifts = [ts.lift(col) for col in f.eye(q)] if q else []
-
-    mu = _mu_matrix(alg)
-    mu_q = (
-        np.column_stack([linalg.matmul(f, mu, v) for v in lifts]) if q else f.zeros((n, 0))
-    )
-    blocks = [mu_q]
-    rhs = [alg.unit]
-    for r in alg.basis_vectors():
-        op = _commute_operator(alg, r)
-        proj = (
-            np.column_stack([ts.project(linalg.matmul(f, op, v)) for v in lifts])
-            if q
-            else f.zeros((ts.dim, 0))
-        )
-        blocks.append(proj)
-        rhs.append(f.zeros(proj.shape[0]))
-    sol = linalg.solve(f, np.vstack(blocks), np.concatenate(rhs))
+    # moved[r, c] is the image of the quotient basis vector qc[c] under r.z - z.r
+    moved = ts.reduce_vector(_commute_operators(alg)[:, :, qc].transpose(0, 2, 1))[..., qc]
+    system = np.vstack([_mu_matrix(alg)[:, qc], moved.transpose(0, 2, 1).reshape(n * q, q)])
+    sol = linalg.solve(f, system, np.concatenate([alg.unit, f.zeros(n * q)]))
     if sol is None:
         return None
     z = ts.lift(sol)
@@ -163,19 +140,21 @@ def separability_idempotent(alg: Algebra, sub: Subspace) -> SeparabilityCertific
 
 
 def verify_certificate(cert: SeparabilityCertificate) -> bool:
-    """Independent substitution check of mu(z)=1 and r.z = z.r mod relations."""
+    """Independent substitution check of mu(z)=1 and r.z = z.r mod relations.
+
+    With z = sum z[i, j] b_i (x) b_j, mu(z) = sum_i b_i * z[i] and
+    b_r z - z b_r = table[r].T @ z - z @ table[:, r].
+    """
     alg = cert.tensor.algebra
     f = alg.field
-    total = f.zeros(alg.dim)
-    for x, y in cert.pairs():
-        total = f.reduce(total + alg.mul(x, y))
-    if not np.array_equal(total, alg.unit):
+    n = alg.dim
+    z = cert.element.reshape(n, n)
+    t = alg.table
+    mu = f.reduce(f.reduce(np.matmul(z[:, None, :], t)).sum(axis=(0, 1)))
+    if not np.array_equal(mu, alg.unit):
         return False
-    for r in alg.basis_vectors():
-        moved = linalg.matmul(f, _commute_operator(alg, r), cert.element)
-        if np.any(cert.tensor.reduce_vector(moved) != 0):
-            return False
-    return True
+    moved = f.reduce(np.matmul(t.transpose(0, 2, 1), z) - np.matmul(z, t.transpose(1, 0, 2)))
+    return not np.any(cert.tensor.reduce_vector(moved.reshape(n, n * n)) != 0)
 
 
 def is_separable(alg: Algebra, sub: Subspace) -> bool:
@@ -237,39 +216,29 @@ def relative_tensor_dim(alg: Algebra, a: Subspace, b: Subspace, base: Subspace) 
     central and contained in both.
     """
     f = alg.field
-    ka, kb = a.dim, b.dim
+    ka, kb, k = a.dim, b.dim, base.dim
     if ka == 0 or kb == 0:
         return 0
-    rows = []
-    for s in base.basis:
-        left = [a.coords(alg.mul(x, s)) for x in a.basis]
-        right = [b.coords(alg.mul(s, y)) for y in b.basis]
-        if any(v is None for v in left) or any(v is None for v in right):
-            raise ValueError("base does not stabilize the factors")
-        for i in range(ka):
-            for j in range(kb):
-                rel = f.zeros((ka, kb))
-                rel[:, j] = f.reduce(rel[:, j] + left[i])
-                rel[i, :] = f.reduce(rel[i, :] - right[j])
-                rows.append(rel.reshape(ka * kb))
-    return ka * kb - linalg.rank(f, np.vstack(rows))
+    left = a.coords_rows(alg.products(a.basis, base.basis).transpose(1, 0, 2).reshape(k * ka, alg.dim))
+    right = b.coords_rows(alg.products(base.basis, b.basis).reshape(k * kb, alg.dim))
+    if left is None or right is None:
+        raise ValueError("base does not stabilize the factors")
+    rows = linalg.sylvester(f, left.reshape(k, ka, ka), right.reshape(k, kb, kb))
+    return ka * kb - linalg.rank(f, rows.reshape(k * ka * kb, ka * kb))
 
 
 def _products_span(alg: Algebra, a: Subspace, b: Subspace) -> bool:
-    rows = [alg.mul(x, y) for x in a.basis for y in b.basis]
-    return Subspace(alg.field, alg.dim, np.vstack(rows)).dim == alg.dim
+    return product_space(alg, a, b).dim == alg.dim
 
 
 def is_separable_subalgebra_over(alg: Algebra, sub: Subspace, base: Subspace) -> bool:
     """S separable over a base contained in S: certificate in S (x)_base S."""
-    if not sub.contains_space(base):
+    base_coords = sub.coords_rows(base.basis)
+    if base_coords is None:
         return False
     if not is_unital_subalgebra(alg, sub):
         return False
-    from .algebra import subspace_algebra
-
     small, _ = subspace_algebra(alg, sub, alg.unit)
-    base_coords = np.vstack([sub.coords(v) for v in base.basis])
     base_sub = Subspace(alg.field, sub.dim, base_coords)
     return separability_idempotent(small, base_sub) is not None
 

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .action import Action, ActionError, fixer_subgroupoid, invariants, restrict
-from .algebra import AlgebraError, commutant
+from .algebra import AlgebraError, commutant, product_space
 from .galois import (
     GaloisContext,
     GaloisCoordinates,
@@ -33,7 +33,6 @@ from .galois import (
     check_galois_coordinates,
     gamma,
     j_isomorphism_check,
-    product_space,
     solve_galois_coordinates,
     v_in_ideal,
 )
@@ -911,13 +910,13 @@ def _truncated_coordinates(act, coords, h, sub_act):
     one_h = f.zeros(act.algebra.dim)
     for e in ids:
         one_h = f.reduce(one_h + act.idempotents[e])
-    pairs = [(act.algebra.mul(x, one_h), act.algebra.mul(y, one_h)) for x, y in coords.pairs]
+    rows = act.algebra.products(coords.rows(act), one_h[None])[:, 0]
     if not h.wide:  # a wide H has 1_H = 1_R and keeps the ambient basis
         ring = Subspace(f, act.algebra.dim, np.vstack([act.ideals[e].basis for e in ids]))
-        pairs = [(ring.coords(x), ring.coords(y)) for x, y in pairs]
-        if any(c is None for pair in pairs for c in pair):
+        rows = ring.coords_rows(rows)
+        if rows is None:
             return None
-    cand = GaloisCoordinates(pairs)
+    cand = GaloisCoordinates(list(zip(rows[0::2], rows[1::2])))
     ok, _ = check_galois_coordinates(sub_act, cand)
     return cand if ok else None
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from gglab.action import fixer_subgroupoid, invariants, restrict
-from gglab.algebra import commutant
+from gglab.algebra import commutant, product_space
 from gglab.fields import Field
 from gglab.galois import (
     GaloisCoordinates,
@@ -27,7 +27,6 @@ from gglab.galois import (
     build_skew_groupoid_ring,
     check_galois_coordinates,
     j_isomorphism_check,
-    product_space,
     solve_galois_coordinates,
     v_in_ideal,
 )

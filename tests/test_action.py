@@ -117,7 +117,7 @@ def test_validate_action_rejects_broken_cocycle():
     bad = beta[a].copy()
     bad[0, 1] = (bad[0, 1] + 1) % 3
     beta[a] = bad
-    with pytest.raises(ActionError):
+    with pytest.raises(ActionError, match="^beta_a is not multiplicative on E_e$"):
         validate_action(g, inst.algebra, inst.action.idempotents, beta)
 
 
@@ -126,8 +126,25 @@ def test_validate_action_rejects_nonorthogonal_idempotents():
     idem = dict(inst.action.idempotents)
     e1 = inst.groupoid.index("e1")
     idem[e1] = inst.algebra.unit  # overlaps 1_{e2}
-    with pytest.raises(ActionError):
+    with pytest.raises(ActionError, match="^1_e1 and 1_e2 are not orthogonal$"):
         validate_action(inst.groupoid, inst.algebra, idem, inst.action.beta)
+
+
+def test_validate_action_rejects_noncentral_idempotent():
+    inst = load_builtin("klein_disjoint2")
+    idem = dict(inst.action.idempotents)
+    idem[inst.groupoid.index("e1")] = inst.field.vector([1, 0, 0, 0, 0, 0, 0, 0])  # E11 of block 1
+    with pytest.raises(ActionError, match="^1_e1 is not central$"):
+        validate_action(inst.groupoid, inst.algebra, idem, inst.action.beta)
+
+
+def test_validate_action_rejects_image_outside_ideal():
+    inst = load_builtin("pair_f5")
+    g = inst.groupoid
+    beta = dict(inst.action.beta)
+    beta[g.index("e1")] = inst.field.array([[0, 0], [1, 0]])  # vanishes off E_e1, lands in E_e2
+    with pytest.raises(ActionError, match="^beta_e1 maps outside E_e1$"):
+        validate_action(g, inst.algebra, inst.action.idempotents, beta)
 
 
 def test_restrict_wide_keeps_algebra():

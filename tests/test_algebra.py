@@ -75,6 +75,23 @@ def test_validate_rejects_bad_unit():
         validate_algebra(F3, alg.labels, alg.table, bad_unit)
 
 
+@pytest.mark.parametrize(
+    "left_unit, message",
+    [(False, r"^unit law fails: 1\*f != f$"), (True, r"^unit law fails: f\*1 != f$")],
+)
+def test_validate_names_first_unit_law_failure(left_unit, message):
+    # e = E11 and f = E12 (or E21) in M_2: e is a one-sided unit only, and
+    # the unit laws hold on e itself, so f is the first failing label
+    table = F3.zeros((2, 2, 2))
+    table[0, 0, 0] = 1
+    if left_unit:
+        table[0, 1, 1] = 1  # e*f = f, f*e = 0
+    else:
+        table[1, 0, 1] = 1  # f*e = f, e*f = 0
+    with pytest.raises(AlgebraError, match=message):
+        validate_algebra(F3, ["e", "f"], table, F3.vector([1, 0]))
+
+
 def test_commutant_of_diagonal():
     alg = m2f3()
     diag = Subspace(F3, 4, F3.array([[1, 0, 0, 0], [0, 0, 0, 1]]))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -38,6 +39,27 @@ def test_validate_bad_file(tmp_path, capsys):
     code, _, err = run_cli(["validate", str(path)], capsys)
     assert code == 2
     assert "6 is not prime" in err
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        (4294967311, "4294967311 is too large: F_p needs p < 2^31"),  # its (p-1)^2 wraps int64
+        (2**61 - 1, "2305843009213693951 is too large"),  # prime; trial division would hang
+        (2**31 - 1, "F_2147483647 is too large for the algebra (dim 2)"),
+        (1000000007, "F_1000000007 is too large for the skew groupoid ring (dim 4)"),
+    ],
+)
+def test_field_without_int64_headroom_is_refused(tmp_path, capsys, p, message):
+    doc = builtin("pair_f5")
+    doc["field"]["p"] = p
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run_cli(["suite", str(path)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_missing_instance_arg():

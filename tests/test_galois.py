@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gglab import linalg
-from gglab.algebra import center, commutant
+from gglab.algebra import center, commutant, product_space
 from gglab.galois import (
     GaloisContext,
     GaloisCoordinates,
@@ -11,7 +11,6 @@ from gglab.galois import (
     coordinate_sums,
     endomorphism_space,
     j_isomorphism_check,
-    product_space,
     solve_galois_coordinates,
     v_in_ideal,
 )
