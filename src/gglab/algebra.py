@@ -103,16 +103,21 @@ def validate_algebra(field: Field, labels, table, unit) -> Algebra:
         raise AlgebraError(
             f"associativity fails at triple ({labels[i]},{labels[j]},{labels[k]})"
         )
-    # column i of left_mult(unit) is 1*b_i, of right_mult(unit) b_i*1
-    eye = field.eye(n)
-    left_ok = np.all(alg.left_mult(unit) == eye, axis=0)
-    right_ok = np.all(alg.right_mult(unit) == eye, axis=0)
-    for i in range(n):
-        if not left_ok[i]:
-            raise AlgebraError(f"unit law fails: 1*{labels[i]} != {labels[i]}")
-        if not right_ok[i]:
-            raise AlgebraError(f"unit law fails: {labels[i]}*1 != {labels[i]}")
+    _check_unit_laws(alg)
     return alg
+
+
+def _check_unit_laws(alg: Algebra) -> None:
+    """Raise unless 1*b_i = b_i = b_i*1 for every basis element."""
+    # column i of left_mult(unit) is 1*b_i, of right_mult(unit) b_i*1
+    eye = alg.field.eye(alg.dim)
+    left_ok = np.all(alg.left_mult(alg.unit) == eye, axis=0)
+    right_ok = np.all(alg.right_mult(alg.unit) == eye, axis=0)
+    for i, label in enumerate(alg.labels):
+        if not left_ok[i]:
+            raise AlgebraError(f"unit law fails: 1*{label} != {label}")
+        if not right_ok[i]:
+            raise AlgebraError(f"unit law fails: {label}*1 != {label}")
 
 
 def center(alg: Algebra) -> Subspace:
@@ -172,7 +177,10 @@ def subalgebra_generated(alg: Algebra, seed, include_unit: bool = True) -> Subsp
 def subspace_algebra(alg: Algebra, sub: Subspace, unit_vec: np.ndarray, labels=None) -> tuple[Algebra, np.ndarray]:
     """A closed subspace with its own unit, as a standalone Algebra.
 
-    Returns (algebra on sub's basis, embedding matrix rows -> ambient).
+    A closed subspace of an associative algebra is associative, so only
+    closure, the unit's membership and the unit laws are checked; the unit
+    may be a local one such as 1_e.  Returns (algebra on sub's basis,
+    embedding matrix rows -> ambient).
     """
     k = sub.dim
     table = sub.coords_rows(product_rows(alg, sub, sub))
@@ -184,5 +192,6 @@ def subspace_algebra(alg: Algebra, sub: Subspace, unit_vec: np.ndarray, labels=N
         raise AlgebraError("designated unit lies outside the subspace")
     if labels is None:
         labels = [f"s{i}" for i in range(k)]
-    small = validate_algebra(alg.field, labels, table, unit_coords)
+    small = Algebra(field=alg.field, labels=tuple(labels), table=table, unit=unit_coords)
+    _check_unit_laws(small)
     return small, sub.basis.copy()

@@ -96,9 +96,10 @@ class Subspace:
     ``pivots`` are the pivot columns of ``basis``, one per row.  ``flags``
     carry certified structural facts (is_subalgebra, is_ideal,
     is_unital_ideal); they are set only after an explicit product check.
+    Only ``__init__`` sets ``basis``, so ``key`` is computed once, on first use.
     """
 
-    __slots__ = ("field", "ambient", "basis", "pivots", "flags")
+    __slots__ = ("field", "ambient", "basis", "pivots", "flags", "_key")
 
     def __init__(self, field: Field, ambient: int, basis: np.ndarray, flags: dict | None = None):
         basis = np.asarray(basis)
@@ -109,6 +110,7 @@ class Subspace:
         reduced, self.pivots = rref(field, basis)
         self.basis = reduced[: len(self.pivots)]
         self.flags = dict(flags or {})
+        self._key = None
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
@@ -167,7 +169,9 @@ class Subspace:
 
     def key(self) -> tuple:
         """Hashable canonical key (used for dedup and deterministic sorting)."""
-        return tuple(tuple(self.field.scalar_json(x) for x in row) for row in self.basis)
+        if self._key is None:
+            self._key = tuple(tuple(self.field.scalar_json(x) for x in row) for row in self.basis)
+        return self._key
 
     def sum(self, other: "Subspace") -> "Subspace":
         return Subspace(self.field, self.ambient, np.vstack([self.basis, other.basis]))

@@ -23,7 +23,6 @@ from .algebra import (
     subspace_algebra,
 )
 from .config import caps
-from .fields import Field
 from .linalg import Subspace, all_subspaces
 
 
@@ -185,14 +184,18 @@ class DoubleCentralizerResult:
 
 
 def double_centralizer_check(
-    alg: Algebra, a: Subspace, center_sub: Subspace
+    alg: Algebra, a: Subspace, center_sub: Subspace, facts: SubalgebraFacts | None = None
 ) -> DoubleCentralizerResult:
-    """The Azumaya double-centralizer statement, clause by clause."""
-    full = alg.full_space
-    va = commutant(alg, a, full)
-    vva = commutant(alg, va, full)
+    """The Azumaya double-centralizer statement, clause by clause.
+
+    Commutants and separability verdicts are read from ``facts``, which a
+    sweep shares across its members; a standalone call starts an empty one.
+    """
+    facts = SubalgebraFacts(alg) if facts is None else facts
+    va = facts.commutant(a)
+    vva = facts.commutant(va)
     holds = vva == a
-    sep = is_separable_subalgebra_over(alg, va, center_sub)
+    sep = facts.separable_over(va, center_sub)
     # A central over C: A cap V(A) = C, i.e. the center of A is exactly C
     central = a.intersection(va) == center_sub
     if central:
@@ -232,15 +235,40 @@ def _products_span(alg: Algebra, a: Subspace, b: Subspace) -> bool:
 
 
 def is_separable_subalgebra_over(alg: Algebra, sub: Subspace, base: Subspace) -> bool:
-    """S separable over a base contained in S: certificate in S (x)_base S."""
+    """S separable over a base contained in S: certificate in S (x)_base S.
+
+    S must be a unital subalgebra, as every commutant is and as the
+    enumeration checks first; ``subspace_algebra`` refuses any other S.
+    """
     base_coords = sub.coords_rows(base.basis)
     if base_coords is None:
-        return False
-    if not is_unital_subalgebra(alg, sub):
         return False
     small, _ = subspace_algebra(alg, sub, alg.unit)
     base_sub = Subspace(alg.field, sub.dim, base_coords)
     return separability_idempotent(small, base_sub) is not None
+
+
+class SubalgebraFacts:
+    """Facts about subspaces S of one algebra R, each computed once and kept
+    by canonical key: the commutant V_R(S), and whether S is a unital
+    subalgebra separable over a base."""
+
+    def __init__(self, alg: Algebra):
+        self.alg = alg
+        self.commutants: dict[tuple, Subspace] = {}
+        self.separable: dict[tuple, bool] = {}  # (S key, base key) -> verdict
+
+    def commutant(self, s: Subspace) -> Subspace:
+        key = s.key()
+        if key not in self.commutants:
+            self.commutants[key] = commutant(self.alg, s, self.alg.full_space)
+        return self.commutants[key]
+
+    def separable_over(self, s: Subspace, base: Subspace) -> bool:
+        key = (s.key(), base.key())
+        if key not in self.separable:
+            self.separable[key] = is_separable_subalgebra_over(self.alg, s, base)
+        return self.separable[key]
 
 
 @dataclass
@@ -251,28 +279,29 @@ class SeparableEnumeration:
 
 
 def enumerate_separable_subalgebras(
-    alg: Algebra, base: Subspace, pool: list[Subspace] | None = None
+    alg: Algebra, base: Subspace, pool: list[Subspace] | None = None, facts: SubalgebraFacts | None = None
 ) -> SeparableEnumeration:
     """Unital subalgebras S with base <= S <= R, separable over base.
 
     Exhaustive subspace walk when dim R is at or below the cap (prime
     fields only); otherwise the provided pool (already-generated
     subalgebra candidates) is filtered and the result is labeled
-    pool-restricted.
+    pool-restricted.  Every candidate contains the base.  Each one that
+    passes the unital-subalgebra filter has its separability verdict read
+    from, or recorded in, ``facts``.
     """
     f = alg.field
+    facts = SubalgebraFacts(alg) if facts is None else facts
     cap = caps()["exhaustive_dim"]
     exhaustive = f.modular and alg.dim <= cap
     candidates: dict[tuple, Subspace] = {}
 
     if exhaustive:
         # subspaces containing base <-> subspaces of a complement of base
-        comp_idx = _complement_coordinates(f, base)
+        comp_idx = [c for c in range(alg.dim) if c not in base.pivots]
         for quot in all_subspaces(f, len(comp_idx)):
             lift = f.zeros((quot.shape[0], alg.dim))
-            for r in range(quot.shape[0]):
-                for k, c in enumerate(comp_idx):
-                    lift[r, c] = quot[r, k]
+            lift[:, comp_idx] = quot
             cand = Subspace(f, alg.dim, np.vstack([base.basis, lift]))
             candidates.setdefault(cand.key(), cand)
         note = "exhaustive"
@@ -285,16 +314,7 @@ def enumerate_separable_subalgebras(
     out = []
     for key in sorted(candidates):
         s = candidates[key]
-        if not s.contains_space(base):
-            continue
-        if not is_unital_subalgebra(alg, s):
-            continue
-        if is_separable_subalgebra_over(alg, s, base):
+        if is_unital_subalgebra(alg, s) and facts.separable_over(s, base):
             s.flags["is_subalgebra"] = True
             out.append(s)
     return SeparableEnumeration(out, exhaustive, note)
-
-
-def _complement_coordinates(f: Field, sub: Subspace) -> list[int]:
-    _, pivots = linalg.rref(f, sub.basis)
-    return [c for c in range(sub.ambient) if c not in set(pivots)]

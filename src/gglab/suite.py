@@ -42,10 +42,10 @@ from .linalg import Subspace
 from .report import CheckRecord, VerificationReport
 from .separability import (
     SeparableEnumeration,
+    SubalgebraFacts,
     double_centralizer_check,
     enumerate_separable_subalgebras,
     is_central_galois,
-    separability_idempotent,
 )
 
 # (check id, anchor, scope); order is the run order of a full-scope suite
@@ -154,12 +154,16 @@ class SuiteState:
         return _injective([(h, self.ctx.gamma(h)[0]) for h in self.ctx.wide_subgroupoids])[0]
 
     @cached_property
+    def facts(self) -> SubalgebraFacts:
+        """Commutants V_R(S) and separability verdicts, shared by every check."""
+        return SubalgebraFacts(self.inst.algebra)
+
+    @cached_property
     def dcp_fail(self) -> dict | None:
         """The first subgroupoid whose invariant ring is not its own bicommutant."""
-        alg = self.inst.algebra
         for h in self.ctx.all_subgroupoids:
             th = self.ctx.theta(h)
-            vv = commutant(alg, commutant(alg, th, alg.full_space), alg.full_space)
+            vv = self.facts.commutant(self.facts.commutant(th))
             if vv != th:
                 return {"subgroupoid": h.label(), "invariants_dim": th.dim, "bicommutant_dim": vv.dim}
         return None
@@ -167,7 +171,7 @@ class SuiteState:
     @cached_property
     def azu(self) -> bool:
         """R is Azumaya: separable over its center."""
-        return separability_idempotent(self.inst.algebra, self.ctx.center) is not None
+        return self.facts.separable_over(self.inst.algebra.full_space, self.ctx.center)
 
     @cached_property
     def central(self) -> bool:
@@ -186,14 +190,14 @@ class SuiteState:
 
     @cached_property
     def center_enum(self) -> SeparableEnumeration:
-        return enumerate_separable_subalgebras(self.inst.algebra, self.ctx.center, pool=_pool(self))
+        return enumerate_separable_subalgebras(self.inst.algebra, self.ctx.center, _pool(self), self.facts)
 
     @cached_property
     def base_enum(self) -> SeparableEnumeration:
         # for central Galois instances the base R^beta equals the center
         if self.ctx.invariant_ring == self.ctx.center:
             return self.center_enum
-        return enumerate_separable_subalgebras(self.inst.algebra, self.ctx.invariant_ring, pool=_pool(self))
+        return enumerate_separable_subalgebras(self.inst.algebra, self.ctx.invariant_ring, _pool(self), self.facts)
 
     @cached_property
     def theta_image(self) -> tuple[bool, bool]:
@@ -217,8 +221,8 @@ class SuiteState:
         over H_S, and S = sum of J_g over H_{V_R(S)}."""
         key = s.key()
         if key not in self.identity_results:
-            act, alg, ctx = self.inst.action, self.inst.algebra, self.ctx
-            vrs = commutant(alg, s, alg.full_space)
+            act, ctx = self.inst.action, self.ctx
+            vrs = self.facts.commutant(s)
             sum1, direct1 = ctx.gamma(fixer_subgroupoid(act, s))
             sum2, direct2 = ctx.gamma(fixer_subgroupoid(act, vrs))
             self.identity_results[key] = (direct1 and sum1 == vrs, direct2 and sum2 == s)
@@ -649,11 +653,11 @@ def _lemma_3_6(state: SuiteState) -> Outcome:
 def _lemma_3_7(state: SuiteState) -> Outcome:
     if not state.galois:
         return _skip("Galois gate unmet")
-    act, alg, ctx = state.inst.action, state.inst.algebra, state.ctx
+    act, ctx = state.inst.action, state.ctx
     fails = []
     for h in ctx.wide_subgroupoids:
         gam, _ = ctx.gamma(h)
-        vs = commutant(alg, invariants(act, ctx.support(h)), alg.full_space)
+        vs = state.facts.commutant(invariants(act, ctx.support(h)))
         if gam != vs:
             fails.append({"subgroupoid": h.label(), "gamma_dim": gam.dim, "commutant_dim": vs.dim})
     return Outcome(
@@ -691,7 +695,7 @@ def _theorem_3_9(state: SuiteState) -> Outcome:
     enum = state.center_enum
     fails = []
     for s in enum.subalgebras:
-        res = double_centralizer_check(state.inst.algebra, s, state.ctx.center)
+        res = double_centralizer_check(state.inst.algebra, s, state.ctx.center, state.facts)
         row = {
             "dim": s.dim,
             "double_centralizer": res.double_centralizer_holds,
@@ -850,7 +854,7 @@ def _lemma_4_2(state: SuiteState) -> Outcome:
     missing = [
         h.label()
         for h in ctx.wide_subgroupoids
-        if separability_idempotent(state.inst.algebra, ctx.theta(h)) is None
+        if not state.facts.separable_over(state.inst.algebra.full_space, ctx.theta(h))
     ]
     return Outcome(
         "violation" if missing else "pass",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,14 @@ def test_subspace_algebra_roundtrip():
         inside = linalg.matmul(F3, np.vstack([small.mul(a, b)]), embed)[0]
         outside = alg.mul(linalg.matmul(F3, a, embed), linalg.matmul(F3, b, embed))
         assert np.array_equal(inside, outside)
+
+
+def test_subspace_algebra_refuses_a_false_unit():
+    # span{E11, E12} is closed and E11 is a left unit of it, but E12*E11 = 0
+    alg = m2f3()
+    e11, e12 = alg.basis_vector(0), alg.basis_vector(1)
+    with pytest.raises(AlgebraError, match=re.escape("unit law fails: s1*1 != s1")):
+        subspace_algebra(alg, Subspace.span(F3, np.vstack([e11, e12])), e11)
 
 
 def test_rational_algebra_validates():

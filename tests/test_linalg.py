@@ -55,6 +55,24 @@ def test_rref_preserves_row_space(rows):
     assert s1 == s2
 
 
+@settings(max_examples=60)
+@given(matrices_f5, st.integers(1, 4))
+def test_cached_key_is_the_canonical_tuple(rows, scale):
+    mat = F5.array(rows)
+    s = Subspace(F5, mat.shape[1], mat)
+    key = s.key()
+    assert s.key() is key
+    assert key == tuple(tuple(F5.scalar_json(x) for x in row) for row in s.basis)
+    # the same space from a rescaled, reversed spanning set, and the span of one row
+    same = Subspace(F5, mat.shape[1], F5.reduce(scale * mat[::-1]))
+    part = Subspace(F5, mat.shape[1], mat[:1])
+    assert same == s
+    for other in (same, part):
+        assert (other == s) == (other.key() == key)
+        if other == s:
+            assert hash(other) == hash(s)
+
+
 def _row_space_oracle(mat, p):
     """Every combination c @ mat mod p with c in F_p^m, by brute force."""
     return {

@@ -1,10 +1,19 @@
 import hashlib
+import json
+import runpy
 import time
+from pathlib import Path
 
 import pytest
 
-from gglab.instances import BUILTIN_NAMES, load_builtin
-from gglab.suite import CHECKS, MANIFEST, run_suite
+from gglab.instances import BUILTIN_NAMES, load_builtin, load_instance_dict
+from gglab.separability import double_centralizer_check
+from gglab.suite import CHECKS, MANIFEST, SuiteState, run_suite
+
+# the benchmark's instance generators, read without importing (or writing
+# bytecode into) perfbench
+WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+BENCH_DOCS = {w: WORKLOADS["documents"](w) for w in WORKLOADS["WORKLOADS"]}
 
 S3_IDS = [cid for cid, _, scope in MANIFEST if scope == "s3"]
 ALL_IDS = [cid for cid, _, _ in MANIFEST]
@@ -164,3 +173,61 @@ def test_registry_matches_manifest():
     ids = [cid for cid, _, _ in MANIFEST]
     assert len(set(ids)) == len(ids)
     assert sorted(CHECKS) == sorted(ids)
+
+
+# sha256 of run_suite(load_instance_dict(doc), scope).to_json() for every
+# benchmark document; the builtins workload rebuilds the five builtins
+BENCH_REPORT_SHA256 = {
+    **{("builtins", name, scope): digest for (name, scope), digest in REPORT_SHA256.items()},
+    ("klein_p", "klein_m2f5", "all"): "abc3db1a1d1fa353af7a46d1175adb60a0ae2860c5db87a2bd69ad927b7590e3",
+    ("klein_p", "klein_m2f5", "s3"): "4a34a60b9a921298bca1ef30ee14f9bf19c58a1307dc6deb643163c7282eabf3",
+    ("klein_p", "klein_m2f11", "all"): "8d5476f3400f6b2a2920fa180a4b428fb0ffada341226cae7e28896ab3f3cceb",
+    ("klein_p", "klein_m2f11", "s3"): "f9c7b1de4f5634d1f6454253b6109202fcb096999b94ef47ba5e03954c669a5a",
+    ("klein_p", "klein_m2f17", "all"): "630d882f5f4604081295b5a7e162009f58e06e11b70aab0102e89406b1410bdb",
+    ("klein_p", "klein_m2f17", "s3"): "3cb7ab5c98c2088b51924a78da310c7b560d32f19e431322d221e980c4d66003",
+    ("objects", "pair_f5x2", "all"): "96651b9097bcc54f734820dbfa745bb1e04619d877ee49c272644dfcdcf79110",
+    ("objects", "pair_f5x2", "s3"): "aa3ce323b8c5c630b7febc44153e6a7da9c8be946de2d2a58f58b3e2bf11c756",
+    ("objects", "pair_f5x3", "all"): "5a123d02e4d85d1db529c0150288ebc6f4ce851e48b34904aaba87a32033d83f",
+    ("objects", "pair_f5x3", "s3"): "c1fca1f900922856693edeed6700e81fe09c59189cc7f0f2331f87d3353131b7",
+    ("objects", "cyclic_shift_c3x2", "all"): "894a55db7ebb9a8acc9c797f917347b4d76fa35a261cfde5560ee735f9036b3d",
+    ("objects", "cyclic_shift_c3x2", "s3"): "eead03a19d71bb4495d8b56c3f64d94438b4cc608aa58e6bca1f9424bd964b01",
+    ("objects", "cyclic_shift_c3x3", "all"): "f2c5d80c46b4d83adcd975fe91cfa52a1037b176acdb8c857096c76d8ec49bdf",
+    ("objects", "cyclic_shift_c3x3", "s3"): "c45acdf61f6fefb47d4fea2837dfd116085dc796842995c384eaf3930c02ff16",
+    ("objects", "pair_f5+cyclic_shift_c3", "all"): "482fee0e67b52e102dcadaea8ea41b9cc340e5b7198d81ac37b0b5dee1d8f30a",
+    ("objects", "pair_f5+cyclic_shift_c3", "s3"): "6ec341e6043d3fdd6641319d852e5ccc6f8562d2a91af16e2a4570caabd8ff44",
+    ("rational", "pair_q", "all"): "867c77aa7a9ad2b0d424f4a02522126c0e813a311a50127b16642acc956319e7",
+    ("rational", "pair_q", "s3"): "b5bdc3e01b2302c3a7098c0f336787fa867e7e2109ecfcbb67d24c9b18506a5c",
+    ("rational", "cyclic_shift_c3_q", "all"): "568518daaea66760de6a3e698aabed983368c88cbdbf627b9d70b92128271602",
+    ("rational", "cyclic_shift_c3_q", "s3"): "1b660808b93fb51e2e88e95f3b3fb2b306dedf4a9de28776c35ae6b458a7b1cd",
+    ("rational", "pair_qx2", "all"): "b88a6c1d32849c8dcb13c29508768d3f0566de8ea9aa558f202222cc6512aa52",
+    ("rational", "pair_qx2", "s3"): "d77ac663d34ecc9df6531bd80ef56f0d291b6cc37f811079d549b2f9f96343f8",
+}
+
+
+@pytest.mark.parametrize(
+    "workload, name", [(w, name) for w, docs in BENCH_DOCS.items() for name in docs]
+)
+def test_benchmark_report_json_pinned(workload, name):
+    doc = json.loads(BENCH_DOCS[workload][name])
+    for scope in ("all", "s3"):
+        report = run_suite(load_instance_dict(doc), scope=scope)
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == BENCH_REPORT_SHA256[workload, name, scope], (workload, name, scope)
+
+
+@pytest.mark.parametrize("p", [5, 11])
+def test_theorem_3_9_sweep_closed_form(p):
+    """The separable subalgebras of M_2(F_p) over F_p: p(p+1)/2 split tori,
+    p(p-1)/2 copies of F_(p^2), F_p and M_2(F_p), so p^2 + 2 in all.  The
+    sweep's premise is that every V(S) is among them, and its shared facts
+    must give the rows a fresh check gives."""
+    state = SuiteState(load_instance_dict(json.loads(BENCH_DOCS["klein_p"][f"klein_m2f{p}"])))
+    out = CHECKS["theorem_3_9"](state)
+    assert out.verdict == "pass"
+    assert out.witnesses == {"swept": p * p + 2, "mode": "exhaustive"}
+    keys = {s.key() for s in state.center_enum.subalgebras}
+    alg, center = state.inst.algebra, state.ctx.center
+    for s in state.center_enum.subalgebras:
+        assert state.facts.commutant(s).key() in keys
+        shared = double_centralizer_check(alg, s, center, state.facts)
+        assert shared == double_centralizer_check(alg, s, center)
