@@ -1,8 +1,12 @@
 """Exact scalar fields: prime fields F_p and the rationals.
 
 All arithmetic in the package is exact.  F_p elements are canonical
-integers in 0..p-1 held in int64 numpy arrays; rational elements are
-``fractions.Fraction`` values held in object arrays.
+integers in 0..p-1 held in int64 numpy arrays.  Rational elements are
+held in object arrays in one canonical form: a Python ``int`` when the
+denominator is 1, else a ``fractions.Fraction``; never a float or a
+numpy integer.  Python ints are exact bignums, so sums and products of
+object arrays stay exact, and the only division, ``Field.inv``, goes
+through ``Fraction``.
 """
 
 from __future__ import annotations
@@ -15,6 +19,15 @@ import numpy as np
 
 class FieldError(ValueError):
     pass
+
+
+def _canon(x):
+    """The canonical rational: an int if integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return int(x.numerator) if x.denominator == 1 else x
 
 
 def _is_prime(n: int) -> bool:
@@ -62,11 +75,8 @@ class Field:
     # -- array constructors -------------------------------------------------
 
     def zeros(self, shape) -> np.ndarray:
-        if self.modular:
-            return np.zeros(shape, dtype=np.int64)
-        a = np.empty(shape, dtype=object)
-        a[...] = Fraction(0)
-        return a
+        # an object array of zeros holds the Python int 0
+        return np.zeros(shape, dtype=self.dtype)
 
     def eye(self, n: int) -> np.ndarray:
         m = self.zeros((n, n))
@@ -77,13 +87,12 @@ class Field:
     def array(self, rows) -> np.ndarray:
         if self.modular:
             return np.array(rows, dtype=np.int64) % self.p
-        a = np.array([[Fraction(x) for x in r] for r in rows], dtype=object)
-        return a
+        return np.array([[_canon(x) for x in r] for r in rows], dtype=object)
 
     def vector(self, entries) -> np.ndarray:
         if self.modular:
             return np.array(entries, dtype=np.int64) % self.p
-        return np.array([Fraction(x) for x in entries], dtype=object)
+        return np.array([_canon(x) for x in entries], dtype=object)
 
     def reduce(self, arr: np.ndarray) -> np.ndarray:
         return arr % self.p if self.modular else arr
@@ -92,11 +101,11 @@ class Field:
 
     @property
     def zero(self):
-        return 0 if self.modular else Fraction(0)
+        return 0
 
     @property
     def one(self):
-        return 1 if self.modular else Fraction(1)
+        return 1
 
     def inv(self, a):
         if self.modular:
@@ -107,7 +116,7 @@ class Field:
         a = Fraction(a)
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        return _canon(1 / a)
 
     # -- (de)serialization ----------------------------------------------------
 
@@ -117,16 +126,16 @@ class Field:
             if self.modular:
                 raise FieldError(f"fraction string {v!r} in a prime-field instance")
             num, _, den = v.partition("/")
-            return Fraction(int(num), int(den) if den else 1)
+            return _canon(Fraction(int(num), int(den) if den else 1))
         if isinstance(v, bool) or not isinstance(v, int):
             raise FieldError(f"bad scalar {v!r}")
-        return v % self.p if self.modular else Fraction(v)
+        return v % self.p if self.modular else v
 
     def scalar_json(self, v):
         if self.modular:
             return int(v) % self.p
-        v = Fraction(v)
-        return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        v = _canon(v)
+        return v if type(v) is int else f"{v.numerator}/{v.denominator}"
 
     def vector_json(self, vec) -> list:
         return [self.scalar_json(x) for x in vec]

@@ -196,8 +196,14 @@ def double_centralizer_check(
     vva = facts.commutant(va)
     holds = vva == a
     sep = facts.separable_over(va, center_sub)
-    # A central over C: A cap V(A) = C, i.e. the center of A is exactly C
-    central = a.intersection(va) == center_sub
+    # A central over C: A cap V(A) = C, i.e. the center of A is exactly C.
+    # C lies in both, and dim(A cap V(A)) = dim A + dim V(A) - dim(A + V(A))
+    central = (
+        a.contains_space(center_sub)
+        and va.contains_space(center_sub)
+        and a.dim + va.dim - linalg.rank(alg.field, np.vstack([a.basis, va.basis]))
+        == center_sub.dim
+    )
     if central:
         # mu: A (x)_S V(A) -> R is an isomorphism iff the relative tensor
         # product has dim R and the products span R
@@ -271,6 +277,13 @@ class SubalgebraFacts:
         return self.separable[key]
 
 
+def _rational_key_order(key: tuple) -> tuple:
+    """Sort order of Q subspace keys, whose entries mix ints and "a/b"
+    strings: an int sorts before a string, and two of a kind compare as
+    they do in the key itself, so keys that compare alone keep their order."""
+    return tuple(tuple((type(x) is str, x) for x in row) for row in key)
+
+
 @dataclass
 class SeparableEnumeration:
     subalgebras: list[Subspace]  # S >= base, unital, separable over base
@@ -312,7 +325,7 @@ def enumerate_separable_subalgebras(
             candidates.setdefault(grown.key(), grown)
 
     out = []
-    for key in sorted(candidates):
+    for key in sorted(candidates, key=None if f.modular else _rational_key_order):
         s = candidates[key]
         if is_unital_subalgebra(alg, s) and facts.separable_over(s, base):
             s.flags["is_subalgebra"] = True

@@ -329,11 +329,11 @@ def test_criterion_09_oracle_cross_checks():
     assert is_separable_subalgebra_over(alg, alg.full_space, Subspace.span(F3, alg.unit))
 
 
-def test_criterion_10_suite_json_determinism():
+def test_criterion_10_suite_json_determinism(cli_env):
     for name in BUILTIN_NAMES:
         cmd = [sys.executable, "-m", "gglab.cli", "suite", "--builtin", name, "--format", "json"]
-        a = subprocess.run(cmd, capture_output=True)
-        b = subprocess.run(cmd, capture_output=True)
+        a = subprocess.run(cmd, capture_output=True, env=cli_env)
+        b = subprocess.run(cmd, capture_output=True, env=cli_env)
         assert a.returncode == b.returncode == 0, name
         assert a.stdout == b.stdout, name
         json.loads(a.stdout)

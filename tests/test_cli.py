@@ -155,11 +155,11 @@ def test_suite_nonzero_on_violation(tmp_path, capsys):
     assert "violation" in out
 
 
-def test_json_determinism_subprocess():
+def test_json_determinism_subprocess(cli_env):
     # the acceptance-level contract, exercised through the real entry point
     cmd = [sys.executable, "-m", "gglab.cli", "suite", "--builtin", "trivial", "--format", "json"]
-    a = subprocess.run(cmd, capture_output=True, text=True)
-    b = subprocess.run(cmd, capture_output=True, text=True)
+    a = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
+    b = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
     assert a.returncode == 0 and a.stdout == b.stdout
 
 

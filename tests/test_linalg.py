@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -112,6 +113,59 @@ def test_rref_mod_form_and_row_space(case):
         assert np.array_equal(work[:, c], col)  # ... is a 1, alone in its column
     assert not np.any(work[len(pivots):])
     assert _row_space_oracle(work, p) == _row_space_oracle(mat, p)
+
+
+def _rref_all_fractions(mat):
+    """RREF with every entry a Fraction: the plain textbook elimination."""
+    m, n = mat.shape
+    rows = [[Fraction(x) for x in r] for r in mat.tolist()]
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if rows[i][c] != 0), -1)
+        if pr < 0:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == m:
+            break
+    return rows
+
+
+rationals = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+)
+rational_matrices = st.integers(0, 4).flatmap(
+    lambda m: st.integers(0, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(rationals, min_size=n, max_size=n), min_size=m, max_size=m
+        ).map(lambda rows: np.array(rows, dtype=object).reshape(m, n))
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices)
+def test_rref_frac_form_canonical_entries_and_row_space(mat):
+    work = mat.copy()
+    pivots = _purerref.rref_frac(work)
+    m, n = mat.shape
+    assert work.dtype == object and work.shape == (m, n)
+    for x in work.flat:
+        assert type(x) is int or (type(x) is Fraction and x.denominator > 1), repr(x)
+    assert pivots == sorted(set(pivots)) and len(pivots) <= m
+    for i, c in enumerate(pivots):
+        assert not np.any(work[i, :c] != 0)  # leading entry of row i ...
+        assert [work[k, c] for k in range(m)] == [int(k == i) for k in range(m)]  # ... a lone 1
+    assert not np.any(work[len(pivots):] != 0)
+    # RREF is unique, so equal reductions mean equal row spaces
+    assert work.tolist() == _rref_all_fractions(mat)
 
 
 def test_nullspace_annihilates():

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -203,3 +204,35 @@ def test_rational_separability():
     table2[1, 1, 0] = 0
     alg2 = validate_algebra(Q, ["1", "x"], table2, Q.vector([1, 0]))
     assert not is_separable(alg2, Subspace.span(Q, alg2.unit))
+
+
+def test_rational_enumeration_orders_keys_mixing_ints_and_fractions():
+    # Q x Q on the basis e1, 2 e2: the unit is b0 + 1/2 b1, so the keys of
+    # Q.1 and of the whole algebra hold "1/2" and 0 at the same place
+    Q = Field("Q")
+    from gglab.algebra import validate_algebra
+
+    table = Q.zeros((2, 2, 2))
+    table[0, 0, 0] = 1
+    table[1, 1, 1] = 2
+    alg = validate_algebra(Q, ["e1", "2e2"], table, Q.vector([1, Fraction(1, 2)]))
+    scalars = Subspace.span(Q, alg.unit)
+    enum = enumerate_separable_subalgebras(alg, scalars, [scalars, alg.full_space])
+    assert [s.key() for s in enum.subalgebras] == [((1, 0), (0, 1)), ((1, "1/2"),)]
+
+
+def test_centrality_clause_matches_the_intersection():
+    """The tensor clause runs exactly when A cap V(A) is the base, also for
+    a base that is not the center: a torus, and the non-unital span{E11}."""
+    alg = m2f3()
+    e11 = F3.array([[1, 0, 0, 0]])
+    bases = [center(alg), Subspace(F3, 4, F3.array([[1, 0, 0, 0], [0, 0, 0, 1]])), Subspace(F3, 4, e11)]
+    subalgebras = [s for s in (Subspace(F3, 4, m) for m in all_subspaces(F3, 4)) if is_unital_subalgebra(alg, s)]
+    seen = set()
+    for a, base in product(subalgebras, bases):
+        central = a.intersection(commutant(alg, a, alg.full_space)) == base
+        res = double_centralizer_check(alg, a, base)
+        assert (res.tensor_clause != "skipped (A not central)") == central, (a.to_json(), base.to_json())
+        seen.add((central, a.contains_space(base)))
+    # central pairs, and non-central ones with the base inside A and outside it
+    assert seen == {(True, True), (False, True), (False, False)}
