@@ -44,10 +44,7 @@ class Action:
         out = {}
         eye = self.field.eye(self.algebra.dim)
         for e, one_e in self.idempotents.items():
-            sub = Subspace(self.field, self.algebra.dim, self.algebra.products(eye, one_e[None])[:, 0])
-            sub.flags["is_ideal"] = True
-            sub.flags["is_unital_ideal"] = True
-            out[e] = sub
+            out[e] = Subspace(self.field, self.algebra.dim, self.algebra.products(eye, one_e[None])[:, 0])
         return out
 
     def ideal(self, g: int) -> Subspace:
@@ -80,7 +77,10 @@ def validate_action(g: Groupoid, alg: Algebra, idempotents, beta) -> Action:
     for e in g.identities:
         if e not in idempotents:
             raise ActionError(f"missing idempotent for identity {names[e]}")
-        idem[e] = field.reduce(np.asarray(idempotents[e]).astype(field.dtype, copy=True))
+        v = field.reduce(np.asarray(idempotents[e]).astype(field.dtype, copy=True))
+        if v.shape != (n,):
+            raise ActionError(f"idempotent for {names[e]} has shape {v.shape}, want {(n,)}")
+        idem[e] = v
     for e in idempotents:
         if e not in idem:
             raise ActionError(f"idempotent given for non-identity arrow {names[e]}")
@@ -170,9 +170,7 @@ def invariants(act: Action, members) -> Subspace:
     for h in members:
         # beta matrices already vanish off the domain, so B_h == B_h * proj
         rows.append(field.reduce(act.beta[h] - act.idempotent_mult[act.groupoid.target[h]]))
-    sub = Subspace(field, n, linalg.nullspace(field, np.vstack(rows)))
-    sub.flags["is_subalgebra"] = True  # intersection of equalizers of algebra maps
-    return sub
+    return Subspace(field, n, linalg.nullspace(field, np.vstack(rows)))
 
 
 def fixer_subgroupoid(act: Action, t: Subspace) -> Subgroupoid:
@@ -191,12 +189,11 @@ def fixer_subgroupoid(act: Action, t: Subspace) -> Subgroupoid:
     return Subgroupoid(g, frozenset(members))
 
 
-def restrict(act: Action, h: Subgroupoid) -> tuple[Action, np.ndarray]:
+def restrict(act: Action, h: Subgroupoid) -> Action:
     """Action of H on R_H = sum of E_e over identities of H.
 
-    Returns the restricted action together with the embedding matrix
-    whose rows express the basis of R_H in ambient coordinates.  For a
-    wide H this is the identity embedding and the same algebra.
+    For a wide H, R_H is R itself; otherwise it is an algebra on the
+    reduced basis of the ideal sum E_e, whose rows are its embedding.
     """
     g = act.groupoid
     field = act.field
@@ -221,11 +218,9 @@ def restrict(act: Action, h: Subgroupoid) -> tuple[Action, np.ndarray]:
     sub_g = validate_groupoid(names, comp, inv)
 
     if h.wide:
-        sub_alg = act.algebra
-        embed = field.eye(act.algebra.dim)
         idem = {pos[e]: act.idempotents[e] for e in h_ids}
         beta = {pos[a]: act.beta[a] for a in members}
-        return validate_action(sub_g, sub_alg, idem, beta), embed
+        return validate_action(sub_g, act.algebra, idem, beta)
 
     ring = Subspace(
         field,
@@ -236,7 +231,7 @@ def restrict(act: Action, h: Subgroupoid) -> tuple[Action, np.ndarray]:
     for e in h_ids:
         unit = field.reduce(unit + act.idempotents[e])
     labels = [f"r{i}" for i in range(ring.dim)]
-    sub_alg, embed = subspace_algebra(act.algebra, ring, unit, labels)
+    sub_alg = subspace_algebra(act.algebra, ring, unit, labels)
 
     def to_sub(rows):
         c = ring.coords_rows(rows)
@@ -246,4 +241,4 @@ def restrict(act: Action, h: Subgroupoid) -> tuple[Action, np.ndarray]:
 
     idem = {pos[e]: to_sub(act.idempotents[e][None])[0] for e in h_ids}
     beta = {pos[a]: to_sub(linalg.matmul(field, ring.basis, act.beta[a].T)).T for a in members}
-    return validate_action(sub_g, sub_alg, idem, beta), embed
+    return validate_action(sub_g, sub_alg, idem, beta)

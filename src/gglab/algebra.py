@@ -121,10 +121,8 @@ def _check_unit_laws(alg: Algebra) -> None:
 
 
 def center(alg: Algebra) -> Subspace:
-    """{z | z b_i = b_i z for all i}, certified commutative unital subalgebra."""
-    sub = commutant(alg, alg.full_space, alg.full_space)
-    sub.flags["is_subalgebra"] = _is_mult_closed(alg, sub)
-    return sub
+    """{z | z b_i = b_i z for all i}: the center, a commutative unital subalgebra."""
+    return commutant(alg, alg.full_space, alg.full_space)
 
 
 def commutant(alg: Algebra, s1: Subspace, s2: Subspace) -> Subspace:
@@ -160,27 +158,24 @@ def is_unital_subalgebra(alg: Algebra, sub: Subspace) -> bool:
     return sub.contains(alg.unit) and _is_mult_closed(alg, sub)
 
 
-def subalgebra_generated(alg: Algebra, seed, include_unit: bool = True) -> Subspace:
-    """Least (unital) subalgebra containing the seed vectors."""
+def subalgebra_generated(alg: Algebra, seed) -> Subspace:
+    """Least unital subalgebra containing the seed vectors."""
     vecs = list(seed.basis) if isinstance(seed, Subspace) else [np.asarray(v) for v in seed]
-    if include_unit:
-        vecs = [alg.unit] + vecs
-    cur = Subspace.span(alg.field, vecs) if vecs else Subspace.zero(alg.field, alg.dim)
+    cur = Subspace.span(alg.field, [alg.unit] + vecs)
     while True:
         prods = product_rows(alg, cur, cur)
         if cur.coords_rows(prods) is not None:
-            cur.flags["is_subalgebra"] = True
             return cur
         cur = Subspace(alg.field, alg.dim, np.vstack([cur.basis, prods]))
 
 
-def subspace_algebra(alg: Algebra, sub: Subspace, unit_vec: np.ndarray, labels=None) -> tuple[Algebra, np.ndarray]:
-    """A closed subspace with its own unit, as a standalone Algebra.
+def subspace_algebra(alg: Algebra, sub: Subspace, unit_vec: np.ndarray, labels=None) -> Algebra:
+    """A closed subspace with its own unit, as a standalone Algebra on
+    sub's basis rows.
 
     A closed subspace of an associative algebra is associative, so only
     closure, the unit's membership and the unit laws are checked; the unit
-    may be a local one such as 1_e.  Returns (algebra on sub's basis,
-    embedding matrix rows -> ambient).
+    may be a local one such as 1_e.
     """
     k = sub.dim
     table = sub.coords_rows(product_rows(alg, sub, sub))
@@ -194,4 +189,4 @@ def subspace_algebra(alg: Algebra, sub: Subspace, unit_vec: np.ndarray, labels=N
         labels = [f"s{i}" for i in range(k)]
     small = Algebra(field=alg.field, labels=tuple(labels), table=table, unit=unit_coords)
     _check_unit_laws(small)
-    return small, sub.basis.copy()
+    return small

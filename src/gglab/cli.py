@@ -104,7 +104,9 @@ def _cmd_jmodules(args) -> int:
 
 def _cmd_subgroupoids(args) -> int:
     inst = _get_instance(args)
-    subs = enumerate_subgroupoids(inst.groupoid, wide_only=args.wide)
+    subs = enumerate_subgroupoids(inst.groupoid)
+    if args.wide:
+        subs = [h for h in subs if h.wide]
     kind = "wide subgroupoids" if args.wide else "subgroupoids"
     print(f"{len(subs)} {kind}:")
     for h in subs:
@@ -114,7 +116,8 @@ def _cmd_subgroupoids(args) -> int:
 
 def _cmd_theta_table(args) -> int:
     inst = _get_instance(args)
-    ctx = SuiteState(inst).ctx
+    state = SuiteState(inst)
+    ctx = state.ctx
     rows = []
     for h in ctx.wide_subgroupoids:
         th = ctx.theta(h)
@@ -124,9 +127,7 @@ def _cmd_theta_table(args) -> int:
     print(f"{'subgroupoid':<{wid}}  theta dim  gamma dim  direct")
     for label, th, gm, direct in rows:
         print(f"{label:<{wid}}  {th.dim:>9}  {gm.dim:>9}  {str(direct):<6}")
-    theta_inj = len({r[1].key() for r in rows}) == len(rows)
-    gamma_inj = len({r[2].key() for r in rows}) == len(rows)
-    print(f"theta injective: {theta_inj}   gamma injective: {gamma_inj}")
+    print(f"theta injective: {state.theta_wide[0]}   gamma injective: {state.gamma_wide_inj}")
     return 0
 
 

@@ -150,7 +150,10 @@ class Field:
     def from_json(d: dict) -> "Field":
         kind = d.get("kind")
         if kind == "Fp":
-            return Field("Fp", int(d.get("p", 0)))
+            p = d.get("p")
+            if isinstance(p, bool) or not isinstance(p, int):
+                raise FieldError(f"modulus p must be a JSON integer, not {p!r}")
+            return Field("Fp", p)
         if kind == "Q":
             return Field("Q")
         raise FieldError(f"unknown field kind {kind!r}")

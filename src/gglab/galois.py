@@ -276,7 +276,7 @@ class GaloisContext:
 
     @cached_property
     def all_subgroupoids(self) -> list[Subgroupoid]:
-        return enumerate_subgroupoids(self.act.groupoid, wide_only=False)
+        return enumerate_subgroupoids(self.act.groupoid)
 
     @cached_property
     def wide_subgroupoids(self) -> list[Subgroupoid]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .config import caps
+SUBGROUPOID_ARROWS = 24  # the subset walk refuses larger groupoids
 
 
 class GroupoidError(ValueError):
@@ -32,10 +32,6 @@ class Groupoid:
 
     def arrows(self) -> range:
         return range(self.size)
-
-    def compose(self, g: int, h: int) -> int | None:
-        v = self.comp[g][h]
-        return None if v < 0 else v
 
     def composable(self, g: int, h: int) -> bool:
         return self.source[g] == self.target[h]
@@ -59,18 +55,8 @@ class Subgroupoid:
     def wide(self) -> bool:
         return set(self.parent.identities) <= self.members
 
-    @property
-    def identity_part(self) -> frozenset[int]:
-        return self.members & set(self.parent.identities)
-
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
-
     def label(self) -> str:
         return self.parent.label(self.members)
-
-    def __le__(self, other: "Subgroupoid") -> bool:
-        return self.members <= other.members
 
 
 def validate_groupoid(names, comp, inv) -> Groupoid:
@@ -200,24 +186,18 @@ def is_subgroupoid(g: Groupoid, members) -> bool:
     return True
 
 
-def enumerate_subgroupoids(g: Groupoid, wide_only: bool = False) -> list[Subgroupoid]:
-    """All (wide) subgroupoids, lexicographic on sorted member lists.
+def enumerate_subgroupoids(g: Groupoid) -> list[Subgroupoid]:
+    """All subgroupoids, lexicographic on sorted member lists.
 
     BFS over closures: start from the minimal closed sets, then extend
-    each known closed set by one generator.  The arrow cap guards the
-    walk (override via GG_LAB_CAPS=subgroupoid_arrows=N).
+    each known closed set by one generator.  Groupoids with more than
+    ``SUBGROUPOID_ARROWS`` arrows are refused.
     """
-    cap = caps()["subgroupoid_arrows"]
-    if g.size > cap:
+    if g.size > SUBGROUPOID_ARROWS:
         raise GroupoidError(
-            f"groupoid has {g.size} arrows; enumeration cap is {cap} "
-            "(set GG_LAB_CAPS=subgroupoid_arrows=... to override)"
+            f"groupoid has {g.size} arrows; enumeration cap is {SUBGROUPOID_ARROWS}"
         )
-    if wide_only:
-        seeds = [closure(g, g.identities)]
-    else:
-        seeds = [closure(g, {a}) for a in g.arrows()]
-    found: set[frozenset[int]] = set(seeds)
+    found: set[frozenset[int]] = {closure(g, {a}) for a in g.arrows()}
     frontier = list(found)
     while frontier:
         nxt = []
@@ -230,9 +210,6 @@ def enumerate_subgroupoids(g: Groupoid, wide_only: bool = False) -> list[Subgrou
                     found.add(c)
                     nxt.append(c)
         frontier = nxt
-    if wide_only:
-        idset = set(g.identities)
-        found = {s for s in found if idset <= s}
     return [Subgroupoid(g, s) for s in sorted(found, key=sorted)]
 
 

@@ -126,7 +126,11 @@ def load_instance_dict(doc: dict) -> Instance:
     seeds = []
     for i, ssec in enumerate(doc.get("subalgebras", [])):
         label = ssec.get("label", f"seed{i}")
-        gens = [f.vector([f.parse_scalar(v) for v in vec]) for vec in _need(ssec, "generators", "subalgebras")]
+        gens = []
+        for vec in _need(ssec, "generators", "subalgebras"):
+            if len(vec) != alg.dim:
+                raise InstanceError(f"subalgebras[{i}] generators must have length {alg.dim}")
+            gens.append(f.vector([f.parse_scalar(v) for v in vec]))
         seeds.append((label, gens))
 
     return Instance(

@@ -93,15 +93,13 @@ def residual(field: Field, a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.nd
 class Subspace:
     """A linear subspace of F^n in canonical (RREF) basis form.
 
-    ``pivots`` are the pivot columns of ``basis``, one per row.  ``flags``
-    carry certified structural facts (is_subalgebra, is_ideal,
-    is_unital_ideal); they are set only after an explicit product check.
-    Only ``__init__`` sets ``basis``, so ``key`` is computed once, on first use.
+    ``pivots`` are the pivot columns of ``basis``, one per row.  Only
+    ``__init__`` sets ``basis``, so ``key`` is computed once, on first use.
     """
 
-    __slots__ = ("field", "ambient", "basis", "pivots", "flags", "_key")
+    __slots__ = ("field", "ambient", "basis", "pivots", "_key")
 
-    def __init__(self, field: Field, ambient: int, basis: np.ndarray, flags: dict | None = None):
+    def __init__(self, field: Field, ambient: int, basis: np.ndarray):
         basis = np.asarray(basis)
         if basis.size == 0:
             basis = field.zeros((0, ambient))
@@ -109,7 +107,6 @@ class Subspace:
         self.ambient = ambient
         reduced, self.pivots = rref(field, basis)
         self.basis = reduced[: len(self.pivots)]
-        self.flags = dict(flags or {})
         self._key = None
 
     @classmethod

@@ -22,8 +22,9 @@ from .algebra import (
     subalgebra_generated,
     subspace_algebra,
 )
-from .config import caps
 from .linalg import Subspace, all_subspaces
+
+EXHAUSTIVE_DIM = 6  # above this dimension the subalgebra sweep is pool-restricted
 
 
 @dataclass
@@ -78,23 +79,6 @@ class SeparabilityCertificate:
     tensor: RelativeTensorSquare
     element: np.ndarray  # representative in R (x) R, row-major
     verified: bool
-
-    def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The certificate as explicit sum of x (x) y with basis x."""
-        n = self.tensor.algebra.dim
-        out = []
-        for i in range(n):
-            y = self.element[i * n : (i + 1) * n]
-            if np.any(y != 0):
-                out.append((self.tensor.algebra.basis_vector(i), y))
-        return out
-
-    def to_json(self) -> dict:
-        f = self.tensor.algebra.field
-        return {
-            "pairs": [[f.vector_json(x), f.vector_json(y)] for x, y in self.pairs()],
-            "verified": self.verified,
-        }
 
 
 def _mu_matrix(alg: Algebra) -> np.ndarray:
@@ -154,19 +138,6 @@ def verify_certificate(cert: SeparabilityCertificate) -> bool:
         return False
     moved = f.reduce(np.matmul(t.transpose(0, 2, 1), z) - np.matmul(z, t.transpose(1, 0, 2)))
     return not np.any(cert.tensor.reduce_vector(moved.reshape(n, n * n)) != 0)
-
-
-def is_separable(alg: Algebra, sub: Subspace) -> bool:
-    return separability_idempotent(alg, sub) is not None
-
-
-def is_azumaya(alg: Algebra, center_sub: Subspace | None = None):
-    """R separable over its center; returns (flag, certificate or None)."""
-    from .algebra import center as _center
-
-    c = center_sub if center_sub is not None else _center(alg)
-    cert = separability_idempotent(alg, c)
-    return cert is not None, cert
 
 
 def is_central_galois(center_sub: Subspace, invariant_ring: Subspace, coords_certified: bool) -> bool:
@@ -249,7 +220,7 @@ def is_separable_subalgebra_over(alg: Algebra, sub: Subspace, base: Subspace) ->
     base_coords = sub.coords_rows(base.basis)
     if base_coords is None:
         return False
-    small, _ = subspace_algebra(alg, sub, alg.unit)
+    small = subspace_algebra(alg, sub, alg.unit)
     base_sub = Subspace(alg.field, sub.dim, base_coords)
     return separability_idempotent(small, base_sub) is not None
 
@@ -305,8 +276,7 @@ def enumerate_separable_subalgebras(
     """
     f = alg.field
     facts = SubalgebraFacts(alg) if facts is None else facts
-    cap = caps()["exhaustive_dim"]
-    exhaustive = f.modular and alg.dim <= cap
+    exhaustive = f.modular and alg.dim <= EXHAUSTIVE_DIM
     candidates: dict[tuple, Subspace] = {}
 
     if exhaustive:
@@ -328,6 +298,5 @@ def enumerate_separable_subalgebras(
     for key in sorted(candidates, key=None if f.modular else _rational_key_order):
         s = candidates[key]
         if is_unital_subalgebra(alg, s) and facts.separable_over(s, base):
-            s.flags["is_subalgebra"] = True
             out.append(s)
     return SeparableEnumeration(out, exhaustive, note)

@@ -105,7 +105,7 @@ class SuiteState:
     """The facts checks share, each computed once, on first use."""
 
     inst: Instance
-    restrictions: dict[frozenset, tuple[Action, np.ndarray]] = dc_field(default_factory=dict)
+    restrictions: dict[frozenset, Action] = dc_field(default_factory=dict)
     identity_results: dict[tuple, tuple[bool, bool]] = dc_field(default_factory=dict)
 
     def restriction(self, h: Subgroupoid):
@@ -386,7 +386,7 @@ def _prop_2_2(state: SuiteState) -> Outcome:
     restr_ok = True
     for h in ctx.all_subgroupoids:
         try:
-            sub_act, _ = state.restriction(h)
+            sub_act = state.restriction(h)
         except CERTIFICATE_ERRORS as e:
             restr_ok = False
             notes.append(f"{h.label()}: {e}")
@@ -458,7 +458,7 @@ def _lemma_3_1(state: SuiteState) -> Outcome:
     subs = state.ctx.all_subgroupoids
     failures = []
     for h in subs:
-        sub_act, _ = state.restriction(h)
+        sub_act = state.restriction(h)
         sub_ctx = GaloisContext(sub_act)
         alg = sub_act.algebra
         vr = commutant(alg, sub_ctx.invariant_ring, alg.full_space)

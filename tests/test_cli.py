@@ -8,7 +8,7 @@ import pytest
 import gglab
 from gglab import suite
 from gglab.cli import main
-from gglab.instances import BUILTIN_NAMES, builtin, emit_instance, load_builtin
+from gglab.instances import BUILTIN_NAMES, _disjoint_copies, builtin, emit_instance, load_builtin
 from gglab.suite import run_suite
 
 
@@ -60,6 +60,14 @@ def test_field_without_int64_headroom_is_refused(tmp_path, capsys, p, message):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_suite_refuses_a_groupoid_over_the_enumeration_cap(tmp_path, capsys):
+    path = tmp_path / "trivial25.json"
+    path.write_text(emit_instance(_disjoint_copies(builtin("trivial"), 25, "trivial25")))
+    code, out, err = run_cli(["suite", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "groupoid has 25 arrows; enumeration cap is 24" in err
 
 
 def test_missing_instance_arg():

@@ -43,11 +43,14 @@ def test_enumeration_matches_brute_force(name):
     assert got == brute_force_subgroupoids(g)
 
 
+def wide_count(g):
+    return sum(h.wide for h in enumerate_subgroupoids(g))
+
+
 def test_wide_counts():
-    assert len(enumerate_subgroupoids(pair_groupoid(), wide_only=True)) == 2
-    assert len(enumerate_subgroupoids(klein(), wide_only=True)) == 5
-    g2 = load_builtin("klein_disjoint2").groupoid
-    assert len(enumerate_subgroupoids(g2, wide_only=True)) == 25
+    assert wide_count(pair_groupoid()) == 2
+    assert wide_count(klein()) == 5
+    assert wide_count(load_builtin("klein_disjoint2").groupoid) == 25
     assert len(enumerate_subgroupoids(load_builtin("trivial").groupoid)) == 1
 
 
@@ -120,12 +123,10 @@ def test_pair_star_counts():
     assert len(pair_star(pair_groupoid())) == 8
 
 
-def test_enumeration_cap(monkeypatch):
-    monkeypatch.setenv("GG_LAB_CAPS", "subgroupoid_arrows=3")
-    with pytest.raises(GroupoidError, match="GG_LAB_CAPS"):
-        enumerate_subgroupoids(pair_groupoid())
-
-
-def test_cap_override(monkeypatch):
-    monkeypatch.setenv("GG_LAB_CAPS", "subgroupoid_arrows=100,exhaustive_dim=2")
-    assert len(enumerate_subgroupoids(pair_groupoid())) == 4
+def test_enumeration_cap():
+    # 25 objects and only their identity arrows: one arrow over the cap
+    n = 25
+    comp = [[g if g == h else -1 for h in range(n)] for g in range(n)]
+    g = validate_groupoid([f"e{i}" for i in range(n)], comp, list(range(n)))
+    with pytest.raises(GroupoidError, match="enumeration cap is 24"):
+        enumerate_subgroupoids(g)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -66,6 +67,28 @@ def test_wrong_length_coordinates_rejected_at_load():
     doc = builtin("pair_f5")
     doc["coordinates"][0][1] = [1, 1, 1]
     with pytest.raises(InstanceError, match="length"):
+        load_instance_dict(doc)
+
+
+@pytest.mark.parametrize("p", [5.9, "7", True])
+def test_modulus_must_be_a_json_integer(p):
+    doc = builtin("pair_f5")
+    doc["field"]["p"] = p
+    with pytest.raises(InstanceError, match=f"^field: modulus p must be a JSON integer, not {p!r}$"):
+        load_instance_dict(doc)
+
+
+def test_wrong_length_idempotent_rejected_at_load():
+    doc = builtin("pair_f5")
+    doc["action"]["idempotents"]["e1"] = [1, 0, 0]
+    with pytest.raises(ValueError, match=re.escape("idempotent for e1 has shape (3,), want (2,)")):
+        load_instance_dict(doc)
+
+
+def test_wrong_length_subalgebra_generator_rejected_at_load():
+    doc = builtin("pair_f5")
+    doc["subalgebras"] = [{"label": "s", "generators": [[1, 0], [1, 0, 0]]}]
+    with pytest.raises(InstanceError, match=re.escape("subalgebras[0] generators must have length 2")):
         load_instance_dict(doc)
 
 

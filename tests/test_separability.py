@@ -13,9 +13,7 @@ from gglab.separability import (
     SeparabilityCertificate,
     double_centralizer_check,
     enumerate_separable_subalgebras,
-    is_azumaya,
     is_central_galois,
-    is_separable,
     is_separable_subalgebra_over,
     relative_tensor_dim,
     separability_idempotent,
@@ -70,8 +68,8 @@ def test_non_separable_subalgebra_detected():
 def test_azumaya_builtins():
     for name, expect in [("klein_m2f3", True), ("pair_f5", True), ("klein_disjoint2", True)]:
         inst = load_builtin(name)
-        flag, cert = is_azumaya(inst.algebra)
-        assert flag is expect
+        cert = separability_idempotent(inst.algebra, center(inst.algebra))
+        assert (cert is not None) is expect
         if cert:
             assert cert.verified
 
@@ -198,12 +196,12 @@ def test_rational_separability():
     table[1, 0, 1] = 1
     table[1, 1, 0] = 2
     alg = validate_algebra(Q, ["1", "x"], table, Q.vector([1, 0]))
-    assert is_separable(alg, Subspace.span(Q, alg.unit))
+    assert separability_idempotent(alg, Subspace.span(Q, alg.unit)) is not None
     # Q[x]/(x^2): not semisimple, not separable
     table2 = table.copy()
     table2[1, 1, 0] = 0
     alg2 = validate_algebra(Q, ["1", "x"], table2, Q.vector([1, 0]))
-    assert not is_separable(alg2, Subspace.span(Q, alg2.unit))
+    assert separability_idempotent(alg2, Subspace.span(Q, alg2.unit)) is None
 
 
 def test_rational_enumeration_orders_keys_mixing_ints_and_fractions():

@@ -160,6 +160,15 @@ def test_report_json_pinned(reports, name):
         assert digest == REPORT_SHA256[name, scope], (name, scope)
 
 
+@pytest.mark.parametrize("caps", ["exhaustive_dim=2", "subgroupoid_arrows=3"])
+def test_report_ignores_the_environment(monkeypatch, caps):
+    # the report is a function of the instance alone; gglab reads no
+    # environment variable, this one included
+    monkeypatch.setenv("GG_LAB_CAPS", caps)
+    report = run_suite(load_builtin("klein_m2f3"))
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == REPORT_SHA256["klein_m2f3", "all"]
+
+
 def test_every_check_is_timed():
     inst = load_builtin("klein_m2f3")
     start = time.perf_counter()
