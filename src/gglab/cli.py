@@ -81,7 +81,7 @@ def _cmd_solve_coordinates(args) -> int:
         return 1
     coords = state.coords
     if coords is None:
-        print("no coordinate system found (basis-pinned solve); inconclusive")
+        print("no coordinate system exists (exact basis-pinned solve): R is not a Galois extension")
         return 0
     source = "solver" if inst.coordinates is None else "instance file"
     print(f"certified Galois coordinate system ({source}), {len(coords.pairs)} pairs:")

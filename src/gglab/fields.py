@@ -126,7 +126,10 @@ class Field:
             if self.modular:
                 raise FieldError(f"fraction string {v!r} in a prime-field instance")
             num, _, den = v.partition("/")
-            return _canon(Fraction(int(num), int(den) if den else 1))
+            try:
+                return _canon(Fraction(int(num), int(den) if den else 1))
+            except ZeroDivisionError:
+                raise FieldError(f"bad scalar {v!r}") from None
         if isinstance(v, bool) or not isinstance(v, int):
             raise FieldError(f"bad scalar {v!r}")
         return v % self.p if self.modular else v

@@ -24,7 +24,6 @@ class GaloisCoordinates:
     """Pairs (x_i, y_i) witnessing the coordinate condition."""
 
     pairs: list[tuple[np.ndarray, np.ndarray]]
-    certified: bool = False
 
     def rows(self, act: Action) -> np.ndarray:
         """x_1, y_1, x_2, y_2, ... as the rows of one array."""
@@ -55,16 +54,17 @@ def check_galois_coordinates(act: Action, coords: GaloisCoordinates):
         res = act.field.reduce(s - want)
         if np.any(res != 0):
             failures.append((a, res))
-    coords.certified = not failures
-    return coords.certified, failures
+    return not failures, failures
 
 
 def solve_galois_coordinates(act: Action) -> GaloisCoordinates | None:
-    """Search for coordinates with the x-side pinned to the algebra basis.
+    """Coordinates with the x side pinned to the algebra basis, or None.
 
     The condition is linear in the y_i once the x_i are fixed, so this
-    is a single exact solve.  None means no solution exists *for this
-    linearization* -- inconclusive, not a proof of non-Galois.
+    is a single exact solve.  Pinning loses nothing: if any system
+    (x_i, y_i) exists, write x_i = sum_k a_ik b_k; since beta_g and the
+    truncation are linear, (b_k, sum_i a_ik y_i) is one too.  So None
+    proves that R is not a Galois extension of its invariants.
     """
     alg = act.algebra
     f = act.field
@@ -266,13 +266,8 @@ def v_in_ideal(act: Action, g: int) -> Subspace:
 class GaloisContext:
     """Shared per-instance cache: subgroupoids, J modules, theta/gamma."""
 
-    def __init__(self, act: Action, coords: GaloisCoordinates | None = None):
+    def __init__(self, act: Action):
         self.act = act
-        self.coords = coords
-
-    @property
-    def galois_certified(self) -> bool:
-        return bool(self.coords and self.coords.certified)
 
     @cached_property
     def all_subgroupoids(self) -> list[Subgroupoid]:

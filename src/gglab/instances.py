@@ -39,70 +39,99 @@ class Instance:
     flags: dict = dc_field(default_factory=dict)
 
 
-def _need(doc: dict, key: str, where: str):
+_JSON_TYPES = {dict: "object", list: "array", str: "string"}
+
+
+def _typed(value, kind: type, where: str, index: int | None = None):
+    """``value`` if it has the JSON type ``kind``, else an InstanceError
+    located at ``where``, or at ``where[index]`` for an array item."""
+    if not isinstance(value, kind):
+        loc = where if index is None else f"{where}[{index}]"
+        raise InstanceError(f"{loc} must be a JSON {_JSON_TYPES[kind]}, not {value!r:.40}")
+    return value
+
+
+def _need(doc: dict, key: str, where: str, kind: type):
+    """doc[key], present and of JSON type ``kind``; ``where`` is the path of
+    doc in the instance, "" for the instance itself."""
     if key not in doc:
-        raise InstanceError(f"missing {key!r} in {where}")
-    return doc[key]
+        raise InstanceError(f"missing {key!r} in {where or 'instance'}")
+    return _typed(doc[key], kind, f"{where}.{key}" if where else key)
+
+
+def _names(doc: dict, key: str, where: str) -> list:
+    names = _need(doc, key, where, list)
+    for i, nm in enumerate(names):
+        _typed(nm, str, f"{where}.{key}", i)
+    return names
+
+
+def _vector(f: Field, vec, where: str, index: int | None = None) -> np.ndarray:
+    return f.vector([f.parse_scalar(v) for v in _typed(vec, list, where, index)])
+
+
+def _matrix(f: Field, mat, where: str) -> np.ndarray:
+    rows = enumerate(_typed(mat, list, where))
+    return f.array([[f.parse_scalar(v) for v in _typed(row, list, where, i)] for i, row in rows])
 
 
 def load_instance_dict(doc: dict) -> Instance:
-    if not isinstance(doc, dict):
-        raise InstanceError("instance document must be a JSON object")
-    meta = doc.get("meta", {})
-    name = meta.get("name", "unnamed")
-    flags = dict(meta.get("flags", {}))
+    """Load and certify one instance document; every malformed section
+    raises an InstanceError (or another ValueError) that names it."""
+    _typed(doc, dict, "instance document")
+    meta = _typed(doc.get("meta", {}), dict, "meta")
+    name = _typed(meta.get("name", "unnamed"), str, "meta.name")
+    flags = dict(_typed(meta.get("flags", {}), dict, "meta.flags"))
 
     try:
-        f = Field.from_json(_need(doc, "field", "instance"))
+        f = Field.from_json(_need(doc, "field", "", dict))
     except FieldError as e:
         raise InstanceError(f"field: {e}") from e
 
-    gsec = _need(doc, "groupoid", "instance")
-    arrows = _need(gsec, "arrows", "groupoid")
+    gsec = _need(doc, "groupoid", "", dict)
+    arrows = _names(gsec, "arrows", "groupoid")
     idx = {a: i for i, a in enumerate(arrows)}
 
     def arrow_index(nm, where):
-        if nm not in idx:
+        if not (isinstance(nm, str) and nm in idx):
             raise InstanceError(f"{where}: unknown arrow {nm!r}")
         return idx[nm]
 
-    rawcomp = _need(gsec, "compose", "groupoid")
     comp = [
-        [(-1 if v is None else arrow_index(v, "compose")) for v in row] for row in rawcomp
+        [(-1 if v is None else arrow_index(v, "compose")) for v in _typed(row, list, "groupoid.compose", i)]
+        for i, row in enumerate(_need(gsec, "compose", "groupoid", list))
     ]
-    inv = [arrow_index(v, "inverse") for v in _need(gsec, "inverse", "groupoid")]
+    inv = [arrow_index(v, "inverse") for v in _need(gsec, "inverse", "groupoid", list)]
     g = validate_groupoid(arrows, comp, inv)
-    listed = sorted(arrow_index(v, "identities") for v in _need(gsec, "identities", "groupoid"))
+    listed = sorted(arrow_index(v, "identities") for v in _need(gsec, "identities", "groupoid", list))
     if listed != list(g.identities):
         raise InstanceError(
             f"identity list {sorted(gsec['identities'])} disagrees with the derived "
             f"identities {[arrows[e] for e in g.identities]}"
         )
 
-    asec = _need(doc, "algebra", "instance")
-    labels = _need(asec, "basis", "algebra")
+    asec = _need(doc, "algebra", "", dict)
+    labels = _names(asec, "basis", "algebra")
     n = len(labels)
     _certify_headroom(f, n, "the algebra")
     table = f.zeros((n, n, n))
-    for entry in _need(asec, "structure", "algebra"):
-        if len(entry) != 4:
+    for entry in _need(asec, "structure", "algebra", list):
+        if not (isinstance(entry, list) and len(entry) == 4):
             raise InstanceError(f"structure entry {entry!r} is not [i, j, k, coeff]")
         i, j, k, c = entry
-        if not all(0 <= v < n for v in (i, j, k)):
+        if not all(type(v) is int and 0 <= v < n for v in (i, j, k)):
             raise InstanceError(f"structure entry {entry!r} indexes outside the basis")
         table[i, j, k] = f.parse_scalar(c)
-    unit = f.vector([f.parse_scalar(v) for v in _need(asec, "unit", "algebra")])
+    unit = _vector(f, _need(asec, "unit", "algebra", list), "algebra.unit")
     alg = validate_algebra(f, labels, table, unit)
 
-    actsec = _need(doc, "action", "instance")
+    actsec = _need(doc, "action", "", dict)
     idem = {}
-    for nm, vec in _need(actsec, "idempotents", "action").items():
-        idem[arrow_index(nm, "idempotents")] = f.vector([f.parse_scalar(v) for v in vec])
+    for nm, vec in _need(actsec, "idempotents", "action", dict).items():
+        idem[arrow_index(nm, "idempotents")] = _vector(f, vec, f"action.idempotents.{nm}")
     beta = {}
-    for nm, mat in _need(actsec, "maps", "action").items():
-        beta[arrow_index(nm, "maps")] = f.array(
-            [[f.parse_scalar(v) for v in row] for row in mat]
-        )
+    for nm, mat in _need(actsec, "maps", "action", dict).items():
+        beta[arrow_index(nm, "maps")] = _matrix(f, mat, f"action.maps.{nm}")
     act = validate_action(g, alg, idem, beta)
     # the skew groupoid ring, sum of E_{r(g)} over all arrows g, is the
     # largest algebra the suite builds (it contains every E_e, so R)
@@ -111,26 +140,22 @@ def load_instance_dict(doc: dict) -> Instance:
     coords = None
     if "coordinates" in doc:
         pairs = []
-        for xy in doc["coordinates"]:
-            if len(xy) != 2:
+        for i, xy in enumerate(_need(doc, "coordinates", "", list)):
+            if not (isinstance(xy, list) and len(xy) == 2):
                 raise InstanceError("coordinates entries must be [x, y] vector pairs")
-            if len(xy[0]) != alg.dim or len(xy[1]) != alg.dim:
-                raise InstanceError(
-                    f"coordinates vectors must have length {alg.dim}"
-                )
-            x = f.vector([f.parse_scalar(v) for v in xy[0]])
-            y = f.vector([f.parse_scalar(v) for v in xy[1]])
+            x, y = (_vector(f, v, "coordinates", i) for v in xy)
+            if x.shape != (alg.dim,) or y.shape != (alg.dim,):
+                raise InstanceError(f"coordinates vectors must have length {alg.dim}")
             pairs.append((x, y))
         coords = GaloisCoordinates(pairs)
 
     seeds = []
-    for i, ssec in enumerate(doc.get("subalgebras", [])):
-        label = ssec.get("label", f"seed{i}")
-        gens = []
-        for vec in _need(ssec, "generators", "subalgebras"):
-            if len(vec) != alg.dim:
-                raise InstanceError(f"subalgebras[{i}] generators must have length {alg.dim}")
-            gens.append(f.vector([f.parse_scalar(v) for v in vec]))
+    for i, ssec in enumerate(_typed(doc.get("subalgebras", []), list, "subalgebras")):
+        where = f"subalgebras[{i}]"
+        label = _typed(ssec, dict, where).get("label", f"seed{i}")
+        gens = [_vector(f, vec, f"{where}.generators") for vec in _need(ssec, "generators", where, list)]
+        if any(v.shape != (alg.dim,) for v in gens):
+            raise InstanceError(f"{where} generators must have length {alg.dim}")
         seeds.append((label, gens))
 
     return Instance(

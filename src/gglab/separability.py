@@ -78,7 +78,6 @@ def tensor_square(alg: Algebra, sub: Subspace) -> RelativeTensorSquare:
 class SeparabilityCertificate:
     tensor: RelativeTensorSquare
     element: np.ndarray  # representative in R (x) R, row-major
-    verified: bool
 
 
 def _mu_matrix(alg: Algebra) -> np.ndarray:
@@ -115,9 +114,8 @@ def separability_idempotent(alg: Algebra, sub: Subspace) -> SeparabilityCertific
     if sol is None:
         return None
     z = ts.lift(sol)
-    cert = SeparabilityCertificate(ts, z, verified=False)
-    cert.verified = verify_certificate(cert)
-    if not cert.verified:
+    cert = SeparabilityCertificate(ts, z)
+    if not verify_certificate(cert):
         raise RuntimeError("internal: separability solution failed substitution")
     return cert
 
@@ -138,11 +136,6 @@ def verify_certificate(cert: SeparabilityCertificate) -> bool:
         return False
     moved = f.reduce(np.matmul(t.transpose(0, 2, 1), z) - np.matmul(z, t.transpose(1, 0, 2)))
     return not np.any(cert.tensor.reduce_vector(moved.reshape(n, n * n)) != 0)
-
-
-def is_central_galois(center_sub: Subspace, invariant_ring: Subspace, coords_certified: bool) -> bool:
-    """Certified coordinates plus C(R) = R^beta as reduced bases."""
-    return coords_certified and center_sub == invariant_ring
 
 
 @dataclass

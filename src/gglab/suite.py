@@ -45,7 +45,6 @@ from .separability import (
     SubalgebraFacts,
     double_centralizer_check,
     enumerate_separable_subalgebras,
-    is_central_galois,
 )
 
 # (check id, anchor, scope); order is the run order of a full-scope suite
@@ -122,19 +121,20 @@ class SuiteState:
 
     @cached_property
     def coords(self) -> GaloisCoordinates | None:
-        """Certified coordinates: the instance's own, else solved for."""
+        """Certified coordinates: the instance's own, else solved for.  None
+        if the instance's own fail, or if the solve proves that none exist."""
         if self.inst.coordinates is None:
             return solve_galois_coordinates(self.inst.action)
         return None if self.coordinate_failures else self.inst.coordinates
 
     @cached_property
     def ctx(self) -> GaloisContext:
-        return GaloisContext(self.inst.action, self.coords)
+        return GaloisContext(self.inst.action)
 
     @property
     def galois(self) -> bool:
         """The Galois gate: a certified coordinate system exists."""
-        return self.ctx.galois_certified
+        return self.coords is not None
 
     @cached_property
     def skew(self) -> tuple[SkewGroupoidRing | None, str]:
@@ -175,49 +175,34 @@ class SuiteState:
 
     @cached_property
     def central(self) -> bool:
-        return is_central_galois(self.ctx.center, self.ctx.invariant_ring, self.galois)
-
-    @property
-    def hirata(self) -> bool:
-        """The Hirata gate: Hirata separability expected (flagged, or central
-        Galois) and the Galois gate met."""
-        return (bool(self.inst.flags.get("hirata_expected", False)) or self.central) and self.galois
-
-    @property
-    def s4(self) -> bool:
-        """Section 4's standing hypothesis: a certified central Galois algebra."""
-        return self.central and self.galois
+        """The central-Galois gate: the Galois gate and C(R) = R^beta.  It is
+        the hypothesis of Lemma 3.4, Theorem 3.5 and Section 4, so under it
+        the base R^beta of the correspondence is the center."""
+        return self.galois and self.ctx.center == self.ctx.invariant_ring
 
     @cached_property
     def center_enum(self) -> SeparableEnumeration:
         return enumerate_separable_subalgebras(self.inst.algebra, self.ctx.center, _pool(self), self.facts)
 
     @cached_property
-    def base_enum(self) -> SeparableEnumeration:
-        # for central Galois instances the base R^beta equals the center
-        if self.ctx.invariant_ring == self.ctx.center:
-            return self.center_enum
-        return enumerate_separable_subalgebras(self.inst.algebra, self.ctx.invariant_ring, _pool(self), self.facts)
-
-    @cached_property
     def theta_image(self) -> tuple[bool, bool]:
         """Whether theta's wide image lies in, and covers, the separable
-        subalgebras over the base."""
-        sep = {s.key() for s in self.base_enum.subalgebras}
+        subalgebras over the center."""
+        sep = {s.key() for s in self.center_enum.subalgebras}
         image = {self.ctx.theta(h).key() for h in self.ctx.wide_subgroupoids}
         return image <= sep, sep <= image
 
     @property
     def ft_holds(self) -> bool:
-        """theta is a bijection onto the separable subalgebras over the base."""
+        """theta is a bijection onto the separable subalgebras over the center."""
         return self.theta_wide[0] and all(self.theta_image)
 
     @property
     def ft_decided(self) -> bool:
-        return self.base_enum.exhaustive
+        return self.center_enum.exhaustive
 
     def identities(self, s: Subspace) -> tuple[bool, bool]:
-        """Theorem 4.1 on a separable S over the base: V_R(S) = sum of J_g
+        """Theorem 4.1 on a separable S over the center: V_R(S) = sum of J_g
         over H_S, and S = sum of J_g over H_{V_R(S)}."""
         key = s.key()
         if key not in self.identity_results:
@@ -230,8 +215,8 @@ class SuiteState:
 
     @cached_property
     def identity_all(self) -> bool:
-        """The first identity holds on every separable S over the base."""
-        return all(self.identities(s)[0] for s in self.base_enum.subalgebras)
+        """The first identity holds on every separable S over the center."""
+        return all(self.identities(s)[0] for s in self.center_enum.subalgebras)
 
 
 CHECKS: dict[str, Callable[[SuiteState], Outcome]] = {}
@@ -317,8 +302,8 @@ def _galois_coordinates(state: SuiteState) -> Outcome:
             f"instance coordinates fail at arrow {name}",
             {"arrow": name, "residual": inst.field.vector_json(res)},
         )
-    if state.coords is None:
-        return Outcome("inconclusive", "no coordinates with basis-pinned x side; not a proof of non-Galois")
+    if state.coords is None:  # the basis-pinned solve is complete
+        return Outcome("pass", "no coordinate system exists: R is not a Galois extension", {"galois": False})
     n = len(state.coords.pairs)
     if inst.coordinates is None:
         return Outcome("pass", f"solver found and certified {n} pairs", {"pairs": n})
@@ -379,32 +364,25 @@ def _lemma_2_1(state: SuiteState) -> Outcome:
 
 @check("prop_2_2")
 def _prop_2_2(state: SuiteState) -> Outcome:
-    """Restrictions are actions and stay Galois."""
+    """Restrictions are actions and stay Galois: for g in H,
+    x_i 1_H beta_g(y_i 1_H 1_{g^-1}) = x_i beta_g(y_i 1_{g^-1}), so the
+    truncated pairs (x_i 1_H, y_i 1_H) always certify on a Galois R."""
     act, ctx, galois = state.inst.action, state.ctx, state.galois
     gate = "met" if galois else "unmet"
-    notes = []
-    restr_ok = True
+    failures, uncertified = [], []
     for h in ctx.all_subgroupoids:
         try:
             sub_act = state.restriction(h)
         except CERTIFICATE_ERRORS as e:
-            restr_ok = False
-            notes.append(f"{h.label()}: {e}")
+            failures.append(f"{h.label()}: {e}")
             continue
-        if galois:
-            sub_coords = _truncated_coordinates(act, state.coords, h, sub_act)
-            if sub_coords is None:
-                sub_coords = solve_galois_coordinates(sub_act)
-            if sub_coords is None:
-                notes.append(f"{h.label()}: restricted coordinates not found")
-    if not restr_ok:
-        return Outcome("violation", "a restriction failed action validation", {"failures": notes}, gate)
-    if notes:
+        if galois and _truncated_coordinates(act, state.coords, h, sub_act) is None:
+            uncertified.append(h.label())
+    if failures:
+        return Outcome("violation", "a restriction failed action validation", {"failures": failures}, gate)
+    if uncertified:
         return Outcome(
-            "inconclusive",
-            "restrictions validate; some restricted coordinate solves inconclusive",
-            {"notes": notes},
-            gate,
+            "violation", "truncated coordinates fail on a restriction", {"subgroupoids": uncertified}, gate
         )
     return Outcome(
         "pass" if galois else "skip",
@@ -605,7 +583,7 @@ def _lemma_3_4(state: SuiteState) -> Outcome:
         for a in g.arrows()
     ]
     witnesses = {"pairs": pair_rows, "particular": particular}
-    if not state.hirata:
+    if not state.central:
         return _skip(
             "Hirata separability not expected; product table reported, inclusions not upgraded to failures",
             witnesses,
@@ -620,7 +598,7 @@ def _lemma_3_4(state: SuiteState) -> Outcome:
 
 @check("theorem_3_5")
 def _theorem_3_5(state: SuiteState) -> Outcome:
-    if not state.hirata:
+    if not state.central:
         return _skip("hypothesis (Hirata/central) unmet")
     injective = state.theta_wide[0]
     return Outcome(
@@ -792,9 +770,9 @@ _S4_UNMET = _skip("standing hypothesis unmet: R is not a certified central Galoi
 
 @check("fundamental_theorem")
 def _fundamental_theorem(state: SuiteState) -> Outcome:
-    if not state.s4:
+    if not state.central:
         return _S4_UNMET
-    enum = state.base_enum
+    enum = state.center_enum
     n = len(enum.subalgebras)
     injective = state.theta_wide[0]
     image_separable, onto = state.theta_image
@@ -826,11 +804,11 @@ def _fundamental_theorem(state: SuiteState) -> Outcome:
 
 @check("theorem_4_1")
 def _theorem_4_1(state: SuiteState) -> Outcome:
-    if not state.s4:
+    if not state.central:
         return _S4_UNMET
     if not (state.ft_holds and state.ft_decided):
         return _skip("R does not (decidably) satisfy the fundamental theorem")
-    subs = state.base_enum.subalgebras
+    subs = state.center_enum.subalgebras
     fails = []
     for s in subs:
         ok1, ok2 = state.identities(s)
@@ -846,7 +824,7 @@ def _theorem_4_1(state: SuiteState) -> Outcome:
 @check("lemma_4_2")
 def _lemma_4_2(state: SuiteState) -> Outcome:
     """R separable over R^beta => separable over every theta(H)."""
-    if not state.s4:
+    if not state.central:
         return _S4_UNMET
     if not state.azu:  # central Galois: R^beta = C(R), so Azumaya == separable over R^beta
         return _skip("R is not separable over its invariants")
@@ -868,7 +846,7 @@ def _lemma_4_2(state: SuiteState) -> Outcome:
 
 @check("theorem_4_3")
 def _theorem_4_3(state: SuiteState) -> Outcome:
-    if not state.s4:
+    if not state.central:
         return _S4_UNMET
     if not state.azu:
         return _skip("hypothesis unmet: R not separable over invariants")
@@ -880,13 +858,13 @@ def _theorem_4_3(state: SuiteState) -> Outcome:
     return Outcome(
         "pass" if holds else "violation",
         "V_R(S) decomposition holds for every separable S; fundamental theorem follows",
-        {"holds": holds} if holds else {"holds": holds, "mode": state.base_enum.note},
+        {"holds": holds} if holds else {"holds": holds, "mode": state.center_enum.note},
     )
 
 
 @check("theorem_4_4")
 def _theorem_4_4(state: SuiteState) -> Outcome:
-    if not state.s4:
+    if not state.central:
         return _S4_UNMET
     holds, identity_all = state.ft_holds, state.identity_all
     if not state.ft_decided:
@@ -907,8 +885,6 @@ def _theorem_4_4(state: SuiteState) -> Outcome:
 
 def _truncated_coordinates(act, coords, h, sub_act):
     """Restricted coordinates (x_i 1_H, y_i 1_H), certified or None."""
-    if coords is None:
-        return None
     f = act.field
     ids = sorted(set(act.groupoid.identities) & h.members)
     one_h = f.zeros(act.algebra.dim)

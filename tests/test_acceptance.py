@@ -41,19 +41,15 @@ from gglab.separability import (
     tensor_square,
     verify_certificate,
 )
-from gglab.suite import run_suite
+from gglab.suite import SuiteState, run_suite
 
 GALOIS_BUILTINS = [n for n in BUILTIN_NAMES if load_builtin(n).flags.get("galois_expected")]
 
 
 def certified_context(inst):
-    coords = inst.coordinates
-    if coords is not None:
-        check_galois_coordinates(inst.action, coords)
-    else:
-        coords = solve_galois_coordinates(inst.action)
-    assert coords is not None and coords.certified, inst.name
-    return GaloisContext(inst.action, coords)
+    state = SuiteState(inst)
+    assert state.galois, inst.name
+    return state.ctx
 
 
 def decomposition_holds(act, members):
@@ -253,7 +249,7 @@ def test_criterion_08_coordinate_solver_soundness():
         inst = load_builtin(name)
         act = inst.action
         coords = solve_galois_coordinates(act)
-        assert coords is not None and coords.certified, name
+        assert coords is not None and check_galois_coordinates(act, coords)[0], name
         n = inst.algebra.dim
         benign = 0
         for i in range(len(coords.pairs)):
@@ -325,7 +321,7 @@ def test_criterion_09_oracle_cross_checks():
     z = F3.zeros(16)
     z[0] = 1  # E11 (x) E11
     z[2 * 4 + 1] = 1  # E21 (x) E12
-    assert verify_certificate(SeparabilityCertificate(ts, z, verified=False))
+    assert verify_certificate(SeparabilityCertificate(ts, z))
     assert is_separable_subalgebra_over(alg, alg.full_space, Subspace.span(F3, alg.unit))
 
 

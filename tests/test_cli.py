@@ -10,6 +10,7 @@ from gglab import suite
 from gglab.cli import main
 from gglab.instances import BUILTIN_NAMES, _disjoint_copies, builtin, emit_instance, load_builtin
 from gglab.suite import run_suite
+from test_suite import trivial_c2_f5
 
 
 def run_cli(args, capsys):
@@ -173,3 +174,11 @@ def test_json_determinism_subprocess(cli_env):
 
 def test_backend_is_python():
     assert gglab.BACKEND == "python"
+
+
+def test_solve_coordinates_proves_not_galois(tmp_path, capsys):
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps(trivial_c2_f5()))
+    code, out, _ = run_cli(["solve-coordinates", str(path)], capsys)
+    assert code == 0
+    assert out == "no coordinate system exists (exact basis-pinned solve): R is not a Galois extension\n"

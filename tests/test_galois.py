@@ -16,6 +16,7 @@ from gglab.galois import (
 )
 from gglab.instances import load_builtin
 from gglab.linalg import Subspace
+from gglab.suite import SuiteState
 
 
 def test_pair_f5_instance_coordinates_certify():
@@ -49,7 +50,7 @@ def test_bad_coordinates_fail_with_witness():
 def test_solver_certifies_on_galois_builtins(name):
     inst = load_builtin(name)
     coords = solve_galois_coordinates(inst.action)
-    assert coords is not None and coords.certified
+    assert coords is not None and check_galois_coordinates(inst.action, coords)[0]
 
 
 def test_jmodule_dims_pair_f5():
@@ -113,8 +114,8 @@ def test_skew_ring_pair_f5_is_full_matrix_algebra():
 def test_j_isomorphism_reports():
     for name in ["pair_f5", "klein_m2f3", "cyclic_shift_c3"]:
         inst = load_builtin(name)
-        coords = inst.coordinates or solve_galois_coordinates(inst.action)
-        ctx = GaloisContext(inst.action, coords)
+        assert SuiteState(inst).galois, name
+        ctx = GaloisContext(inst.action)
         skew = build_skew_groupoid_ring(inst.action)
         rep = j_isomorphism_check(inst.action, skew, ctx.invariant_ring)
         assert rep.ok, (name, rep)
@@ -129,8 +130,7 @@ def test_endomorphism_space_full_when_invariants_scalar():
 
 def test_gamma_directness_flag():
     inst = load_builtin("klein_m2f3")
-    coords = solve_galois_coordinates(inst.action)
-    ctx = GaloisContext(inst.action, coords)
+    ctx = GaloisContext(inst.action)
     for h in ctx.wide_subgroupoids:
         space, direct = ctx.gamma(h)
         assert direct
@@ -159,9 +159,8 @@ def test_v_in_ideal_matches_block_center():
 
 def test_theta_values_pair_f5():
     inst = load_builtin("pair_f5")
-    coords = inst.coordinates
-    check_galois_coordinates(inst.action, coords)
-    ctx = GaloisContext(inst.action, coords)
+    assert check_galois_coordinates(inst.action, inst.coordinates)[0]
+    ctx = GaloisContext(inst.action)
     wide = ctx.wide_subgroupoids
     assert len(wide) == 2
     small = min(wide, key=lambda h: len(h.members))

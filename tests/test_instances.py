@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from gglab.cli import main
 from gglab.instances import (
     BUILTIN_NAMES,
     InstanceError,
@@ -124,3 +125,43 @@ def test_emitted_json_is_stable():
     b = emit_instance(builtin("klein_m2f3"))
     assert a == b
     json.loads(a)  # well-formed
+
+
+# each edit gives one section a wrong JSON type (or an unreadable scalar);
+# loading must refuse it as a bad instance, never as an internal error
+@pytest.mark.parametrize(
+    "edits",
+    [
+        {"field": 5},
+        {"meta": []},
+        {"meta.flags": 5},
+        {"subalgebras": [5]},
+        {"subalgebras": [{"generators": [1]}]},
+        {"groupoid.arrows": [["e1"], "e2", "t", "s"]},
+        {"groupoid.compose": [5, 5, 5, 5]},
+        {"algebra.basis": [1, 2]},
+        {"algebra.structure": [5]},
+        {"algebra.structure": [["0", 0, 0, 1]]},
+        {"algebra.unit": 5},
+        {"action.idempotents": []},
+        {"action.maps": []},
+        {"action.maps.t": [5, 5]},
+        {"coordinates": [5]},
+        {"coordinates": [[5, [0, 1]]]},
+        {"field": {"kind": "Q"}, "algebra.unit": ["1/0", 1]},
+    ],
+    ids="+".join,
+)
+def test_malformed_section_fails_at_load(tmp_path, capsys, edits):
+    doc = builtin("pair_f5")
+    for path, value in edits.items():
+        *parents, key = path.split(".")
+        sec = doc
+        for k in parents:
+            sec = sec[k]
+        sec[key] = value
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(doc))
+    assert main(["validate", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -6,20 +6,19 @@ import pytest
 
 from gglab.algebra import center, commutant, is_unital_subalgebra
 from gglab.fields import Field
-from gglab.galois import GaloisContext, solve_galois_coordinates
 from gglab.instances import load_builtin
 from gglab.linalg import Subspace, all_subspaces
 from gglab.separability import (
     SeparabilityCertificate,
     double_centralizer_check,
     enumerate_separable_subalgebras,
-    is_central_galois,
     is_separable_subalgebra_over,
     relative_tensor_dim,
     separability_idempotent,
     tensor_square,
     verify_certificate,
 )
+from gglab.suite import SuiteState
 
 F3 = Field("Fp", 3)
 
@@ -46,7 +45,7 @@ def test_classical_certificate_for_m2():
     z = F3.zeros(16)
     z[0 * 4 + 0] = 1  # E11 (x) E11
     z[2 * 4 + 1] = 1  # E21 (x) E12
-    cert = SeparabilityCertificate(ts, z, verified=False)
+    cert = SeparabilityCertificate(ts, z)
     assert verify_certificate(cert)
 
 
@@ -54,7 +53,7 @@ def test_solver_agrees_with_classical_verdict():
     alg = m2f3()
     scalars = Subspace.span(F3, alg.unit)
     cert = separability_idempotent(alg, scalars)
-    assert cert is not None and cert.verified
+    assert cert is not None and verify_certificate(cert)
 
 
 def test_non_separable_subalgebra_detected():
@@ -71,7 +70,7 @@ def test_azumaya_builtins():
         cert = separability_idempotent(inst.algebra, center(inst.algebra))
         assert (cert is not None) is expect
         if cert:
-            assert cert.verified
+            assert verify_certificate(cert)
 
 
 def test_central_galois_flags():
@@ -82,15 +81,7 @@ def test_central_galois_flags():
         ("klein_disjoint2", True),
         ("cyclic_shift_c3", False),
     ]:
-        inst = load_builtin(name)
-        coords = inst.coordinates or solve_galois_coordinates(inst.action)
-        ctx = GaloisContext(inst.action, coords)
-        if coords and not coords.certified:
-            from gglab.galois import check_galois_coordinates
-
-            check_galois_coordinates(inst.action, coords)
-        got = is_central_galois(ctx.center, ctx.invariant_ring, bool(coords and coords.certified))
-        assert got is expect, name
+        assert SuiteState(load_builtin(name)).central is expect, name
 
 
 # -- independent semisimplicity oracle (F3 is perfect, so separable == semisimple)

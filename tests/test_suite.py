@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from gglab import suite
 from gglab.instances import BUILTIN_NAMES, load_builtin, load_instance_dict
 from gglab.separability import double_centralizer_check
 from gglab.suite import CHECKS, MANIFEST, SuiteState, run_suite
@@ -240,3 +241,50 @@ def test_theorem_3_9_sweep_closed_form(p):
         assert state.facts.commutant(s).key() in keys
         shared = double_centralizer_check(alg, s, center, state.facts)
         assert shared == double_centralizer_check(alg, s, center)
+
+
+@pytest.mark.parametrize(
+    "workload, name", [(w, name) for w, docs in BENCH_DOCS.items() for name in docs]
+)
+def test_instance_flags_are_never_a_hypothesis(workload, name):
+    # an author's hirata_expected flag must not gate Lemma 3.4 or Theorem
+    # 3.5: the report equals the pinned report of the unflagged document
+    doc = json.loads(BENCH_DOCS[workload][name])
+    doc["meta"].setdefault("flags", {})["hirata_expected"] = True
+    report = run_suite(load_instance_dict(doc), scope="all")
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == BENCH_REPORT_SHA256[workload, name, "all"]
+
+
+def test_prop_2_2_uncertified_truncation_is_a_violation(monkeypatch):
+    # the truncated pairs certify on every restriction of a Galois R, so a
+    # failure falsifies Proposition 2.2 and names the subgroupoid
+    monkeypatch.setattr(suite, "_truncated_coordinates", lambda act, coords, h, sub_act: None)
+    state = SuiteState(load_builtin("pair_f5"))
+    out = CHECKS["prop_2_2"](state)
+    assert (out.verdict, out.hypothesis) == ("violation", "met")
+    assert out.witnesses == {"subgroupoids": [h.label() for h in state.ctx.all_subgroupoids]}
+
+
+def trivial_c2_f5() -> dict:
+    """C_2 acting trivially on F_5, which is not a Galois extension: the
+    coordinate sum is the same at e and at g, yet must be 1 at e and 0 at g."""
+    return {
+        "meta": {"name": "trivial_c2_f5"},
+        "field": {"kind": "Fp", "p": 5},
+        "groupoid": {
+            "arrows": ["e", "g"],
+            "compose": [["e", "g"], ["g", "e"]],
+            "inverse": ["e", "g"],
+            "identities": ["e"],
+        },
+        "algebra": {"basis": ["1"], "structure": [[0, 0, 0, 1]], "unit": [1]},
+        "action": {"idempotents": {"e": [1]}, "maps": {"e": [[1]], "g": [[1]]}},
+    }
+
+
+def test_failed_coordinate_solve_decides_not_galois():
+    report = run_suite(load_instance_dict(trivial_c2_f5()), scope="all")
+    rec = next(c for c in report.checks if c.check_id == "galois_coordinates")
+    assert (rec.verdict, rec.witnesses) == ("pass", {"galois": False})
+    assert [c.check_id for c in report.checks if c.verdict == "inconclusive"] == []
+    assert report.exit_code == 0
