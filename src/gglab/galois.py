@@ -5,12 +5,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, pairwise
 
 import numpy as np
 
 from . import linalg
 from .action import Action, invariants
-from .algebra import Algebra, commutant, validate_algebra
+from .algebra import Algebra, Grading, commutant, validate_algebra
 from .groupoid import Subgroupoid, enumerate_subgroupoids, pair_star
 from .linalg import Subspace
 
@@ -117,6 +118,7 @@ def j_module(act: Action, g: int) -> JModule:
 class SkewGroupoidRing:
     algebra: Algebra  # validated; basis labeled (arrow, ideal basis vector)
     slots: list[tuple[int, int]]  # basis index -> (arrow, row of E_{r(arrow)} basis)
+    grading: Grading  # one block per arrow g, of size dim E_{r(g)}
     action: Action
 
     @property
@@ -133,20 +135,15 @@ class SkewGroupoidRing:
 
 
 def build_skew_groupoid_ring(act: Action) -> SkewGroupoidRing:
-    """The twisted direct sum of the E_g, re-certified associative."""
+    """The twisted direct sum of the E_g, re-certified associative block
+    by block over its arrow grading."""
     f = act.field
     gp = act.groupoid
     alg = act.algebra
-    slots = []
-    for g in gp.arrows():
-        for row in range(act.ideal(g).dim):
-            slots.append((g, row))
+    grading = Grading(tuple(act.ideal(g).dim for g in gp.arrows()), gp.comp)
+    slots = [(g, row) for g in gp.arrows() for row in range(grading.sizes[g])]
     dim = len(slots)
-    block_start = {}
-    pos = 0
-    for g in gp.arrows():
-        block_start[g] = pos
-        pos += act.ideal(g).dim
+    block = [slice(a, b) for a, b in pairwise([0, *accumulate(grading.sizes)])]
 
     table = f.zeros((dim, dim, dim))
     for g in gp.arrows():
@@ -159,18 +156,14 @@ def build_skew_groupoid_ring(act: Action) -> SkewGroupoidRing:
             coords = act.ideal(gh).coords_rows(prods.reshape(-1, alg.dim))
             if coords is None:
                 raise GaloisError("skew product left its ideal; theorem violation")
-            rows = slice(block_start[g], block_start[g] + len(xs))
-            cols = slice(block_start[h], block_start[h] + act.ideal(h).dim)
-            out = slice(block_start[gh], block_start[gh] + act.ideal(gh).dim)
-            table[rows, cols, out] = coords.reshape(len(xs), act.ideal(h).dim, act.ideal(gh).dim)
+            table[block[g], block[h], block[gh]] = coords.reshape(len(xs), grading.sizes[h], grading.sizes[gh])
 
     unit = f.zeros(dim)
     for e in gp.identities:
-        coords = act.ideal(e).coords(act.idempotents[e])
-        unit[block_start[e] : block_start[e] + act.ideal(e).dim] = coords
+        unit[block[e]] = act.ideal(e).coords(act.idempotents[e])
     labels = [f"{gp.names[g]}#{r}" for g, r in slots]
-    skew_alg = validate_algebra(f, labels, table, unit)  # associativity re-certified
-    return SkewGroupoidRing(algebra=skew_alg, slots=slots, action=act)
+    skew_alg = validate_algebra(f, labels, table, unit, grading)
+    return SkewGroupoidRing(algebra=skew_alg, slots=slots, grading=grading, action=act)
 
 
 def endomorphism_space(act: Action, invariant_ring: Subspace) -> Subspace:

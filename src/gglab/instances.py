@@ -115,12 +115,20 @@ def load_instance_dict(doc: dict) -> Instance:
     n = len(labels)
     _certify_headroom(f, n, "the algebra")
     table = f.zeros((n, n, n))
-    for entry in _need(asec, "structure", "algebra", list):
+    seen = {}
+    for pos, entry in enumerate(_need(asec, "structure", "algebra", list)):
         if not (isinstance(entry, list) and len(entry) == 4):
             raise InstanceError(f"structure entry {entry!r} is not [i, j, k, coeff]")
         i, j, k, c = entry
         if not all(type(v) is int and 0 <= v < n for v in (i, j, k)):
             raise InstanceError(f"structure entry {entry!r} indexes outside the basis")
+        key = (i * n + j) * n + k
+        if key in seen:
+            raise InstanceError(
+                f"algebra.structure[{pos}]: entry {entry!r} repeats (i, j, k) of "
+                f"algebra.structure[{seen[key]}]"
+            )
+        seen[key] = pos
         table[i, j, k] = f.parse_scalar(c)
     unit = _vector(f, _need(asec, "unit", "algebra", list), "algebra.unit")
     alg = validate_algebra(f, labels, table, unit)
@@ -452,6 +460,59 @@ def _cyclic_shift_c3() -> dict:
             [[0, 1, 0], [0, 1, 0]],
             [[0, 0, 1], [0, 0, 1]],
         ],
+    }
+
+
+def clock_shift(n: int, p: int) -> dict:
+    """(Z/n)^2 acting on M_n(F_p), for n | p - 1, by conjugation.
+
+    Arrow ``c{a}s{b}`` conjugates by C^a S^b, where C is the clock
+    diag(1, w, ..., w^(n-1)) for the least primitive n-th root of unity w
+    and S is the cyclic shift e_i -> e_(i+1).  Since SC = w CS these
+    conjugations commute.  M_n(F_p) is a central Galois extension of F_p
+    under this action, a symbol algebra (Chase, Harrison & Rosenberg,
+    Mem. AMS 52, 1965); n = 2 is the Klein action of ``klein_m2f3``.  The
+    document gives no coordinates, so the suite solves for them.  The
+    basis is the matrix units E_ij, row-major.
+    """
+    try:
+        Field("Fp", p)
+    except FieldError as e:
+        raise InstanceError(f"field: {e}") from e
+    if n < 1 or (p - 1) % n:
+        raise InstanceError(f"clock_shift needs n | p - 1, not n = {n}, p = {p}")
+    w = next(x for x in range(1, p) if pow(x, n, p) == 1 and all(pow(x, k, p) != 1 for k in range(1, n)))
+    shift = np.roll(np.eye(n, dtype=np.int64), 1, axis=0)  # column i is e_(i+1)
+
+    def conjugation(a, b):
+        # x -> u x u^-1 on row-major M_n is kron(u, u^-T); u^-1 = S^-b C^-a
+        u = np.diag([pow(w, a * i, p) for i in range(n)]) @ np.linalg.matrix_power(shift, b)
+        u_inv = np.linalg.matrix_power(shift.T, b) @ np.diag([pow(w, -a * i % n, p) for i in range(n)])
+        return (np.kron(u, u_inv.T) % p).tolist()
+
+    group = [(a, b) for a in range(n) for b in range(n)]
+
+    def name(a, b):
+        return f"c{a % n}s{b % n}"
+
+    return {
+        "meta": {"name": f"clock_shift_m{n}f{p}"},
+        "field": {"kind": "Fp", "p": p},
+        "groupoid": {
+            "arrows": [name(a, b) for a, b in group],
+            "compose": [[name(a + c, b + d) for c, d in group] for a, b in group],
+            "inverse": [name(-a, -b) for a, b in group],
+            "identities": [name(0, 0)],
+        },
+        "algebra": {
+            "basis": [f"E{i + 1}{j + 1}" for i in range(n) for j in range(n)],
+            "structure": [[i * n + j, j * n + k, i * n + k, 1] for i in range(n) for j in range(n) for k in range(n)],
+            "unit": np.eye(n, dtype=np.int64).ravel().tolist(),
+        },
+        "action": {
+            "idempotents": {name(0, 0): np.eye(n, dtype=np.int64).ravel().tolist()},
+            "maps": {name(a, b): conjugation(a, b) for a, b in group},
+        },
     }
 
 

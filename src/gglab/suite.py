@@ -121,11 +121,11 @@ class SuiteState:
 
     @cached_property
     def coords(self) -> GaloisCoordinates | None:
-        """Certified coordinates: the instance's own, else solved for.  None
-        if the instance's own fail, or if the solve proves that none exist."""
-        if self.inst.coordinates is None:
-            return solve_galois_coordinates(self.inst.action)
-        return None if self.coordinate_failures else self.inst.coordinates
+        """Certified coordinates: the instance's own where they certify, else
+        solved for.  None only if the solve proves that none exist."""
+        if self.inst.coordinates is not None and not self.coordinate_failures:
+            return self.inst.coordinates
+        return solve_galois_coordinates(self.inst.action)
 
     @cached_property
     def ctx(self) -> GaloisContext:

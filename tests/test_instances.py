@@ -8,6 +8,7 @@ from gglab.instances import (
     BUILTIN_NAMES,
     InstanceError,
     builtin,
+    clock_shift,
     emit_instance,
     load_builtin,
     load_instance,
@@ -142,6 +143,7 @@ def test_emitted_json_is_stable():
         {"algebra.basis": [1, 2]},
         {"algebra.structure": [5]},
         {"algebra.structure": [["0", 0, 0, 1]]},
+        {"algebra.structure": [[0, 0, 0, 1], [1, 1, 1, 1], [0, 0, 0, 1]]},
         {"algebra.unit": 5},
         {"action.idempotents": []},
         {"action.maps": []},
@@ -165,3 +167,38 @@ def test_malformed_section_fails_at_load(tmp_path, capsys, edits):
     assert main(["validate", str(target)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_repeated_structure_entry_is_refused():
+    # a second [i, j, k, c] for the same (i, j, k) would silently replace
+    # the first, so the loaded algebra would not be the one stated
+    doc = builtin("pair_f5")
+    doc["algebra"]["structure"].append([1, 1, 1, 2])
+    with pytest.raises(
+        InstanceError,
+        match=re.escape("algebra.structure[2]: entry [1, 1, 1, 2] repeats (i, j, k) of algebra.structure[1]"),
+    ):
+        load_instance_dict(doc)
+
+
+@pytest.mark.parametrize("n, p", [(2, 5), (3, 7)])
+def test_clock_shift_loads_central_galois(n, p):
+    from gglab.suite import SuiteState
+
+    inst = load_instance_dict(clock_shift(n, p))
+    assert (inst.algebra.dim, inst.groupoid.size) == (n * n, n * n)
+    assert SuiteState(inst).central
+
+
+def test_clock_shift_2_is_the_klein_action():
+    # clock diag(1, -1), shift the swap, their product [[0, 1], [-1, 0]]
+    klein, doc = builtin("klein_m2f3"), clock_shift(2, 3)
+    rename = {"e": "c0s0", "a": "c1s0", "b": "c0s1", "c": "c1s1"}
+    assert {rename[a]: m for a, m in klein["action"]["maps"].items()} == doc["action"]["maps"]
+    assert sorted(klein["algebra"]["structure"]) == sorted(doc["algebra"]["structure"])
+
+
+@pytest.mark.parametrize("n, p", [(2, 4), (3, 5), (0, 5)])
+def test_clock_shift_needs_n_dividing_p_minus_1(n, p):
+    with pytest.raises(InstanceError):
+        clock_shift(n, p)

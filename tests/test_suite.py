@@ -2,12 +2,13 @@ import hashlib
 import json
 import runpy
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from gglab import suite
-from gglab.instances import BUILTIN_NAMES, load_builtin, load_instance_dict
+from gglab.instances import BUILTIN_NAMES, builtin, clock_shift, load_builtin, load_instance_dict
 from gglab.separability import double_centralizer_check
 from gglab.suite import CHECKS, MANIFEST, SuiteState, run_suite
 
@@ -288,3 +289,47 @@ def test_failed_coordinate_solve_decides_not_galois():
     assert (rec.verdict, rec.witnesses) == ("pass", {"galois": False})
     assert [c.check_id for c in report.checks if c.verdict == "inconclusive"] == []
     assert report.exit_code == 0
+
+
+@pytest.mark.parametrize("name", ["pair_f5", "cyclic_shift_c3"])
+def test_failing_instance_coordinates_leave_the_gate_to_the_solve(name):
+    # the basis-pinned solve decides the Galois gate, so a bad y in the
+    # document changes only the galois_coordinates record
+    doc = builtin(name)
+    doc["coordinates"][0][1][0] += 1
+    clean = run_suite(load_builtin(name), scope="all")
+    tampered = run_suite(load_instance_dict(doc), scope="all")
+    changed = [a["check_id"] for a, b in zip(clean.to_json_dict()["checks"], tampered.to_json_dict()["checks"]) if a != b]
+    assert changed == ["galois_coordinates"]
+    assert next(c for c in tampered.checks if c.check_id == "galois_coordinates").verdict == "violation"
+    assert tampered.exit_code == 1
+
+
+# sha256 of run_suite(load_instance_dict(clock_shift(n, p)), scope).to_json()
+CLOCK_SHIFT_SHA256 = {
+    (2, 5, "all"): "4946aa405d1fb11b817114d192366c2a4e1a014b19bde5e52ea3f8898fadb5e5",
+    (2, 5, "s3"): "884680e08926e6d21dbf1a54e546cf7d2fe2d229f9fdc2bdfd584e122ba66133",
+    (3, 7, "all"): "fed657b9ea6aeae525875dc9b2d49ce71764c388c0e500632acc182f6a1b3dc3",
+    (3, 7, "s3"): "bb8e827990327c9d7b3c198cbe51df69b7c646e8081a499f98bf94e1ef0b2a0d",
+}
+
+
+@pytest.mark.parametrize("n, p", [(2, 5), (3, 7)])
+def test_clock_shift_report_json_pinned(n, p):
+    for scope in ("all", "s3"):
+        report = run_suite(load_instance_dict(clock_shift(n, p)), scope=scope)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == CLOCK_SHIFT_SHA256[n, p, scope], scope
+
+
+def test_clock_shift_m3f7_runs_in_small_memory():
+    # the 81-dimensional skew ring is certified block by block; a dense
+    # check of its associativity would hold four 81^4 arrays
+    tracemalloc.start()
+    try:
+        report = run_suite(load_instance_dict(clock_shift(3, 7)), scope="all")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    verdicts = [c.verdict for c in report.checks]
+    assert {v: verdicts.count(v) for v in set(verdicts)} == {"pass": 25, "inconclusive": 2, "skip": 2}
