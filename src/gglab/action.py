@@ -34,10 +34,6 @@ class Action:
     def field(self) -> Field:
         return self.algebra.field
 
-    def unit_idempotent(self, g: int) -> np.ndarray:
-        """1_g = 1_{r(g)} for an arbitrary arrow g."""
-        return self.idempotents[self.groupoid.target[g]]
-
     @cached_property
     def ideals(self) -> dict[int, Subspace]:
         """E_e = 1_e R for each identity, as subspaces of R."""
@@ -55,10 +51,6 @@ class Action:
     def idempotent_mult(self) -> dict[int, np.ndarray]:
         """Multiplication-by-1_e matrices (1_e is central, so one matrix)."""
         return {e: self.algebra.right_mult(v) for e, v in self.idempotents.items()}
-
-    def truncate(self, g: int, x: np.ndarray) -> np.ndarray:
-        """x * 1_g."""
-        return self.algebra.mul(x, self.unit_idempotent(g))
 
     def apply_truncated(self, g: int, x: np.ndarray) -> np.ndarray:
         """beta_g(x * 1_{g^-1}) of x, or of each row of x: project to

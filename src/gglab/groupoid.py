@@ -213,18 +213,6 @@ def enumerate_subgroupoids(g: Groupoid) -> list[Subgroupoid]:
     return [Subgroupoid(g, s) for s in sorted(found, key=sorted)]
 
 
-def isotropy_group(g: Groupoid, e: int) -> Subgroupoid:
-    """All arrows with d(g) = r(g) = e; certified to be a group."""
-    if e not in g.identities:
-        raise GroupoidError(f"{g.names[e]} is not an identity")
-    members = frozenset(a for a in g.arrows() if g.source[a] == e and g.target[a] == e)
-    for a in members:
-        for b in members:
-            if g.comp[a][b] < 0:  # cannot happen: d=r=e throughout
-                raise GroupoidError("isotropy set is not a group")
-    return Subgroupoid(g, members)
-
-
 def pair_star(g: Groupoid) -> list[tuple[int, int]]:
     """The composable pairs (g,h) with d(g) = r(h), in index order."""
     return [(a, b) for a in g.arrows() for b in g.arrows() if g.composable(a, b)]

@@ -173,18 +173,6 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         return Subspace(self.field, self.ambient, np.vstack([self.basis, other.basis]))
 
-    def intersection(self, other: "Subspace") -> "Subspace":
-        # rows of the combined nullspace give coefficients (a | b) with
-        # a @ self.basis = -b @ other.basis
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient)
-        stacked = np.vstack([self.basis, other.basis]).T
-        ns = nullspace(self.field, stacked)
-        if ns.shape[0] == 0:
-            return Subspace.zero(self.field, self.ambient)
-        vecs = matmul(self.field, ns[:, : self.dim], self.basis)
-        return Subspace(self.field, self.ambient, vecs)
-
     def to_json(self) -> list:
         return self.field.matrix_json(self.basis)
 

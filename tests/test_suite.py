@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gglab import suite
+from gglab import separability, suite
 from gglab.instances import BUILTIN_NAMES, builtin, clock_shift, load_builtin, load_instance_dict
 from gglab.separability import double_centralizer_check
 from gglab.suite import CHECKS, MANIFEST, SuiteState, run_suite
@@ -333,3 +333,33 @@ def test_clock_shift_m3f7_runs_in_small_memory():
     assert peak < 64 * 2**20
     verdicts = [c.verdict for c in report.checks]
     assert {v: verdicts.count(v) for v in set(verdicts)} == {"pass": 25, "inconclusive": 2, "skip": 2}
+
+
+def test_a_failed_coordinate_certificate_leaves_the_verdict_to_the_solve(monkeypatch):
+    # the coordinate check may only add positive answers: with it failing
+    # everywhere, the tensor-square solve decides and every report holds
+    monkeypatch.setattr(suite, "separability_from_coordinates", lambda act, coords, h, base: False)
+    for name in BUILTIN_NAMES:
+        for scope in ("all", "s3"):
+            report = run_suite(load_builtin(name), scope=scope)
+            assert hashlib.sha256(report.to_json().encode()).hexdigest() == REPORT_SHA256[name, scope], (name, scope)
+    for (n, p, scope), digest in CLOCK_SHIFT_SHA256.items():
+        report = run_suite(load_instance_dict(clock_shift(n, p)), scope=scope)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest, (n, p, scope)
+
+
+@pytest.mark.parametrize("name, squares", [("klein_disjoint2", 40), ("klein_m2f3", 18), ("trivial", 0)])
+def test_tensor_squares_built_per_suite(monkeypatch, name, squares):
+    # the coordinate certificate decides lemma_4_2 on every wide H and the
+    # Azumaya flag of a central Galois R, so no tensor square is built for
+    # them (65, 23 and 1 squares when the solve decided them)
+    built = []
+    tensor_square = separability.tensor_square
+
+    def counted(alg, sub):
+        built.append(sub.dim)
+        return tensor_square(alg, sub)
+
+    monkeypatch.setattr(separability, "tensor_square", counted)
+    run_suite(load_builtin(name), scope="all")
+    assert len(built) == squares
