@@ -182,37 +182,56 @@ def fixer_subgroupoid(act: Action, t: Subspace) -> Subgroupoid:
 
 
 def restrict(act: Action, h: Subgroupoid) -> Action:
-    """Action of H on R_H = sum of E_e over identities of H.
+    """Action of H on R_H = sum of E_e over the identities e of H.
 
     For a wide H, R_H is R itself; otherwise it is an algebra on the
-    reduced basis of the ideal sum E_e, whose rows are its embedding.
+    reduced basis of the ideal sum, whose rows are its embedding.
+
+    Only what is new to the restriction is certified: that H is closed,
+    that R_H is closed under products with unit 1_H = sum 1_e
+    (``subspace_algebra``), and that each 1_e and each beta_a lands in
+    R_H (``to_sub``).  The rest is inherited from the parent, which
+    passed ``validate_groupoid`` and ``validate_action`` at load:
+
+    - A nonempty closed H holds d(a) = a^-1 a for each of its arrows, so
+      it has identities, and its tables are those of G restricted to H
+      and re-indexed by the order-preserving ``pos``.  Each groupoid
+      axiom on H is the same axiom of G at the same arrows.
+    - The embedding i: R_H -> R, c -> c . basis, is injective (the basis
+      rows are independent) and multiplicative onto 1_H R, since the
+      product table of R_H is read off the products in R.  The
+      restricted data are 1'_e = i^-1(1_e) and beta'_a = i^-1 beta_a i.
+      So each axiom ``validate_action`` checks on (H, R_H) -- the 1'_e
+      central, orthogonal idempotents summing to the unit, beta'_a
+      vanishing off E'_{d(a)} and a unital algebra isomorphism onto
+      E'_{r(a)}, beta'_e the identity on E'_e, beta'_a beta'_b =
+      beta'_ab -- is the parent's axiom at the same arrows and
+      composable pairs, read through i.  For a wide H, i is the
+      identity map of R.
     """
     g = act.groupoid
     field = act.field
+    if not is_subgroupoid(g, h.members):
+        raise ActionError(f"{g.label(h.members)} is not a subgroupoid; cannot restrict")
     members = sorted(h.members)
     h_ids = sorted(set(g.identities) & h.members)
-    if not h_ids:
-        raise ActionError("subgroupoid has no identities; cannot restrict")
 
-    # reindexed groupoid on the member arrows
+    # G's tables on the member arrows, re-indexed; H is closed, so every
+    # product and inverse stays inside it
     pos = {a: i for i, a in enumerate(members)}
-    names = tuple(g.names[a] for a in members)
-    comp = tuple(
-        tuple(
-            pos[g.comp[a][b]] if g.comp[a][b] >= 0 and g.comp[a][b] in h.members else -1
-            for b in members
-        )
-        for a in members
+    sub_g = Groupoid(
+        names=tuple(g.names[a] for a in members),
+        comp=tuple(tuple(-1 if g.comp[a][b] < 0 else pos[g.comp[a][b]] for b in members) for a in members),
+        inv=tuple(pos[g.inv[a]] for a in members),
+        source=tuple(pos[g.source[a]] for a in members),
+        target=tuple(pos[g.target[a]] for a in members),
+        identities=tuple(pos[e] for e in h_ids),
     )
-    inv = tuple(pos[g.inv[a]] for a in members)
-    from .groupoid import validate_groupoid
-
-    sub_g = validate_groupoid(names, comp, inv)
 
     if h.wide:
         idem = {pos[e]: act.idempotents[e] for e in h_ids}
         beta = {pos[a]: act.beta[a] for a in members}
-        return validate_action(sub_g, act.algebra, idem, beta)
+        return Action(groupoid=sub_g, algebra=act.algebra, idempotents=idem, beta=beta)
 
     ring = Subspace(
         field,
@@ -233,4 +252,4 @@ def restrict(act: Action, h: Subgroupoid) -> Action:
 
     idem = {pos[e]: to_sub(act.idempotents[e][None])[0] for e in h_ids}
     beta = {pos[a]: to_sub(linalg.matmul(field, ring.basis, act.beta[a].T)).T for a in members}
-    return validate_action(sub_g, sub_alg, idem, beta)
+    return Action(groupoid=sub_g, algebra=sub_alg, idempotents=idem, beta=beta)

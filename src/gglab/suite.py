@@ -393,7 +393,13 @@ def _lemma_2_1(state: SuiteState) -> Outcome:
 
 @check("prop_2_2")
 def _prop_2_2(state: SuiteState) -> Outcome:
-    """Restrictions are actions and stay Galois: for g in H,
+    """Restrictions are actions and stay Galois.
+
+    A restriction is an action by inheritance: ``restrict`` certifies
+    only that H is closed, that R_H = 1_H R is a subalgebra with unit 1_H
+    and that the 1_e and the beta_a land in it; every other axiom is the
+    parent's, read through the embedding R_H -> R (see its docstring).
+    It is Galois because, for g in H,
     x_i 1_H beta_g(y_i 1_H 1_{g^-1}) = x_i beta_g(y_i 1_{g^-1}), so the
     truncated pairs (x_i 1_H, y_i 1_H) always certify on a Galois R."""
     act, ctx, galois = state.inst.action, state.ctx, state.galois
@@ -501,9 +507,10 @@ def _lemma_3_2(state: SuiteState) -> Outcome:
     bad_pairs = []
     non_wide = 0
     non_wide_coincidences = []
-    for h, l in subgroupoid_pairs(ctx.all_subgroupoids):
-        if any(ctx.jmodules[a].dim == 0 for a in h.members | l.members):
-            continue  # hypothesis J != 0 on H and L unmet for this pair
+    # the hypothesis J != 0 on H and L: pair only the subgroupoids that
+    # hold no zero-J arrow (filtering keeps the pair order)
+    zero_j = {a for a, j in ctx.jmodules.items() if j.dim == 0}
+    for h, l in subgroupoid_pairs([h for h in ctx.all_subgroupoids if not h.members & zero_j]):
         coincide = ctx.theta(h) == ctx.theta(l) and h.members != l.members
         if h.wide and l.wide:
             checked += 1

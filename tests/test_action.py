@@ -5,7 +5,7 @@ import pytest
 
 from gglab.action import ActionError, fixer_subgroupoid, invariants, restrict, validate_action
 from gglab.galois import GaloisContext
-from gglab.groupoid import enumerate_subgroupoids, generated_subgroupoid
+from gglab.groupoid import Subgroupoid, enumerate_subgroupoids, generated_subgroupoid
 from gglab.instances import load_builtin
 from gglab.linalg import Subspace
 
@@ -166,6 +166,19 @@ def test_restrict_non_wide_cuts_ideal():
     sub_act = restrict(inst.action, h)
     assert sub_act.algebra.dim == 1
     assert sub_act.groupoid.names == ("e1",)
+
+
+@pytest.mark.parametrize(
+    "name, arrows, label",
+    [("pair_f5", ["e1", "t"], "{e1,t}"), ("klein_m2f3", ["e", "a", "b"], "{e,a,b}")],
+)
+def test_restrict_refuses_a_non_subgroupoid(name, arrows, label):
+    # {e1, t} misses t^-1 = s; {e, a, b} misses ab = c
+    inst = load_builtin(name)
+    g = inst.groupoid
+    h = Subgroupoid(g, frozenset(g.index(a) for a in arrows))
+    with pytest.raises(ActionError, match=f"^{label} is not a subgroupoid; cannot restrict$"):
+        restrict(inst.action, h)
 
 
 def test_restrict_then_invariants():
