@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, pairwise
-from typing import NamedTuple
 
 import numpy as np
 
@@ -75,21 +73,8 @@ class Algebra:
         return Subspace.full(self.field, self.dim)
 
 
-
-class Grading(NamedTuple):
-    """Consecutive blocks B_g of the basis, one per arrow g of a groupoid,
-    with ``comp[g][h]`` = gh (-1 where g, h do not compose), such that
-    B_g B_h lies in B_gh, and is 0 where g, h do not compose.  An
-    algebra without more structure has the one-block grading of the
-    trivial group."""
-
-    sizes: tuple[int, ...]
-    comp: tuple[tuple[int, ...], ...]
-
-
-def validate_algebra(field: Field, labels, table, unit, grading: Grading | None = None) -> Algebra:
-    """Certify associativity and the unit laws on all basis triples,
-    block by block over ``grading`` (by default the one-block grading)."""
+def validate_algebra(field: Field, labels, table, unit) -> Algebra:
+    """Certify associativity and the unit laws on all basis triples."""
     n = len(labels)
     if len(set(labels)) != n:
         raise AlgebraError("duplicate basis labels")
@@ -101,62 +86,27 @@ def validate_algebra(field: Field, labels, table, unit, grading: Grading | None 
     if unit.shape != (n,):
         raise AlgebraError("unit vector has wrong length")
     alg = Algebra(field=field, labels=tuple(labels), table=table, unit=unit)
-    _check_associative(alg, Grading((n,), ((0,),)) if grading is None else grading)
+    _check_associative(alg)
     _check_unit_laws(alg)
     return alg
 
 
-def _check_associative(alg: Algebra, grading: Grading) -> None:
+def _check_associative(alg: Algebra) -> None:
     """Raise unless (b_i b_j) b_k = b_i (b_j b_k) on every basis triple,
     naming the row-major first triple that fails.
 
-    First certify that only the blocks B_g x B_h -> B_gh of composable
-    pairs hold nonzero constants.  Then a triple of blocks (g, h, k) can
-    fail only where g, h and h, k both compose: if g, h do not, (xy)z = 0,
-    and x(yz) != 0 would need g, hk to compose, so d(g) = r(hk) = r(h), a
-    contradiction; the case of h, k is symmetric.  Each remaining triple
-    is two contractions that land in block ghk.
+    Both sides are contractions of the table with itself, taken one b_i
+    at a time so that no array holds more than n^3 entries.
     """
     f, t, labels = alg.field, alg.table, alg.labels
-    starts = [0, *accumulate(grading.sizes)]
-    span = [slice(a, b) for a, b in pairwise(starts)]
-    comp = grading.comp
-    # block[g, h][a, b, m]: coordinate m (in B_gh) of the a-th of B_g times the b-th of B_h
-    block = {
-        (g, h): t[span[g], span[h], span[gh]]
-        for g, row in enumerate(comp)
-        for h, gh in enumerate(row)
-        if gh >= 0
-    }
-    if sum(np.count_nonzero(b) for b in block.values()) != np.count_nonzero(t):
-        outside = t.copy()
-        for g, h in block:
-            outside[span[g], span[h], span[comp[g][h]]] = 0
-        i, j, k = (int(x) for x in np.argwhere(outside != 0)[0])
-        raise AlgebraError(
-            f"structure constant outside the grading at ({labels[i]},{labels[j]},{labels[k]})"
-        )
-    # (xy)z: rows (a b, m) of B_g B_h times columns (m, c l) of B_gh B_k;
-    # x(yz): rows (b c, m) of B_h B_k times the (m, l) slice of each x in B_g B_hk
-    rows, cols = {}, {}
-    for pair, xy in block.items():
-        a, b, m = xy.shape
-        rows[pair], cols[pair] = xy.reshape(a * b, m), xy.reshape(a, b * m)
-    first = None
-    for g, h in block:
-        for k, hk in enumerate(comp[h]):
-            if hk < 0:
-                continue
-            right = np.matmul(rows[h, k], block[g, hk])  # [a, (b, c), l]
-            diff = f.reduce(np.dot(rows[g, h], cols[comp[g][h], k]).reshape(right.shape) - right)
-            if diff.any():
-                a, bc, _ = np.argwhere(diff)[0]
-                b, c = divmod(int(bc), grading.sizes[k])
-                here = (starts[g] + int(a), starts[h] + b, starts[k] + c)
-                first = here if first is None else min(first, here)
-    if first is not None:
-        i, j, k = first
-        raise AlgebraError(f"associativity fails at triple ({labels[i]},{labels[j]},{labels[k]})")
+    n = alg.dim
+    rows, cols = t.reshape(n * n, n), t.reshape(n, n * n)
+    for i in range(n):
+        # row (j, k), column l: (b_i b_j) b_k - b_i (b_j b_k)
+        diff = f.reduce(np.dot(t[i], cols).reshape(n * n, n) - np.dot(rows, t[i]))
+        if diff.any():
+            j, k = divmod(int(np.flatnonzero(diff.any(axis=1))[0]), n)
+            raise AlgebraError(f"associativity fails at triple ({labels[i]},{labels[j]},{labels[k]})")
 
 
 def _check_unit_laws(alg: Algebra) -> None:

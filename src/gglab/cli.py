@@ -19,16 +19,16 @@ from .suite import SuiteState, run_suite
 
 
 def _add_instance_args(p: argparse.ArgumentParser):
-    p.add_argument("instance", nargs="?", help="path to an instance JSON file")
-    p.add_argument("--builtin", dest="builtin_name", choices=BUILTIN_NAMES, help="use a builtin instance")
+    # exactly one of the two, else argparse exits 2
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("instance", nargs="?", help="path to an instance JSON file")
+    src.add_argument("--builtin", dest="builtin_name", choices=BUILTIN_NAMES, help="use a builtin instance")
 
 
 def _get_instance(args) -> Instance:
     if args.builtin_name:
         return load_builtin(args.builtin_name)
-    if args.instance:
-        return load_instance(args.instance)
-    raise SystemExit("an instance file or --builtin NAME is required")
+    return load_instance(args.instance)
 
 
 def build_parser() -> argparse.ArgumentParser:

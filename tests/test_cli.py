@@ -72,8 +72,19 @@ def test_suite_refuses_a_groupoid_over_the_enumeration_cap(tmp_path, capsys):
 
 
 def test_missing_instance_arg():
-    with pytest.raises(SystemExit):
-        main(["validate"])
+    # a usage error exits 2; exit 1 is reserved for a recorded violation
+    for verb in ("validate", "suite"):
+        with pytest.raises(SystemExit) as exc:
+            main([verb])
+        assert exc.value.code == 2
+
+
+def test_instance_path_and_builtin_together_refused(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(emit_instance(builtin("pair_f5")))
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", str(path), "--builtin", "trivial"])
+    assert exc.value.code == 2
 
 
 def test_solve_coordinates(capsys):
