@@ -52,6 +52,14 @@ class Action:
         """Multiplication-by-1_e matrices (1_e is central, so one matrix)."""
         return {e: self.algebra.right_mult(v) for e, v in self.idempotents.items()}
 
+    def unit_of(self, h: Subgroupoid) -> np.ndarray:
+        """1_H = sum of 1_e over the identities e of H: a central
+        idempotent of R and the unit of R_H = 1_H R."""
+        one = self.field.zeros(self.algebra.dim)
+        for e in sorted(set(self.groupoid.identities) & h.members):
+            one = self.field.reduce(one + self.idempotents[e])
+        return one
+
     def apply_truncated(self, g: int, x: np.ndarray) -> np.ndarray:
         """beta_g(x * 1_{g^-1}) of x, or of each row of x: project to
         E_{g^-1}, then transport."""
@@ -233,16 +241,9 @@ def restrict(act: Action, h: Subgroupoid) -> Action:
         beta = {pos[a]: act.beta[a] for a in members}
         return Action(groupoid=sub_g, algebra=act.algebra, idempotents=idem, beta=beta)
 
-    ring = Subspace(
-        field,
-        act.algebra.dim,
-        np.vstack([act.ideals[e].basis for e in h_ids]),
-    )
-    unit = field.zeros(act.algebra.dim)
-    for e in h_ids:
-        unit = field.reduce(unit + act.idempotents[e])
+    ring = Subspace(field, act.algebra.dim, np.vstack([act.ideals[e].basis for e in h_ids]))
     labels = [f"r{i}" for i in range(ring.dim)]
-    sub_alg = subspace_algebra(act.algebra, ring, unit, labels)
+    sub_alg = subspace_algebra(act.algebra, ring, act.unit_of(h), labels)
 
     def to_sub(rows):
         c = ring.coords_rows(rows)

@@ -39,7 +39,7 @@ class Instance:
     flags: dict = dc_field(default_factory=dict)
 
 
-_JSON_TYPES = {dict: "object", list: "array", str: "string"}
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean"}
 
 
 def _typed(value, kind: type, where: str, index: int | None = None):
@@ -82,6 +82,9 @@ def load_instance_dict(doc: dict) -> Instance:
     meta = _typed(doc.get("meta", {}), dict, "meta")
     name = _typed(meta.get("name", "unnamed"), str, "meta.name")
     flags = dict(_typed(meta.get("flags", {}), dict, "meta.flags"))
+    # the one flag the suite reads (remark_2_3 compares it with its verdict)
+    if "central_galois_expected" in flags:
+        _typed(flags["central_galois_expected"], bool, "meta.flags.central_galois_expected")
 
     try:
         f = Field.from_json(_need(doc, "field", "", dict))
@@ -196,6 +199,10 @@ def load_instance(path) -> Instance:
     p = Path(path)
     try:
         doc = json.loads(p.read_text())
+    except OSError as e:
+        raise InstanceError(f"{p}: cannot read: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise InstanceError(f"{p}: not UTF-8 text: {e.reason}") from e
     except json.JSONDecodeError as e:
         raise InstanceError(f"{p}: invalid JSON at line {e.lineno}: {e.msg}") from e
     return load_instance_dict(doc)

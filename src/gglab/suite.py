@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .action import Action, ActionError, fixer_subgroupoid, invariants, restrict
-from .algebra import AlgebraError, commutant, product_space
+from .algebra import AlgebraError, product_space
 from .galois import (
     GaloisContext,
     GaloisCoordinates,
@@ -31,7 +31,6 @@ from .galois import (
     SkewGroupoidRing,
     build_skew_groupoid_ring,
     check_galois_coordinates,
-    gamma,
     j_isomorphism_check,
     separability_from_coordinates,
     solve_galois_coordinates,
@@ -138,12 +137,8 @@ class SuiteState:
         return self.coords is not None
 
     @cached_property
-    def skew(self) -> tuple[SkewGroupoidRing | None, str]:
-        """The skew groupoid ring, or None and why its certificate failed."""
-        try:
-            return build_skew_groupoid_ring(self.inst.action), ""
-        except CERTIFICATE_ERRORS as e:
-            return None, str(e)
+    def skew(self) -> SkewGroupoidRing:
+        return build_skew_groupoid_ring(self.inst.action)
 
     @cached_property
     def theta_wide(self) -> tuple[bool, list[str] | None]:
@@ -407,11 +402,11 @@ def _prop_2_2(state: SuiteState) -> Outcome:
     failures, uncertified = [], []
     for h in ctx.all_subgroupoids:
         try:
-            sub_act = state.restriction(h)
+            state.restriction(h)
         except CERTIFICATE_ERRORS as e:
             failures.append(f"{h.label()}: {e}")
             continue
-        if galois and _truncated_coordinates(act, state.coords, h, sub_act) is None:
+        if galois and _truncated_coordinates(act, state.coords, h) is None:
             uncertified.append(h.label())
     if failures:
         return Outcome("violation", "a restriction failed action validation", {"failures": failures}, gate)
@@ -435,10 +430,8 @@ def _skew_ring(state: SuiteState) -> Outcome:
     """R*G is associative and unital by the action axioms certified at load
     (proof in ``build_skew_groupoid_ring``); the detail states those facts
     in the report's unchanged wording."""
-    skew, error = state.skew
-    if skew is None:
-        return Outcome("violation", "skew groupoid ring could not be built", {"error": error})
-    return Outcome("pass", f"dim {skew.dim}; associativity and unit re-certified", {"dim": skew.dim})
+    dim = state.skew.dim
+    return Outcome("pass", f"dim {dim}; associativity and unit re-certified", {"dim": dim})
 
 
 @check("j_isomorphism")
@@ -446,10 +439,9 @@ def _j_isomorphism(state: SuiteState) -> Outcome:
     """j is decided bijective by ranks; that it is multiplicative and
     unital is proved from the action axioms (see
     ``build_skew_groupoid_ring``), and the record states it."""
-    skew, _ = state.skew
-    if skew is None or not state.galois:
+    if not state.galois:
         return _skip("needs a certified Galois coordinate system")
-    jrep = j_isomorphism_check(state.inst.action, skew, state.ctx.invariant_ring)
+    jrep = j_isomorphism_check(state.inst.action, state.skew, state.ctx.invariant_ring)
     return Outcome(
         "pass" if jrep.ok else "violation",
         f"dim skew ring {jrep.dim_skew} vs dim End {jrep.dim_end}; "
@@ -471,17 +463,34 @@ def _j_isomorphism(state: SuiteState) -> Outcome:
 
 @check("lemma_3_1")
 def _lemma_3_1(state: SuiteState) -> Outcome:
-    """V_R(R^beta) is the direct sum of the J_g, on every subgroupoid's restriction."""
+    """V_R(R^beta) is the direct sum of the J_g, on every subgroupoid's
+    restriction, decided in R's own coordinates from the parent's facts.
+
+    Both sides of the lemma on the restriction (H, R_H) are read off R
+    through the embedding R_H = 1_H R, with 1_H central:
+
+    - The restriction's J_g is the parent's J_g, for g in H.  Both lie in
+      E_{r(g)} <= R_H, and for r there an element x of R and x 1_H impose
+      the same condition: beta_g(x 1_H 1_{g^-1}) = beta_g(x 1_{g^-1})
+      since 1_{g^-1} <= 1_H, and x 1_H r = x r since r = 1_H r.  So the
+      sum over H is ``ctx.gamma(H)``, with its directness certificate.
+    - R = R_H + (1 - 1_H)R, and theta(H) = R_H^beta + (1 - 1_H)R, since
+      the condition beta_h(r 1_{h^-1}) = r 1_h reads only r 1_H.  So
+      V_{R_H}(R_H^beta) = 1_H V_R(theta(H)): an element w = 1_H w of R_H
+      commuting with R_H^beta also commutes with (1 - 1_H)R, where both
+      products vanish, so it lies in V_R(theta(H)); and 1_H v lies in R_H
+      and commutes with R_H^beta <= theta(H) for v in V_R(theta(H)).
+      For a wide H, 1_H = 1 and no cut is needed."""
     if not state.galois:
         return _skip("Galois gate unmet")
-    subs = state.ctx.all_subgroupoids
+    act, ctx = state.inst.action, state.ctx
+    subs = ctx.all_subgroupoids
     failures = []
     for h in subs:
-        sub_act = state.restriction(h)
-        sub_ctx = GaloisContext(sub_act)
-        alg = sub_act.algebra
-        vr = commutant(alg, sub_ctx.invariant_ring, alg.full_space)
-        total, direct = gamma(sub_act, sub_act.groupoid.arrows(), sub_ctx.jmodules)
+        vr = state.facts.commutant(ctx.theta(h))
+        if not h.wide:
+            vr = Subspace(act.field, act.algebra.dim, act.algebra.products(vr.basis, act.unit_of(h)[None])[:, 0])
+        total, direct = ctx.gamma(h)
         equal = total == vr
         if not (equal and direct):
             failures.append(
@@ -927,21 +936,14 @@ def _theorem_4_4(state: SuiteState) -> Outcome:
     )
 
 
-def _truncated_coordinates(act, coords, h, sub_act):
-    """Restricted coordinates (x_i 1_H, y_i 1_H), certified or None."""
-    f = act.field
-    ids = sorted(set(act.groupoid.identities) & h.members)
-    one_h = f.zeros(act.algebra.dim)
-    for e in ids:
-        one_h = f.reduce(one_h + act.idempotents[e])
-    rows = act.algebra.products(coords.rows(act), one_h[None])[:, 0]
-    if not h.wide:  # a wide H has 1_H = 1_R and keeps the ambient basis
-        ring = Subspace(f, act.algebra.dim, np.vstack([act.ideals[e].basis for e in ids]))
-        rows = ring.coords_rows(rows)
-        if rows is None:
-            return None
+def _truncated_coordinates(act, coords, h):
+    """The truncated pairs (x_i 1_H, y_i 1_H), certified in R over H's
+    arrows, or None.  Read through the embedding R_H = 1_H R, this is the
+    restriction's own coordinate condition: for g in H each sum lies in
+    E_{r(g)} and 1_g is the parent's 1_g."""
+    rows = act.algebra.products(coords.rows(act), act.unit_of(h)[None])[:, 0]
     cand = GaloisCoordinates(list(zip(rows[0::2], rows[1::2])))
-    ok, _ = check_galois_coordinates(sub_act, cand)
+    ok, _ = check_galois_coordinates(act, cand, sorted(h.members))
     return cand if ok else None
 
 

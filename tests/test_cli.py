@@ -63,6 +63,33 @@ def test_field_without_int64_headroom_is_refused(tmp_path, capsys, p, message):
     assert message in err
 
 
+def test_suite_refuses_a_non_boolean_central_galois_flag(tmp_path, capsys):
+    doc = builtin("pair_f5")
+    doc["meta"]["flags"]["central_galois_expected"] = "yes"
+    path = tmp_path / "flagged.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["suite", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: meta.flags.central_galois_expected must be a JSON boolean, not 'yes'\n"
+
+
+@pytest.mark.parametrize(
+    "name, reason",
+    [
+        ("missing.json", "cannot read: No such file or directory"),
+        (".", "cannot read: Is a directory"),
+        ("latin1.json", "not UTF-8 text"),
+    ],
+)
+def test_unreadable_instance_path_is_a_user_error(tmp_path, capsys, name, reason):
+    (tmp_path / "latin1.json").write_bytes(b'{"meta": "\xe9"}')
+    path = tmp_path / name
+    code, out, err = run_cli(["suite", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1
+    assert "internal error" not in err and "Traceback" not in err
+
+
 def test_suite_refuses_a_groupoid_over_the_enumeration_cap(tmp_path, capsys):
     path = tmp_path / "trivial25.json"
     path.write_text(emit_instance(_disjoint_copies(builtin("trivial"), 25, "trivial25")))

@@ -17,6 +17,7 @@ from gglab.galois import (
 from gglab.instances import load_builtin
 from gglab.linalg import Subspace
 from gglab.suite import SuiteState
+from test_graded import skew_algebra
 
 
 def test_pair_f5_instance_coordinates_certify():
@@ -103,7 +104,7 @@ def test_skew_ring_pair_f5_is_full_matrix_algebra():
     inst = load_builtin("pair_f5")
     skew = build_skew_groupoid_ring(inst.action)
     assert skew.dim == 4
-    c = center(skew.algebra)
+    c = center(skew_algebra(skew))
     assert c.dim == 1
     # image under j is the whole 2x2 matrix algebra over F5
     mats = [skew.element_matrix(i) for i in range(4)]

@@ -121,6 +121,16 @@ def test_builtin_flags():
     assert load_builtin("cyclic_shift_c3").flags.get("galois_expected") is True
 
 
+@pytest.mark.parametrize("value", ["yes", 1, None, [True]])
+def test_central_galois_flag_must_be_a_boolean(value):
+    # remark_2_3 compares the flag with its own verdict, so a string would
+    # load and then read as a disagreement
+    doc = builtin("pair_f5")
+    doc["meta"]["flags"]["central_galois_expected"] = value
+    with pytest.raises(InstanceError, match=r"^meta\.flags\.central_galois_expected must be a JSON boolean"):
+        load_instance_dict(doc)
+
+
 def test_emitted_json_is_stable():
     a = emit_instance(builtin("klein_m2f3"))
     b = emit_instance(builtin("klein_m2f3"))

@@ -1,18 +1,25 @@
 """A restriction inherits the parent's certified axioms; the full
-validators, run on every restriction, keep the check ``restrict`` skips."""
+validators, run on every restriction, keep the check ``restrict`` skips.
+Lemma 3.1 and Proposition 2.2 read the restriction's J modules, commutant
+and coordinate condition off the parent; the computation on the
+restricted action itself is kept here as their oracle."""
 
 import json
 import runpy
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gglab import action
+from gglab import action, galois
 from gglab.action import restrict, validate_action
+from gglab.algebra import commutant
+from gglab.galois import GaloisContext, GaloisCoordinates, JModule, check_galois_coordinates, coordinate_sums
 from gglab.groupoid import enumerate_subgroupoids, validate_groupoid
 from gglab.instances import clock_shift, load_builtin, load_instance_dict
-from gglab.suite import run_suite
+from gglab.linalg import Subspace
+from gglab.suite import CHECKS, SuiteState, _truncated_coordinates, run_suite
 
 # the benchmark's instance documents, read without importing (or writing
 # bytecode into) perfbench; its ``builtins`` workload is the five builtins,
@@ -72,3 +79,74 @@ def test_the_suite_never_revalidates_an_action(monkeypatch, name):
     monkeypatch.setattr(action, "validate_action", counted)
     run_suite(inst, scope="all")
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("name", sorted(set(DOCUMENTS) - {"clock_shift(3, 7)"}))
+def test_parent_read_facts_equal_the_restricted_computation(name):
+    # per subgroupoid H, the restricted action's own J modules, commutant
+    # V_{R_H}(R_H^beta) and truncated coordinate sums, embedded into R
+    # through the rows of R_H's basis, equal what the suite reads off R
+    state = SuiteState(load_instance_dict(DOCUMENTS[name]))
+    act, ctx, f, n = state.inst.action, state.ctx, state.inst.field, state.inst.algebra.dim
+    assert state.galois
+    for h in ctx.all_subgroupoids:
+        members = sorted(h.members)
+        sub = restrict(act, h)
+        sub_ctx = GaloisContext(sub)
+        one_h = act.unit_of(h)
+        ids = sorted(set(act.groupoid.identities) & h.members)
+        emb = f.eye(n) if h.wide else Subspace(f, n, np.vstack([act.ideals[e].basis for e in ids])).basis
+
+        def embed(rows):
+            return f.reduce(np.dot(rows, emb))
+
+        assert np.array_equal(embed(sub.algebra.unit), one_h), h.label()
+
+        for i, g in enumerate(members):
+            assert Subspace(f, n, embed(sub_ctx.jmodules[i].space.basis)) == ctx.jmodules[g].space, h.label()
+
+        vr = commutant(sub.algebra, sub_ctx.invariant_ring, sub.algebra.full_space)
+        parent = state.facts.commutant(ctx.theta(h))
+        cut = Subspace(f, n, act.algebra.products(parent.basis, one_h[None])[:, 0])
+        assert Subspace(f, n, embed(vr.basis)) == cut, h.label()
+
+        cand = _truncated_coordinates(act, state.coords, h)
+        assert cand is not None, h.label()
+        rows = cand.rows(act)
+        sub_rows = rows if h.wide else Subspace(f, n, emb).coords_rows(rows)
+        old = GaloisCoordinates(list(zip(sub_rows[0::2], sub_rows[1::2])))
+        assert check_galois_coordinates(sub, old)[0], h.label()
+        sub_sums = coordinate_sums(sub, old)
+        sums = coordinate_sums(act, cand, members)
+        assert all(np.array_equal(embed(sub_sums[i]), sums[g]) for i, g in enumerate(members)), h.label()
+
+
+@pytest.mark.parametrize("name", ["builtins/klein_disjoint2", "objects/pair_f5x3"])
+def test_the_suite_computes_each_j_module_once(monkeypatch, name):
+    # lemma_3_1 reads every restriction's J_g off the parent's
+    inst = load_instance_dict(DOCUMENTS[name])
+    calls = Counter()
+    j_module = galois.j_module
+
+    def counted(act, g):
+        calls[g] += 1
+        return j_module(act, g)
+
+    monkeypatch.setattr(galois, "j_module", counted)
+    run_suite(inst, scope="all")
+    assert calls == Counter(inst.groupoid.arrows())
+
+
+def test_lemma_3_1_sees_a_dropped_j_module():
+    # zero the J module of one arrow whose J is nonzero: exactly the
+    # subgroupoids holding that arrow lose the decomposition
+    state = SuiteState(load_builtin("klein_m2f3"))
+    ctx, g = state.ctx, state.inst.groupoid
+    a = g.index("a")
+    assert ctx.jmodules[a].dim > 0
+    ctx.jmodules[a] = JModule(a, Subspace.zero(state.inst.field, state.inst.algebra.dim))
+    out = CHECKS["lemma_3_1"](state)
+    assert out.verdict == "violation"
+    holding = [h.label() for h in ctx.all_subgroupoids if a in h.members]
+    assert 0 < len(holding) < len(ctx.all_subgroupoids)
+    assert [f["subgroupoid"] for f in out.witnesses["failures"]] == holding

@@ -259,7 +259,7 @@ def test_instance_flags_are_never_a_hypothesis(workload, name):
 def test_prop_2_2_uncertified_truncation_is_a_violation(monkeypatch):
     # the truncated pairs certify on every restriction of a Galois R, so a
     # failure falsifies Proposition 2.2 and names the subgroupoid
-    monkeypatch.setattr(suite, "_truncated_coordinates", lambda act, coords, h, sub_act: None)
+    monkeypatch.setattr(suite, "_truncated_coordinates", lambda act, coords, h: None)
     state = SuiteState(load_builtin("pair_f5"))
     out = CHECKS["prop_2_2"](state)
     assert (out.verdict, out.hypothesis) == ("violation", "met")
