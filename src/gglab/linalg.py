@@ -110,6 +110,15 @@ class Subspace:
         self._key = None
 
     @classmethod
+    def from_rref(cls, field: Field, basis: np.ndarray, pivots: list[int]) -> "Subspace":
+        """The subspace of a basis that is already canonical: RREF rows,
+        none zero, with their pivot columns.  Nothing is re-reduced, so
+        the caller vouches for the form."""
+        s = cls.__new__(cls)
+        s.field, s.ambient, s.basis, s.pivots, s._key = field, basis.shape[1], basis, list(pivots), None
+        return s
+
+    @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
         return cls(field, ambient, field.eye(ambient))
 
@@ -167,7 +176,10 @@ class Subspace:
     def key(self) -> tuple:
         """Hashable canonical key (used for dedup and deterministic sorting)."""
         if self._key is None:
-            self._key = tuple(tuple(self.field.scalar_json(x) for x in row) for row in self.basis)
+            if self.field.modular:  # the RREF entries are already ints in 0..p-1
+                self._key = tuple(map(tuple, self.basis.tolist()))
+            else:
+                self._key = tuple(tuple(self.field.scalar_json(x) for x in row) for row in self.basis)
         return self._key
 
     def sum(self, other: "Subspace") -> "Subspace":
@@ -179,33 +191,3 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
-
-def all_subspaces(field: Field, n: int):
-    """Yield every subspace of F_p^n as a canonical basis matrix.
-
-    Enumerates RREF matrices directly: choose pivot columns, then fill
-    the free entries.  Prime fields only; the count explodes quickly so
-    callers cap n.
-    """
-    from itertools import combinations, product
-
-    if not field.modular:
-        raise ValueError("exhaustive subspace enumeration needs a finite field")
-    p = field.p
-    yield field.zeros((0, n))
-    for k in range(1, n + 1):
-        for pivots in combinations(range(n), k):
-            pivset = set(pivots)
-            free_cells = [
-                (r, c)
-                for r in range(k)
-                for c in range(pivots[r] + 1, n)
-                if c not in pivset
-            ]
-            for fill in product(range(p), repeat=len(free_cells)):
-                mat = field.zeros((k, n))
-                for r, c in zip(range(k), pivots):
-                    mat[r, c] = 1
-                for (r, c), v in zip(free_cells, fill):
-                    mat[r, c] = v
-                yield mat

@@ -104,14 +104,12 @@ class SuiteState:
     """The facts checks share, each computed once, on first use."""
 
     inst: Instance
-    restrictions: dict[frozenset, Action] = dc_field(default_factory=dict)
     identity_results: dict[tuple, tuple[bool, bool]] = dc_field(default_factory=dict)
 
-    def restriction(self, h: Subgroupoid):
-        key = frozenset(h.members)
-        if key not in self.restrictions:
-            self.restrictions[key] = restrict(self.inst.action, h)
-        return self.restrictions[key]
+    def restriction(self, h: Subgroupoid) -> Action:
+        """The restriction of the action to H, built afresh: Proposition 2.2
+        asks for each one once, so none is kept."""
+        return restrict(self.inst.action, h)
 
     @cached_property
     def coordinate_failures(self) -> list[tuple[int, np.ndarray]]:

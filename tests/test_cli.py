@@ -90,6 +90,15 @@ def test_unreadable_instance_path_is_a_user_error(tmp_path, capsys, name, reason
     assert "internal error" not in err and "Traceback" not in err
 
 
+def test_deeply_nested_json_is_a_user_error(tmp_path, capsys):
+    # json.loads raises RecursionError, not JSONDecodeError, on deep nesting
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: JSON nested too deeply to decode\n"
+
+
 def test_suite_refuses_a_groupoid_over_the_enumeration_cap(tmp_path, capsys):
     path = tmp_path / "trivial25.json"
     path.write_text(emit_instance(_disjoint_copies(builtin("trivial"), 25, "trivial25")))

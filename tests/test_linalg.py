@@ -8,11 +8,31 @@ from hypothesis import strategies as st
 
 from gglab import _purerref, linalg
 from gglab.fields import Field
-from gglab.linalg import Subspace, all_subspaces
+from gglab.linalg import Subspace
 
 F5 = Field("Fp", 5)
 F3 = Field("Fp", 3)
 Q = Field("Q")
+
+
+def all_subspaces(field: Field, n: int):
+    """Yield every subspace of F_p^n as a canonical basis matrix, one at a
+    time: choose the pivot columns, then fill the free entries.  The
+    per-candidate generator that the exhaustive subalgebra walk is tested
+    against."""
+    p = field.p
+    yield field.zeros((0, n))
+    for k in range(1, n + 1):
+        for pivots in itertools.combinations(range(n), k):
+            pivset = set(pivots)
+            free_cells = [(r, c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivset]
+            for fill in itertools.product(range(p), repeat=len(free_cells)):
+                mat = field.zeros((k, n))
+                for r, c in zip(range(k), pivots):
+                    mat[r, c] = 1
+                for (r, c), v in zip(free_cells, fill):
+                    mat[r, c] = v
+                yield mat
 
 matrices_f5 = st.integers(1, 5).flatmap(
     lambda m: st.integers(1, 5).flatmap(
@@ -113,6 +133,58 @@ def test_rref_mod_form_and_row_space(case):
         assert np.array_equal(work[:, c], col)  # ... is a 1, alone in its column
     assert not np.any(work[len(pivots):])
     assert _row_space_oracle(work, p) == _row_space_oracle(mat, p)
+
+
+# stacks of s matrices m x n; a column is zeroed with probability 1/3 and a
+# matrix is drawn sparse half the time, so pivots skip columns and rows
+stack_inputs = st.sampled_from([2, 3, 5, 2**31 - 1]).flatmap(
+    lambda p: st.tuples(
+        st.just(p),
+        st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(0, 5)).flatmap(
+            lambda shape: st.tuples(
+                st.lists(
+                    st.one_of(st.integers(0, p - 1), st.just(0), st.just(p - 1)),
+                    min_size=shape[0] * shape[1] * shape[2],
+                    max_size=shape[0] * shape[1] * shape[2],
+                ),
+                st.lists(st.integers(0, 2), min_size=shape[2], max_size=shape[2]),
+            ).map(lambda drawn: _stack(shape, *drawn))
+        ),
+    )
+)
+
+
+def _stack(shape, entries, column_draws):
+    mats = np.array(entries, dtype=np.int64).reshape(shape)
+    mats[:, :, [c for c, x in enumerate(column_draws) if x == 0]] = 0
+    return mats
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack_inputs)
+def test_rref_mod_stack_equals_rref_mod(case):
+    p, mats = case
+    work = mats.copy()
+    mask = _purerref.rref_mod_stack(work, p)
+    s, m, n = mats.shape
+    assert mask.shape == (s, n) and mask.dtype == bool and work.shape == mats.shape
+    for i in range(s):
+        one = mats[i].copy()
+        pivots = _purerref.rref_mod(one, p)
+        assert np.array_equal(work[i], one)
+        assert np.flatnonzero(mask[i]).tolist() == pivots
+
+
+def test_rref_mod_stack_chunks_alike(monkeypatch):
+    rng = np.random.default_rng(7)
+    mats = rng.integers(0, 5, (40, 6, 5)).astype(np.int64)
+    mats[::3, :, 1] = 0
+    whole = mats.copy()
+    mask = _purerref.rref_mod_stack(whole, 5)
+    monkeypatch.setattr(_purerref, "STACK_CELLS", 64)  # two matrices per chunk
+    chunked = mats.copy()
+    assert np.array_equal(_purerref.rref_mod_stack(chunked, 5), mask)
+    assert np.array_equal(chunked, whole)
 
 
 def _rref_all_fractions(mat):

@@ -1,16 +1,22 @@
+import json
+import runpy
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from gglab import linalg
-from gglab.algebra import center, commutant, is_unital_subalgebra
+from gglab import _purerref, linalg, separability
+from gglab.algebra import center, commutant, is_unital_subalgebra, subalgebra_generated, validate_algebra
 from gglab.fields import Field
-from gglab.instances import load_builtin
-from gglab.linalg import Subspace, all_subspaces
+from gglab.instances import load_builtin, load_instance_dict
+from gglab.linalg import Subspace
 from gglab.separability import (
     SeparabilityCertificate,
+    SubalgebraFacts,
     double_centralizer_check,
     enumerate_separable_subalgebras,
     is_separable_subalgebra_over,
@@ -19,7 +25,9 @@ from gglab.separability import (
     tensor_square,
     verify_certificate,
 )
-from gglab.suite import SuiteState
+from gglab.suite import SuiteState, run_suite
+from test_batched import block_table, change_basis
+from test_linalg import all_subspaces
 
 F3 = Field("Fp", 3)
 
@@ -237,3 +245,107 @@ def test_centrality_clause_matches_the_intersection():
         seen.add((central, a.contains_space(base)))
     # central pairs, and non-central ones with the base inside A and outside it
     assert seen == {(True, True), (False, True), (False, False)}
+
+
+# -- the stacked exhaustive walk against the per-candidate walk
+
+WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+WALK_DOCUMENTS = {
+    **{f"klein_m2f{p}": WORKLOADS["klein_m2"](p) for p in (3, 5, 7)},
+    **{name: json.loads(WORKLOADS["documents"]("objects")[name]) for name in ("pair_f5x2", "cyclic_shift_c3x2")},
+}
+
+
+def per_candidate_walk(alg, base):
+    """One Subspace, one unital-subalgebra test and one tensor-square solve
+    per candidate: the separable subalgebras in key order and every
+    unital candidate's verdict."""
+    f, n = alg.field, alg.dim
+    comp = [c for c in range(n) if c not in base.pivots]
+    facts = SubalgebraFacts(alg)
+    found = {}
+    for quot in all_subspaces(f, len(comp)):
+        lift = f.zeros((quot.shape[0], n))
+        lift[:, comp] = quot
+        cand = Subspace(f, n, np.vstack([base.basis, lift]))
+        if is_unital_subalgebra(alg, cand) and facts.separable_over(cand, base):
+            found[cand.key()] = cand
+    return [found[k] for k in sorted(found)], facts.separable
+
+
+def assert_walks_agree(alg, base, monkeypatch):
+    want, verdicts = per_candidate_walk(alg, base)
+    for min_fills in (1, separability.STACK_MIN_FILLS):  # every pattern stacked, then the shipped mix
+        with monkeypatch.context() as m:
+            m.setattr(separability, "STACK_MIN_FILLS", min_fills)
+            facts = SubalgebraFacts(alg)
+            enum = enumerate_separable_subalgebras(alg, base, facts=facts)
+        assert enum.exhaustive and enum.note == "exhaustive"
+        assert [s.key() for s in enum.subalgebras] == [s.key() for s in want]
+        for got, ref in zip(enum.subalgebras, want):
+            assert got == ref and got.pivots == ref.pivots
+        assert facts.separable == verdicts
+
+
+def walk_base(alg, kind, x):
+    """The center, the scalars, the unital subalgebra F[x] (not separable
+    over F when x has a nilpotent part, so the balancing relations decide
+    verdicts), or the non-unital span of x (so the unit test decides)."""
+    if kind == "center":
+        return center(alg)
+    if kind == "scalars":
+        return Subspace.span(alg.field, alg.unit)
+    if kind == "generated":
+        return subalgebra_generated(alg, [x])
+    return Subspace.span(alg.field, x)
+
+
+BASE_KINDS = ["center", "scalars", "generated", "span"]
+
+
+@pytest.mark.parametrize("base_kind", BASE_KINDS)
+@pytest.mark.parametrize("name", sorted(WALK_DOCUMENTS))
+def test_stacked_walk_equals_per_candidate_walk(name, base_kind, monkeypatch):
+    alg = load_instance_dict(WALK_DOCUMENTS[name]).algebra
+    # on the klein documents b1 = E12, so F[b1] = F[t]/(t^2)
+    assert_walks_agree(alg, walk_base(alg, base_kind, alg.basis_vector(1)), monkeypatch)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_stacked_walk_on_random_block_sums(p, monkeypatch):
+    field = Field("Fp", p)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def run(data):
+        sizes = data.draw(st.sampled_from([[2], [2, 1], [2, 1, 1], [1, 1, 1], [1, 1, 1, 1]]))
+        table, unit = block_table(field, sizes)
+        n = len(unit)
+        assume(p == 3 or n <= 5)  # F_5^5 has 42176 subspaces; the oracle takes them one by one
+        basis = field.array(data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), min_size=n, max_size=n)))
+        assume(linalg.rank(field, basis) == n)
+        table, unit = change_basis(field, table, unit, basis)
+        alg = validate_algebra(field, [f"b{i}" for i in range(n)], table, unit)
+        x = field.vector(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+        assume(x.any())
+        assert_walks_agree(alg, walk_base(alg, data.draw(st.sampled_from(BASE_KINDS)), x), monkeypatch)
+
+    run()
+
+
+def test_a_tampered_stacked_solution_is_an_internal_error(monkeypatch):
+    """Every right-hand side of a consistent stacked system is shifted by
+    one after the elimination, so each read-off solution is wrong; the
+    substitution check refuses it and the suite stops instead of
+    recording a violation."""
+    real = _purerref.rref_mod_stack
+
+    def shifted(mats, p):
+        mask = real(mats, p)
+        mats[:, :, -1] = (mats[:, :, -1] + 1) % p
+        return mask
+
+    monkeypatch.setattr(separability, "STACK_MIN_FILLS", 1)
+    monkeypatch.setattr(_purerref, "rref_mod_stack", shifted)
+    with pytest.raises(RuntimeError, match="internal: stacked separability solution failed substitution"):
+        run_suite(load_builtin("klein_m2f3"), scope="all")
