@@ -6,10 +6,11 @@ reduces those, stores the result back into the matrix and returns the
 pivot columns; ``linalg.rref`` is their only caller.
 
 ``rref_mod_stack`` reduces a whole stack of equally shaped int64
-matrices mod p at once, column by column in numpy, for the exhaustive
-subalgebra walk of ``separability``, whose matrices are small but come
-by the hundreds.  It picks the same pivot rows as ``rref_mod``, so each
-matrix of the stack ends in the same (unique) RREF.
+matrices mod p at once, column by column in numpy.  It serves the
+exhaustive subalgebra walk and the Theorem 3.9 double-centralizer sweep
+of ``separability``, whose matrices are small but come by the hundreds.
+It picks the same pivot rows as ``rref_mod``, so each matrix of the
+stack ends in the same (unique) RREF.
 
 ``rref_frac`` keeps every entry in the canonical form of ``fields``: a
 Python ``int`` when integral, else a ``Fraction``.  Integer rows are

@@ -19,10 +19,20 @@ solution read off is substituted back into mu(z) = 1 and r z = z r
 modulo the balancing relations before a positive verdict is recorded.
 A solution that fails substitution is an internal error, never a
 verdict.
+
+The Theorem 3.9 sweep (``double_centralizer_sweep``) computes the
+commutants of the members of one dimension together (``_commutant_stack``).
+V(S) is the nullspace of S's commutator matrix; one stacked elimination
+reduces the matrices of every member, and the nullspace bases read off
+them are brought to canonical RREF by a second one.  Each basis is
+substituted back before it is kept: every basis vector v must satisfy
+s v = v s for every basis vector s of S, and dim V(S) must be n minus the
+rank.  A basis that fails is an internal error, never a verdict.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -44,6 +54,12 @@ EXHAUSTIVE_DIM = 6  # above this dimension the subalgebra sweep is pool-restrict
 # stacked pattern costs about 1 ms however few its fills, a looped
 # candidate 0.1-0.4 ms (M_2(F_p) over F_p, p = 3..17, 2-vCPU Xeon).
 STACK_MIN_FILLS = 5
+# A dimension with fewer members is swept one S at a time: stacking a
+# dimension costs about 1.5 ms however few its members, a member taken
+# alone about 0.15 ms (tori of M_2(F_11), 2-vCPU Xeon: 10 cost 1.7 ms
+# either way; the 6-9 dim-8 members of klein_disjoint2's dimensions cost
+# more stacked).
+SWEEP_STACK_MIN = 10
 
 
 @dataclass
@@ -169,16 +185,14 @@ class DoubleCentralizerResult:
 def double_centralizer_check(
     alg: Algebra, a: Subspace, center_sub: Subspace, facts: SubalgebraFacts | None = None
 ) -> DoubleCentralizerResult:
-    """The Azumaya double-centralizer statement, clause by clause.
+    """The Azumaya double-centralizer statement, clause by clause: the
+    per-S path of ``double_centralizer_sweep``.
 
     Commutants and separability verdicts are read from ``facts``, which a
     sweep shares across its members; a standalone call starts an empty one.
     """
     facts = SubalgebraFacts(alg) if facts is None else facts
     va = facts.commutant(a)
-    vva = facts.commutant(va)
-    holds = vva == a
-    sep = facts.separable_over(va, center_sub)
     # A central over C: A cap V(A) = C, i.e. the center of A is exactly C.
     # C lies in both, and dim(A cap V(A)) = dim A + dim V(A) - dim(A + V(A))
     central = (
@@ -187,6 +201,17 @@ def double_centralizer_check(
         and a.dim + va.dim - linalg.rank(alg.field, np.vstack([a.basis, va.basis]))
         == center_sub.dim
     )
+    return _double_centralizer_clauses(alg, a, va, center_sub, facts, central)
+
+
+def _double_centralizer_clauses(
+    alg: Algebra, a: Subspace, va: Subspace, center_sub: Subspace, facts: SubalgebraFacts, central: bool
+) -> DoubleCentralizerResult:
+    """The clauses of ``double_centralizer_check`` once V(A) and whether A
+    is central over C are known."""
+    vva = facts.commutant(va)
+    holds = vva == a
+    sep = facts.separable_over(va, center_sub)
     if central:
         # mu: A (x)_S V(A) -> R is an isomorphism iff the relative tensor
         # product has dim R and the products span R
@@ -198,6 +223,127 @@ def double_centralizer_check(
     else:
         tensor_clause = "skipped (A not central)"
     return DoubleCentralizerResult(a, vva, holds, sep, tensor_clause)
+
+
+def double_centralizer_sweep(
+    alg: Algebra, subalgebras: list[Subspace], center_sub: Subspace, facts: SubalgebraFacts
+) -> list[DoubleCentralizerResult]:
+    """``double_centralizer_check`` on every member of ``subalgebras``, in
+    order, sharing ``facts``.
+
+    Over F_p, the members of a dimension that at least ``SWEEP_STACK_MIN``
+    of them share have their commutants and bicommutants computed in
+    stacks (``_commutant_stack``), and whether each is central over C
+    decided in stacks (``_central_stack``).  Their other clauses, and every
+    other member, take the per-S path.
+    """
+    by_dim = Counter(s.dim for s in subalgebras)
+    stacked = [s for s in subalgebras if alg.field.modular and by_dim[s.dim] >= SWEEP_STACK_MIN]
+    _cache_commutants(alg, stacked, facts)
+    commutants = [facts.commutant(s) for s in stacked]
+    _cache_commutants(alg, commutants, facts)
+    central = dict(zip((s.key() for s in stacked), _central_stack(alg, stacked, commutants, center_sub)))
+    return [
+        _double_centralizer_clauses(alg, s, facts.commutant(s), center_sub, facts, central[s.key()])
+        if s.key() in central
+        else double_centralizer_check(alg, s, center_sub, facts)
+        for s in subalgebras
+    ]
+
+
+def _chunks(count: int, cells: int):
+    """Slices of ``count`` stacked members, each of ``cells`` int64
+    entries, holding at most ``_purerref.STACK_CELLS`` entries at once."""
+    step = max(1, _purerref.STACK_CELLS // max(1, cells))
+    for lo in range(0, count, step):
+        yield slice(lo, lo + step)
+
+
+def _cache_commutants(alg: Algebra, spaces: list[Subspace], facts: SubalgebraFacts) -> None:
+    """Put V_R(S) into ``facts`` for every S of ``spaces`` not there yet,
+    one ``_commutant_stack`` per dimension."""
+    todo: dict[int, dict[tuple, Subspace]] = {}
+    for s in spaces:
+        if s.key() not in facts.commutants:
+            todo.setdefault(s.dim, {})[s.key()] = s
+    for group in todo.values():
+        keys = list(group)
+        bases = np.stack([group[key].basis for key in keys])
+        facts.commutants.update(zip(keys, _commutant_stack(alg, bases)))
+
+
+def _commutant_stack(alg: Algebra, bases: np.ndarray) -> list[Subspace]:
+    """V_R(S) for the span S of each stack member bases[g] (shape (k, n),
+    F_p), as ``commutant(alg, S, alg.full_space)`` gives it.
+
+    Row (a, j) of member g's commutator matrix holds coordinate j of
+    s_a e_c - e_c s_a in column c, so V(S) is its nullspace.  One stacked
+    elimination reduces the matrices; members with the same pivot mask
+    share the shape of their nullspace basis e_f - sum_i r[i, f] e_(piv_i),
+    which a second stacked elimination brings to canonical RREF.  Every
+    basis is substituted back (s_a v = v s_a for each pair, and dim V(S)
+    = n - rank) before it is returned; a failure is an internal error.
+    """
+    f, n = alg.field, alg.dim
+    g, k = bases.shape[:2]
+    # [i, c, j] = coordinate j of b_i e_c - e_c b_i, unreduced, so that its
+    # entries stay below p in size
+    diff = (alg.table - alg.table.transpose(1, 0, 2)).reshape(n, n * n)
+    out: list[Subspace] = []
+    for part in _chunks(g, k * n * n):
+        chunk = bases[part]
+        mats = f.reduce(np.matmul(chunk, diff)).reshape(len(chunk), k, n, n)
+        mats = mats.transpose(0, 1, 3, 2).reshape(len(chunk), k * n, n)
+        red = mats.copy()
+        masks = _purerref.rref_mod_stack(red, f.p)
+        spaces: list[Subspace | None] = [None] * len(chunk)
+        shapes, group = np.unique(masks, axis=0, return_inverse=True)
+        group = group.reshape(-1)
+        for i, mask in enumerate(shapes):
+            members = np.flatnonzero(group == i)
+            piv, free = np.flatnonzero(mask), np.flatnonzero(~mask)
+            null = f.zeros((len(members), len(free), n))
+            null[:, np.arange(len(free)), free] = 1
+            null[:, :, piv] = f.reduce(-red[members][:, : len(piv)][:, :, free].transpose(0, 2, 1))
+            null_masks = _purerref.rref_mod_stack(null, f.p)
+            if np.any(null_masks.sum(axis=1) != len(free)) or np.any(
+                f.reduce(np.matmul(mats[members], null.transpose(0, 2, 1)))
+            ):
+                raise RuntimeError("internal: stacked commutant failed substitution")
+            for m, basis, null_mask in zip(members, null, null_masks):
+                spaces[m] = Subspace.from_rref(f, basis, np.flatnonzero(null_mask).tolist())
+        out.extend(spaces)
+    return out
+
+
+def _central_stack(
+    alg: Algebra, subalgebras: list[Subspace], commutants: list[Subspace], center_sub: Subspace
+) -> list[bool]:
+    """Whether each A is central over C, as ``double_centralizer_check``
+    decides it, stacked by (dim A, dim V(A)): C lies in A iff C's entries
+    at A's pivots, as coordinates, reproduce it, and likewise in V(A);
+    dim(A + V(A)) is the pivot count of one stacked elimination of [A; V(A)].
+    """
+    f = alg.field
+    c = center_sub.basis
+    out = [False] * len(subalgebras)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (a, va) in enumerate(zip(subalgebras, commutants)):
+        groups.setdefault((a.dim, va.dim), []).append(i)
+    for (ka, kv), members in groups.items():
+        for part in _chunks(len(members), (ka + kv) * alg.dim + len(c) * alg.dim):
+            idx = members[part]
+            a = np.stack([subalgebras[i].basis for i in idx])
+            va = np.stack([commutants[i].basis for i in idx])
+            inside = np.ones(len(idx), dtype=bool)
+            for spaces, stack in ((subalgebras, a), (commutants, va)):
+                pivots = np.array([spaces[i].pivots for i in idx], dtype=np.int64)
+                coords = c[:, pivots].transpose(1, 0, 2)  # [g, row of C, pivot]
+                inside &= ~f.reduce(c - np.matmul(coords, stack)).any(axis=(1, 2))
+            rank = _purerref.rref_mod_stack(np.concatenate([a, va], axis=1), f.p).sum(axis=1)
+            for i, ok in zip(idx, inside & (ka + kv - rank == len(c))):
+                out[i] = bool(ok)
+    return out
 
 
 def relative_tensor_dim(alg: Algebra, a: Subspace, b: Subspace, base: Subspace) -> int:

@@ -43,7 +43,7 @@ from .report import CheckRecord, VerificationReport
 from .separability import (
     SeparableEnumeration,
     SubalgebraFacts,
-    double_centralizer_check,
+    double_centralizer_sweep,
     enumerate_separable_subalgebras,
 )
 
@@ -721,8 +721,8 @@ def _theorem_3_9(state: SuiteState) -> Outcome:
         return _skip("R is not Azumaya (hypothesis not met)")
     enum = state.center_enum
     fails = []
-    for s in enum.subalgebras:
-        res = double_centralizer_check(state.inst.algebra, s, state.ctx.center, state.facts)
+    for res in double_centralizer_sweep(state.inst.algebra, enum.subalgebras, state.ctx.center, state.facts):
+        s = res.subalgebra
         row = {
             "dim": s.dim,
             "double_centralizer": res.double_centralizer_holds,

@@ -25,7 +25,7 @@ from gglab.separability import (
     tensor_square,
     verify_certificate,
 )
-from gglab.suite import SuiteState, run_suite
+from gglab.suite import CHECKS, SuiteState, run_suite
 from test_batched import block_table, change_basis
 from test_linalg import all_subspaces
 
@@ -349,3 +349,129 @@ def test_a_tampered_stacked_solution_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(_purerref, "rref_mod_stack", shifted)
     with pytest.raises(RuntimeError, match="internal: stacked separability solution failed substitution"):
         run_suite(load_builtin("klein_m2f3"), scope="all")
+
+
+# -- the stacked Theorem 3.9 sweep against the per-S path
+
+
+def spans_of(field, rows_list, where):
+    """The subspaces spanned by coefficient rows over the basis of ``where``."""
+    return [Subspace(field, where.ambient, field.reduce(field.array(rows) @ where.basis)) for rows in rows_list]
+
+
+def assert_stacked_commutants_agree(alg, spaces):
+    """``_commutant_stack`` on each dimension's stack gives what
+    ``commutant`` gives space by space, pivots included."""
+    by_dim = {}
+    for s in spaces:
+        by_dim.setdefault(s.dim, []).append(s)
+    for group in by_dim.values():
+        got = separability._commutant_stack(alg, np.stack([s.basis for s in group]))
+        for s, v in zip(group, got):
+            want = commutant(alg, s, alg.full_space)
+            assert v == want and v.pivots == want.pivots, s.to_json()
+
+
+def test_stacked_commutant_equals_commutant():
+    # over F_2^31-1 the loader admits only algebras with n^2 (p-1)^2 < 2^63,
+    # that is n = 1: past that bound int64 products wrap
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def run(data):
+        p = data.draw(st.sampled_from([2, 3, 5, 2**31 - 1]))
+        field = Field("Fp", p)
+        choices = [[1]] if p == 2**31 - 1 else [[2], [1], [1, 1], [1, 1, 1], [1, 1, 1, 1], [2, 1], [1, 2], [2, 1, 1]]
+        table, unit = block_table(field, data.draw(st.sampled_from(choices)))
+        n = len(unit)
+        if data.draw(st.booleans()):  # a random basis
+            basis = field.array(data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), min_size=n, max_size=n)))
+            assume(linalg.rank(field, basis) == n)
+            table, unit = change_basis(field, table, unit, basis)
+        alg = validate_algebra(field, [f"b{i}" for i in range(n)], table, unit)
+        # inside the center V(S) = R, and the commutator matrices have no pivot
+        where = center(alg) if data.draw(st.booleans()) else alg.full_space
+        d = where.dim
+        rows = st.lists(st.lists(st.integers(0, p - 1), min_size=d, max_size=d), min_size=1, max_size=d)
+        assert_stacked_commutants_agree(alg, spans_of(field, data.draw(st.lists(rows, min_size=1, max_size=6)), where))
+
+    run()
+
+
+def test_stacked_commutant_with_several_pivot_masks():
+    # every subspace of M_2(F_3) of each dimension in one stack: V(S) of a
+    # 2-dimensional S is 1- or 2-dimensional, so its stack holds matrices
+    # of two ranks
+    alg = m2f3()
+    spaces = [Subspace(F3, 4, m) for m in all_subspaces(F3, 4)]
+    assert {commutant(alg, s, alg.full_space).dim for s in spaces if s.dim == 2} == {1, 2}
+    assert_stacked_commutants_agree(alg, spaces)
+
+
+SWEEP_DOCUMENTS = {
+    **{f"klein_m2f{p}": WORKLOADS["klein_m2"](p) for p in (3, 5, 7, 11)},
+    "klein_disjoint2": json.loads(WORKLOADS["documents"]("builtins")["klein_disjoint2"]),
+    **{name: json.loads(WORKLOADS["documents"]("objects")[name]) for name in ("pair_f5x2", "cyclic_shift_c3x3")},
+    "pair_qx2": json.loads(WORKLOADS["documents"]("rational")["pair_qx2"]),  # Q: always the per-S path
+}
+
+
+@pytest.mark.parametrize("stack_min", [separability.SWEEP_STACK_MIN, 1])
+@pytest.mark.parametrize("name", sorted(SWEEP_DOCUMENTS))
+def test_sweep_equals_per_subalgebra_checks(name, stack_min, monkeypatch):
+    """The sweep's rows, field by field, and the commutants and verdicts it
+    leaves in the facts, equal those of one ``double_centralizer_check``
+    per member; with the threshold at 1 every dimension is stacked."""
+    monkeypatch.setattr(separability, "SWEEP_STACK_MIN", stack_min)
+    state = SuiteState(load_instance_dict(SWEEP_DOCUMENTS[name]))
+    alg, c, subs = state.inst.algebra, state.ctx.center, state.center_enum.subalgebras
+    per_s = SubalgebraFacts(alg)
+    per_s.separable.update(state.facts.separable)
+    want = [double_centralizer_check(alg, s, c, per_s) for s in subs]
+    got = separability.double_centralizer_sweep(alg, subs, c, state.facts)
+    assert got == want
+    assert state.facts.commutants == per_s.commutants
+    assert state.facts.separable == per_s.separable
+
+
+def test_stacked_sweep_over_any_base_and_list(monkeypatch):
+    """Every dimension stacked, on the unital subalgebras of M_2(F_3) over
+    the bases of ``test_centrality_clause_matches_the_intersection`` (so
+    the base is outside some A), as one list and one member at a time (so
+    V(A) is outside the list): the rows equal the per-S rows, and no
+    commutant is computed one at a time."""
+    alg = m2f3()
+    bases = [center(alg), Subspace(F3, 4, F3.array([[1, 0, 0, 0], [0, 0, 0, 1]])), Subspace(F3, 4, F3.array([[1, 0, 0, 0]]))]
+    subalgebras = [s for s in (Subspace(F3, 4, m) for m in all_subspaces(F3, 4)) if is_unital_subalgebra(alg, s)]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return commutant(*args)
+
+    monkeypatch.setattr(separability, "SWEEP_STACK_MIN", 1)
+    monkeypatch.setattr(separability, "commutant", counted)
+    for base in bases:
+        for members in [subalgebras] + [[a] for a in subalgebras]:
+            want = [double_centralizer_check(alg, a, base) for a in members]
+            before = len(calls)
+            assert separability.double_centralizer_sweep(alg, members, base, SubalgebraFacts(alg)) == want
+            assert len(calls) == before
+
+
+def test_a_tampered_stacked_nullspace_is_an_internal_error(monkeypatch):
+    """One is added to the first reduced row of every stacked matrix off
+    its pivots, so each nullspace read off it is wrong; the substitution
+    check refuses it and the check stops instead of recording a violation."""
+    real = _purerref.rref_mod_stack
+
+    def shifted(mats, p):
+        mask = real(mats, p)
+        if mats.shape[1]:
+            mats[:, 0] = (mats[:, 0] + ~mask) % p
+        return mask
+
+    state = SuiteState(load_instance_dict(SWEEP_DOCUMENTS["klein_m2f5"]))
+    state.azu, state.center_enum  # the walk runs untampered
+    monkeypatch.setattr(_purerref, "rref_mod_stack", shifted)
+    with pytest.raises(RuntimeError, match="internal: stacked commutant failed substitution"):
+        CHECKS["theorem_3_9"](state)

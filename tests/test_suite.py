@@ -244,6 +244,32 @@ def test_theorem_3_9_sweep_closed_form(p):
         assert shared == double_centralizer_check(alg, s, center)
 
 
+def test_theorem_3_9_sweep_computes_no_commutant_one_at_a_time(monkeypatch):
+    """On klein_m2f11 the sweep stacks the commutants of its 121 tori.
+    The only one-at-a-time commutants of the run are lemma_3_1's, of the
+    five theta(H), which the sweep then reads for F_p, M_2(F_p) and the
+    three theta tori; taking each S alone, as ``double_centralizer_check``
+    does, would make 118 more."""
+    calls, during_sweep = [], []
+    commutant, sweep = separability.commutant, suite.double_centralizer_sweep
+
+    def counted(alg, s1, s2):
+        calls.append(s1.dim)
+        return commutant(alg, s1, s2)
+
+    def counted_sweep(*args):
+        before = len(calls)
+        out = sweep(*args)
+        during_sweep.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(separability, "commutant", counted)
+    monkeypatch.setattr(suite, "double_centralizer_sweep", counted_sweep)
+    run_suite(load_instance_dict(json.loads(BENCH_DOCS["klein_p"]["klein_m2f11"])), scope="all")
+    assert during_sweep == [0]
+    assert len(calls) <= 5
+
+
 @pytest.mark.parametrize(
     "workload, name", [(w, name) for w, docs in BENCH_DOCS.items() for name in docs]
 )
