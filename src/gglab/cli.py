@@ -97,7 +97,7 @@ def _cmd_jmodules(args) -> int:
     for a in inst.groupoid.arrows():
         jm = ctx.jmodules[a]
         print(f"J_{inst.groupoid.names[a]}: dim {jm.dim}")
-        for row in jm.space.basis:
+        for row in jm.basis:
             print(f"    {inst.field.vector_json(row)}")
     return 0
 

@@ -11,7 +11,7 @@ import numpy as np
 from . import linalg
 from .action import Action, invariants
 from .algebra import commutant
-from .groupoid import Subgroupoid, enumerate_subgroupoids, pair_star
+from .groupoid import Subgroupoid, enumerate_subgroupoids
 from .linalg import Subspace
 
 
@@ -31,26 +31,25 @@ class GaloisCoordinates:
         return np.array(vecs, dtype=act.field.dtype).reshape(len(vecs), act.algebra.dim)
 
 
-def coordinate_sums(act: Action, coords: GaloisCoordinates, arrows=None) -> dict[int, np.ndarray]:
-    """For each arrow g (of ``arrows``, by default all): sum_i x_i * beta_g(y_i 1_{g^-1})."""
+def coordinate_sums(act: Action, coords: GaloisCoordinates) -> dict[int, np.ndarray]:
+    """For each arrow g: sum_i x_i * beta_g(y_i 1_{g^-1})."""
     rows = coords.rows(act)
     out = {}
-    for g in act.groupoid.arrows() if arrows is None else arrows:
+    for g in act.groupoid.arrows():
         # the terms are the diagonal of all products x_i * beta_g(y_j 1_{g^-1})
         prods = act.algebra.products(rows[0::2], act.apply_truncated(g, rows[1::2]))
         out[g] = act.field.reduce(prods.diagonal().sum(axis=-1))
     return out
 
 
-def check_galois_coordinates(act: Action, coords: GaloisCoordinates, arrows=None):
-    """Certify the delta condition on ``arrows`` (by default all): sum = 1_g
-    for identities, 0 otherwise.
+def check_galois_coordinates(act: Action, coords: GaloisCoordinates):
+    """Certify the delta condition: sum = 1_g for identities, 0 otherwise.
 
     Returns (ok, failures) where failures list (arrow, residual vector).
     """
     g = act.groupoid
     failures = []
-    for a, s in sorted(coordinate_sums(act, coords, arrows).items()):
+    for a, s in sorted(coordinate_sums(act, coords).items()):
         want = act.idempotents[a] if a in g.identities else act.field.zeros(act.algebra.dim)
         res = act.field.reduce(s - want)
         if np.any(res != 0):
@@ -134,17 +133,7 @@ def separability_from_coordinates(
     )
 
 
-@dataclass
-class JModule:
-    arrow: int
-    space: Subspace
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-
-def j_module(act: Action, g: int) -> JModule:
+def j_module(act: Action, g: int) -> Subspace:
     """J_g = {r in E_g | r * beta_g(x 1_{g^-1}) = x r for all x}."""
     f = act.field
     alg = act.algebra
@@ -155,7 +144,7 @@ def j_module(act: Action, g: int) -> JModule:
     # block x, row k, column i: coordinate k of b_i c_x - b_x b_i
     blocks = alg.products(eye, cs).transpose(1, 2, 0) - alg.table.transpose(0, 2, 1)
     rows = np.vstack([act.idempotent_mult[gp.target[g]] - eye, blocks.reshape(n * n, n)])
-    return JModule(g, Subspace(f, n, linalg.nullspace(f, f.reduce(rows))))
+    return Subspace(f, n, linalg.nullspace(f, f.reduce(rows)))
 
 
 @dataclass
@@ -256,12 +245,12 @@ def theta(act: Action, h: Subgroupoid) -> Subspace:
     return invariants(act, h.members)
 
 
-def gamma(act: Action, members, jmods: dict[int, JModule]) -> tuple[Subspace, bool]:
+def gamma(act: Action, members, jmods: dict[int, Subspace]) -> tuple[Subspace, bool]:
     """Sum of the J_g over the arrows ``members``, plus a directness
     certificate (dim check)."""
     f = act.field
     n = act.algebra.dim
-    parts = [jmods[a].space for a in sorted(members)]
+    parts = [jmods[a] for a in sorted(members)]
     total = sum(p.dim for p in parts)
     stacked = (
         np.vstack([p.basis for p in parts if p.dim]) if total else f.zeros((0, n))
@@ -290,7 +279,7 @@ class GaloisContext:
         return [h for h in self.all_subgroupoids if h.wide]
 
     @cached_property
-    def jmodules(self) -> dict[int, JModule]:
+    def jmodules(self) -> dict[int, Subspace]:
         return {g: j_module(self.act, g) for g in self.act.groupoid.arrows()}
 
     @cached_property
@@ -319,6 +308,3 @@ class GaloisContext:
 
     def support(self, h: Subgroupoid) -> list[int]:
         return [a for a in sorted(h.members) if self.jmodules[a].dim > 0]
-
-    def composable_pairs(self) -> list[tuple[int, int]]:
-        return pair_star(self.act.groupoid)

@@ -8,7 +8,6 @@ inverse table (d(g) = g^-1 g, r(g) = g g^-1) and then certified.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 SUBGROUPOID_ARROWS = 24  # the subset walk refuses larger groupoids
 
@@ -216,7 +215,3 @@ def enumerate_subgroupoids(g: Groupoid) -> list[Subgroupoid]:
 def pair_star(g: Groupoid) -> list[tuple[int, int]]:
     """The composable pairs (g,h) with d(g) = r(h), in index order."""
     return [(a, b) for a in g.arrows() for b in g.arrows() if g.composable(a, b)]
-
-
-def subgroupoid_pairs(subs: list[Subgroupoid]):
-    return combinations(subs, 2)

@@ -14,13 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg
 from .action import Action, validate_action
 from .algebra import Algebra, validate_algebra
 from .fields import Field, FieldError
 from .galois import GaloisCoordinates
 from .groupoid import Groupoid, validate_groupoid
-from .linalg import Subspace
 
 
 class InstanceError(ValueError):
@@ -93,6 +91,8 @@ def load_instance_dict(doc: dict) -> Instance:
 
     gsec = _need(doc, "groupoid", "", dict)
     arrows = _names(gsec, "arrows", "groupoid")
+    if not arrows:
+        raise InstanceError("groupoid.arrows is empty: a groupoid needs at least one arrow")
     idx = {a: i for i, a in enumerate(arrows)}
 
     def arrow_index(nm, where):
@@ -240,17 +240,6 @@ def load_builtin(name: str) -> Instance:
     return load_instance_dict(builtin(name))
 
 
-def _structure_entries(table: np.ndarray) -> list:
-    n = table.shape[0]
-    return [
-        [i, j, k, int(table[i, j, k])]
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
-        if table[i, j, k] != 0
-    ]
-
-
 def _trivial() -> dict:
     return {
         "meta": {
@@ -310,77 +299,14 @@ def _pair_f5() -> dict:
     }
 
 
-def _m2_table(p: int) -> np.ndarray:
-    """Structure constants of M_2 over F_p in the matrix-unit basis
-    E11, E12, E21, E22 (index (a,b) -> 2(a-1)+(b-1))."""
-    t = np.zeros((4, 4, 4), dtype=np.int64)
-    def unit_index(a, b):
-        return 2 * a + b
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                for d in range(2):
-                    if b == c:
-                        t[unit_index(a, b), unit_index(c, d), unit_index(a, d)] = 1
-    return t
-
-
-def _conj_matrix(f: Field, table: np.ndarray, u: np.ndarray, unit: np.ndarray) -> np.ndarray:
-    """Matrix of x -> u x u^-1 built from the structure constants."""
-    alg = Algebra(field=f, labels=tuple(str(i) for i in range(len(unit))), table=table, unit=unit)
-    uinv = linalg.solve(f, alg.left_mult(u), unit)
-    if uinv is None:
-        raise InstanceError("conjugating element is not invertible")
-    return linalg.matmul(f, alg.left_mult(u), alg.right_mult(uinv))
-
-
-_KLEIN_TABLE = {
-    # Klein four group: e, a, b, c with a*b = c etc.
-    ("e", "e"): "e", ("e", "a"): "a", ("e", "b"): "b", ("e", "c"): "c",
-    ("a", "e"): "a", ("a", "a"): "e", ("a", "b"): "c", ("a", "c"): "b",
-    ("b", "e"): "b", ("b", "a"): "c", ("b", "b"): "e", ("b", "c"): "a",
-    ("c", "e"): "c", ("c", "a"): "b", ("c", "b"): "a", ("c", "c"): "e",
-}
-
-
 def _klein_m2f3() -> dict:
-    f = Field("Fp", 3)
-    table = _m2_table(3)
-    unit = np.array([1, 0, 0, 1], dtype=np.int64)
-    reps = {
-        "e": np.array([1, 0, 0, 1], dtype=np.int64),
-        "a": np.array([1, 0, 0, 2], dtype=np.int64),  # diag(1,-1)
-        "b": np.array([0, 1, 1, 0], dtype=np.int64),  # swap
-        "c": np.array([0, 1, 2, 0], dtype=np.int64),  # product of the two
+    # clock_shift(2, 3) with the arrows named as the Klein four group
+    doc = _conjugation_action(2, 3, [(0, 0), (1, 0), (0, 1), (1, 1)], lambda a, b: "eabc"[a % 2 + 2 * (b % 2)])
+    doc["meta"] = {
+        "name": "klein_m2f3",
+        "flags": {"galois_expected": True, "central_galois_expected": True, "hirata_expected": True},
     }
-    names = ["e", "a", "b", "c"]
-    maps = {
-        nm: [[int(v) for v in row] for row in _conj_matrix(f, table, reps[nm], unit)]
-        for nm in names
-    }
-    return {
-        "meta": {
-            "name": "klein_m2f3",
-            "flags": {
-                "galois_expected": True,
-                "central_galois_expected": True,
-                "hirata_expected": True,
-            },
-        },
-        "field": {"kind": "Fp", "p": 3},
-        "groupoid": {
-            "arrows": names,
-            "compose": [[_KLEIN_TABLE[(a, b)] for b in names] for a in names],
-            "inverse": names,  # every element is an involution
-            "identities": ["e"],
-        },
-        "algebra": {
-            "basis": ["E11", "E12", "E21", "E22"],
-            "structure": _structure_entries(table),
-            "unit": [1, 0, 0, 1],
-        },
-        "action": {"idempotents": {"e": [1, 0, 0, 1]}, "maps": maps},
-    }
+    return doc
 
 
 def _disjoint_copies(doc: dict, k: int, name: str) -> dict:
@@ -490,6 +416,15 @@ def clock_shift(n: int, p: int) -> dict:
         raise InstanceError(f"field: {e}") from e
     if n < 1 or (p - 1) % n:
         raise InstanceError(f"clock_shift needs n | p - 1, not n = {n}, p = {p}")
+    doc = _conjugation_action(n, p, [(a, b) for a in range(n) for b in range(n)], lambda a, b: f"c{a % n}s{b % n}")
+    doc["meta"] = {"name": f"clock_shift_m{n}f{p}"}
+    return doc
+
+
+def _conjugation_action(n: int, p: int, group: list, name) -> dict:
+    """The conjugation action of ``clock_shift`` with its arrows listed as
+    the exponents (a, b) of ``group`` and named ``name(a, b)``, which must
+    read a and b mod n.  The document has no meta section."""
     w = next(x for x in range(1, p) if pow(x, n, p) == 1 and all(pow(x, k, p) != 1 for k in range(1, n)))
     shift = np.roll(np.eye(n, dtype=np.int64), 1, axis=0)  # column i is e_(i+1)
 
@@ -499,13 +434,7 @@ def clock_shift(n: int, p: int) -> dict:
         u_inv = np.linalg.matrix_power(shift.T, b) @ np.diag([pow(w, -a * i % n, p) for i in range(n)])
         return (np.kron(u, u_inv.T) % p).tolist()
 
-    group = [(a, b) for a in range(n) for b in range(n)]
-
-    def name(a, b):
-        return f"c{a % n}s{b % n}"
-
     return {
-        "meta": {"name": f"clock_shift_m{n}f{p}"},
         "field": {"kind": "Fp", "p": p},
         "groupoid": {
             "arrows": [name(a, b) for a, b in group],

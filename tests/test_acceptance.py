@@ -30,7 +30,7 @@ from gglab.galois import (
     solve_galois_coordinates,
     v_in_ideal,
 )
-from gglab.groupoid import enumerate_subgroupoids, is_subgroupoid
+from gglab.groupoid import enumerate_subgroupoids, is_subgroupoid, pair_star
 from gglab.instances import BUILTIN_NAMES, load_builtin
 from gglab.linalg import Subspace
 from gglab.separability import (
@@ -63,7 +63,7 @@ def decomposition_holds(act, members):
     vr = commutant(act.algebra, inv, act.algebra.full_space)
     parts = [ctx.jmodules[a] for a in sorted(members)]
     dims = sum(p.dim for p in parts)
-    rows = [p.space.basis for p in parts if p.dim]
+    rows = [p.basis for p in parts if p.dim]
     total = Subspace(
         act.field, act.algebra.dim, np.vstack(rows) if rows else act.field.zeros((0, act.algebra.dim))
     )
@@ -114,13 +114,13 @@ def test_criterion_03_lemma_3_4_products_on_central_galois_instances():
         ctx = certified_context(inst)
         g = inst.groupoid
         pairs = 0
-        for a, b in ctx.composable_pairs():
-            prod = product_space(inst.algebra, ctx.jmodules[b].space, ctx.jmodules[a].space)
-            assert prod == ctx.jmodules[g.comp[a][b]].space, (name, g.names[a], g.names[b])
+        for a, b in pair_star(g):
+            prod = product_space(inst.algebra, ctx.jmodules[b], ctx.jmodules[a])
+            assert prod == ctx.jmodules[g.comp[a][b]], (name, g.names[a], g.names[b])
             pairs += 1
         for a in g.arrows():
             lhs = product_space(
-                inst.algebra, ctx.jmodules[g.inv[a]].space, ctx.jmodules[a].space
+                inst.algebra, ctx.jmodules[g.inv[a]], ctx.jmodules[a]
             )
             assert lhs == v_in_ideal(inst.action, a), (name, g.names[a])
         checked_pairs[name] = pairs

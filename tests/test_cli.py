@@ -107,6 +107,21 @@ def test_suite_refuses_a_groupoid_over_the_enumeration_cap(tmp_path, capsys):
     assert "groupoid has 25 arrows; enumeration cap is 24" in err
 
 
+@pytest.mark.parametrize("verb", ["validate", "suite", "theta-table"])
+def test_instance_without_arrows_is_refused(tmp_path, capsys, verb):
+    doc = {
+        "field": {"kind": "Fp", "p": 5},
+        "groupoid": {"arrows": [], "compose": [], "inverse": [], "identities": []},
+        "algebra": {"basis": [], "structure": [], "unit": []},
+        "action": {"idempotents": {}, "maps": {}},
+    }
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli([verb, str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: groupoid.arrows is empty: a groupoid needs at least one arrow\n"
+
+
 def test_missing_instance_arg():
     # a usage error exits 2; exit 1 is reserved for a recorded violation
     for verb in ("validate", "suite"):

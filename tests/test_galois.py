@@ -76,7 +76,7 @@ def test_jmodule_klein_spanned_by_group_elements():
     for nm, vec in reps.items():
         jm = ctx.jmodules[g.index(nm)]
         assert jm.dim == 1
-        assert jm.space.contains(inst.field.vector(vec))
+        assert jm.contains(inst.field.vector(vec))
 
 
 def test_lemma_comutador_pair_f5():
@@ -87,7 +87,7 @@ def test_lemma_comutador_pair_f5():
     total = Subspace(
         inst.field,
         2,
-        np.vstack([ctx.jmodules[a].space.basis for a in inst.groupoid.arrows() if ctx.jmodules[a].dim]),
+        np.vstack([ctx.jmodules[a].basis for a in inst.groupoid.arrows() if ctx.jmodules[a].dim]),
     )
     assert vr == total and vr.dim == 2
 
@@ -144,8 +144,8 @@ def test_product_space_klein():
     ctx = GaloisContext(inst.action)
     g = inst.groupoid
     a, b = g.index("a"), g.index("b")
-    prod = product_space(inst.algebra, ctx.jmodules[a].space, ctx.jmodules[b].space)
-    assert prod == ctx.jmodules[g.comp[a][b]].space
+    prod = product_space(inst.algebra, ctx.jmodules[a], ctx.jmodules[b])
+    assert prod == ctx.jmodules[g.comp[a][b]]
 
 
 def test_v_in_ideal_matches_block_center():

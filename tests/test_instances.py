@@ -1,5 +1,7 @@
 import json
 import re
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,18 @@ from gglab.instances import (
 def test_builtins_load_and_validate(name):
     inst = load_builtin(name)
     assert inst.name == name
+
+
+# the benchmark's generators, read without importing (or writing bytecode
+# into) perfbench
+BENCH_BUILTINS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))[
+    "documents"
+]("builtins")
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_document_equals_the_benchmark_generator(name):
+    assert emit_instance(builtin(name)) == BENCH_BUILTINS[name]
 
 
 def test_unknown_builtin():

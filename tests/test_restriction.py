@@ -1,11 +1,14 @@
-"""A restriction inherits the parent's certified axioms; the full
-validators, run on every restriction, keep the check ``restrict`` skips.
-Lemma 3.1 and Proposition 2.2 read the restriction's J modules, commutant
-and coordinate condition off the parent; the computation on the
-restricted action itself is kept here as their oracle."""
+"""The suite builds no restriction: Proposition 2.2 is decided by
+inheritance (its proof is ``prop_2_2``'s docstring), and Lemma 3.1 reads
+each restriction's J modules and commutant off the parent.  The
+restricted actions are built here instead, as their oracle: on every
+subgroupoid of every benchmark document, ``restrict`` passes the full
+validators, and the parent-read J modules, commutant and truncated
+coordinate pairs equal the computation on the restricted action."""
 
 import json
 import runpy
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -15,11 +18,11 @@ import pytest
 from gglab import action, galois
 from gglab.action import restrict, validate_action
 from gglab.algebra import commutant
-from gglab.galois import GaloisContext, GaloisCoordinates, JModule, check_galois_coordinates, coordinate_sums
+from gglab.galois import GaloisContext, GaloisCoordinates, check_galois_coordinates, coordinate_sums
 from gglab.groupoid import enumerate_subgroupoids, validate_groupoid
 from gglab.instances import clock_shift, load_builtin, load_instance_dict
 from gglab.linalg import Subspace
-from gglab.suite import CHECKS, SuiteState, _truncated_coordinates, run_suite
+from gglab.suite import CHECKS, SuiteState, run_suite
 
 # the benchmark's instance documents, read without importing (or writing
 # bytecode into) perfbench; its ``builtins`` workload is the five builtins,
@@ -47,6 +50,21 @@ def parent_tables(g, members):
     return names, comp, inv
 
 
+def truncated_coordinates(act, coords, h):
+    """The truncated pairs (x_i 1_H, y_i 1_H) if they meet the delta
+    condition in R on H's arrows, else None.  Read through the embedding
+    R_H = 1_H R, this is the restriction's own coordinate condition: for
+    g in H each sum lies in E_{r(g)} and 1_g is the parent's 1_g."""
+    rows = act.algebra.products(coords.rows(act), act.unit_of(h)[None])[:, 0]
+    cand = GaloisCoordinates(list(zip(rows[0::2], rows[1::2])))
+    sums = coordinate_sums(act, cand)
+    for g in h.members:
+        want = act.idempotents[g] if g in act.groupoid.identities else act.field.zeros(act.algebra.dim)
+        if not np.array_equal(sums[g], want):
+            return None
+    return cand
+
+
 def same_matrices(left: dict, right: dict) -> bool:
     return left.keys() == right.keys() and all(np.array_equal(left[k], right[k]) for k in left)
 
@@ -66,8 +84,7 @@ def test_every_restriction_passes_the_full_validators(name):
 @pytest.mark.parametrize("name", ["klein_disjoint2", "pair_f5"])
 def test_the_suite_never_revalidates_an_action(monkeypatch, name):
     # the load certifies the action once (through instances' own binding);
-    # prop_2_2 and lemma_3_1 restrict to every subgroupoid without calling
-    # validate_action again
+    # no check calls validate_action again
     inst = load_builtin(name)
     calls = []
     validate = action.validate_action
@@ -79,6 +96,37 @@ def test_the_suite_never_revalidates_an_action(monkeypatch, name):
     monkeypatch.setattr(action, "validate_action", counted)
     run_suite(inst, scope="all")
     assert len(calls) == 0
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Replace every binding of ``fn`` in the loaded gglab modules by a
+    wrapper that records its calls; return the record."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod in [m for nm, m in sys.modules.items() if nm == "gglab" or nm.startswith("gglab.")]:
+        for attr, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["objects/pair_f5x3", "builtins/klein_disjoint2"])
+def test_prop_2_2_builds_no_restriction(monkeypatch, name):
+    # Proposition 2.2 is decided by inheritance: no restriction is built
+    # and no truncated pairs are certified, however many subgroupoids
+    # there are; the instance's own coordinates and the solve certify once
+    # each at most
+    inst = load_instance_dict(DOCUMENTS[name])
+    restricts = count_calls(monkeypatch, action.restrict)
+    certifies = count_calls(monkeypatch, galois.check_galois_coordinates)
+    report = run_suite(inst, scope="all")
+    assert [r.verdict for r in report.checks if r.check_id == "prop_2_2"] == ["pass"]
+    assert len(restricts) == 0
+    assert len(certifies) <= 2
 
 
 @pytest.mark.parametrize("name", sorted(set(DOCUMENTS) - {"clock_shift(3, 7)"}))
@@ -103,21 +151,21 @@ def test_parent_read_facts_equal_the_restricted_computation(name):
         assert np.array_equal(embed(sub.algebra.unit), one_h), h.label()
 
         for i, g in enumerate(members):
-            assert Subspace(f, n, embed(sub_ctx.jmodules[i].space.basis)) == ctx.jmodules[g].space, h.label()
+            assert Subspace(f, n, embed(sub_ctx.jmodules[i].basis)) == ctx.jmodules[g], h.label()
 
         vr = commutant(sub.algebra, sub_ctx.invariant_ring, sub.algebra.full_space)
         parent = state.facts.commutant(ctx.theta(h))
         cut = Subspace(f, n, act.algebra.products(parent.basis, one_h[None])[:, 0])
         assert Subspace(f, n, embed(vr.basis)) == cut, h.label()
 
-        cand = _truncated_coordinates(act, state.coords, h)
+        cand = truncated_coordinates(act, state.coords, h)
         assert cand is not None, h.label()
         rows = cand.rows(act)
         sub_rows = rows if h.wide else Subspace(f, n, emb).coords_rows(rows)
         old = GaloisCoordinates(list(zip(sub_rows[0::2], sub_rows[1::2])))
         assert check_galois_coordinates(sub, old)[0], h.label()
         sub_sums = coordinate_sums(sub, old)
-        sums = coordinate_sums(act, cand, members)
+        sums = coordinate_sums(act, cand)
         assert all(np.array_equal(embed(sub_sums[i]), sums[g]) for i, g in enumerate(members)), h.label()
 
 
@@ -144,7 +192,7 @@ def test_lemma_3_1_sees_a_dropped_j_module():
     ctx, g = state.ctx, state.inst.groupoid
     a = g.index("a")
     assert ctx.jmodules[a].dim > 0
-    ctx.jmodules[a] = JModule(a, Subspace.zero(state.inst.field, state.inst.algebra.dim))
+    ctx.jmodules[a] = Subspace.zero(state.inst.field, state.inst.algebra.dim)
     out = CHECKS["lemma_3_1"](state)
     assert out.verdict == "violation"
     holding = [h.label() for h in ctx.all_subgroupoids if a in h.members]

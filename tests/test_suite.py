@@ -282,16 +282,6 @@ def test_instance_flags_are_never_a_hypothesis(workload, name):
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == BENCH_REPORT_SHA256[workload, name, "all"]
 
 
-def test_prop_2_2_uncertified_truncation_is_a_violation(monkeypatch):
-    # the truncated pairs certify on every restriction of a Galois R, so a
-    # failure falsifies Proposition 2.2 and names the subgroupoid
-    monkeypatch.setattr(suite, "_truncated_coordinates", lambda act, coords, h: None)
-    state = SuiteState(load_builtin("pair_f5"))
-    out = CHECKS["prop_2_2"](state)
-    assert (out.verdict, out.hypothesis) == ("violation", "met")
-    assert out.witnesses == {"subgroupoids": [h.label() for h in state.ctx.all_subgroupoids]}
-
-
 def trivial_c2_f5() -> dict:
     """C_2 acting trivially on F_5, which is not a Galois extension: the
     coordinate sum is the same at e and at g, yet must be 1 at e and 0 at g."""
