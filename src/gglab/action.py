@@ -52,6 +52,13 @@ class Action:
         """Multiplication-by-1_e matrices (1_e is central, so one matrix)."""
         return {e: self.algebra.right_mult(v) for e, v in self.idempotents.items()}
 
+    @cached_property
+    def fix_operators(self) -> np.ndarray:
+        """D_a = beta_a - (multiplication by 1_{r(a)}), stacked by arrow.
+        beta_a vanishes off E_{a^-1}, so a fixes r exactly when D_a r = 0."""
+        g = self.groupoid
+        return np.stack([self.field.reduce(self.beta[a] - self.idempotent_mult[g.target[a]]) for a in g.arrows()])
+
     def unit_of(self, h: Subgroupoid) -> np.ndarray:
         """1_H = sum of 1_e over the identities e of H: a central
         idempotent of R and the unit of R_H = 1_H R."""
@@ -162,25 +169,18 @@ def invariants(act: Action, members) -> Subspace:
     ``members`` may be any arrow subset, not only a subgroupoid.
     """
     members = sorted(set(int(m) for m in members))
-    field = act.field
     n = act.algebra.dim
     if not members:
-        return Subspace.full(field, n)
-    rows = []
-    for h in members:
-        # beta matrices already vanish off the domain, so B_h == B_h * proj
-        rows.append(field.reduce(act.beta[h] - act.idempotent_mult[act.groupoid.target[h]]))
-    return Subspace(field, n, linalg.nullspace(field, np.vstack(rows)))
+        return Subspace.full(act.field, n)
+    rows = act.fix_operators[members].reshape(len(members) * n, n)
+    return Subspace(act.field, n, linalg.nullspace(act.field, rows))
 
 
 def fixer_subgroupoid(act: Action, t: Subspace) -> Subgroupoid:
     """H_T: arrows fixing every element of T; certified to be a subgroupoid."""
     g = act.groupoid
-    members = set()
-    for a in g.arrows():
-        diff = act.field.reduce(act.beta[a] - act.idempotent_mult[g.target[a]])
-        if all(not np.any(linalg.matmul(act.field, diff, row) != 0) for row in t.basis):
-            members.add(a)
+    moved = (linalg.matmul(act.field, act.fix_operators, t.basis.T) != 0).any(axis=(1, 2))
+    members = {a for a in g.arrows() if not moved[a]}
     if not is_subgroupoid(g, members):
         # Would falsify the closure lemma for fixers; surface loudly.
         raise ActionError(

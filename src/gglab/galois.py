@@ -89,50 +89,6 @@ def solve_galois_coordinates(act: Action) -> GaloisCoordinates | None:
     return coords
 
 
-def separability_from_coordinates(
-    act: Action, coords: GaloisCoordinates, h: Subgroupoid, base: Subspace
-) -> bool:
-    """Whether z = sum_i x_i (x) y_i certifies R separable over
-    base = theta(H), for a wide H.  True is a proof; False proves nothing.
-
-    With t_H(a) = sum_{g in H} beta_g(a 1_{g^-1}), check on the basis
-    (every condition is linear in a):
-      mu(z) = sum_i x_i y_i = 1,   t_H(R) <= base,
-      (I)  a = sum_j x_j t_H(y_j a),
-      (II) a = sum_i t_H(a x_i) y_i.
-    Then r z = z r in R (x)_base R.  By (I) with a = r x_i,
-    r z = sum_i r x_i (x) y_i = sum_{i,j} x_j t_H(y_j r x_i) (x) y_i.
-    Each t_H(...) lies in base, so it moves across the tensor sign:
-    r z = sum_j x_j (x) sum_i t_H(y_j r x_i) y_i, and (II) with a = y_j r
-    makes the right factor y_j r, so r z = sum_j x_j (x) y_j r = z r.
-    With mu(z) = 1, z is a separability idempotent.
-
-    On a Galois R, (I) follows from the coordinate condition; (II) is its
-    dual, and both are checked.  With m pairs the cost is
-    O((|H| + m) n^3) multiply-adds, against a row reduction of the
-    dim(base) n^2 balancing relations in the n^2-dimensional R (x) R.
-    """
-    f, alg = act.field, act.algebra
-    eye = f.eye(alg.dim)
-    rows = coords.rows(act)
-    xs, ys = rows[0::2], rows[1::2]
-    # row k is t_H(b_k), so t_H(v) = v @ trace
-    trace = f.reduce(sum(act.apply_truncated(g, eye) for g in h.members))
-    # lx[i] is the matrix of v -> x_i v, rx[i] of v -> v x_i (on row vectors)
-    lx, ly = alg.products(xs, eye), alg.products(ys, eye)
-    rx = alg.products(eye, xs).transpose(1, 0, 2)
-    ry = alg.products(eye, ys).transpose(1, 0, 2)
-    mu = f.reduce(np.matmul(ys[:, None, :], lx).sum(axis=(0, 1)))  # sum_i x_i y_i
-    one = f.reduce(np.matmul(f.reduce(np.matmul(ly, trace)), lx).sum(axis=0))  # (I)
-    two = f.reduce(np.matmul(f.reduce(np.matmul(rx, trace)), ry).sum(axis=0))  # (II)
-    return (
-        np.array_equal(mu, alg.unit)
-        and np.array_equal(one, eye)
-        and np.array_equal(two, eye)
-        and base.coords_rows(trace) is not None
-    )
-
-
 def j_module(act: Action, g: int) -> Subspace:
     """J_g = {r in E_g | r * beta_g(x 1_{g^-1}) = x r for all x}."""
     f = act.field

@@ -61,6 +61,8 @@ class Subgroupoid:
 def validate_groupoid(names, comp, inv) -> Groupoid:
     """Certify the groupoid axioms on raw tables, or raise with a witness."""
     n = len(names)
+    if n == 0:
+        raise GroupoidError("groupoid.arrows is empty: a groupoid needs at least one arrow")
     if len(set(names)) != n:
         raise GroupoidError("duplicate arrow names")
     if len(comp) != n or any(len(row) != n for row in comp):

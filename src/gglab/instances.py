@@ -91,8 +91,6 @@ def load_instance_dict(doc: dict) -> Instance:
 
     gsec = _need(doc, "groupoid", "", dict)
     arrows = _names(gsec, "arrows", "groupoid")
-    if not arrows:
-        raise InstanceError("groupoid.arrows is empty: a groupoid needs at least one arrow")
     idx = {a: i for i, a in enumerate(arrows)}
 
     def arrow_index(nm, where):

@@ -86,10 +86,6 @@ def solve(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return x
 
 
-def residual(field: Field, a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return field.reduce(np.dot(a, x) - b)
-
-
 class Subspace:
     """A linear subspace of F^n in canonical (RREF) basis form.
 

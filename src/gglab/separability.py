@@ -2,13 +2,12 @@
 centralizers, and the separable-subalgebra enumeration feeding the
 Galois-correspondence checks.
 
-Every positive separability answer carries a certificate: here one found
-by the solve over R (x)_S R and re-verified by substitution, or, for R
-over an invariant ring theta(H), the element sum_i x_i (x) y_i of the
-certified Galois coordinates, which ``galois.separability_from_coordinates``
-checks without building R (x)_S R.  Every negative answer is a rank
-argument from the solve here (the defining system is genuinely linear, so
-"no solution" is a proof); a failed coordinate check proves nothing.
+Every positive separability answer here carries a certificate, found by
+the solve over R (x)_S R and re-verified by substitution; every negative
+answer is a rank argument from the solve (the defining system is
+genuinely linear, so "no solution" is a proof).  R over an invariant ring
+theta(H), and over its center when R^beta <= C(R), is not solved for: the
+suite proves it from the certified Galois coordinates (``suite._lemma_4_2``).
 
 The exhaustive walk decides the candidates of one RREF pivot pattern
 together (``_stacked_walk``).  It solves the same system as

@@ -66,6 +66,12 @@ def test_validate_rejects_broken_associativity():
         validate_groupoid(names, bad, inv)
 
 
+def test_validate_rejects_the_empty_groupoid():
+    # refused by the validator itself, so every path to a Groupoid is covered
+    with pytest.raises(GroupoidError, match="needs at least one arrow"):
+        validate_groupoid([], [], [])
+
+
 def test_validate_rejects_partiality_mismatch():
     g = pair_groupoid()
     comp = [list(row) for row in g.comp]
