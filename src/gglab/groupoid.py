@@ -8,6 +8,7 @@ inverse table (d(g) = g^-1 g, r(g) = g g^-1) and then certified.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 SUBGROUPOID_ARROWS = 24  # the subset walk refuses larger groupoids
 
@@ -47,15 +48,23 @@ class Groupoid:
 
 @dataclass(frozen=True)
 class Subgroupoid:
+    """A closed arrow set of ``parent``.  The class is frozen, so ``wide``
+    and ``label`` are computed once per object, on first use: the pair
+    sweeps of the suite read them many times per subgroupoid."""
+
     parent: Groupoid = field(compare=False)
     members: frozenset[int] = frozenset()
 
-    @property
+    @cached_property
     def wide(self) -> bool:
-        return set(self.parent.identities) <= self.members
+        return self.members.issuperset(self.parent.identities)
+
+    @cached_property
+    def _label(self) -> str:
+        return self.parent.label(self.members)
 
     def label(self) -> str:
-        return self.parent.label(self.members)
+        return self._label
 
 
 def validate_groupoid(names, comp, inv) -> Groupoid:

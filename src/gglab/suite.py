@@ -17,7 +17,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -491,28 +490,33 @@ def _lemma_3_1(state: SuiteState) -> Outcome:
 
 @check("lemma_3_2")
 def _lemma_3_2(state: SuiteState) -> Outcome:
-    # theta's fixed domain is the wide subgroupoids; the all-subgroupoid
-    # reading is reported as data alongside but never judged
+    """theta(H) = theta(L) forces H = L on the wide subgroupoids with
+    J != 0 throughout; the all-subgroupoid reading is reported as data
+    alongside but never judged.
+
+    The pairs are swept by bucket, not all N(N - 1)/2 of them.  A pair is
+    reported only when theta(H) = theta(L), and two subspaces of R are
+    equal exactly when their canonical keys are, so every reported pair
+    lies inside one bucket of equal ``theta(H).key()``.  The buckets'
+    pairs are emitted in the order of the all-pairs sweep over the gated
+    list, and the pair counts are tallies: with W of the G gated
+    subgroupoids wide, W(W - 1)/2 pairs are wide and the other
+    G(G - 1)/2 - W(W - 1)/2 are not."""
     if not state.galois:
         return _skip("Galois gate unmet")
     ctx = state.ctx
-    checked = 0
-    bad_pairs = []
-    non_wide = 0
-    non_wide_coincidences = []
     # the hypothesis J != 0 on H and L: pair only the subgroupoids that
     # hold no zero-J arrow (filtering keeps the pair order)
     zero_j = {a for a, j in ctx.jmodules.items() if j.dim == 0}
-    for h, l in combinations([h for h in ctx.all_subgroupoids if not h.members & zero_j], 2):
-        coincide = ctx.theta(h) == ctx.theta(l)
-        if h.wide and l.wide:
-            checked += 1
-            if coincide:
-                bad_pairs.append([h.label(), l.label()])
-        else:
-            non_wide += 1
-            if coincide:
-                non_wide_coincidences.append([h.label(), l.label()])
+    gated = [h for h in ctx.all_subgroupoids if not h.members & zero_j]
+    wide = sum(h.wide for h in gated)
+    checked = wide * (wide - 1) // 2
+    non_wide = len(gated) * (len(gated) - 1) // 2 - checked
+    bad_pairs = []
+    non_wide_coincidences = []
+    for i, j in _bucket_pairs([ctx.theta(h).key() for h in gated]):
+        h, l = gated[i], gated[j]
+        (bad_pairs if h.wide and l.wide else non_wide_coincidences).append([h.label(), l.label()])
     witnesses = {"non_wide_pairs_reported": non_wide, "non_wide_coincidences": non_wide_coincidences}
     witnesses.update({"pairs": bad_pairs} if bad_pairs else {"checked": checked})
     return Outcome(
@@ -640,15 +644,23 @@ def _theorem_3_5(state: SuiteState) -> Outcome:
 
 @check("lemma_3_6")
 def _lemma_3_6(state: SuiteState) -> Outcome:
-    """sigma is injective on the support."""
+    """sigma is injective on the support.
+
+    Whether J_a = J_b depends on the arrows alone, not on H, so the equal
+    pairs a < b among the arrows with J != 0 are found once, by bucketing
+    on ``J.key()``.  The support of H is H's arrows with J != 0, so the
+    clashing pairs of H are exactly the equal pairs with both arrows in
+    H, listed in the order of ``combinations(support(H), 2)``."""
     if not state.galois:
         return _skip("Galois gate unmet")
     ctx, g = state.ctx, state.inst.groupoid
+    live = [a for a in g.arrows() if ctx.jmodules[a].dim > 0]
+    equal = [(live[i], live[j]) for i, j in _bucket_pairs([ctx.jmodules[a].key() for a in live])]
     clashes = [
         {"subgroupoid": h.label(), "g": g.names[a], "h": g.names[b]}
         for h in ctx.all_subgroupoids
-        for a, b in combinations(ctx.support(h), 2)
-        if ctx.jmodules[a] == ctx.jmodules[b]
+        for a, b in equal
+        if a in h.members and b in h.members
     ]
     return Outcome(
         "violation" if clashes else "pass",
@@ -756,19 +768,44 @@ def _theorem_3_10(state: SuiteState) -> Outcome:
 
 @check("theorem_3_11")
 def _theorem_3_11(state: SuiteState) -> Outcome:
+    """gamma(H) = gamma(L), theta(H) = theta(L) and "J = 0 on
+    join(H, L) outside H & L" coincide; a pair is reported where they
+    disagree.
+
+    The pairs are swept by bucket, not all N(N - 1)/2 of them.  Three
+    booleans that disagree are not all false, so a reported pair has
+    eq_gamma, eq_theta or j_zero true.  The first two are equalities of
+    subspaces, that is, of canonical keys, so such a pair lies in one
+    bucket of ``gamma(H).key()`` or of ``theta(H).key()``.  For j_zero,
+    let Z be the set of arrows with J = 0.  H and L lie in join(H, L), so
+    H - L and L - H lie outside H & L, and j_zero puts both inside Z.
+    Then H - Z lies in H & L, hence in L - Z, and by symmetry
+    H - Z = L - Z.  gamma(H) is the sum of the J_a over H - Z, so then
+    gamma(H) = gamma(L), and the pair lies in a gamma bucket too.  Only
+    the pairs of the two bucketings are decided, in the all-pairs order,
+    and only those with H - Z = L - Z form a join; the pair counts are
+    tallies, as in ``_lemma_3_2``."""
     why = _dcp_unmet(state)
     if why:
         return _skip(why)
     ctx = state.ctx
+    subs = ctx.all_subgroupoids
+    zero_j = frozenset(a for a, j in ctx.jmodules.items() if j.dim == 0)
+    gamma_keys = [ctx.gamma(h)[0].key() for h in subs]
+    theta_keys = [ctx.theta(h).key() for h in subs]
+    nonzero = [h.members - zero_j for h in subs]
+    wide = sum(h.wide for h in subs)
+    pairs = wide * (wide - 1) // 2
+    non_wide_pairs = len(subs) * (len(subs) - 1) // 2 - pairs
     bad = []
-    pairs = 0
-    non_wide_pairs = 0
     non_wide_discrepancies = []
-    for h, l in combinations(ctx.all_subgroupoids, 2):
-        eq_gamma = ctx.gamma(h)[0] == ctx.gamma(l)[0]
-        eq_theta = ctx.theta(h) == ctx.theta(l)
-        outside = join(h, l).members - (h.members & l.members)
-        j_zero = all(ctx.jmodules[a].dim == 0 for a in outside)
+    for i, j in _bucket_pairs(gamma_keys, theta_keys):
+        h, l = subs[i], subs[j]
+        eq_gamma = gamma_keys[i] == gamma_keys[j]
+        eq_theta = theta_keys[i] == theta_keys[j]
+        j_zero = nonzero[i] == nonzero[j] and join(h, l).members - (h.members & l.members) <= zero_j
+        if eq_gamma == eq_theta == j_zero:
+            continue
         row = {
             "H": h.label(),
             "L": l.label(),
@@ -776,14 +813,7 @@ def _theorem_3_11(state: SuiteState) -> Outcome:
             "theta_equal": eq_theta,
             "j_zero_outside_intersection": j_zero,
         }
-        if h.wide and l.wide:
-            pairs += 1
-            if not (eq_gamma == eq_theta == j_zero):
-                bad.append(row)
-        else:
-            non_wide_pairs += 1
-            if not (eq_gamma == eq_theta == j_zero):
-                non_wide_discrepancies.append(row)
+        (bad if h.wide and l.wide else non_wide_discrepancies).append(row)
     witnesses = {"non_wide_pairs_reported": non_wide_pairs, "non_wide_discrepancies": non_wide_discrepancies}
     witnesses.update({"failures": bad} if bad else {"pairs": pairs})
     return Outcome(
@@ -929,6 +959,25 @@ def _theorem_4_4(state: SuiteState) -> Outcome:
         + ("respected" if biconditional else "VIOLATED"),
         {"fundamental_theorem": holds, "decomposition_for_all_separable": identity_all},
     )
+
+
+def _bucket_pairs(*columns: list) -> list[tuple[int, int]]:
+    """The index pairs i < j with column[i] == column[j] in at least one of
+    the equal-length key lists ``columns``, in ``combinations`` order.
+
+    Each column is grouped into buckets of equal keys, so the cost is the
+    number of keys plus the number of pairs found, not n(n - 1)/2."""
+    later: list[list[int]] = [[] for _ in columns[0]]
+    for column in columns:
+        buckets: dict = {}
+        for i, key in enumerate(column):
+            buckets.setdefault(key, []).append(i)
+        for bucket in buckets.values():
+            for pos in range(len(bucket) - 1):
+                later[bucket[pos]] += bucket[pos + 1 :]
+    if len(columns) > 1:
+        later = [sorted(set(js)) for js in later]
+    return [(i, j) for i, js in enumerate(later) for j in js]
 
 
 def _injective(pairs: list[tuple[Subgroupoid, Subspace]]):

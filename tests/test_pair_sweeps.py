@@ -1,0 +1,193 @@
+"""The bucketed pair sweeps of Lemma 3.2, Lemma 3.6 and Theorem 3.11
+against the all-pairs loops they replaced.
+
+The oracles below are those loops, kept as they were: each compares
+theta, gamma, J and a join on every pair.  The suite's checks must return
+an equal ``Outcome``, witnesses in the same order, on every benchmark
+document, on ``clock_shift(2, 5)`` and on four copies of ``pair_f5``.  No
+shipped document runs Theorem 3.11 with a zero J module or has a Lemma
+3.6 clash, so synthetic states (J modules zeroed or made equal, theta
+values made to collide) exercise those paths as well."""
+
+import json
+import runpy
+from itertools import combinations
+from pathlib import Path
+
+import pytest
+
+from gglab import groupoid
+from gglab.groupoid import join
+from gglab.instances import clock_shift, load_builtin, load_instance_dict
+from gglab.linalg import Subspace
+from gglab.suite import CHECKS, Outcome, SuiteState, _dcp_unmet, _skip, run_suite
+
+WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+DOCUMENTS = {
+    **{
+        f"{w}/{name}": json.loads(doc)
+        for w in WORKLOADS["WORKLOADS"]
+        for name, doc in WORKLOADS["documents"](w).items()
+    },
+    "clock_shift(2, 5)": clock_shift(2, 5),
+    "pair_f5x4": WORKLOADS["disjoint_union"]([WORKLOADS["pair"]({"kind": "Fp", "p": 5})] * 4, "pair_f5x4"),
+}
+
+
+def lemma_3_2(state: SuiteState) -> Outcome:
+    if not state.galois:
+        return _skip("Galois gate unmet")
+    ctx = state.ctx
+    checked = 0
+    bad_pairs = []
+    non_wide = 0
+    non_wide_coincidences = []
+    zero_j = {a for a, j in ctx.jmodules.items() if j.dim == 0}
+    for h, l in combinations([h for h in ctx.all_subgroupoids if not h.members & zero_j], 2):
+        coincide = ctx.theta(h) == ctx.theta(l)
+        if h.wide and l.wide:
+            checked += 1
+            if coincide:
+                bad_pairs.append([h.label(), l.label()])
+        else:
+            non_wide += 1
+            if coincide:
+                non_wide_coincidences.append([h.label(), l.label()])
+    witnesses = {"non_wide_pairs_reported": non_wide, "non_wide_coincidences": non_wide_coincidences}
+    witnesses.update({"pairs": bad_pairs} if bad_pairs else {"checked": checked})
+    return Outcome(
+        "violation" if bad_pairs else "pass",
+        f"{checked} gated wide pairs; theta(H)=theta(L) forces H=L",
+        witnesses,
+    )
+
+
+def lemma_3_6(state: SuiteState) -> Outcome:
+    if not state.galois:
+        return _skip("Galois gate unmet")
+    ctx, g = state.ctx, state.inst.groupoid
+    clashes = [
+        {"subgroupoid": h.label(), "g": g.names[a], "h": g.names[b]}
+        for h in ctx.all_subgroupoids
+        for a, b in combinations(ctx.support(h), 2)
+        if ctx.jmodules[a] == ctx.jmodules[b]
+    ]
+    return Outcome(
+        "violation" if clashes else "pass",
+        "sigma restricted to each support set is injective",
+        {"clashes": clashes} if clashes else {"subgroupoids": len(ctx.all_subgroupoids)},
+    )
+
+
+def theorem_3_11(state: SuiteState) -> Outcome:
+    why = _dcp_unmet(state)
+    if why:
+        return _skip(why)
+    ctx = state.ctx
+    bad = []
+    pairs = 0
+    non_wide_pairs = 0
+    non_wide_discrepancies = []
+    for h, l in combinations(ctx.all_subgroupoids, 2):
+        eq_gamma = ctx.gamma(h)[0] == ctx.gamma(l)[0]
+        eq_theta = ctx.theta(h) == ctx.theta(l)
+        outside = join(h, l).members - (h.members & l.members)
+        j_zero = all(ctx.jmodules[a].dim == 0 for a in outside)
+        row = {
+            "H": h.label(),
+            "L": l.label(),
+            "gamma_equal": eq_gamma,
+            "theta_equal": eq_theta,
+            "j_zero_outside_intersection": j_zero,
+        }
+        if h.wide and l.wide:
+            pairs += 1
+            if not (eq_gamma == eq_theta == j_zero):
+                bad.append(row)
+        else:
+            non_wide_pairs += 1
+            if not (eq_gamma == eq_theta == j_zero):
+                non_wide_discrepancies.append(row)
+    witnesses = {"non_wide_pairs_reported": non_wide_pairs, "non_wide_discrepancies": non_wide_discrepancies}
+    witnesses.update({"failures": bad} if bad else {"pairs": pairs})
+    return Outcome(
+        "violation" if bad else "pass",
+        f"three-way equivalence checked on {pairs} wide subgroupoid pairs",
+        witnesses,
+    )
+
+
+ORACLES = {"lemma_3_2": lemma_3_2, "lemma_3_6": lemma_3_6, "theorem_3_11": theorem_3_11}
+
+
+def assert_sweeps_match(state: SuiteState) -> dict[str, Outcome]:
+    """Each bucketed check equals its oracle on ``state``, witness order
+    included; returns the outcomes."""
+    outs = {}
+    for cid, oracle in ORACLES.items():
+        out = CHECKS[cid](state)
+        assert json.dumps(list(out)) == json.dumps(list(oracle(state))), cid
+        outs[cid] = out
+    return outs
+
+
+def zero_space(state: SuiteState) -> Subspace:
+    return Subspace(state.inst.field, state.inst.algebra.dim, state.inst.field.zeros((0, state.inst.algebra.dim)))
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_bucketed_sweeps_equal_the_all_pairs_loops(name):
+    assert_sweeps_match(SuiteState(load_instance_dict(DOCUMENTS[name])))
+
+
+def test_sweeps_with_zero_j_modules():
+    # J_a1 = J_b1 = 0 on klein_disjoint2, set before any gamma is formed:
+    # Lemma 3.2 gates out every subgroupoid holding a1 or b1, and Theorem
+    # 3.11 meets pairs whose join lies in Z off H & L ({e1}, {e1,a1}) and
+    # pairs with H - Z = L - Z whose join holds c1 ({e1,a1}, {e1,b1})
+    state = SuiteState(load_builtin("klein_disjoint2"))
+    g = state.inst.groupoid
+    for name in ("a1", "b1"):
+        state.ctx.jmodules[g.index(name)] = zero_space(state)
+    outs = assert_sweeps_match(state)
+    rows = outs["theorem_3_11"].witnesses["non_wide_discrepancies"]
+    assert {"H": "{e1}", "L": "{e1,a1}", "gamma_equal": True, "theta_equal": False,
+            "j_zero_outside_intersection": True} in rows
+    assert {"H": "{e1,a1}", "L": "{e1,b1}", "gamma_equal": True, "theta_equal": False,
+            "j_zero_outside_intersection": False} in rows
+    assert outs["theorem_3_11"].verdict == "violation"
+
+
+def test_sweeps_with_equal_j_modules():
+    # J_b1 := J_a1 puts a clash into every subgroupoid holding both
+    state = SuiteState(load_builtin("klein_disjoint2"))
+    g = state.inst.groupoid
+    state.ctx.jmodules[g.index("b1")] = state.ctx.jmodules[g.index("a1")]
+    outs = assert_sweeps_match(state)
+    clashes = outs["lemma_3_6"].witnesses["clashes"]
+    holding = [h.label() for h in state.ctx.all_subgroupoids if {g.index("a1"), g.index("b1")} <= h.members]
+    assert [c["subgroupoid"] for c in clashes] == holding
+    assert {(c["g"], c["h"]) for c in clashes} == {("a1", "b1")}
+
+
+def test_sweeps_with_colliding_theta():
+    # theta of the last wide subgroupoid := theta of the first: Lemma 3.2
+    # and Theorem 3.11 report the wide pair as a failure, as the all-pairs
+    # loops did
+    state = SuiteState(load_builtin("klein_disjoint2"))
+    ctx = state.ctx
+    first, last = ctx.wide_subgroupoids[0], ctx.wide_subgroupoids[-1]
+    theta = ctx.theta
+    ctx.theta = lambda h: theta(first) if h == last else theta(h)
+    outs = assert_sweeps_match(state)
+    assert outs["lemma_3_2"].witnesses["pairs"] == [[first.label(), last.label()]]
+    assert outs["theorem_3_11"].verdict == "violation"
+
+
+def test_theorem_3_11_forms_no_join(count_calls):
+    # with no zero J module, H - Z = L - Z only for H = L, so no pair needs
+    # a join; the all-pairs loop formed one per pair, 35 * 34 / 2 = 595
+    joins = count_calls(groupoid.join)
+    report = run_suite(load_builtin("klein_disjoint2"), scope="all")
+    assert [r.verdict for r in report.checks if r.check_id == "theorem_3_11"] == ["pass"]
+    assert len(joins) == 0

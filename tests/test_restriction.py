@@ -8,7 +8,6 @@ coordinate pairs equal the computation on the restricted action."""
 
 import json
 import runpy
-import sys
 from collections import Counter
 from pathlib import Path
 
@@ -98,31 +97,15 @@ def test_the_suite_never_revalidates_an_action(monkeypatch, name):
     assert len(calls) == 0
 
 
-def count_calls(monkeypatch, fn) -> list:
-    """Replace every binding of ``fn`` in the loaded gglab modules by a
-    wrapper that records its calls; return the record."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    for mod in [m for nm, m in sys.modules.items() if nm == "gglab" or nm.startswith("gglab.")]:
-        for attr, value in list(vars(mod).items()):
-            if value is fn:
-                monkeypatch.setattr(mod, attr, counted)
-    return calls
-
-
 @pytest.mark.parametrize("name", ["objects/pair_f5x3", "builtins/klein_disjoint2"])
-def test_prop_2_2_builds_no_restriction(monkeypatch, name):
+def test_prop_2_2_builds_no_restriction(count_calls, name):
     # Proposition 2.2 is decided by inheritance: no restriction is built
     # and no truncated pairs are certified, however many subgroupoids
     # there are; the instance's own coordinates and the solve certify once
     # each at most
     inst = load_instance_dict(DOCUMENTS[name])
-    restricts = count_calls(monkeypatch, action.restrict)
-    certifies = count_calls(monkeypatch, galois.check_galois_coordinates)
+    restricts = count_calls(action.restrict)
+    certifies = count_calls(galois.check_galois_coordinates)
     report = run_suite(inst, scope="all")
     assert [r.verdict for r in report.checks if r.check_id == "prop_2_2"] == ["pass"]
     assert len(restricts) == 0

@@ -226,6 +226,23 @@ def test_benchmark_report_json_pinned(workload, name):
         assert digest == BENCH_REPORT_SHA256[workload, name, scope], (workload, name, scope)
 
 
+# sha256 of run_suite(..., scope).to_json() on four copies of pair_f5 (624
+# subgroupoids), computed with the all-pairs sweeps of Lemma 3.2 and
+# Theorem 3.11: its 255 gated subgroupoids share one theta, so the report
+# lists all 32,385 of their pairs, which pins the bucketed emit order
+PAIR_F5X4_SHA256 = {
+    "all": "e6c9cf4c5e8ab51fed9c2ec130f42ee18d9b97497f709433d5daedd270f52c69",
+    "s3": "d27e3912d25843b1ef5571e46e21b05422b296c67995c4d960e4fa750eb42a99",
+}
+
+
+def test_pair_f5x4_report_json_pinned():
+    doc = WORKLOADS["disjoint_union"]([WORKLOADS["pair"]({"kind": "Fp", "p": 5})] * 4, "pair_f5x4")
+    for scope in ("all", "s3"):
+        report = run_suite(load_instance_dict(doc), scope=scope)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == PAIR_F5X4_SHA256[scope], scope
+
+
 @pytest.mark.parametrize("p", [5, 11])
 def test_theorem_3_9_sweep_closed_form(p):
     """The separable subalgebras of M_2(F_p) over F_p: p(p+1)/2 split tori,
