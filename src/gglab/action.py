@@ -173,7 +173,7 @@ def invariants(act: Action, members) -> Subspace:
     if not members:
         return Subspace.full(act.field, n)
     rows = act.fix_operators[members].reshape(len(members) * n, n)
-    return Subspace(act.field, n, linalg.nullspace(act.field, rows))
+    return Subspace.from_rref(act.field, linalg.nullspace(act.field, rows))
 
 
 def fixer_subgroupoid(act: Action, t: Subspace) -> Subgroupoid:

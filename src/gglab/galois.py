@@ -100,7 +100,7 @@ def j_module(act: Action, g: int) -> Subspace:
     # block x, row k, column i: coordinate k of b_i c_x - b_x b_i
     blocks = alg.products(eye, cs).transpose(1, 2, 0) - alg.table.transpose(0, 2, 1)
     rows = np.vstack([act.idempotent_mult[gp.target[g]] - eye, blocks.reshape(n * n, n)])
-    return Subspace(f, n, linalg.nullspace(f, f.reduce(rows)))
+    return Subspace.from_rref(f, linalg.nullspace(f, f.reduce(rows)))
 
 
 @dataclass
@@ -163,7 +163,7 @@ def endomorphism_space(act: Action, invariant_ring: Subspace) -> Subspace:
     # flat F is the Sylvester operator of (R_s, R_s^T), negated
     rs = act.algebra.products(f.eye(n), invariant_ring.basis).transpose(1, 2, 0)
     rows = linalg.sylvester(f, rs, rs.transpose(0, 2, 1))
-    return Subspace(f, n * n, linalg.nullspace(f, rows.reshape(-1, n * n)))
+    return Subspace.from_rref(f, linalg.nullspace(f, rows.reshape(-1, n * n)))
 
 
 @dataclass

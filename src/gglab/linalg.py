@@ -106,10 +106,13 @@ class Subspace:
         self._key = None
 
     @classmethod
-    def from_rref(cls, field: Field, basis: np.ndarray, pivots: list[int]) -> "Subspace":
+    def from_rref(cls, field: Field, basis: np.ndarray, pivots: list[int] | None = None) -> "Subspace":
         """The subspace of a basis that is already canonical: RREF rows,
-        none zero, with their pivot columns.  Nothing is re-reduced, so
-        the caller vouches for the form."""
+        none zero, with their pivot columns (by default each row's first
+        nonzero column).  Nothing is re-reduced, so the caller vouches for
+        the form."""
+        if pivots is None:
+            pivots = np.argmax(basis != 0, axis=1).tolist()
         s = cls.__new__(cls)
         s.field, s.ambient, s.basis, s.pivots, s._key = field, basis.shape[1], basis, list(pivots), None
         return s

@@ -8,6 +8,8 @@ answer is a rank argument from the solve (the defining system is
 genuinely linear, so "no solution" is a proof).  R over an invariant ring
 theta(H), and over its center when R^beta <= C(R), is not solved for: the
 suite proves it from the certified Galois coordinates (``suite._lemma_4_2``).
+Over a base that holds an action's central idempotents 1_e, S is solved
+block by block, one 1_e S at a time (``SubalgebraFacts``).
 
 The exhaustive walk decides the candidates of one RREF pivot pattern
 together (``_stacked_walk``).  It solves the same system as
@@ -210,7 +212,9 @@ def _double_centralizer_clauses(
     is central over C are known."""
     vva = facts.commutant(va)
     holds = vva == a
-    sep = facts.separable_over(va, center_sub)
+    sep = facts.separable.get((va.key(), center_sub.key()))
+    if sep is None:  # the solve refuses a base outside V(A), which is not separable over it
+        sep = va.contains_space(center_sub) and facts.separable_over(va, center_sub)
     if central:
         # mu: A (x)_S V(A) -> R is an isomorphism iff the relative tensor
         # product has dim R and the products span R
@@ -351,6 +355,11 @@ def relative_tensor_dim(alg: Algebra, a: Subspace, b: Subspace, base: Subspace) 
     Works in internal coordinates of A and B; the balancing relations
     a_i s (x) b_j - a_i (x) s b_j stay inside A and B because S is
     central and contained in both.
+
+    A factor equal to S takes no rank: S (x)_S B -> B, s (x) v -> s v, is
+    well defined (s s' (x) v and s (x) s' v both go to s s' v) and has the
+    inverse v -> 1 (x) v, since 1 lies in S and s (x) v = 1 (x) s v.  So
+    the dimension is dim B, and likewise dim A when B = S.
     """
     f = alg.field
     ka, kb, k = a.dim, b.dim, base.dim
@@ -360,6 +369,10 @@ def relative_tensor_dim(alg: Algebra, a: Subspace, b: Subspace, base: Subspace) 
     right = b.coords_rows(alg.products(base.basis, b.basis).reshape(k * kb, alg.dim))
     if left is None or right is None:
         raise ValueError("base does not stabilize the factors")
+    if a == base:
+        return kb
+    if b == base:
+        return ka
     rows = linalg.sylvester(f, left.reshape(k, ka, ka), right.reshape(k, kb, kb))
     return ka * kb - linalg.rank(f, rows.reshape(k * ka * kb, ka * kb))
 
@@ -368,16 +381,20 @@ def _products_span(alg: Algebra, a: Subspace, b: Subspace) -> bool:
     return product_space(alg, a, b).dim == alg.dim
 
 
-def is_separable_subalgebra_over(alg: Algebra, sub: Subspace, base: Subspace) -> bool:
+def is_separable_subalgebra_over(
+    alg: Algebra, sub: Subspace, base: Subspace, unit: np.ndarray | None = None
+) -> bool:
     """S separable over a base contained in S: certificate in S (x)_base S.
 
-    S must be a unital subalgebra, as every commutant is and as the
-    enumeration checks first; ``subspace_algebra`` refuses any other S.
+    S must be a subalgebra with unit ``unit`` (R's own by default), as
+    every commutant is and as the enumeration checks first;
+    ``subspace_algebra`` refuses any other S.  A base outside S is the
+    caller's error, not a verdict.
     """
     base_coords = sub.coords_rows(base.basis)
     if base_coords is None:
-        return False
-    small = subspace_algebra(alg, sub, alg.unit)
+        raise ValueError("base is not contained in the subalgebra")
+    small = subspace_algebra(alg, sub, alg.unit if unit is None else unit)
     base_sub = Subspace(alg.field, sub.dim, base_coords)
     return separability_idempotent(small, base_sub) is not None
 
@@ -385,12 +402,29 @@ def is_separable_subalgebra_over(alg: Algebra, sub: Subspace, base: Subspace) ->
 class SubalgebraFacts:
     """Facts about subspaces S of one algebra R, each computed once and kept
     by canonical key: the commutant V_R(S), and whether S is a unital
-    subalgebra separable over a base."""
+    subalgebra separable over a base.
 
-    def __init__(self, alg: Algebra):
+    ``idempotents`` are central orthogonal idempotents 1_e of R that sum to
+    1, as an action's are certified at load.  Over a base B that holds
+    every nonzero 1_e, at least two of them, a verdict is decided block by
+    block.  S contains B, so S = (+)_e 1_e S, and a cross term
+    x 1_e (x) 1_e' y = x (x) 1_e 1_e' y of S (x)_B S vanishes, so
+    S (x)_B S = (+)_e 1_e S (x)_(1_e B) 1_e S.  A separability element of
+    S over B is then the sum of one of each block 1_e S (unit 1_e) over
+    1_e B, and (1_e (x) 1_e) z is one of the block when z is one of S.
+    So S is separable over B iff every block is, and one block that is not
+    refutes S.  Each block is solved by ``is_separable_subalgebra_over``,
+    certificate and substitution included, and its verdict kept by
+    (1_e S key, 1_e B key).  Elsewhere S is solved whole.
+    """
+
+    def __init__(self, alg: Algebra, idempotents=()):
         self.alg = alg
+        self.idempotents = [one for one in idempotents if one.any()]
         self.commutants: dict[tuple, Subspace] = {}
         self.separable: dict[tuple, bool] = {}  # (S key, base key) -> verdict
+        self.block_separable: dict[tuple, bool] = {}  # (1_e S key, 1_e B key) -> verdict
+        self._base_blocks: dict[tuple, list[Subspace] | None] = {}  # B key -> [1_e B], None if unsplit
 
     def commutant(self, s: Subspace) -> Subspace:
         key = s.key()
@@ -401,8 +435,35 @@ class SubalgebraFacts:
     def separable_over(self, s: Subspace, base: Subspace) -> bool:
         key = (s.key(), base.key())
         if key not in self.separable:
-            self.separable[key] = is_separable_subalgebra_over(self.alg, s, base)
+            blocks = self.base_blocks(base)
+            if blocks is None:
+                self.separable[key] = is_separable_subalgebra_over(self.alg, s, base)
+            elif not s.contains_space(base):
+                raise ValueError("base is not contained in the subalgebra")
+            else:
+                self.separable[key] = all(
+                    self._block_separable(s, one, block) for one, block in zip(self.idempotents, blocks)
+                )
         return self.separable[key]
+
+    def base_blocks(self, base: Subspace) -> list[Subspace] | None:
+        """The blocks 1_e B of ``base`` in the order of ``idempotents``, or
+        None where the split does not apply."""
+        key = base.key()
+        if key not in self._base_blocks:
+            split = len(self.idempotents) >= 2 and base.coords_rows(np.stack(self.idempotents)) is not None
+            self._base_blocks[key] = [self._block(base, one) for one in self.idempotents] if split else None
+        return self._base_blocks[key]
+
+    def _block(self, s: Subspace, one: np.ndarray) -> Subspace:
+        return Subspace(self.alg.field, self.alg.dim, self.alg.products(s.basis, one[None])[:, 0])
+
+    def _block_separable(self, s: Subspace, one: np.ndarray, base_block: Subspace) -> bool:
+        block = self._block(s, one)
+        key = (block.key(), base_block.key())
+        if key not in self.block_separable:
+            self.block_separable[key] = is_separable_subalgebra_over(self.alg, block, base_block, one)
+        return self.block_separable[key]
 
 
 def _rational_key_order(key: tuple) -> tuple:

@@ -149,8 +149,9 @@ class SuiteState:
 
     @cached_property
     def facts(self) -> SubalgebraFacts:
-        """Commutants V_R(S) and separability verdicts, shared by every check."""
-        return SubalgebraFacts(self.inst.algebra)
+        """Commutants V_R(S) and separability verdicts, shared by every check;
+        a verdict over a base holding every 1_e is decided block by block."""
+        return SubalgebraFacts(self.inst.algebra, self.inst.action.idempotents.values())
 
     @cached_property
     def dcp_fail(self) -> dict | None:

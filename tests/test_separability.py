@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gglab import _purerref, linalg, separability
 from gglab.algebra import center, commutant, is_unital_subalgebra, subalgebra_generated, validate_algebra
 from gglab.fields import Field
-from gglab.instances import load_builtin, load_instance_dict
+from gglab.instances import clock_shift, load_builtin, load_instance_dict
 from gglab.linalg import Subspace
 from gglab.separability import (
     SeparabilityCertificate,
@@ -25,7 +25,7 @@ from gglab.separability import (
     tensor_square,
     verify_certificate,
 )
-from gglab.suite import CHECKS, SuiteState, run_suite
+from gglab.suite import CHECKS, SuiteState, _pool, run_suite
 from test_batched import block_table, change_basis
 from test_linalg import all_subspaces
 
@@ -475,3 +475,146 @@ def test_a_tampered_stacked_nullspace_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(_purerref, "rref_mod_stack", shifted)
     with pytest.raises(RuntimeError, match="internal: stacked commutant failed substitution"):
         CHECKS["theorem_3_9"](state)
+
+
+# -- separability block by block at the central idempotents 1_e
+
+
+def split_facts(inst):
+    """Facts that decide a verdict over a base holding every 1_e block by block."""
+    return SubalgebraFacts(inst.algebra, inst.action.idempotents.values())
+
+
+def test_block_split_equals_the_whole_solve_on_klein_disjoint2():
+    """Every pool candidate of klein_disjoint2 (grown over the center), and
+    V(S) of every S of its Theorem 3.9 sweep: the block verdicts decide as
+    the tensor square of the whole S does."""
+    state = SuiteState(load_builtin("klein_disjoint2"))
+    alg, c = state.inst.algebra, state.ctx.center
+    spaces = {}
+    for cand in _pool(state):
+        grown = subalgebra_generated(alg, np.vstack([c.basis, cand.basis]))
+        spaces.setdefault(grown.key(), grown)
+    for s in state.center_enum.subalgebras:
+        v = state.facts.commutant(s)
+        spaces.setdefault(v.key(), v)
+    facts = split_facts(state.inst)
+    assert [b.dim for b in facts.base_blocks(c)] == [1, 1]
+    verdicts = [facts.separable_over(s, c) for s in spaces.values()]
+    assert verdicts == [is_separable_subalgebra_over(alg, s, c) for s in spaces.values()]
+    assert len(spaces) == 41 and True in verdicts and False in verdicts
+
+
+def block_subalgebras(inst, e):
+    """The unital subalgebras of the block 1_e R (unit 1_e) that hold 1_e."""
+    f, alg = inst.field, inst.algebra
+    one, ideal = inst.action.idempotents[e], inst.action.ideals[e]
+    out = []
+    for mat in all_subspaces(f, ideal.dim):
+        s = Subspace(f, alg.dim, f.reduce(mat @ ideal.basis))
+        if s.contains(one) and _mult_closed(alg, s.basis):
+            out.append(s)
+    return out
+
+
+def test_block_split_equals_the_whole_solve_on_every_direct_sum():
+    """S = 1_e1 S1 (+) 1_e2 S2 over the center F_3 1_e1 + F_3 1_e2 of
+    M_2(F_3) x M_2(F_3), for the 19 unital subalgebras of each block: the
+    split verdict equals the whole solve, and the 11 x 11 sums of separable
+    blocks are exactly the separable ones."""
+    inst = load_builtin("klein_disjoint2")
+    alg, c = inst.algebra, center(inst.algebra)
+    e1, e2 = inst.groupoid.identities
+    firsts, seconds = block_subalgebras(inst, e1), block_subalgebras(inst, e2)
+    assert len(firsts) == len(seconds) == 19
+    facts = split_facts(inst)
+    separable = 0
+    for s1, s2 in product(firsts, seconds):
+        s = s1.sum(s2)
+        verdict = facts.separable_over(s, c)
+        assert verdict == is_separable_subalgebra_over(alg, s, c), s.to_json()
+        separable += verdict
+    assert separable == 121
+    assert list(facts.block_separable.values()).count(True) == 22
+
+
+def test_a_non_separable_block_refutes_the_sum():
+    # upper triangular matrices in the first block, next to M_2(F_3)
+    inst = load_builtin("klein_disjoint2")
+    f, alg, c = inst.field, inst.algebra, center(inst.algebra)
+    e1, e2 = inst.groupoid.identities
+    upper = Subspace(f, 8, f.reduce(f.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]]) @ inst.action.ideals[e1].basis))
+    s = upper.sum(inst.action.ideals[e2])
+    facts = split_facts(inst)
+    assert not facts.separable_over(s, c)
+    assert not is_separable_subalgebra_over(alg, s, c)
+    assert list(facts.block_separable.values()) == [False]  # the first block decided it alone
+    m2 = inst.action.ideals[e1].sum(inst.action.ideals[e2])
+    assert facts.separable_over(m2, c) and list(facts.block_separable.values()) == [False, True, True]
+
+
+def test_no_split_with_one_identity_or_a_base_missing_some_1_e():
+    one_identity = load_builtin("klein_m2f3")
+    assert split_facts(one_identity).base_blocks(center(one_identity.algebra)) is None
+    inst = load_builtin("klein_disjoint2")
+    facts = split_facts(inst)
+    scalars = Subspace.span(inst.field, inst.algebra.unit)
+    assert facts.base_blocks(scalars) is None
+    assert facts.separable_over(inst.algebra.full_space, scalars) == is_separable_subalgebra_over(
+        inst.algebra, inst.algebra.full_space, scalars
+    )
+    assert facts.block_separable == {}
+
+
+def test_a_base_outside_the_subalgebra_is_an_error():
+    inst = load_builtin("klein_disjoint2")
+    alg, c = inst.algebra, center(inst.algebra)
+    scalars = Subspace.span(inst.field, alg.unit)
+    with pytest.raises(ValueError, match="not contained"):
+        is_separable_subalgebra_over(alg, scalars, c)
+    with pytest.raises(ValueError, match="not contained"):
+        split_facts(inst).separable_over(scalars, c)
+    # V(R) = C does not hold the base C + F b1, so it is not separable over it
+    base = c.sum(Subspace.span(inst.field, alg.basis_vector(1)))
+    assert not double_centralizer_check(alg, alg.full_space, base).commutant_separable
+
+
+# -- the base-factor shortcut of relative_tensor_dim
+
+
+def sylvester_tensor_dim(alg, a, b, base):
+    """dim A (x)_S B by the rank of the balancing relations, for every A and B."""
+    f, ka, kb, k = alg.field, a.dim, b.dim, base.dim
+    left = a.coords_rows(alg.products(a.basis, base.basis).transpose(1, 0, 2).reshape(k * ka, alg.dim))
+    right = b.coords_rows(alg.products(base.basis, b.basis).reshape(k * kb, alg.dim))
+    rows = linalg.sylvester(f, left.reshape(k, ka, ka), right.reshape(k, kb, kb))
+    return ka * kb - linalg.rank(f, rows.reshape(k * ka * kb, ka * kb))
+
+
+TENSOR_DOCUMENTS = {
+    "klein_disjoint2": json.loads(WORKLOADS["documents"]("builtins")["klein_disjoint2"]),
+    "cyclic_shift_c3x3": json.loads(WORKLOADS["documents"]("objects")["cyclic_shift_c3x3"]),
+    "clock_shift(2, 5)": clock_shift(2, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_DOCUMENTS))
+def test_base_factor_takes_no_rank(name, monkeypatch):
+    """At A = C (so V(A) = R) and at A = R (so V(A) = C) the shortcut gives
+    the Sylvester rank's dimension without taking a rank; on the
+    commutative cyclic_shift_c3x3 both are A = C = R."""
+    alg = load_instance_dict(TENSOR_DOCUMENTS[name]).algebra
+    c, full = center(alg), alg.full_space
+    want = {(a.key(), v.key()): sylvester_tensor_dim(alg, a, v, c) for a, v in ((c, full), (full, c))}
+    assert want == {(c.key(), full.key()): alg.dim, (full.key(), c.key()): alg.dim}
+    monkeypatch.setattr(linalg, "rank", None)
+    for a, v in ((c, full), (full, c)):
+        assert relative_tensor_dim(alg, a, v, c) == want[a.key(), v.key()]
+
+
+def test_relative_tensor_dim_equals_the_sylvester_rank_on_every_sweep_member():
+    state = SuiteState(load_builtin("klein_disjoint2"))
+    alg, c = state.inst.algebra, state.ctx.center
+    for a in state.center_enum.subalgebras:
+        v = state.facts.commutant(a)
+        assert relative_tensor_dim(alg, a, v, c) == sylvester_tensor_dim(alg, a, v, c), a.to_json()

@@ -379,17 +379,8 @@ def test_clock_shift_m4f5_runs_in_seconds():
     assert time.perf_counter() - start < 10
 
 
-@pytest.mark.parametrize(
-    "name, squares",
-    [("klein_disjoint2", 40), ("klein_m2f3", 7), ("trivial", 0), ("pair_f5", 0), ("cyclic_shift_c3", 0)],
-)
-def test_tensor_squares_built_per_suite(monkeypatch, name, squares):
-    # lemma_4_2 and the Azumaya flag of a Galois R with R^beta <= C(R) are
-    # stated from the certified coordinates, so no tensor square is built
-    # for them (65, 23, 1, 1 and 1 squares when the solve decided them);
-    # the exhaustive walk on klein_m2f3 decides its two 9-fill pivot
-    # patterns in stacks, with no tensor square (18 when each candidate
-    # had its own)
+def count_tensor_squares(monkeypatch, inst) -> list[int]:
+    """The base dimension of every tensor square built by one suite."""
     built = []
     tensor_square = separability.tensor_square
 
@@ -398,5 +389,43 @@ def test_tensor_squares_built_per_suite(monkeypatch, name, squares):
         return tensor_square(alg, sub)
 
     monkeypatch.setattr(separability, "tensor_square", counted)
-    run_suite(load_builtin(name), scope="all")
-    assert len(built) == squares
+    run_suite(inst, scope="all")
+    return built
+
+
+@pytest.mark.parametrize(
+    "name, squares",
+    [("klein_disjoint2", 18), ("klein_m2f3", 7), ("trivial", 0), ("pair_f5", 0), ("cyclic_shift_c3", 0)],
+)
+def test_tensor_squares_built_per_suite(monkeypatch, name, squares):
+    # lemma_4_2 and the Azumaya flag of a Galois R with R^beta <= C(R) are
+    # stated from the certified coordinates, so no tensor square is built
+    # for them (65, 23, 1, 1 and 1 squares when the solve decided them);
+    # the exhaustive walk on klein_m2f3 decides its two 9-fill pivot
+    # patterns in stacks, with no tensor square (18 when each candidate
+    # had its own); klein_disjoint2's verdicts over its center are split at
+    # its two 1_e, so each square is of one block over F_3 (40 squares, up
+    # to dimension 6 over the 2-dimensional center, when S was solved whole)
+    assert len(count_tensor_squares(monkeypatch, load_builtin(name))) == squares
+
+
+KLEIN_M2F3X3 = WORKLOADS["disjoint_union"]([WORKLOADS["klein_m2"](3)] * 3, "klein_m2f3x3")
+# sha256 of run_suite(..., scope).to_json() on three copies of klein_m2f3,
+# computed with every separability verdict solved on the whole S
+KLEIN_M2F3X3_SHA256 = {
+    "all": "c04a0b99c58259a286bca68dc024f0df715f842022765518a35d1b788e834215",
+    "s3": "df4ea33b5ed59186b3621b10e423d73ff847eea9bb1fbaae32da2b98d3060db7",
+}
+
+
+def test_klein_m2f3x3_report_json_pinned():
+    for scope in ("all", "s3"):
+        report = run_suite(load_instance_dict(KLEIN_M2F3X3), scope=scope)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == KLEIN_M2F3X3_SHA256[scope], scope
+
+
+def test_klein_m2f3x3_splits_its_tensor_squares(monkeypatch):
+    # each square is of one block over F_3; solved whole, a suite built 160,
+    # up to dimension 10 over the 3-dimensional center
+    built = count_tensor_squares(monkeypatch, load_instance_dict(KLEIN_M2F3X3))
+    assert len(built) <= 27 and set(built) == {1}
