@@ -11,7 +11,7 @@ import numpy as np
 from . import linalg
 from .action import Action, invariants
 from .algebra import commutant
-from .groupoid import Subgroupoid, enumerate_subgroupoids
+from .groupoid import Subgroupoid, components, enumerate_subgroupoids
 from .linalg import Subspace
 
 
@@ -233,6 +233,34 @@ class GaloisContext:
     @cached_property
     def wide_subgroupoids(self) -> list[Subgroupoid]:
         return [h for h in self.all_subgroupoids if h.wide]
+
+    @cached_property
+    def component_subgroupoids(self) -> list[Subgroupoid]:
+        """The subgroupoids that lie inside one connected component.
+
+        A statement about every subgroupoid that splits along components
+        is decided on these.  Let 1_c be the sum of the 1_e over the
+        objects e of a component c.  The 1_e are central orthogonal
+        idempotents summing to 1, certified at load, so the 1_c are too,
+        and R = sum_c R_c with R_c = 1_c R.  Write H = union of H_c, with
+        H_c the part of H in c, possibly empty.
+
+        - 1_c lies in theta(H): for h in c, beta_h(1_c 1_{h^-1}) =
+          beta_h(1_{d(h)}) = 1_{r(h)} = 1_c 1_{r(h)}; for h outside c both
+          sides vanish.
+        - theta(H) = sum_c 1_c theta(H), since each 1_c is central and in
+          it; and 1_c theta(H) = 1_c theta(H_c), which is R_c when H_c is
+          empty, since the condition at h reads only r 1_{d(h)} and
+          r 1_{r(h)}, both zero on R_c for h outside c.
+        - For a subalgebra X holding every 1_c,
+          V_R(X) = sum_c V_{R_c}(1_c X): x commutes with y in X iff each
+          1_c x commutes with 1_c y, which lies in X, as products across
+          components vanish.
+        - J_g lies in E_{r(g)} <= R_c for g in c, so the sum of the J_g
+          over H is the direct sum over c of the sums over H_c, and it is
+          direct iff each of those is."""
+        comps = components(self.act.groupoid)
+        return [h for h in self.all_subgroupoids if any(h.members <= c for c in comps)]
 
     @cached_property
     def jmodules(self) -> dict[int, Subspace]:

@@ -196,23 +196,35 @@ def is_subgroupoid(g: Groupoid, members) -> bool:
     return True
 
 
-def enumerate_subgroupoids(g: Groupoid) -> list[Subgroupoid]:
-    """All subgroupoids, lexicographic on sorted member lists.
+def components(g: Groupoid) -> list[frozenset[int]]:
+    """The arrow sets of the connected components, by least arrow.
 
-    BFS over closures: start from the minimal closed sets, then extend
-    each known closed set by one generator.  Groupoids with more than
-    ``SUBGROUPOID_ARROWS`` arrows are refused.
-    """
-    if g.size > SUBGROUPOID_ARROWS:
-        raise GroupoidError(
-            f"groupoid has {g.size} arrows; enumeration cap is {SUBGROUPOID_ARROWS}"
-        )
-    found: set[frozenset[int]] = {closure(g, {a}) for a in g.arrows()}
+    Objects are joined along each arrow's source and target; an arrow
+    belongs to the component of its source."""
+    root = {e: e for e in g.identities}
+
+    def find(e: int) -> int:
+        while root[e] != e:
+            root[e] = e = root[root[e]]
+        return e
+
+    for a in g.arrows():
+        root[find(g.source[a])] = find(g.target[a])
+    arrows: dict[int, list[int]] = {}
+    for a in g.arrows():
+        arrows.setdefault(find(g.source[a]), []).append(a)
+    return [frozenset(c) for c in arrows.values()]
+
+
+def _closed_sets(g: Groupoid, arrows) -> set[frozenset[int]]:
+    """The closed sets generated inside ``arrows``, a union of components:
+    start from the minimal ones, then extend each known one by an arrow."""
+    found = {closure(g, {a}) for a in arrows}
     frontier = list(found)
     while frontier:
         nxt = []
         for s in frontier:
-            for a in g.arrows():
+            for a in arrows:
                 if a in s:
                     continue
                 c = closure(g, s | {a})
@@ -220,7 +232,30 @@ def enumerate_subgroupoids(g: Groupoid) -> list[Subgroupoid]:
                     found.add(c)
                     nxt.append(c)
         frontier = nxt
-    return [Subgroupoid(g, s) for s in sorted(found, key=sorted)]
+    return found
+
+
+def enumerate_subgroupoids(g: Groupoid) -> list[Subgroupoid]:
+    """All subgroupoids, lexicographic on sorted member lists.
+
+    The closed sets of each connected component are found alone, by
+    ``_closed_sets``; the subgroupoids of G are then every nonempty union
+    of one closed set per component, or none from a component.  That list
+    is complete and has no repeats: products and inverses of arrows in one
+    component stay in it, so a subset of G is closed iff its part in each
+    component is empty or closed, and the parts determine the union.  The
+    cost is the sum of the components' closure walks, not the walk over
+    their product.  Groupoids with more than ``SUBGROUPOID_ARROWS`` arrows
+    in total are refused.
+    """
+    if g.size > SUBGROUPOID_ARROWS:
+        raise GroupoidError(
+            f"groupoid has {g.size} arrows; enumeration cap is {SUBGROUPOID_ARROWS}"
+        )
+    found = [frozenset()]
+    for comp in components(g):
+        found = [s | t for s in found for t in [frozenset(), *_closed_sets(g, comp)]]
+    return [Subgroupoid(g, s) for s in sorted(found, key=sorted) if s]
 
 
 def pair_star(g: Groupoid) -> list[tuple[int, int]]:

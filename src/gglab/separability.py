@@ -498,10 +498,16 @@ def enumerate_separable_subalgebras(
         found = _walk(alg, base, facts)
         return SeparableEnumeration([found[k] for k in sorted(found)], True, "exhaustive")
 
+    # the subalgebra grown from a seed depends only on its span, so each
+    # distinct span(base + candidate) is grown once
+    spans: set[tuple] = set()
     candidates: dict[tuple, Subspace] = {}
     for cand in pool or []:
-        grown = subalgebra_generated(alg, np.vstack([base.basis, cand.basis]))
-        candidates.setdefault(grown.key(), grown)
+        span = Subspace(f, alg.dim, np.vstack([base.basis, cand.basis]))
+        if span.key() not in spans:
+            spans.add(span.key())
+            grown = subalgebra_generated(alg, span)
+            candidates.setdefault(grown.key(), grown)
     out = []
     for key in sorted(candidates, key=None if f.modular else _rational_key_order):
         s = candidates[key]

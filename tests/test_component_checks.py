@@ -1,0 +1,134 @@
+"""Lemma 3.1 and the double-centralizer hypothesis, decided one connected
+component at a time, against the all-subgroupoid loops they replaced.
+
+The oracles below are those loops, kept as they were: each walks every
+subgroupoid of G.  The suite's answers must be equal, witnesses in the
+same order, on every benchmark document and on a union of ``pair_f5``
+with ``klein_m2(5)``.  None of them fails Lemma 3.1.  The hypothesis
+fails on most of the unions, each time first on a subgroupoid inside one
+component, which is the first one in enumeration order as well.  So
+synthetic states make one single-component subgroupoid of
+``klein_disjoint2`` fail, for every H that holds it as its part in that
+component, and show that the fallback lists the same failures and names
+the same first subgroupoid, which spans both components."""
+
+import json
+import runpy
+from pathlib import Path
+
+import pytest
+
+from gglab.galois import GaloisContext
+from gglab.groupoid import components
+from gglab.instances import load_instance_dict
+from gglab.linalg import Subspace
+from gglab.suite import CHECKS, Outcome, SuiteState, _skip
+
+WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+FP5 = {"kind": "Fp", "p": 5}
+DOCUMENTS = {
+    **{
+        f"{w}/{name}": json.loads(doc)
+        for w in WORKLOADS["WORKLOADS"]
+        for name, doc in WORKLOADS["documents"](w).items()
+    },
+    "pair_f5+klein_m2(5)": WORKLOADS["disjoint_union"](
+        [WORKLOADS["pair"](FP5), WORKLOADS["klein_m2"](5)], "pair_f5+klein_m2(5)"
+    ),
+}
+
+
+def lemma_3_1(state: SuiteState) -> Outcome:
+    if not state.galois:
+        return _skip("Galois gate unmet")
+    act, ctx = state.inst.action, state.ctx
+    subs = ctx.all_subgroupoids
+    failures = []
+    for h in subs:
+        vr = state.facts.commutant(ctx.theta(h))
+        if not h.wide:
+            vr = Subspace(act.field, act.algebra.dim, act.algebra.products(vr.basis, act.unit_of(h)[None])[:, 0])
+        total, direct = ctx.gamma(h)
+        equal = total == vr
+        if not (equal and direct):
+            failures.append(
+                {
+                    "subgroupoid": h.label(),
+                    "equal": equal,
+                    "direct": direct,
+                    "commutant_dim": vr.dim,
+                    "sum_dim": total.dim,
+                }
+            )
+    wide = sum(h.wide for h in subs)
+    return Outcome(
+        "violation" if failures else "pass",
+        f"{len(subs)} restriction checks ({wide} wide); decomposition "
+        + ("violated" if failures else "exact and direct everywhere"),
+        {"failures": failures} if failures else {"checks": len(subs), "wide": wide},
+    )
+
+
+def dcp_fail(state: SuiteState) -> dict | None:
+    for h in state.ctx.all_subgroupoids:
+        th = state.ctx.theta(h)
+        vv = state.facts.commutant(state.facts.commutant(th))
+        if vv != th:
+            return {"subgroupoid": h.label(), "invariants_dim": th.dim, "bicommutant_dim": vv.dim}
+    return None
+
+
+def assert_checks_match(doc: dict) -> tuple[Outcome, dict | None]:
+    """The per-component answers equal the oracles' on ``doc``, with no
+    cache shared between them; returns the suite's."""
+    state, oracle = SuiteState(load_instance_dict(doc)), SuiteState(load_instance_dict(doc))
+    out, fail = CHECKS["lemma_3_1"](state), state.dcp_fail
+    assert json.dumps(list(out)) == json.dumps(list(lemma_3_1(oracle)))
+    assert fail == dcp_fail(oracle)
+    return out, fail
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_per_component_checks_equal_the_all_subgroupoid_loops(name):
+    assert_checks_match(DOCUMENTS[name])
+
+
+def failing_part(monkeypatch, owner, method, spoil):
+    """Make ``owner.method`` answer ``spoil(answer)`` on every H whose part in
+    the second component of klein_disjoint2 is its last closed set there,
+    and return that set's label.  Every such H holds an arrow of the first
+    component except the set itself, so the first failure in enumeration
+    order spans both components."""
+    doc = DOCUMENTS["builtins/klein_disjoint2"]
+    g = load_instance_dict(doc).groupoid
+    second = components(g)[1]
+    target = [h for h in GaloisContext(load_instance_dict(doc).action).component_subgroupoids if h.members <= second][-1]
+    real = getattr(owner, method)
+
+    def patched(self, h):
+        answer = real(self, h)
+        return spoil(answer) if h.members & second == target.members else answer
+
+    monkeypatch.setattr(owner, method, patched)
+    return doc, target.label()
+
+
+def test_a_failing_component_lists_every_failure(monkeypatch):
+    doc, target = failing_part(monkeypatch, GaloisContext, "gamma", lambda answer: (answer[0], False))
+    out, _ = assert_checks_match(doc)
+    assert out.verdict == "violation"
+    failed = [f["subgroupoid"] for f in out.witnesses["failures"]]
+    # the target and each union of it with a closed set of the first copy
+    # (five there, so six in all), in enumeration order
+    assert len(failed) == 6 and target in failed and failed[0] != target
+    assert all(not f["direct"] for f in out.witnesses["failures"])
+
+
+def test_a_failing_component_names_the_first_bicommutant_failure(monkeypatch):
+    # theta reads 0 on those H, whose bicommutant V_R(R) = C(R) is not 0
+    def zero(space):
+        return Subspace(space.field, space.ambient, space.field.zeros((0, space.ambient)))
+
+    doc, target = failing_part(monkeypatch, GaloisContext, "theta", zero)
+    _, fail = assert_checks_match(doc)
+    assert fail["invariants_dim"] == 0 and fail["subgroupoid"] != target

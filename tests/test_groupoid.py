@@ -1,10 +1,16 @@
+import json
+import runpy
 from itertools import chain, combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gglab.groupoid import (
     GroupoidError,
     closure,
+    components,
     enumerate_subgroupoids,
     generated_subgroupoid,
     Subgroupoid,
@@ -13,7 +19,23 @@ from gglab.groupoid import (
     pair_star,
     validate_groupoid,
 )
-from gglab.instances import load_builtin
+from gglab.instances import load_builtin, load_instance_dict
+
+# the benchmark's instance generators, read without importing (or writing
+# bytecode into) perfbench
+WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+FP5 = {"kind": "Fp", "p": 5}
+UNIONS = {
+    **{
+        name: json.loads(doc)
+        for w in WORKLOADS["WORKLOADS"]
+        for name, doc in WORKLOADS["documents"](w).items()
+    },
+    "pair_f5x4": WORKLOADS["disjoint_union"]([WORKLOADS["pair"](FP5)] * 4, "pair_f5x4"),
+    "pair_f5+klein_m2(5)": WORKLOADS["disjoint_union"](
+        [WORKLOADS["pair"](FP5), WORKLOADS["klein_m2"](5)], "pair_f5+klein_m2(5)"
+    ),
+}
 
 
 def pair_groupoid():
@@ -41,6 +63,69 @@ def test_enumeration_matches_brute_force(name):
     g = load_builtin(name).groupoid
     got = [h.members for h in enumerate_subgroupoids(g)]
     assert got == brute_force_subgroupoids(g)
+
+
+def whole_groupoid_subgroupoids(g):
+    """Oracle: the closure BFS over every arrow of G at once, as the
+    enumeration ran before it split G into connected components."""
+    found = {closure(g, {a}) for a in g.arrows()}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for a in g.arrows():
+                if a in s:
+                    continue
+                c = closure(g, s | {a})
+                if c not in found:
+                    found.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return sorted(found, key=sorted)
+
+
+def groupoid_of(name):
+    return load_instance_dict(UNIONS[name]).groupoid
+
+
+def permuted(g, order):
+    """G with arrow ``order[i]`` renumbered i, validated afresh."""
+    pos = {a: i for i, a in enumerate(order)}
+    pos[-1] = -1
+    comp = [[pos[g.comp[a][b]] for b in order] for a in order]
+    return validate_groupoid([g.names[a] for a in order], comp, [pos[g.inv[a]] for a in order])
+
+
+@pytest.mark.parametrize("name", sorted(UNIONS))
+def test_enumeration_matches_the_whole_groupoid_walk(name):
+    g = groupoid_of(name)
+    assert [h.members for h in enumerate_subgroupoids(g)] == whole_groupoid_subgroupoids(g)
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["pair_f5x2", "klein_disjoint2"]), data=st.data())
+def test_enumeration_is_blind_to_arrow_order(name, data):
+    # a shuffled order interleaves the components' arrows, so none of them
+    # is a contiguous block of indices
+    g0 = groupoid_of(name)
+    g = permuted(g0, data.draw(st.permutations(list(g0.arrows()))))
+    assert [h.members for h in enumerate_subgroupoids(g)] == whole_groupoid_subgroupoids(g)
+
+
+def test_components_join_objects_along_arrows():
+    # pair_f5 is connected: t and s join its two objects
+    assert components(pair_groupoid()) == [frozenset(pair_groupoid().arrows())]
+    mixed = groupoid_of("pair_f5+klein_m2(5)")
+    by_name = [{mixed.names[a] for a in c} for c in components(mixed)]
+    assert by_name == [{"e11", "e21", "t1", "s1"}, {"e2", "a2", "b2", "c2"}]
+    # interleaved: the components come by least arrow, whatever their layout
+    g0 = groupoid_of("pair_f5x2")
+    g = permuted(g0, [0, 4, 1, 5, 2, 6, 3, 7])
+    assert components(g) == [frozenset({0, 2, 4, 6}), frozenset({1, 3, 5, 7})]
+    assert [{g.names[a] for a in c} for c in components(g)] == [
+        {g0.names[a] for a in range(4)},
+        {g0.names[a] for a in range(4, 8)},
+    ]
 
 
 def wide_count(g):

@@ -243,6 +243,22 @@ def test_pair_f5x4_report_json_pinned():
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == PAIR_F5X4_SHA256[scope], scope
 
 
+# sha256 of run_suite(..., scope).to_json() on six copies of cyclic_shift_c3
+# (728 subgroupoids), computed with the closure walk over the whole groupoid
+# and Lemma 3.1 and the double-centralizer hypothesis decided on every H
+CYCLIC_SHIFT_C3X6_SHA256 = {
+    "all": "bcc381fbd92d0d8277c959ca7df4cc4f7e0efe41dd81f1905709e86d205bead9",
+    "s3": "a94f2e9591f1f97f6719d5b03d75c37112e591583ae883605415380790ad20e5",
+}
+
+
+def test_cyclic_shift_c3x6_report_json_pinned():
+    doc = WORKLOADS["disjoint_union"]([WORKLOADS["cyclic_shift"]({"kind": "Fp", "p": 5})] * 6, "cyclic_shift_c3x6")
+    for scope in ("all", "s3"):
+        report = run_suite(load_instance_dict(doc), scope=scope)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == CYCLIC_SHIFT_C3X6_SHA256[scope], scope
+
+
 @pytest.mark.parametrize("p", [5, 11])
 def test_theorem_3_9_sweep_closed_form(p):
     """The separable subalgebras of M_2(F_p) over F_p: p(p+1)/2 split tori,
