@@ -221,7 +221,8 @@ def v_in_ideal(act: Action, g: int) -> Subspace:
 
 
 class GaloisContext:
-    """Shared per-instance cache: subgroupoids, J modules, theta/gamma."""
+    """Shared per-instance cache: subgroupoids, J modules, theta/gamma and
+    their per-component keys."""
 
     def __init__(self, act: Action):
         self.act = act
@@ -259,8 +260,46 @@ class GaloisContext:
         - J_g lies in E_{r(g)} <= R_c for g in c, so the sum of the J_g
           over H is the direct sum over c of the sums over H_c, and it is
           direct iff each of those is."""
-        comps = components(self.act.groupoid)
-        return [h for h in self.all_subgroupoids if any(h.members <= c for c in comps)]
+        return [h for h in self.all_subgroupoids if any(h.members <= c for c in self.components)]
+
+    @cached_property
+    def components(self) -> list[frozenset[int]]:
+        return components(self.act.groupoid)
+
+    def theta_key(self, h: Subgroupoid) -> tuple:
+        """A key of theta(H) from its parts: one entry per component c,
+        equal for two subgroupoids iff their theta(H_c) are equal, with
+        theta(empty) = R.  So theta(H) = theta(L) iff the keys are equal.
+
+        With the facts in ``component_subgroupoids``, theta(H) is the
+        intersection of the theta(H_c), and
+        theta(H_c) = 1_c theta(H_c) + (1 - 1_c)R: the condition at an arrow
+        of c reads only r 1_c.  So theta(H) = sum_c 1_c theta(H_c), and
+        projecting by 1_c gives back each 1_c theta(H_c), hence theta(H_c).
+        Then theta(H) = theta(L) iff theta(H_c) = theta(L_c) for every c.
+        Each part is formed once, through ``theta``'s cache: the sum over c
+        of the closed sets of c, not one subspace per subgroupoid."""
+        return self._part_key(h, "_theta_parts", self.theta)
+
+    def gamma_key(self, h: Subgroupoid) -> tuple:
+        """A key of gamma(H) from its parts, as ``theta_key``, with
+        gamma(empty) = 0.  gamma(H) is the sum of the gamma(H_c), and
+        gamma(H_c) lies in R_c, since each J_g does for g in c.  So
+        projecting gamma(H) by 1_c gives gamma(H_c), and gamma(H) = gamma(L)
+        iff gamma(H_c) = gamma(L_c) for every c."""
+        return self._part_key(h, "_gamma_parts", lambda part: self.gamma(part)[0])
+
+    def _part_key(self, h: Subgroupoid, name: str, value) -> tuple:
+        # part -> small id, equal iff the parts' canonical keys are equal;
+        # ids are cheap to hash and compare in the sweeps' buckets
+        ids, cache = self.__dict__.setdefault(name, ({}, {}))
+        key = []
+        for c in self.components:
+            part = h.members & c
+            if part not in cache:
+                cache[part] = ids.setdefault(value(Subgroupoid(h.parent, part)).key(), len(ids))
+            key.append(cache[part])
+        return tuple(key)
 
     @cached_property
     def jmodules(self) -> dict[int, Subspace]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -530,11 +530,12 @@ def _lemma_3_2(state: SuiteState) -> Outcome:
     alongside but never judged.
 
     The pairs are swept by bucket, not all N(N - 1)/2 of them.  A pair is
-    reported only when theta(H) = theta(L), and two subspaces of R are
-    equal exactly when their canonical keys are, so every reported pair
-    lies inside one bucket of equal ``theta(H).key()``.  The buckets'
-    pairs are emitted in the order of the all-pairs sweep over the gated
-    list, and the pair counts are tallies: with W of the G gated
+    reported only when theta(H) = theta(L), that is, exactly when their
+    ``ctx.theta_key`` are equal, so every reported pair lies inside one
+    bucket of equal keys.  The key is read off the parts of H in each
+    connected component, so no theta(H) is formed for the sweep.  The
+    buckets' pairs are emitted in the order of the all-pairs sweep over
+    the gated list, and the pair counts are tallies: with W of the G gated
     subgroupoids wide, W(W - 1)/2 pairs are wide and the other
     G(G - 1)/2 - W(W - 1)/2 are not."""
     if not state.galois:
@@ -549,7 +550,7 @@ def _lemma_3_2(state: SuiteState) -> Outcome:
     non_wide = len(gated) * (len(gated) - 1) // 2 - checked
     bad_pairs = []
     non_wide_coincidences = []
-    for i, j in _bucket_pairs([ctx.theta(h).key() for h in gated]):
+    for i, j in _bucket_pairs([ctx.theta_key(h) for h in gated]):
         h, l = gated[i], gated[j]
         (bad_pairs if h.wide and l.wide else non_wide_coincidences).append([h.label(), l.label()])
     witnesses = {"non_wide_pairs_reported": non_wide, "non_wide_coincidences": non_wide_coincidences}
@@ -626,31 +627,29 @@ def _remark_2_3(state: SuiteState) -> Outcome:
 
 @check("lemma_3_4")
 def _lemma_3_4(state: SuiteState) -> Outcome:
-    """The product rule; the table is reported whether or not the gate is met."""
-    alg, ctx, g = state.inst.algebra, state.ctx, state.inst.groupoid
+    """The product rule; the table is reported whether or not the gate is met.
+
+    Each product J_x J_y is formed once per ordered arrow pair (x, y): the
+    forward, reversed and particular products repeat.  V_{E_g}(R) is formed
+    once per object, as E_g = E_{r(g)} depends on r(g) alone."""
+    act, ctx, g = state.inst.action, state.ctx, state.inst.groupoid
     jm = ctx.jmodules
+    prod = cache(lambda x, y: product_space(act.algebra, jm[x], jm[y]))  # J_x J_y
+    v_ideal = {e: v_in_ideal(act, e) for e in g.identities}
     pair_rows = []
     for a, b in pair_star(g):  # (g,h) with d(g) = r(h)
-        jh, jg = jm[b], jm[a]
-        prod = product_space(alg, jh, jg)  # J_h J_g
-        target = jm[g.comp[a][b]]
+        forward, target = prod(b, a), jm[g.comp[a][b]]
         pair_rows.append(
             {
                 "g": g.names[a],
                 "h": g.names[b],
                 "gh": g.names[g.comp[a][b]],
-                "equal": prod == target,
-                "included": target.contains_space(prod),
-                "reversed_equal": product_space(alg, jg, jh) == target,
+                "equal": forward == target,
+                "included": target.contains_space(forward),
+                "reversed_equal": prod(a, b) == target,
             }
         )
-    particular = [
-        {
-            "g": g.names[a],
-            "equal": product_space(alg, jm[g.inv[a]], jm[a]) == v_in_ideal(state.inst.action, a),
-        }
-        for a in g.arrows()
-    ]
+    particular = [{"g": g.names[a], "equal": prod(g.inv[a], a) == v_ideal[g.target[a]]} for a in g.arrows()]
     witnesses = {"pairs": pair_rows, "particular": particular}
     if not state.central:
         return _skip(
@@ -777,16 +776,16 @@ def _dcp_unmet(state: SuiteState) -> str | None:
 
 @check("theorem_3_10")
 def _theorem_3_10(state: SuiteState) -> Outcome:
-    ctx = state.ctx
+    """theta is injective on the wide subgroupoids iff gamma is, under the
+    double-centralizer hypothesis; the all-subgroupoid readings are
+    reported alongside.  theta (gamma) is injective on every H iff the
+    keys ``ctx.theta_key`` (``ctx.gamma_key``) are pairwise distinct, since
+    keys are equal exactly when the values are; so no theta(H) or gamma(H)
+    is formed."""
+    ctx, subs = state.ctx, state.ctx.all_subgroupoids
     both = {
-        "theta_injective": {
-            "wide": state.theta_wide[0],
-            "all": _injective([(h, ctx.theta(h)) for h in ctx.all_subgroupoids])[0],
-        },
-        "gamma_injective": {
-            "wide": state.gamma_wide_inj,
-            "all": _injective([(h, ctx.gamma(h)[0]) for h in ctx.all_subgroupoids])[0],
-        },
+        "theta_injective": {"wide": state.theta_wide[0], "all": _distinct([ctx.theta_key(h) for h in subs])},
+        "gamma_injective": {"wide": state.gamma_wide_inj, "all": _distinct([ctx.gamma_key(h) for h in subs])},
     }
     why = _dcp_unmet(state)
     if why:
@@ -819,15 +818,18 @@ def _theorem_3_11(state: SuiteState) -> Outcome:
     gamma(H) = gamma(L), and the pair lies in a gamma bucket too.  Only
     the pairs of the two bucketings are decided, in the all-pairs order,
     and only those with H - Z = L - Z form a join; the pair counts are
-    tallies, as in ``_lemma_3_2``."""
+    tallies, as in ``_lemma_3_2``.  Both equalities are read off the
+    per-component keys ``ctx.gamma_key`` and ``ctx.theta_key``, which are
+    equal exactly when the subspaces are, so no theta(H) or gamma(H) is
+    formed."""
     why = _dcp_unmet(state)
     if why:
         return _skip(why)
     ctx = state.ctx
     subs = ctx.all_subgroupoids
     zero_j = frozenset(a for a, j in ctx.jmodules.items() if j.dim == 0)
-    gamma_keys = [ctx.gamma(h)[0].key() for h in subs]
-    theta_keys = [ctx.theta(h).key() for h in subs]
+    gamma_keys = [ctx.gamma_key(h) for h in subs]
+    theta_keys = [ctx.theta_key(h) for h in subs]
     nonzero = [h.members - zero_j for h in subs]
     wide = sum(h.wide for h in subs)
     pairs = wide * (wide - 1) // 2
@@ -1013,6 +1015,10 @@ def _bucket_pairs(*columns: list) -> list[tuple[int, int]]:
     if len(columns) > 1:
         later = [sorted(set(js)) for js in later]
     return [(i, j) for i, js in enumerate(later) for j in js]
+
+
+def _distinct(keys: list) -> bool:
+    return len(set(keys)) == len(keys)
 
 
 def _injective(pairs: list[tuple[Subgroupoid, Subspace]]):

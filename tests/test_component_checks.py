@@ -1,5 +1,6 @@
 """Lemma 3.1 and the double-centralizer hypothesis, decided one connected
-component at a time, against the all-subgroupoid loops they replaced.
+component at a time, against the all-subgroupoid loops they replaced; and
+the per-component keys of theta and gamma against whole-subspace equality.
 
 The oracles below are those loops, kept as they were: each walks every
 subgroupoid of G.  The suite's answers must be equal, witnesses in the
@@ -10,13 +11,20 @@ component, which is the first one in enumeration order as well.  So
 synthetic states make one single-component subgroupoid of
 ``klein_disjoint2`` fail, for every H that holds it as its part in that
 component, and show that the fallback lists the same failures and names
-the same first subgroupoid, which spans both components."""
+the same first subgroupoid, which spans both components.
+
+``theta_key`` and ``gamma_key`` must split the subgroupoids into the same
+classes as the canonical keys of theta(H) and gamma(H) formed whole, on
+the same documents, on four copies of ``pair_f5``, on six of
+``cyclic_shift_c3`` and on shuffled arrow orders."""
 
 import json
 import runpy
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gglab.galois import GaloisContext
 from gglab.groupoid import components
@@ -35,6 +43,11 @@ DOCUMENTS = {
     "pair_f5+klein_m2(5)": WORKLOADS["disjoint_union"](
         [WORKLOADS["pair"](FP5), WORKLOADS["klein_m2"](5)], "pair_f5+klein_m2(5)"
     ),
+}
+KEYED = {
+    **DOCUMENTS,
+    "pair_f5x4": WORKLOADS["disjoint_union"]([WORKLOADS["pair"](FP5)] * 4, "pair_f5x4"),
+    "cyclic_shift_c3x6": WORKLOADS["disjoint_union"]([WORKLOADS["cyclic_shift"](FP5)] * 6, "cyclic_shift_c3x6"),
 }
 
 
@@ -132,3 +145,49 @@ def test_a_failing_component_names_the_first_bicommutant_failure(monkeypatch):
     doc, target = failing_part(monkeypatch, GaloisContext, "theta", zero)
     _, fail = assert_checks_match(doc)
     assert fail["invariants_dim"] == 0 and fail["subgroupoid"] != target
+
+
+def classes(subs, key) -> list[list[int]]:
+    """The partition of ``subs`` (by position) into classes of equal key."""
+    out: dict = {}
+    for i, h in enumerate(subs):
+        out.setdefault(key(h), []).append(i)
+    return sorted(out.values())
+
+
+def assert_keys_split_like_subspaces(doc: dict):
+    """theta_key and gamma_key partition every subgroupoid as the whole
+    theta(H) and gamma(H) do, with no cache shared between the two sides."""
+    keyed, whole = GaloisContext(load_instance_dict(doc).action), GaloisContext(load_instance_dict(doc).action)
+    subs = keyed.all_subgroupoids
+    assert classes(subs, keyed.theta_key) == classes(subs, lambda h: whole.theta(h).key())
+    assert classes(subs, keyed.gamma_key) == classes(subs, lambda h: whole.gamma(h)[0].key())
+
+
+@pytest.mark.parametrize("name", sorted(KEYED))
+def test_component_keys_split_like_the_subspaces(name):
+    assert_keys_split_like_subspaces(KEYED[name])
+
+
+def permuted(doc: dict, order: list[int]) -> dict:
+    """``doc`` with its arrows listed in ``order``; maps are keyed by name."""
+    gp = doc["groupoid"]
+    return {
+        **doc,
+        "groupoid": {
+            **gp,
+            "arrows": [gp["arrows"][a] for a in order],
+            "compose": [[gp["compose"][a][b] for b in order] for a in order],
+            "inverse": [gp["inverse"][a] for a in order],
+        },
+    }
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["objects/pair_f5x2", "builtins/klein_disjoint2"]), data=st.data())
+def test_component_keys_are_blind_to_arrow_order(name, data):
+    # a shuffled order interleaves the components' arrows, so no component
+    # is a contiguous block of indices
+    doc = DOCUMENTS[name]
+    order = data.draw(st.permutations(range(len(doc["groupoid"]["arrows"]))))
+    assert_keys_split_like_subspaces(permuted(doc, order))

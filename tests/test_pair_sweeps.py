@@ -1,13 +1,15 @@
-"""The bucketed pair sweeps of Lemma 3.2, Lemma 3.6 and Theorem 3.11
-against the all-pairs loops they replaced.
+"""The bucketed pair sweeps of Lemma 3.2, Lemma 3.6 and Theorem 3.11, and
+Theorem 3.10's injectivity readings, against the loops they replaced.
 
 The oracles below are those loops, kept as they were: each compares
-theta, gamma, J and a join on every pair.  The suite's checks must return
-an equal ``Outcome``, witnesses in the same order, on every benchmark
-document, on ``clock_shift(2, 5)`` and on four copies of ``pair_f5``.  No
-shipped document runs Theorem 3.11 with a zero J module or has a Lemma
-3.6 clash, so synthetic states (J modules zeroed or made equal, theta
-values made to collide) exercise those paths as well."""
+theta, gamma, J and a join on every pair, or forms theta(H) and gamma(H)
+on every H.  The suite's checks read theta and gamma through their
+per-component keys instead.  They must return an equal ``Outcome``,
+witnesses in the same order, on every benchmark document, on
+``clock_shift(2, 5)`` and on four copies of ``pair_f5``.  No shipped
+document runs Theorem 3.11 with a zero J module or has a Lemma 3.6 clash,
+so synthetic states (J modules zeroed or made equal, theta values made to
+collide) exercise those paths as well."""
 
 import json
 import runpy
@@ -17,10 +19,10 @@ from pathlib import Path
 import pytest
 
 from gglab import groupoid
-from gglab.groupoid import join
+from gglab.groupoid import Subgroupoid, join
 from gglab.instances import clock_shift, load_builtin, load_instance_dict
 from gglab.linalg import Subspace
-from gglab.suite import CHECKS, Outcome, SuiteState, _dcp_unmet, _skip, run_suite
+from gglab.suite import CHECKS, Outcome, SuiteState, _dcp_unmet, _injective, _skip, run_suite
 
 WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
 DOCUMENTS = {
@@ -117,7 +119,31 @@ def theorem_3_11(state: SuiteState) -> Outcome:
     )
 
 
-ORACLES = {"lemma_3_2": lemma_3_2, "lemma_3_6": lemma_3_6, "theorem_3_11": theorem_3_11}
+def theorem_3_10(state: SuiteState) -> Outcome:
+    ctx = state.ctx
+    both = {
+        "theta_injective": {
+            "wide": state.theta_wide[0],
+            "all": _injective([(h, ctx.theta(h)) for h in ctx.all_subgroupoids])[0],
+        },
+        "gamma_injective": {
+            "wide": state.gamma_wide_inj,
+            "all": _injective([(h, ctx.gamma(h)[0]) for h in ctx.all_subgroupoids])[0],
+        },
+    }
+    why = _dcp_unmet(state)
+    if why:
+        fail = state.dcp_fail
+        return _skip(why, both if fail is None else {**both, "double_centralizer_failure": fail})
+    ok = state.theta_wide[0] == state.gamma_wide_inj
+    return Outcome(
+        "pass" if ok else "violation",
+        "double centralizer holds for every invariant ring; theta and gamma injectivity coincide",
+        both if ok else {"table": both, "note": "equivalence failed on wide domain"},
+    )
+
+
+ORACLES = {"lemma_3_2": lemma_3_2, "lemma_3_6": lemma_3_6, "theorem_3_10": theorem_3_10, "theorem_3_11": theorem_3_11}
 
 
 def assert_sweeps_match(state: SuiteState) -> dict[str, Outcome]:
@@ -171,17 +197,49 @@ def test_sweeps_with_equal_j_modules():
 
 
 def test_sweeps_with_colliding_theta():
-    # theta of the last wide subgroupoid := theta of the first: Lemma 3.2
-    # and Theorem 3.11 report the wide pair as a failure, as the all-pairs
-    # loops did
+    # theta of the last wide subgroupoid := theta of the first, injected
+    # where each side reads it: the sweeps' key and the oracles' subspace.
+    # Lemma 3.2 and Theorem 3.11 report the wide pair as a failure, as the
+    # all-pairs loops did, and theta is no longer injective on every H
     state = SuiteState(load_builtin("klein_disjoint2"))
     ctx = state.ctx
     first, last = ctx.wide_subgroupoids[0], ctx.wide_subgroupoids[-1]
-    theta = ctx.theta
+    theta, theta_key = ctx.theta, ctx.theta_key
     ctx.theta = lambda h: theta(first) if h == last else theta(h)
+    ctx.theta_key = lambda h: theta_key(first) if h == last else theta_key(h)
     outs = assert_sweeps_match(state)
     assert outs["lemma_3_2"].witnesses["pairs"] == [[first.label(), last.label()]]
     assert outs["theorem_3_11"].verdict == "violation"
+    assert outs["theorem_3_10"].witnesses["table"]["theta_injective"] == {"wide": False, "all": False}
+
+
+def test_sweeps_with_a_collision_inside_one_component():
+    # theta({e2,a2}) := theta({e2,b2}) inside the second Klein group of
+    # klein_disjoint2, on every H whose part there is {e2,a2}: theta(H) reads
+    # theta of H with that part swapped, as the component split demands of
+    # a real collision.  The keys see it through the part, the oracles
+    # through the whole subspace, and every H holding the part collides
+    # with its swap: five wide pairs, one per closed set of the first copy
+    # holding e1, and the non-wide pair of the two parts alone
+    state = SuiteState(load_builtin("klein_disjoint2"))
+    ctx, g = state.ctx, state.inst.groupoid
+    comp = ctx.components[1]
+    part, swap = (frozenset(map(g.index, names)) for names in (("e2", "a2"), ("e2", "b2")))
+    theta = ctx.theta
+
+    def swapped(h):
+        return Subgroupoid(g, h.members - part | swap) if h.members & comp == part else h
+
+    ctx.theta = lambda h: theta(swapped(h))
+    outs = assert_sweeps_match(state)
+    lemma = outs["lemma_3_2"].witnesses
+    reported = {frozenset(pair) for pair in lemma["pairs"] + lemma["non_wide_coincidences"]}
+    holding = [h for h in ctx.all_subgroupoids if h.members & comp == part]
+    assert len(holding) == 6
+    assert {frozenset([h.label(), swapped(h).label()]) for h in holding} <= reported
+    assert len(lemma["pairs"]) == sum(h.wide for h in holding) == 5
+    assert outs["theorem_3_11"].verdict == "violation"
+    assert outs["theorem_3_10"].witnesses["table"]["theta_injective"] == {"wide": False, "all": False}
 
 
 def test_theorem_3_11_forms_no_join(count_calls):

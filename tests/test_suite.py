@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gglab import separability, suite
+from gglab import action, algebra, galois, separability, suite
 from gglab.instances import BUILTIN_NAMES, builtin, clock_shift, load_builtin, load_instance_dict
 from gglab.separability import double_centralizer_check
 from gglab.suite import CHECKS, MANIFEST, SuiteState, run_suite
@@ -241,6 +241,47 @@ def test_pair_f5x4_report_json_pinned():
     for scope in ("all", "s3"):
         report = run_suite(load_instance_dict(doc), scope=scope)
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == PAIR_F5X4_SHA256[scope], scope
+
+
+# sha256 of run_suite(..., scope).to_json() on pair_f5 beside klein_m2(5):
+# one connected, non-central component and one central Klein group,
+# computed with theta(H) and gamma(H) formed on every H for the sweeps
+PAIR_F5_KLEIN_SHA256 = {
+    "all": "edbcaacc462a9abcd62b8a0ee148a131d19cbcf065667c248f8727dc94daaa85",
+    "s3": "712bd5504d9e6199f0bbbaac7444b219b98ac50eea55afc4004508f1295c4cde",
+}
+
+
+def test_pair_f5_klein_m2f5_report_json_pinned():
+    doc = WORKLOADS["disjoint_union"](
+        [WORKLOADS["pair"]({"kind": "Fp", "p": 5}), WORKLOADS["klein_m2"](5)], "pair_f5+klein_m2(5)"
+    )
+    for scope in ("all", "s3"):
+        report = run_suite(load_instance_dict(doc), scope=scope)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == PAIR_F5_KLEIN_SHA256[scope], scope
+
+
+def test_invariant_rings_formed_per_suite(count_calls):
+    # three copies of pair_f5: the sweeps of Lemma 3.2 and Theorems 3.10
+    # and 3.11 read theta through its parts, the 12 subgroupoids inside one
+    # component and the empty one, which Lemma 3.1 and the hypothesis form
+    # anyway; the rest are the 8 wide ones for Lemma 2.1 and for Lemma 3.7's
+    # supports, and R^beta (133 when the sweeps formed theta on all 124)
+    calls = count_calls(action.invariants)
+    run_suite(load_instance_dict(json.loads(BENCH_DOCS["objects"]["pair_f5x3"])), scope="all")
+    assert len(calls) == 30
+
+
+@pytest.mark.parametrize("workload, name, products, commutants", [
+    ("objects", "pair_f5x3", 36, 6),
+    ("builtins", "klein_disjoint2", 32, 2),
+])
+def test_lemma_3_4_forms_each_product_once(count_calls, workload, name, products, commutants):
+    # one J_x J_y per ordered arrow pair and one V_E(R) per object (60 and
+    # 12 on pair_f5x3, 72 and 8 on klein_disjoint2, when each row formed its own)
+    prods, comms = count_calls(algebra.product_space), count_calls(galois.v_in_ideal)
+    CHECKS["lemma_3_4"](SuiteState(load_instance_dict(json.loads(BENCH_DOCS[workload][name]))))
+    assert (len(prods), len(comms)) == (products, commutants)
 
 
 # sha256 of run_suite(..., scope).to_json() on six copies of cyclic_shift_c3
