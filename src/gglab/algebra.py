@@ -128,7 +128,11 @@ def center(alg: Algebra) -> Subspace:
 
 
 def commutant(alg: Algebra, s1: Subspace, s2: Subspace) -> Subspace:
-    """V_{S2}(S1): elements of S2 commuting with every basis element of S1."""
+    """V_{S2}(S1): elements of S2 commuting with every basis element of S1.
+
+    The answer is solved for in the coordinates of S2; the nullspace is in
+    RREF, so its image under S2's basis is canonical without a second
+    elimination (``Subspace.from_coords``)."""
     if s1.dim == 0:
         return s2
     if s2.dim == 0:
@@ -136,10 +140,7 @@ def commutant(alg: Algebra, s1: Subspace, s2: Subspace) -> Subspace:
     # row (a, k), column j: coordinate k of s_a t_j - t_j s_a
     diff = alg.products(s1.basis, s2.basis) - alg.products(s2.basis, s1.basis).transpose(1, 0, 2)
     stacked = alg.field.reduce(diff.transpose(0, 2, 1).reshape(s1.dim * alg.dim, s2.dim))
-    coeffs = linalg.nullspace(alg.field, stacked)
-    if coeffs.shape[0] == 0:
-        return Subspace.zero(alg.field, alg.dim)
-    return Subspace(alg.field, alg.dim, linalg.matmul(alg.field, coeffs, s2.basis))
+    return s2.from_coords(linalg.nullspace(alg.field, stacked))
 
 
 def product_rows(alg: Algebra, a: Subspace, b: Subspace) -> np.ndarray:

@@ -90,17 +90,30 @@ def solve_galois_coordinates(act: Action) -> GaloisCoordinates | None:
 
 
 def j_module(act: Action, g: int) -> Subspace:
-    """J_g = {r in E_g | r * beta_g(x 1_{g^-1}) = x r for all x}."""
+    """J_g = {r in E_g | r * beta_g(x 1_{g^-1}) = x r for all x}.
+
+    It is solved for in the coordinates of E_g = E_{r(g)}, with x over the
+    basis of E_{d(g)} only.  The condition is linear in x, and R is the
+    sum of the E_e, so x may run over a basis of each E_e.  Let r lie in
+    E_g.  For x in E_e with e neither d(g) nor r(g), both sides vanish, as
+    the 1_e are central orthogonal idempotents: x 1_{g^-1} =
+    x 1_e 1_{d(g)} = 0, and x r = x 1_e 1_{r(g)} r = 0.  When d(g) differs
+    from r(g), x in E_{d(g)} gives r beta_g(x) = x r = 0; beta_g maps
+    E_{d(g)} onto E_{r(g)}, so r E_{r(g)} = 0 and r = r 1_{r(g)} = 0, which
+    meets the condition at x in E_{r(g)} as well.  Writing r = t B, with B
+    the RREF basis of E_g, puts r in E_g, and the t form an RREF nullspace,
+    so t B is the canonical basis of J_g with no second elimination
+    (``Subspace.from_coords``)."""
     f = act.field
     alg = act.algebra
-    n = alg.dim
-    gp = act.groupoid
-    eye = f.eye(n)
-    cs = act.apply_truncated(g, eye)  # row x: c_x = beta_g(b_x 1_{g^-1})
-    # block x, row k, column i: coordinate k of b_i c_x - b_x b_i
-    blocks = alg.products(eye, cs).transpose(1, 2, 0) - alg.table.transpose(0, 2, 1)
-    rows = np.vstack([act.idempotent_mult[gp.target[g]] - eye, blocks.reshape(n * n, n)])
-    return Subspace.from_rref(f, linalg.nullspace(f, f.reduce(rows)))
+    ideal = act.ideal(g)
+    if ideal.dim == 0:
+        return ideal
+    xs = act.ideals[act.groupoid.source[g]].basis
+    cs = act.apply_truncated(g, xs)  # row x: c_x = beta_g(x 1_{g^-1})
+    # block x, row k, column i: coordinate k of e_i c_x - x e_i, e_i the basis of E_g
+    blocks = alg.products(ideal.basis, cs).transpose(1, 2, 0) - alg.products(xs, ideal.basis).transpose(0, 2, 1)
+    return ideal.from_coords(linalg.nullspace(f, f.reduce(blocks.reshape(-1, ideal.dim))))
 
 
 @dataclass
@@ -152,18 +165,24 @@ def build_skew_groupoid_ring(act: Action) -> SkewGroupoidRing:
     return SkewGroupoidRing(slots=slots, action=act)
 
 
-def endomorphism_space(act: Action, invariant_ring: Subspace) -> Subspace:
+def endomorphism_space(act: Action, invariant_ring: Subspace, block: Subspace | None = None) -> Subspace:
     """End(R) as a right module over the invariant ring: matrices F with
-    F @ R_s = R_s @ F for every basis element s (flattened, canonical)."""
+    F @ R_s = R_s @ F for every basis element s (flattened, canonical).
+
+    With ``block`` a subspace B that every R_s maps into itself, the same
+    for the restrictions to B, in the coordinates of B's RREF basis: a
+    vector of B has its entries at the pivots as coordinates."""
     f = act.field
-    n = act.algebra.dim
-    if invariant_ring.dim == 0:
-        return Subspace.full(f, n * n)
-    # right_mult(s) for each basis row s; F R_s - R_s F = 0 on row-major
-    # flat F is the Sylvester operator of (R_s, R_s^T), negated
-    rs = act.algebra.products(f.eye(n), invariant_ring.basis).transpose(1, 2, 0)
+    space = act.algebra.full_space if block is None else block
+    m = space.dim
+    # right_mult(s) on B for each basis row s; F R_s - R_s F = 0 on
+    # row-major flat F is the Sylvester operator of (R_s, R_s^T), negated
+    rs = act.algebra.products(space.basis, invariant_ring.basis)[:, :, space.pivots].transpose(1, 2, 0)
+    rs = rs[rs.any(axis=(1, 2))]  # an s that vanishes on B adds no condition
+    if len(rs) == 0:
+        return Subspace.full(f, m * m)
     rows = linalg.sylvester(f, rs, rs.transpose(0, 2, 1))
-    return Subspace.from_rref(f, linalg.nullspace(f, rows.reshape(-1, n * n)))
+    return Subspace.from_rref(f, linalg.nullspace(f, rows.reshape(-1, m * m)))
 
 
 @dataclass
@@ -181,24 +200,61 @@ class JIsomorphismReport:
 def j_isomorphism_check(act: Action, skew: SkewGroupoidRing, invariant_ring: Subspace) -> JIsomorphismReport:
     """Materialize j on the skew-ring basis and decide by ranks whether it
     is a bijection onto End(R) over the invariants.  That j is a unital
-    ring map is proved in ``build_skew_groupoid_ring``."""
-    f = act.field
-    n = act.algebra.dim
-    end_space = endomorphism_space(act, invariant_ring)
-    d = skew.dim
-    mats = np.array([skew.element_matrix(i) for i in range(d)], dtype=f.dtype).reshape(d, n * n)
-    image = Subspace(f, n * n, mats)
-    return JIsomorphismReport(
-        dim_skew=d,
-        dim_end=end_space.dim,
-        injective=image.dim == d,
-        surjective=image == end_space,
-    )
+    ring map is proved in ``build_skew_groupoid_ring``.
+
+    It is decided one connected component c at a time, on R_c = 1_c R with
+    1_c the sum of the 1_e over the objects of c.  Each 1_c is central and
+    lies in R^beta (``GaloisContext.component_subgroupoids``).
+
+    - End(R)_{R^beta} is the direct sum over c of the blocks End(R_c),
+      each over R^beta.  An F in it commutes with right multiplication by
+      1_c, the projection onto R_c, so F maps each R_c into itself and is
+      the sum of its restrictions F_c.  Right multiplication by any s maps
+      R_c into itself too, so F commutes with it iff every F_c commutes
+      with its restriction to R_c.
+    - j(a u_g) = L_a beta_g lies in the block of g's component c: it
+      vanishes off E_{d(g)} <= R_c and maps into E_{r(g)} <= R_c.  So the
+      image of j is the direct sum over c of the images of the basis
+      elements a u_g with g in c.
+
+    Hence dim End is the sum of the blocks' dimensions; j is injective iff
+    it is on each block, since each block's image has at most as many
+    dimensions as it has basis elements; and j is onto iff each block's
+    image is its block of End, since both sides are direct sums over the
+    same blocks.  A block is computed in the coordinates of the RREF basis
+    of R_c; with one component, R_c = R and its basis is the identity."""
+    f, n, gp = act.field, act.algebra.dim, act.groupoid
+    comps = components(gp)
+    if len(comps) == 1:
+        blocks = [act.algebra.full_space]
+    else:
+        blocks = [Subspace(f, n, np.vstack([act.ideals[e].basis for e in gp.identities if e in c])) for c in comps]
+    dim_end, injective, surjective = 0, True, True
+    for arrows, space in zip(comps, blocks):
+        end_space = endomorphism_space(act, invariant_ring, space)
+        slots = [(g, row) for g, row in skew.slots if g in arrows]
+        image = _j_block_image(act, slots, space)
+        dim_end += end_space.dim
+        injective &= image.dim == len(slots)
+        surjective &= image == end_space
+    return JIsomorphismReport(dim_skew=skew.dim, dim_end=dim_end, injective=injective, surjective=surjective)
 
 
-def theta(act: Action, h: Subgroupoid) -> Subspace:
-    """The Galois map value R^{beta_H}."""
-    return invariants(act, h.members)
+def _j_block_image(act: Action, slots: list[tuple[int, int]], space: Subspace) -> Subspace:
+    """The span of j(a u_g) restricted to ``space``, over the skew basis
+    elements ``slots``, as flattened matrices in the coordinates of the
+    space's RREF basis (the identity when the space is R)."""
+    f, alg, m = act.field, act.algebra, space.dim
+    rows: dict[int, list[int]] = {}
+    for g, row in slots:
+        rows.setdefault(g, []).append(row)
+    mats = []
+    for g, picked in rows.items():
+        # row i: beta_g of basis row i; then a beta_g(.) for each a
+        images = act.beta[g].T if m == alg.dim else linalg.matmul(f, space.basis, act.beta[g].T)
+        prods = alg.products(act.ideal(g).basis[picked], images)[:, :, space.pivots]
+        mats.append(prods.transpose(0, 2, 1).reshape(len(picked), m * m))
+    return Subspace(f, m * m, np.vstack(mats) if mats else f.zeros((0, m * m)))
 
 
 def gamma(act: Action, members, jmods: dict[int, Subspace]) -> tuple[Subspace, bool]:
@@ -216,8 +272,12 @@ def gamma(act: Action, members, jmods: dict[int, Subspace]) -> tuple[Subspace, b
 
 
 def v_in_ideal(act: Action, g: int) -> Subspace:
-    """V_{E_g}(R): the commutant of R inside the ideal E_g."""
-    return commutant(act.algebra, act.algebra.full_space, act.ideal(g))
+    """V_{E_g}(R): the commutant of R inside the ideal E_g, solved for in
+    the coordinates of E_g with x over the basis of E_g only.  R is the
+    sum of the E_e; for x in E_e with e other than r(g) and v in E_g, both
+    x v and v x vanish, so V_{E_g}(R) = V_{E_g}(E_g)."""
+    ideal = act.ideal(g)
+    return commutant(act.algebra, ideal, ideal)
 
 
 class GaloisContext:
@@ -265,6 +325,18 @@ class GaloisContext:
     @cached_property
     def components(self) -> list[frozenset[int]]:
         return components(self.act.groupoid)
+
+    @cached_property
+    def wide_parts(self) -> list[list[Subgroupoid]]:
+        """For each component c, the parts H_c of the wide subgroupoids H:
+        the subgroupoids inside c that hold every identity of c.  The wide
+        H are the unions of one part per component, so there are Pi_c W_c
+        of them from Sigma_c W_c parts.  With one component the parts are
+        the wide subgroupoids themselves."""
+        if len(self.components) == 1:
+            return [self.wide_subgroupoids]
+        ids = frozenset(self.act.groupoid.identities)
+        return [[h for h in self.component_subgroupoids if c & ids <= h.members <= c] for c in self.components]
 
     def theta_key(self, h: Subgroupoid) -> tuple:
         """A key of theta(H) from its parts: one entry per component c,
@@ -316,10 +388,15 @@ class GaloisContext:
         return _center(self.act.algebra)
 
     def theta(self, h: Subgroupoid) -> Subspace:
-        key = frozenset(h.members)
-        cache = self.__dict__.setdefault("_theta_cache", {})
+        """The Galois map value R^{beta_H}."""
+        return self.invariants(h.members)
+
+    def invariants(self, arrows) -> Subspace:
+        """R^{beta_S} for an arrow set S, formed once per set."""
+        key = frozenset(arrows)
+        cache = self.__dict__.setdefault("_invariants_cache", {})
         if key not in cache:
-            cache[key] = theta(self.act, h)
+            cache[key] = invariants(self.act, key)
         return cache[key]
 
     def gamma(self, h: Subgroupoid) -> tuple[Subspace, bool]:

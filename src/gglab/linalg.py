@@ -117,6 +117,25 @@ class Subspace:
         s.field, s.ambient, s.basis, s.pivots, s._key = field, basis.shape[1], basis, list(pivots), None
         return s
 
+    def from_coords(self, coeffs: np.ndarray) -> "Subspace":
+        """The subspace of the vectors coeffs @ basis, for coefficient rows
+        ``coeffs`` that are already canonical (RREF, none zero), such as a
+        nullspace.  The product is canonical too, so nothing is re-reduced.
+
+        Let the basis rows b_j have pivots p_1 < ... < p_m, and row i of
+        ``coeffs`` its pivot at q_i.  Row i of the product is
+        sum_j coeffs[i, j] b_j.  Before column p_{q_i} it is zero, since
+        coeffs[i, j] = 0 for j < q_i and b_j is zero before p_j >= p_{q_i}
+        for j >= q_i.  At a pivot column p_{q_l} only b_{q_l} is nonzero,
+        with a 1, so the entry is coeffs[i, q_l], which is 1 for l = i and 0
+        otherwise.  So row i leads with a 1 at p_{q_i}, these columns
+        increase with i, and every other row is zero there: the product is
+        in RREF with pivots p_{q_i}."""
+        if coeffs.size == 0:
+            return Subspace.zero(self.field, self.ambient)
+        pivots = [self.pivots[q] for q in np.argmax(coeffs != 0, axis=1)]
+        return Subspace.from_rref(self.field, self.field.reduce(np.dot(coeffs, self.basis)), pivots)
+
     @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
         return cls(field, ambient, field.eye(ambient))

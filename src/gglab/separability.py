@@ -34,6 +34,7 @@ rank.  A basis that fails is an internal error, never a verdict.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -481,16 +482,21 @@ class SeparableEnumeration:
 
 
 def enumerate_separable_subalgebras(
-    alg: Algebra, base: Subspace, pool: list[Subspace] | None = None, facts: SubalgebraFacts | None = None
+    alg: Algebra,
+    base: Subspace,
+    pool: Callable[[], list[Subspace]] | None = None,
+    facts: SubalgebraFacts | None = None,
 ) -> SeparableEnumeration:
     """Unital subalgebras S with base <= S <= R, separable over base.
 
     Exhaustive subspace walk when dim R is at or below the cap (prime
-    fields only, see ``_walk``); otherwise the provided pool (already-
-    generated subalgebra candidates) is filtered and the result is labeled
+    fields only, see ``_walk``); otherwise the seed pool, which ``pool``
+    builds when called, is filtered and the result is labeled
     pool-restricted.  Every candidate contains the base.  Each one that
     passes the unital-subalgebra filter has its separability verdict read
-    from, or recorded in, ``facts``.
+    from, or recorded in, ``facts``.  When the base is R itself, every
+    candidate spans R with it, so R is the only candidate and the pool is
+    not built.
     """
     f = alg.field
     facts = SubalgebraFacts(alg) if facts is None else facts
@@ -498,16 +504,19 @@ def enumerate_separable_subalgebras(
         found = _walk(alg, base, facts)
         return SeparableEnumeration([found[k] for k in sorted(found)], True, "exhaustive")
 
-    # the subalgebra grown from a seed depends only on its span, so each
-    # distinct span(base + candidate) is grown once
-    spans: set[tuple] = set()
     candidates: dict[tuple, Subspace] = {}
-    for cand in pool or []:
-        span = Subspace(f, alg.dim, np.vstack([base.basis, cand.basis]))
-        if span.key() not in spans:
-            spans.add(span.key())
-            grown = subalgebra_generated(alg, span)
-            candidates.setdefault(grown.key(), grown)
+    if base.dim == alg.dim:  # every candidate spans R with the base
+        candidates[base.key()] = base
+    else:
+        # the subalgebra grown from a seed depends only on its span, so
+        # each distinct span(base + candidate) is grown once
+        spans: set[tuple] = set()
+        for cand in [] if pool is None else pool():
+            span = Subspace(f, alg.dim, np.vstack([base.basis, cand.basis]))
+            if span.key() not in spans:
+                spans.add(span.key())
+                grown = subalgebra_generated(alg, span)
+                candidates.setdefault(grown.key(), grown)
     out = []
     for key in sorted(candidates, key=None if f.modular else _rational_key_order):
         s = candidates[key]

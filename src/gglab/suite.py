@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .action import Action, ActionError, fixer_subgroupoid, invariants, restrict
+from .action import Action, ActionError, fixer_subgroupoid, restrict
 from .algebra import AlgebraError, product_space
 from .galois import (
     GaloisContext,
@@ -140,12 +140,16 @@ class SuiteState:
 
     @cached_property
     def theta_wide(self) -> tuple[bool, list[str] | None]:
-        """Whether theta is injective on the wide subgroupoids; else a coinciding pair."""
-        return _injective([(h, self.ctx.theta(h)) for h in self.ctx.wide_subgroupoids])
+        """Whether theta is injective on the wide subgroupoids; else a
+        coinciding pair.  Read off ``ctx.theta_key``, which is equal for
+        two subgroupoids exactly when their theta values are."""
+        return _injective([(h, self.ctx.theta_key(h)) for h in self.ctx.wide_subgroupoids])
 
     @cached_property
     def gamma_wide_inj(self) -> bool:
-        return _injective([(h, self.ctx.gamma(h)[0]) for h in self.ctx.wide_subgroupoids])[0]
+        """Whether gamma is injective on the wide subgroupoids, read off
+        ``ctx.gamma_key`` as ``theta_wide`` reads theta."""
+        return _injective([(h, self.ctx.gamma_key(h)) for h in self.ctx.wide_subgroupoids])[0]
 
     @cached_property
     def facts(self) -> SubalgebraFacts:
@@ -205,7 +209,10 @@ class SuiteState:
 
     @cached_property
     def center_enum(self) -> SeparableEnumeration:
-        return enumerate_separable_subalgebras(self.inst.algebra, self.ctx.center, _pool(self), self.facts)
+        """The separable subalgebras over the center.  The seed pool is
+        built only where the enumeration reads it: not by the exhaustive
+        walk, and not when the center is R itself."""
+        return enumerate_separable_subalgebras(self.inst.algebra, self.ctx.center, partial(_pool, self), self.facts)
 
     @cached_property
     def theta_image(self) -> tuple[bool, bool]:
@@ -360,14 +367,61 @@ def _connecting_arrows(state: SuiteState) -> Outcome:
 
 @check("lemma_2_1")
 def _lemma_2_1(state: SuiteState) -> Outcome:
-    """Fixers are subgroupoids."""
+    """Fixers are subgroupoids.
+
+    The fixer of each wide theta(H) is assembled from the parts of H, one
+    fixer per part H_c (``ctx.wide_parts``), not one per H.  For an arrow a
+    of a component c, D_a r = beta_a(r 1_{d(a)}) - r 1_{r(a)} reads only
+    1_c r.  With the facts in ``GaloisContext.component_subgroupoids``,
+    theta(H) = sum_c 1_c theta(H_c) and
+    theta(H_c) = 1_c theta(H_c) + (1 - 1_c)R; so a fixes theta(H) iff it
+    fixes 1_c theta(H_c), iff it fixes theta(H_c), as D_a vanishes on
+    (1 - 1_c)R.  Hence the fixer of theta(H) is the union over c of
+    fixer(theta(H_c)) & c.  Products and inverses never leave a
+    component, so a set of arrows is closed iff its part in each component
+    is, and every wide fixer is closed iff every part fixer is.  Only when
+    a part fixer is not closed is every wide H walked, to name the first
+    failure."""
     inst, ctx = state.inst, state.ctx
     probes = [
         ("span(1)", Subspace.span(inst.field, inst.algebra.unit)),
         ("center", ctx.center),
         ("invariants", ctx.invariant_ring),
     ]
-    probes += [(f"theta{h.label()}", ctx.theta(h)) for h in ctx.wide_subgroupoids]
+    try:
+        fixers = {label: fixer_subgroupoid(inst.action, t).label() for label, t in probes}
+        fixers.update(_wide_fixers(state))
+    except CERTIFICATE_ERRORS:
+        return _lemma_2_1_walk(state, probes)
+    return Outcome(
+        "pass",
+        f"{len(fixers)} fixer sets certified closed",
+        {"fixers": dict(sorted(fixers.items()))},
+    )
+
+
+def _wide_fixers(state: SuiteState) -> dict[str, str]:
+    """The label of the fixer of theta(H), by probe label, for every wide
+    H, from one fixer per part (proof in ``_lemma_2_1``)."""
+    act, ctx, g = state.inst.action, state.ctx, state.inst.groupoid
+    if len(ctx.components) == 1:
+        return {f"theta{h.label()}": fixer_subgroupoid(act, ctx.theta(h)).label() for h in ctx.wide_subgroupoids}
+    pieces = [
+        {h.members: fixer_subgroupoid(act, ctx.theta(h)).members & c for h in parts}
+        for c, parts in zip(ctx.components, ctx.wide_parts)
+    ]
+    return {
+        f"theta{h.label()}": g.label(
+            frozenset().union(*(piece[h.members & c] for c, piece in zip(ctx.components, pieces)))
+        )
+        for h in ctx.wide_subgroupoids
+    }
+
+
+def _lemma_2_1_walk(state: SuiteState, probes: list[tuple[str, Subspace]]) -> Outcome:
+    """Lemma 2.1 decided by one fixer per probe and per wide H."""
+    inst, ctx = state.inst, state.ctx
+    probes = probes + [(f"theta{h.label()}", ctx.theta(h)) for h in ctx.wide_subgroupoids]
     fixers = {}
     for label, t in probes:
         try:
@@ -705,20 +759,52 @@ def _lemma_3_6(state: SuiteState) -> Outcome:
 
 @check("lemma_3_7")
 def _lemma_3_7(state: SuiteState) -> Outcome:
+    """gamma(H) = V_R(R^(beta_S)) on every wide H, with S = S_H the arrows
+    of H whose J is not 0; decided on the parts H_c of the wide H in each
+    component (``ctx.wide_parts``).
+
+    Let X = R^(beta_S) for an arrow set S.  Each 1_c lies in X: for h in
+    c, beta_h(1_c 1_{d(h)}) = beta_h(1_{d(h)}) = 1_{r(h)} = 1_c 1_{r(h)};
+    for h outside c both sides are 0.  So, with the facts in
+    ``GaloisContext.component_subgroupoids``, V_R(X) is the sum over c of
+    V_{R_c}(1_c X).  The condition at h reads only r 1_{d(h)} and
+    r 1_{r(h)}, so 1_c X = 1_c R^(beta_{S_c}), S_c = S & c; and as
+    R^(beta_{S_c}) also holds every 1_c, 1_c V_R(R^(beta_{S_c})) is
+    V_{R_c}(1_c X).  The support of H_c is S_H & c.  So
+    V_R(R^(beta_{S_H})) is the sum over c of 1_c V_R(R^(beta_{S_{H_c}})),
+    and gamma(H) is the sum of the gamma(H_c), each inside R_c.  Both
+    sides are direct sums over the R_c, so they are equal iff
+    gamma(H_c) = 1_c V_R(R^(beta_{S_{H_c}})) on every c, and the lemma
+    holds on every wide H iff it holds on every part.  1_c is the unit
+    1_{H_c} of the part, and a part is wide only when c is the only
+    component, where no cut is needed.  Only when a part fails is every
+    wide H walked, to list each failing subgroupoid."""
     if not state.galois:
         return _skip("Galois gate unmet")
-    act, ctx = state.inst.action, state.ctx
-    fails = []
-    for h in ctx.wide_subgroupoids:
-        gam, _ = ctx.gamma(h)
-        vs = state.facts.commutant(invariants(act, ctx.support(h)))
-        if gam != vs:
-            fails.append({"subgroupoid": h.label(), "gamma_dim": gam.dim, "commutant_dim": vs.dim})
+    ctx = state.ctx
+    fails = _lemma_3_7_failures(state, [h for parts in ctx.wide_parts for h in parts])
+    if fails:
+        fails = _lemma_3_7_failures(state, ctx.wide_subgroupoids)
     return Outcome(
         "violation" if fails else "pass",
         f"gamma(H) = V_R(R^(beta_S_H)) on {len(ctx.wide_subgroupoids)} wide subgroupoids",
         {"failures": fails} if fails else {"checked": len(ctx.wide_subgroupoids)},
     )
+
+
+def _lemma_3_7_failures(state: SuiteState, subs: list[Subgroupoid]) -> list[dict]:
+    """The subgroupoids in ``subs`` on which gamma(H) differs from
+    1_H V_R(R^(beta_S_H)), with both dimensions."""
+    act, ctx = state.inst.action, state.ctx
+    fails = []
+    for h in subs:
+        gam, _ = ctx.gamma(h)
+        vs = state.facts.commutant(ctx.invariants(ctx.support(h)))
+        if not h.wide:
+            vs = Subspace(act.field, act.algebra.dim, act.algebra.products(vs.basis, act.unit_of(h)[None])[:, 0])
+        if gam != vs:
+            fails.append({"subgroupoid": h.label(), "gamma_dim": gam.dim, "commutant_dim": vs.dim})
+    return fails
 
 
 @check("lemma_3_8")
@@ -1021,10 +1107,11 @@ def _distinct(keys: list) -> bool:
     return len(set(keys)) == len(keys)
 
 
-def _injective(pairs: list[tuple[Subgroupoid, Subspace]]):
+def _injective(pairs: list[tuple[Subgroupoid, tuple]]):
+    """(True, None), or (False, labels) for the first H whose key an
+    earlier one shares."""
     seen: dict[tuple, Subgroupoid] = {}
-    for h, space in pairs:
-        k = space.key()
+    for h, k in pairs:
         if k in seen and seen[k].members != h.members:
             return False, [seen[k].label(), h.label()]
         seen[k] = h

@@ -240,6 +240,24 @@ def test_rref_frac_form_canonical_entries_and_row_space(mat):
     assert work.tolist() == _rref_all_fractions(mat)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([F5, Q]), st.data())
+def test_from_coords_is_the_canonical_image(field, data):
+    # an RREF coefficient basis under an RREF basis is already canonical:
+    # the same basis, pivots and key as reducing the image afresh
+    entries = st.integers(0, 4) if field.modular else rationals
+    n = data.draw(st.integers(1, 6))
+    rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=5))
+    space = Subspace(field, n, field.array(rows))
+    coeff_rows = data.draw(
+        st.lists(st.lists(entries, min_size=space.dim, max_size=space.dim), min_size=0, max_size=4)
+    )
+    coeffs = linalg.row_space(field, field.array(coeff_rows).reshape(len(coeff_rows), space.dim))
+    got = space.from_coords(coeffs)
+    want = Subspace(field, n, field.reduce(np.dot(coeffs, space.basis)) if len(coeffs) else field.zeros((0, n)))
+    assert got == want and got.pivots == want.pivots and got.key() == want.key()
+
+
 def test_nullspace_annihilates():
     rng = np.random.default_rng(1)
     for _ in range(20):

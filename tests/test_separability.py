@@ -215,7 +215,7 @@ def test_rational_enumeration_orders_keys_mixing_ints_and_fractions():
     table[1, 1, 1] = 2
     alg = validate_algebra(Q, ["e1", "2e2"], table, Q.vector([1, Fraction(1, 2)]))
     scalars = Subspace.span(Q, alg.unit)
-    enum = enumerate_separable_subalgebras(alg, scalars, [scalars, alg.full_space])
+    enum = enumerate_separable_subalgebras(alg, scalars, lambda: [scalars, alg.full_space])
     assert [s.key() for s in enum.subalgebras] == [((1, 0), (0, 1)), ((1, "1/2"),)]
 
 

@@ -262,14 +262,18 @@ def test_pair_f5_klein_m2f5_report_json_pinned():
 
 
 def test_invariant_rings_formed_per_suite(count_calls):
-    # three copies of pair_f5: the sweeps of Lemma 3.2 and Theorems 3.10
-    # and 3.11 read theta through its parts, the 12 subgroupoids inside one
-    # component and the empty one, which Lemma 3.1 and the hypothesis form
-    # anyway; the rest are the 8 wide ones for Lemma 2.1 and for Lemma 3.7's
-    # supports, and R^beta (133 when the sweeps formed theta on all 124)
-    calls = count_calls(action.invariants)
+    # three copies of pair_f5: every invariant ring the suite reads is one
+    # of the 12 theta(H_c) of the subgroupoids inside one component, theta
+    # of the empty part, or R^beta.  The sweeps of Lemma 3.2 and Theorems
+    # 3.10 and 3.11 read theta through its parts; Lemma 2.1 forms one fixer
+    # per probe and per wide part (3 + 6), not per wide H (3 + 8); Lemma
+    # 3.7's supports are parts' invariant rings already formed.  (30 rings
+    # and 11 fixers when Lemmas 2.1 and 3.7 formed theta(H) and
+    # R^(beta_S_H) on each of the 8 wide H; 133 rings when the sweeps also
+    # formed theta on all 124 subgroupoids.)
+    calls, fixers = count_calls(action.invariants), count_calls(action.fixer_subgroupoid)
     run_suite(load_instance_dict(json.loads(BENCH_DOCS["objects"]["pair_f5x3"])), scope="all")
-    assert len(calls) == 30
+    assert (len(calls), len(fixers)) == (14, 9)
 
 
 @pytest.mark.parametrize("workload, name, products, commutants", [
@@ -298,6 +302,22 @@ def test_cyclic_shift_c3x6_report_json_pinned():
     for scope in ("all", "s3"):
         report = run_suite(load_instance_dict(doc), scope=scope)
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == CYCLIC_SHIFT_C3X6_SHA256[scope], scope
+
+
+# sha256 of run_suite(..., scope).to_json() on eight copies of
+# cyclic_shift_c3 (6,560 subgroupoids, 256 wide), computed with J_g, j, and
+# Lemmas 2.1 and 3.7 decided over all of R, on every wide H
+CYCLIC_SHIFT_C3X8_SHA256 = {
+    "all": "bd36aa6d46205586fddcd6329a0d53d4b0dafbffa8f1bd02602e2f32cc2e3ba8",
+    "s3": "fb0001bd65204d98df55fb7c247005380be9a258333ec3050b709a44548b119a",
+}
+
+
+def test_cyclic_shift_c3x8_report_json_pinned():
+    doc = WORKLOADS["disjoint_union"]([WORKLOADS["cyclic_shift"]({"kind": "Fp", "p": 5})] * 8, "cyclic_shift_c3x8")
+    for scope in ("all", "s3"):
+        report = run_suite(load_instance_dict(doc), scope=scope)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == CYCLIC_SHIFT_C3X8_SHA256[scope], scope
 
 
 @pytest.mark.parametrize("p", [5, 11])
