@@ -11,8 +11,9 @@ suite proves it from the certified Galois coordinates (``suite._lemma_4_2``).
 Over a base that holds an action's central idempotents 1_e, S is solved
 block by block, one 1_e S at a time (``SubalgebraFacts``).
 
-The exhaustive walk decides the candidates of one RREF pivot pattern
-together (``_stacked_walk``).  It solves the same system as
+The exhaustive walk (``_walk``) filters the candidates of one RREF pivot
+pattern together and decides the unital subalgebras of one dimension,
+across every pattern, together.  It solves the same system as
 ``separability_idempotent``, in each candidate's own coordinates, with
 stacked eliminations (``_purerref.rref_mod_stack``): a pivot in the
 right-hand column is the rank argument for a negative verdict, and every
@@ -28,7 +29,9 @@ reduces the matrices of every member, and the nullspace bases read off
 them are brought to canonical RREF by a second one.  Each basis is
 substituted back before it is kept: every basis vector v must satisfy
 s v = v s for every basis vector s of S, and dim V(S) must be n minus the
-rank.  A basis that fails is an internal error, never a verdict.
+rank.  A basis that fails is an internal error, never a verdict.  A
+member's clauses are then read off the canonical keys; one with V(A) = A
+is central over C iff A = C, since A cap V(A) = A.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 import numpy as np
 
@@ -52,10 +55,6 @@ from .algebra import (
 from .linalg import Subspace
 
 EXHAUSTIVE_DIM = 6  # above this dimension the subalgebra sweep is pool-restricted
-# A pivot pattern with fewer fills is walked one candidate at a time: a
-# stacked pattern costs about 1 ms however few its fills, a looped
-# candidate 0.1-0.4 ms (M_2(F_p) over F_p, p = 3..17, 2-vCPU Xeon).
-STACK_MIN_FILLS = 5
 # A dimension with fewer members is swept one S at a time: stacking a
 # dimension costs about 1.5 ms however few its members, a member taken
 # alone about 0.15 ms (tori of M_2(F_11), 2-vCPU Xeon: 10 cost 1.7 ms
@@ -195,6 +194,7 @@ def double_centralizer_check(
     """
     facts = SubalgebraFacts(alg) if facts is None else facts
     va = facts.commutant(a)
+    vva = facts.commutant(va)
     # A central over C: A cap V(A) = C, i.e. the center of A is exactly C.
     # C lies in both, and dim(A cap V(A)) = dim A + dim V(A) - dim(A + V(A))
     central = (
@@ -203,30 +203,27 @@ def double_centralizer_check(
         and a.dim + va.dim - linalg.rank(alg.field, np.vstack([a.basis, va.basis]))
         == center_sub.dim
     )
-    return _double_centralizer_clauses(alg, a, va, center_sub, facts, central)
+    return DoubleCentralizerResult(
+        a, vva, vva == a, _commutant_separable(va, center_sub, facts), _tensor_clause(alg, a, va, center_sub, central)
+    )
 
 
-def _double_centralizer_clauses(
-    alg: Algebra, a: Subspace, va: Subspace, center_sub: Subspace, facts: SubalgebraFacts, central: bool
-) -> DoubleCentralizerResult:
-    """The clauses of ``double_centralizer_check`` once V(A) and whether A
-    is central over C are known."""
-    vva = facts.commutant(va)
-    holds = vva == a
+def _commutant_separable(va: Subspace, center_sub: Subspace, facts: SubalgebraFacts) -> bool:
+    """Whether V(A) is separable over C, read from ``facts`` where known."""
     sep = facts.separable.get((va.key(), center_sub.key()))
     if sep is None:  # the solve refuses a base outside V(A), which is not separable over it
         sep = va.contains_space(center_sub) and facts.separable_over(va, center_sub)
-    if central:
-        # mu: A (x)_S V(A) -> R is an isomorphism iff the relative tensor
-        # product has dim R and the products span R
-        ok = (
-            relative_tensor_dim(alg, a, va, center_sub) == alg.dim
-            and _products_span(alg, a, va)
-        )
-        tensor_clause = "holds" if ok else "fails"
-    else:
-        tensor_clause = "skipped (A not central)"
-    return DoubleCentralizerResult(a, vva, holds, sep, tensor_clause)
+    return sep
+
+
+def _tensor_clause(alg: Algebra, a: Subspace, va: Subspace, center_sub: Subspace, central: bool) -> str:
+    """The tensor clause, evaluated only when A is central over C."""
+    if not central:
+        return "skipped (A not central)"
+    # mu: A (x)_S V(A) -> R is an isomorphism iff the relative tensor
+    # product has dim R and the products span R
+    ok = relative_tensor_dim(alg, a, va, center_sub) == alg.dim and _products_span(alg, a, va)
+    return "holds" if ok else "fails"
 
 
 def double_centralizer_sweep(
@@ -237,22 +234,30 @@ def double_centralizer_sweep(
 
     Over F_p, the members of a dimension that at least ``SWEEP_STACK_MIN``
     of them share have their commutants and bicommutants computed in
-    stacks (``_commutant_stack``), and whether each is central over C
-    decided in stacks (``_central_stack``).  Their other clauses, and every
-    other member, take the per-S path.
+    stacks (``_commutant_stack``), and their clauses read off the cached
+    keys: V(V(A)) = A iff the keys are equal.  A member with V(A) = A has
+    A cap V(A) = A, so it is central over C iff A = C; whether any other
+    is central is decided in stacks (``_central_stack``).  Every other
+    member takes the per-S path.
     """
     by_dim = Counter(s.dim for s in subalgebras)
     stacked = [s for s in subalgebras if alg.field.modular and by_dim[s.dim] >= SWEEP_STACK_MIN]
     _cache_commutants(alg, stacked, facts)
-    commutants = [facts.commutant(s) for s in stacked]
+    commutants = [facts.commutants[s.key()] for s in stacked]
     _cache_commutants(alg, commutants, facts)
-    central = dict(zip((s.key() for s in stacked), _central_stack(alg, stacked, commutants, center_sub)))
-    return [
-        _double_centralizer_clauses(alg, s, facts.commutant(s), center_sub, facts, central[s.key()])
-        if s.key() in central
-        else double_centralizer_check(alg, s, center_sub, facts)
-        for s in subalgebras
-    ]
+    ckey = center_sub.key()
+    keys = [(s.key(), va.key()) for s, va in zip(stacked, commutants)]
+    central = [key == ckey for key, _ in keys]  # where V(A) = A
+    mixed = [i for i, (key, vkey) in enumerate(keys) if key != vkey]
+    for i, ok in zip(mixed, _central_stack(alg, [stacked[i] for i in mixed], [commutants[i] for i in mixed], center_sub)):
+        central[i] = ok
+    rows: dict[tuple, DoubleCentralizerResult] = {}
+    for s, va, (key, vkey), ok in zip(stacked, commutants, keys, central):
+        vva = facts.commutants[vkey]
+        rows[key] = DoubleCentralizerResult(
+            s, vva, vva.key() == key, _commutant_separable(va, center_sub, facts), _tensor_clause(alg, s, va, center_sub, ok)
+        )
+    return [rows[s.key()] if s.key() in rows else double_centralizer_check(alg, s, center_sub, facts) for s in subalgebras]
 
 
 def _chunks(count: int, cells: int):
@@ -314,8 +319,10 @@ def _commutant_stack(alg: Algebra, bases: np.ndarray) -> list[Subspace]:
                 f.reduce(np.matmul(mats[members], null.transpose(0, 2, 1)))
             ):
                 raise RuntimeError("internal: stacked commutant failed substitution")
-            for m, basis, null_mask in zip(members, null, null_masks):
-                spaces[m] = Subspace.from_rref(f, basis, np.flatnonzero(null_mask).tolist())
+            # each null mask has len(free) pivots, checked above
+            null_pivots = np.nonzero(null_masks)[1].reshape(len(members), len(free)).tolist()
+            for m, basis, pivots in zip(members, null, null_pivots):
+                spaces[m] = Subspace.from_rref(f, basis, pivots)
         out.extend(spaces)
     return out
 
@@ -495,34 +502,35 @@ def enumerate_separable_subalgebras(
     pool-restricted.  Every candidate contains the base.  Each one that
     passes the unital-subalgebra filter has its separability verdict read
     from, or recorded in, ``facts``.  When the base is R itself, every
-    candidate spans R with it, so R is the only candidate and the pool is
-    not built.
+    candidate spans R with it, so R is the only candidate, on either path:
+    its verdict is read from ``facts`` and the pool is not built.
     """
     f = alg.field
     facts = SubalgebraFacts(alg) if facts is None else facts
-    if f.modular and alg.dim <= EXHAUSTIVE_DIM:
+    exhaustive = f.modular and alg.dim <= EXHAUSTIVE_DIM
+    note = "exhaustive" if exhaustive else "pool-restricted"
+    if base.dim == alg.dim:
+        return SeparableEnumeration([base] if facts.separable_over(base, base) else [], exhaustive, note)
+    if exhaustive:
         found = _walk(alg, base, facts)
-        return SeparableEnumeration([found[k] for k in sorted(found)], True, "exhaustive")
+        return SeparableEnumeration([found[k] for k in sorted(found)], True, note)
 
+    # the subalgebra grown from a seed depends only on its span, so each
+    # distinct span(base + candidate) is grown once
     candidates: dict[tuple, Subspace] = {}
-    if base.dim == alg.dim:  # every candidate spans R with the base
-        candidates[base.key()] = base
-    else:
-        # the subalgebra grown from a seed depends only on its span, so
-        # each distinct span(base + candidate) is grown once
-        spans: set[tuple] = set()
-        for cand in [] if pool is None else pool():
-            span = Subspace(f, alg.dim, np.vstack([base.basis, cand.basis]))
-            if span.key() not in spans:
-                spans.add(span.key())
-                grown = subalgebra_generated(alg, span)
-                candidates.setdefault(grown.key(), grown)
+    spans: set[tuple] = set()
+    for cand in [] if pool is None else pool():
+        span = Subspace(f, alg.dim, np.vstack([base.basis, cand.basis]))
+        if span.key() not in spans:
+            spans.add(span.key())
+            grown = subalgebra_generated(alg, span)
+            candidates.setdefault(grown.key(), grown)
     out = []
     for key in sorted(candidates, key=None if f.modular else _rational_key_order):
         s = candidates[key]
         if is_unital_subalgebra(alg, s) and facts.separable_over(s, base):
             out.append(s)
-    return SeparableEnumeration(out, False, "pool-restricted")
+    return SeparableEnumeration(out, False, note)
 
 
 def _patterns(m: int):
@@ -561,38 +569,60 @@ def _walk(alg: Algebra, base: Subspace, facts: SubalgebraFacts) -> dict[tuple, S
     """Every unital subalgebra S >= base separable over base, by key.
 
     A subspace containing the base is the base plus a subspace of the
-    coordinates off the base pivots, one per RREF matrix there.  A
-    pattern with fewer than ``STACK_MIN_FILLS`` fills is walked one
-    candidate at a time; any other is decided in stacks by
-    ``_stacked_walk``.
+    coordinates off the base pivots, one per RREF matrix there.  The fills
+    of each pivot pattern are filtered in stacks (``_closed_fills``); the
+    unital subalgebras that pass, of every pattern of one dimension, are
+    decided together by ``_separable_stack``, except those whose verdict
+    ``facts`` already holds.  Each verdict goes into ``facts`` under the
+    candidate's canonical key.
     """
     f, n = alg.field, alg.dim
     comp = [c for c in range(n) if c not in base.pivots]
+    bkey = base.key()
     found: dict[tuple, Subspace] = {}
-    for pivots, free in _patterns(len(comp)):
-        d = base.dim + len(pivots)
-        chunk = max(1, _purerref.STACK_CELLS // max(1, d**5, d * n * n))
-        stacks = _fills(f.p, len(comp), pivots, free, chunk)
-        if f.p ** len(free) >= STACK_MIN_FILLS:
-            for stack in stacks:
-                found.update((s.key(), s) for s in _stacked_walk(alg, base, comp, pivots, stack, facts))
+    for d, patterns in groupby(_patterns(len(comp)), lambda pattern: base.dim + len(pattern[0])):
+        cells = max(d**5, d * n * n)
+        # the closed candidates left to solve, one entry per stack of fills:
+        # (RREF bases, structure constants, pivot columns, canonical keys)
+        todo: list[tuple[np.ndarray, np.ndarray, list[int], list[tuple]]] = []
+        for pivots, free in patterns:
+            piv = sorted(base.pivots + [comp[c] for c in pivots])
+            for stack in _fills(f.p, len(comp), pivots, free, max(1, _purerref.STACK_CELLS // cells)):
+                bases, tables = _closed_fills(alg, base, comp, pivots, piv, stack)
+                keys, new = [tuple(map(tuple, b)) for b in bases.tolist()], []
+                for i, key in enumerate(keys):
+                    known = facts.separable.get((key, bkey))
+                    if known is None:
+                        new.append(i)
+                    elif known:
+                        found[key] = Subspace.from_rref(f, bases[i], piv)
+                if new:
+                    todo.append((bases[new], tables[new], piv, [keys[i] for i in new]))
+        if not todo:
             continue
-        for stack in stacks:
-            for quot in stack:
-                lift = f.zeros((len(pivots), n))
-                lift[:, comp] = quot
-                cand = Subspace(f, n, np.vstack([base.basis, lift]))
-                if is_unital_subalgebra(alg, cand) and facts.separable_over(cand, base):
-                    found[cand.key()] = cand
+        tables = np.concatenate([t for _, t, _, _ in todo])
+        # the unit and the base in S's coordinates are their entries at S's
+        # pivots, shared by a pattern's candidates
+        units = np.concatenate([np.broadcast_to(alg.unit[piv], (len(t), d)) for _, t, piv, _ in todo])
+        coords = np.concatenate([np.broadcast_to(base.basis[:, piv], (len(t), base.dim, d)) for _, t, piv, _ in todo])
+        verdicts = np.concatenate(
+            [_separable_stack(f, tables[part], units[part], coords[part]) for part in _chunks(len(tables), cells)]
+        ).tolist()
+        members = [(basis, piv, key) for bases, _, piv, keys in todo for basis, key in zip(bases, keys)]
+        for (basis, piv, key), verdict in zip(members, verdicts):
+            facts.separable[(key, bkey)] = verdict
+            if verdict:
+                found[key] = Subspace.from_rref(f, basis, piv)
     return found
 
 
-def _stacked_walk(
-    alg: Algebra, base: Subspace, comp: list[int], pivots: tuple, stack: np.ndarray, facts: SubalgebraFacts
-) -> list[Subspace]:
-    """The candidates base + lift(quot), quot over ``stack``, that are
-    unital subalgebras separable over base; every unital candidate's
-    verdict goes into ``facts``.
+def _closed_fills(
+    alg: Algebra, base: Subspace, comp: list[int], pivots: tuple, piv: list[int], stack: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The RREF bases (count, d, n) of the candidates base + lift(quot),
+    quot over ``stack``, that are unital subalgebras, and their structure
+    constants (count, d, d, d) in their own coordinates; ``piv`` are the
+    pivot columns the candidates share.
 
     Canonical bases without elimination: the lifted rows are in RREF and
     vanish on the base pivots, so clearing the base rows at the lifted
@@ -603,33 +633,23 @@ def _stacked_walk(
     """
     f, n = alg.field, alg.dim
     lifted = [comp[c] for c in pivots]
-    piv = sorted(base.pivots + lifted)
     lifts = f.zeros((len(stack), len(pivots), n))
     lifts[:, :, comp] = stack
     cleared = f.reduce(base.basis - np.matmul(base.basis[:, lifted], lifts))
     bases = np.concatenate([cleared, lifts], axis=1)[:, np.argsort(base.pivots + lifted)]
-    unit = alg.unit[piv]
-    bases = bases[~f.reduce(alg.unit - np.matmul(unit, bases)).any(axis=1)]
+    bases = bases[~f.reduce(alg.unit - np.matmul(alg.unit[piv], bases)).any(axis=1)]
     d = len(piv)
     left = f.reduce(np.matmul(bases, alg.table.reshape(n, n * n))).reshape(len(bases), d, n, n)
     prods = f.reduce(np.matmul(bases[:, None], left))  # [g, x, y] = b_x b_y
     tables = prods[..., piv]  # the products' coordinates, where they lie in S
     closed = ~f.reduce(prods - np.matmul(tables, bases[:, None])).any(axis=(1, 2, 3))
-    bases, tables = bases[closed], tables[closed]
-    verdicts = _separable_stack(f, tables, unit, base.basis[:, piv])
-    bkey = base.key()
-    out = []
-    for basis, verdict in zip(bases, verdicts):
-        s = Subspace.from_rref(f, basis, piv)
-        if facts.separable.setdefault((s.key(), bkey), bool(verdict)):
-            out.append(s)
-    return out
+    return bases[closed], tables[closed]
 
 
-def _separable_stack(field, tables: np.ndarray, unit: np.ndarray, base_coords: np.ndarray) -> np.ndarray:
+def _separable_stack(field, tables: np.ndarray, units: np.ndarray, base_coords: np.ndarray) -> np.ndarray:
     """Whether each algebra of structure constants tables[g] (shape
-    (d, d, d)) with the one unit ``unit`` is separable over the span of
-    the rows of ``base_coords``.
+    (d, d, d)) with unit units[g] is separable over the span of the rows
+    of base_coords[g] (shape (k, d)).
 
     The balancing relations of each S (x)_base S are reduced in one
     stacked elimination; candidates with the same relation pivots share
@@ -637,7 +657,7 @@ def _separable_stack(field, tables: np.ndarray, unit: np.ndarray, base_coords: n
     ``_solve_quotient``.
     """
     g, d = tables.shape[:2]
-    k = len(base_coords)
+    k = base_coords.shape[1]
     verdicts = np.zeros(g, dtype=bool)
     if g == 0:
         return verdicts
@@ -651,13 +671,13 @@ def _separable_stack(field, tables: np.ndarray, unit: np.ndarray, base_coords: n
     group = group.reshape(-1)
     for i, mask in enumerate(shapes):
         members = np.flatnonzero(group == i)
-        verdicts[members] = _solve_quotient(field, tables[members], unit, rels[members, : int(mask.sum())], mask)
+        verdicts[members] = _solve_quotient(field, tables[members], units[members], rels[members, : int(mask.sum())], mask)
     return verdicts
 
 
-def _solve_quotient(field, tables: np.ndarray, unit: np.ndarray, rels: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``separability_idempotent`` on a stack of algebras whose RREF
-    relations ``rels`` share the pivot ``mask``.
+def _solve_quotient(field, tables: np.ndarray, units: np.ndarray, rels: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``separability_idempotent`` on a stack of algebras, each with its
+    unit units[g], whose RREF relations ``rels`` share the pivot ``mask``.
 
     A pivot in the right-hand column proves that no separability element
     exists; every other solution is substituted back into mu(z) = 1 and
@@ -679,7 +699,7 @@ def _solve_quotient(field, tables: np.ndarray, unit: np.ndarray, rels: np.ndarra
     system = field.zeros((g, d + d * q, q + 1))
     system[:, :d, :q] = tables.reshape(g, d * d, d).transpose(0, 2, 1)[..., qc]
     system[:, d:, :q] = moved.reshape(g, d, q, q).transpose(0, 1, 3, 2).reshape(g, d * q, q)
-    system[:, :d, q] = unit
+    system[:, :d, q] = units
     pivots = _purerref.rref_mod_stack(system, field.p)
     solvable = ~pivots[:, q]
     idx = np.flatnonzero(solvable)
@@ -690,6 +710,6 @@ def _solve_quotient(field, tables: np.ndarray, unit: np.ndarray, rels: np.ndarra
     t, zz = tables[idx], z.reshape(-1, 1, d, d)
     mu = field.reduce(np.matmul(z[:, None], t.reshape(-1, d * d, d)))[:, 0]
     comm = field.reduce(np.matmul(t.transpose(0, 1, 3, 2), zz) - np.matmul(zz, t.transpose(0, 2, 1, 3)))
-    if np.any(mu != unit) or np.any(reduce_rel(comm.reshape(-1, d, d * d), rels[idx])):
+    if np.any(mu != units[idx]) or np.any(reduce_rel(comm.reshape(-1, d, d * d), rels[idx])):
         raise RuntimeError("internal: stacked separability solution failed substitution")
     return solvable

@@ -833,17 +833,19 @@ def _theorem_3_9(state: SuiteState) -> Outcome:
     if not state.azu:
         return _skip("R is not Azumaya (hypothesis not met)")
     enum = state.center_enum
-    fails = []
-    for res in double_centralizer_sweep(state.inst.algebra, enum.subalgebras, state.ctx.center, state.facts):
-        s = res.subalgebra
-        row = {
-            "dim": s.dim,
-            "double_centralizer": res.double_centralizer_holds,
-            "commutant_separable": res.commutant_separable,
-            "tensor_clause": res.tensor_clause,
+    fails = [
+        {
+            "subalgebra": res.subalgebra.to_json(),
+            "result": {
+                "dim": res.subalgebra.dim,
+                "double_centralizer": res.double_centralizer_holds,
+                "commutant_separable": res.commutant_separable,
+                "tensor_clause": res.tensor_clause,
+            },
         }
-        if not (res.double_centralizer_holds and res.commutant_separable and res.tensor_clause != "fails"):
-            fails.append({"subalgebra": s.to_json(), "result": row})
+        for res in double_centralizer_sweep(state.inst.algebra, enum.subalgebras, state.ctx.center, state.facts)
+        if not (res.double_centralizer_holds and res.commutant_separable and res.tensor_clause != "fails")
+    ]
     return Outcome(
         "violation" if fails else "pass",
         f"{len(enum.subalgebras)} separable subalgebras containing the center swept ({enum.note})",

@@ -13,6 +13,10 @@ synthetic states make one single-component subgroupoid of
 component, and show that the fallback lists the same failures and names
 the same first subgroupoid, which spans both components.
 
+theta(H) of a subgroupoid spanning several components, formed from its
+parts, must equal the invariants of H solved whole, on the documents with
+several components and on shuffled arrow orders of ``klein_disjoint2``.
+
 ``theta_key`` and ``gamma_key`` must split the subgroupoids into the same
 classes as the canonical keys of theta(H) and gamma(H) formed whole, on
 the same documents, on four copies of ``pair_f5``, on six of
@@ -26,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gglab.action import invariants
 from gglab.galois import GaloisContext
 from gglab.groupoid import components
 from gglab.instances import load_instance_dict
@@ -157,10 +162,12 @@ def classes(subs, key) -> list[list[int]]:
 
 def assert_keys_split_like_subspaces(doc: dict):
     """theta_key and gamma_key partition every subgroupoid as the whole
-    theta(H) and gamma(H) do, with no cache shared between the two sides."""
+    theta(H) and gamma(H) do, with no cache shared between the two sides;
+    theta(H) is solved whole by ``invariants``, since ``GaloisContext.theta``
+    forms it from its parts."""
     keyed, whole = GaloisContext(load_instance_dict(doc).action), GaloisContext(load_instance_dict(doc).action)
     subs = keyed.all_subgroupoids
-    assert classes(subs, keyed.theta_key) == classes(subs, lambda h: whole.theta(h).key())
+    assert classes(subs, keyed.theta_key) == classes(subs, lambda h: invariants(whole.act, h.members).key())
     assert classes(subs, keyed.gamma_key) == classes(subs, lambda h: whole.gamma(h)[0].key())
 
 
@@ -191,3 +198,35 @@ def test_component_keys_are_blind_to_arrow_order(name, data):
     doc = DOCUMENTS[name]
     order = data.draw(st.permutations(range(len(doc["groupoid"]["arrows"]))))
     assert_keys_split_like_subspaces(permuted(doc, order))
+
+
+MULTI_COMPONENT = sorted(name for name, doc in DOCUMENTS.items() if len(components(load_instance_dict(doc).groupoid)) > 1)
+
+
+def assert_theta_equals_the_invariants(doc: dict):
+    act = load_instance_dict(doc).action
+    ctx = GaloisContext(act)
+    spanning = 0
+    for h in ctx.all_subgroupoids:
+        got, want = ctx.theta(h), invariants(act, h.members)
+        assert got == want and got.pivots == want.pivots, h.label()
+        spanning += sum(bool(h.members & c) for c in ctx.components) > 1
+    assert spanning
+
+
+@pytest.mark.parametrize("name", MULTI_COMPONENT)
+def test_theta_from_parts_equals_the_invariants(name):
+    assert_theta_equals_the_invariants(DOCUMENTS[name])
+
+
+def test_theta_from_parts_covers_the_multi_component_documents():
+    assert "builtins/klein_disjoint2" in MULTI_COMPONENT and "pair_f5+klein_m2(5)" in MULTI_COMPONENT
+    assert len(MULTI_COMPONENT) >= 5
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_theta_from_parts_is_blind_to_arrow_order(data):
+    doc = DOCUMENTS["builtins/klein_disjoint2"]
+    order = data.draw(st.permutations(range(len(doc["groupoid"]["arrows"]))))
+    assert_theta_equals_the_invariants(permuted(doc, order))

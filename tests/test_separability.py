@@ -273,18 +273,15 @@ def per_candidate_walk(alg, base):
     return [found[k] for k in sorted(found)], facts.separable
 
 
-def assert_walks_agree(alg, base, monkeypatch):
+def assert_walks_agree(alg, base):
     want, verdicts = per_candidate_walk(alg, base)
-    for min_fills in (1, separability.STACK_MIN_FILLS):  # every pattern stacked, then the shipped mix
-        with monkeypatch.context() as m:
-            m.setattr(separability, "STACK_MIN_FILLS", min_fills)
-            facts = SubalgebraFacts(alg)
-            enum = enumerate_separable_subalgebras(alg, base, facts=facts)
-        assert enum.exhaustive and enum.note == "exhaustive"
-        assert [s.key() for s in enum.subalgebras] == [s.key() for s in want]
-        for got, ref in zip(enum.subalgebras, want):
-            assert got == ref and got.pivots == ref.pivots
-        assert facts.separable == verdicts
+    facts = SubalgebraFacts(alg)
+    enum = enumerate_separable_subalgebras(alg, base, facts=facts)
+    assert enum.exhaustive and enum.note == "exhaustive"
+    assert [s.key() for s in enum.subalgebras] == [s.key() for s in want]
+    for got, ref in zip(enum.subalgebras, want):
+        assert got == ref and got.pivots == ref.pivots
+    assert facts.separable == verdicts
 
 
 def walk_base(alg, kind, x):
@@ -305,14 +302,14 @@ BASE_KINDS = ["center", "scalars", "generated", "span"]
 
 @pytest.mark.parametrize("base_kind", BASE_KINDS)
 @pytest.mark.parametrize("name", sorted(WALK_DOCUMENTS))
-def test_stacked_walk_equals_per_candidate_walk(name, base_kind, monkeypatch):
+def test_stacked_walk_equals_per_candidate_walk(name, base_kind):
     alg = load_instance_dict(WALK_DOCUMENTS[name]).algebra
     # on the klein documents b1 = E12, so F[b1] = F[t]/(t^2)
-    assert_walks_agree(alg, walk_base(alg, base_kind, alg.basis_vector(1)), monkeypatch)
+    assert_walks_agree(alg, walk_base(alg, base_kind, alg.basis_vector(1)))
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_stacked_walk_on_random_block_sums(p, monkeypatch):
+def test_stacked_walk_on_random_block_sums(p):
     field = Field("Fp", p)
 
     @settings(max_examples=30, deadline=None)
@@ -328,9 +325,47 @@ def test_stacked_walk_on_random_block_sums(p, monkeypatch):
         alg = validate_algebra(field, [f"b{i}" for i in range(n)], table, unit)
         x = field.vector(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
         assume(x.any())
-        assert_walks_agree(alg, walk_base(alg, data.draw(st.sampled_from(BASE_KINDS)), x), monkeypatch)
+        assert_walks_agree(alg, walk_base(alg, data.draw(st.sampled_from(BASE_KINDS)), x))
 
     run()
+
+
+def test_walk_on_klein_m2f17_solves_one_stack_per_dimension(monkeypatch):
+    """The unital subalgebras of M_2(F_17) over its center, C, the 289
+    tori, the 18 F[N] with N nilpotent, the 18 Borel subalgebras and R,
+    are solved in one stack per dimension; R over C, which the Azumaya
+    flag records, is not solved again."""
+    solved = []
+    real = separability._separable_stack
+
+    def counted(field, tables, units, base_coords):
+        solved.append((tables.shape[1], len(tables)))
+        return real(field, tables, units, base_coords)
+
+    monkeypatch.setattr(separability, "_separable_stack", counted)
+    state = SuiteState(load_instance_dict(WORKLOADS["klein_m2"](17)))
+    assert state.azu
+    enum = state.center_enum
+    ckey = state.ctx.center.key()
+    verdicts = [v for (_, base), v in state.facts.separable.items() if base == ckey]
+    assert len(verdicts) == 327 and verdicts.count(True) == len(enum.subalgebras) == 291
+    assert solved == [(1, 1), (2, 289 + 18), (3, 18)]
+
+
+def test_full_base_is_decided_before_the_walk(monkeypatch):
+    """Over F_p with base R the only candidate is R, read from the facts
+    without a walk; the label stays the path's."""
+    alg = m2f3()
+
+    def walk(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(separability, "_walk", walk)
+    facts = SubalgebraFacts(alg)
+    enum = enumerate_separable_subalgebras(alg, alg.full_space, facts=facts)
+    assert [s.key() for s in enum.subalgebras] == [alg.full_space.key()]
+    assert (enum.exhaustive, enum.note) == (True, "exhaustive")
+    assert facts.separable == {(alg.full_space.key(), alg.full_space.key()): True}
 
 
 def test_a_tampered_stacked_solution_is_an_internal_error(monkeypatch):
@@ -345,7 +380,6 @@ def test_a_tampered_stacked_solution_is_an_internal_error(monkeypatch):
         mats[:, :, -1] = (mats[:, :, -1] + 1) % p
         return mask
 
-    monkeypatch.setattr(separability, "STACK_MIN_FILLS", 1)
     monkeypatch.setattr(_purerref, "rref_mod_stack", shifted)
     with pytest.raises(RuntimeError, match="internal: stacked separability solution failed substitution"):
         run_suite(load_builtin("klein_m2f3"), scope="all")
@@ -456,6 +490,50 @@ def test_stacked_sweep_over_any_base_and_list(monkeypatch):
             before = len(calls)
             assert separability.double_centralizer_sweep(alg, members, base, SubalgebraFacts(alg)) == want
             assert len(calls) == before
+
+
+def sweep_reaching_the_central_stack(monkeypatch, alg, members, base):
+    """The sweep's rows, every dimension stacked, and the members whose
+    centrality ``_central_stack`` decided."""
+    reached = []
+    real = separability._central_stack
+
+    def recorded(alg, subalgebras, commutants, center_sub):
+        reached.extend(subalgebras)
+        return real(alg, subalgebras, commutants, center_sub)
+
+    monkeypatch.setattr(separability, "SWEEP_STACK_MIN", 1)
+    monkeypatch.setattr(separability, "_central_stack", recorded)
+    return separability.double_centralizer_sweep(alg, members, base, SubalgebraFacts(alg)), reached
+
+
+def test_sweep_decides_a_self_commutant_member_central_iff_it_is_the_base(monkeypatch):
+    """V(A) = A gives A cap V(A) = A, so A is central over C iff A = C,
+    with no stacked centrality test.  The maximal commutative subalgebra D
+    of M_2(F_3) swept over [D] is central (A = C = V(A)), so its tensor
+    clause is evaluated; the 2-dimensional unital subalgebras, the 9 tori
+    and the 4 F[N] with N nilpotent, are their own commutants and are not
+    central over the center."""
+    alg = m2f3()
+    unital = [s for s in (Subspace(F3, 4, m) for m in all_subspaces(F3, 4)) if is_unital_subalgebra(alg, s)]
+    maximal = [s for s in unital if commutant(alg, s, alg.full_space) == s]
+    diag = Subspace(F3, 4, F3.array([[1, 0, 0, 0], [0, 0, 0, 1]]))
+    assert diag in maximal and len(maximal) == 13 and {s.dim for s in maximal} == {2}
+    for members, base in (([diag], diag), (maximal, center(alg))):
+        got, reached = sweep_reaching_the_central_stack(monkeypatch, alg, members, base)
+        assert got == [double_centralizer_check(alg, a, base) for a in members]
+        assert reached == []
+        skipped = [res.tensor_clause == "skipped (A not central)" for res in got]
+        assert skipped == [a != base for a in members]
+
+
+def test_sweep_sends_only_members_with_a_larger_commutant_to_the_central_stack(monkeypatch):
+    alg = m2f3()
+    unital = [s for s in (Subspace(F3, 4, m) for m in all_subspaces(F3, 4)) if is_unital_subalgebra(alg, s)]
+    got, reached = sweep_reaching_the_central_stack(monkeypatch, alg, unital, center(alg))
+    assert got == [double_centralizer_check(alg, a, center(alg)) for a in unital]
+    assert reached == [a for a in unital if commutant(alg, a, alg.full_space) != a]
+    assert 0 < len(reached) < len(unital)
 
 
 def test_a_tampered_stacked_nullspace_is_an_internal_error(monkeypatch):
