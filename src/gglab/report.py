@@ -4,7 +4,8 @@ Each check record carries an anchor (the statement id it certifies, or
 "plumbing"/"observation"), a hypothesis status, and a verdict.  A
 "violation" verdict always carries a reproducible witness.  JSON output
 omits wall-clock timing so two runs on the same instance are
-byte-identical.
+byte-identical.  It is one line, keys sorted, written by the json
+module's C encoder; ``python -m json.tool`` pretty-prints it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 VERDICTS = ("pass", "skip", "violation", "inconclusive")
+REPORT_VERSION = 2  # the JSON layout; 2: one line, theta-classes, provenance
 
 
 @dataclass
@@ -37,6 +39,7 @@ class VerificationReport:
     instance: str
     scope: str
     checks: list[CheckRecord] = field(default_factory=list)
+    provenance: dict = field(default_factory=dict)  # deterministic: no timings
 
     def add(self, record: CheckRecord) -> CheckRecord:
         self.checks.append(record)
@@ -55,8 +58,10 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         return {
+            "report_version": REPORT_VERSION,
             "instance": self.instance,
             "scope": self.scope,
+            "provenance": self.provenance,
             "checks": [
                 {
                     "check_id": c.check_id,
@@ -72,7 +77,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_json_dict(), sort_keys=True) + "\n"
 
     def to_text(self) -> str:
         wid = max([len(c.check_id) for c in self.checks] + [8])

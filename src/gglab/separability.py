@@ -501,19 +501,18 @@ def enumerate_separable_subalgebras(
     builds when called, is filtered and the result is labeled
     pool-restricted.  Every candidate contains the base.  Each one that
     passes the unital-subalgebra filter has its separability verdict read
-    from, or recorded in, ``facts``.  When the base is R itself, every
-    candidate spans R with it, so R is the only candidate, on either path:
-    its verdict is read from ``facts`` and the pool is not built.
+    from, or recorded in, ``facts``.  When the base is R itself, R is the
+    only subalgebra that contains it, so the list [R] (or [] if R is not
+    separable over itself) is exhaustive over any field and dimension: its
+    verdict is read from ``facts`` and the pool is not built.
     """
     f = alg.field
     facts = SubalgebraFacts(alg) if facts is None else facts
-    exhaustive = f.modular and alg.dim <= EXHAUSTIVE_DIM
-    note = "exhaustive" if exhaustive else "pool-restricted"
     if base.dim == alg.dim:
-        return SeparableEnumeration([base] if facts.separable_over(base, base) else [], exhaustive, note)
-    if exhaustive:
+        return SeparableEnumeration([base] if facts.separable_over(base, base) else [], True, "exhaustive")
+    if f.modular and alg.dim <= EXHAUSTIVE_DIM:
         found = _walk(alg, base, facts)
-        return SeparableEnumeration([found[k] for k in sorted(found)], True, note)
+        return SeparableEnumeration([found[k] for k in sorted(found)], True, "exhaustive")
 
     # the subalgebra grown from a seed depends only on its span, so each
     # distinct span(base + candidate) is grown once
@@ -530,7 +529,7 @@ def enumerate_separable_subalgebras(
         s = candidates[key]
         if is_unital_subalgebra(alg, s) and facts.separable_over(s, base):
             out.append(s)
-    return SeparableEnumeration(out, False, note)
+    return SeparableEnumeration(out, False, "pool-restricted")
 
 
 def _patterns(m: int):

@@ -165,7 +165,9 @@ def center_enum(state: SuiteState) -> SeparableEnumeration:
         s = candidates[key]
         if is_unital_subalgebra(alg, s) and facts.separable_over(s, base):
             out.append(s)
-    return SeparableEnumeration(out, False, "pool-restricted")
+    # R is the only subalgebra containing R, so a full base is exhaustive
+    full = base.dim == alg.dim
+    return SeparableEnumeration(out, full, "exhaustive" if full else "pool-restricted")
 
 
 def record(out: Outcome) -> str:
@@ -236,7 +238,8 @@ def test_full_base_enumerates_r_without_a_pool():
 
     enum = enumerate_separable_subalgebras(alg, alg.full_space, pool)
     assert [s.key() for s in enum.subalgebras] == [alg.full_space.key()]
-    assert (enum.exhaustive, enum.note) == (False, "pool-restricted")
+    # R is the only subalgebra containing R, so the list is exhaustive
+    assert (enum.exhaustive, enum.note) == (True, "exhaustive")
 
 
 # -- synthetic failures on klein_disjoint2 --------------------------------------

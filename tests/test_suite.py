@@ -3,13 +3,15 @@ import json
 import runpy
 import time
 import tracemalloc
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from gglab import action, algebra, galois, separability, suite
 from gglab.instances import BUILTIN_NAMES, builtin, clock_shift, load_builtin, load_instance_dict
-from gglab.separability import double_centralizer_check
+from gglab.groupoid import SUBGROUPOID_ARROWS
+from gglab.separability import EXHAUSTIVE_DIM, double_centralizer_check
 from gglab.suite import CHECKS, MANIFEST, SuiteState, run_suite
 
 # the benchmark's instance generators, read without importing (or writing
@@ -111,11 +113,30 @@ def test_connecting_arrow_observation(reports):
 
 
 def test_non_wide_theta_collision_reported_not_judged(reports):
-    # klein_disjoint2: theta({e1}) = theta({e2}) = R under the literal
-    # all-subgroupoid reading; surfaced as data, not a violation
+    # klein_disjoint2: theta({e1}) = theta({e2}) = theta({e1,e2}) = R under
+    # the literal all-subgroupoid reading; surfaced as one theta-class of
+    # data, with the wide {e1,e2} in it, not as a violation
     rec = record(reports, "klein_disjoint2", "lemma_3_2")
     assert rec.verdict == "pass"
-    assert rec.witnesses["non_wide_coincidences"]
+    classes = rec.witnesses["non_wide_theta_classes"]
+    assert ["{e1}", "{e1,e2}", "{e2}"] in classes
+    # a class of k members, w of them wide, stands for C(k,2) - C(w,2) pairs
+    wide = {h.label() for h in SuiteState(load_builtin("klein_disjoint2")).ctx.wide_subgroupoids}
+    pairs = sum(comb(len(c), 2) - comb(len(wide.intersection(c)), 2) for c in classes)
+    assert rec.witnesses["non_wide_coincidences"] == pairs == 11
+
+
+def test_report_json_is_one_line():
+    report = run_suite(load_builtin("klein_disjoint2"), scope="all")
+    text = report.to_json()
+    assert text.endswith("\n") and text.count("\n") == 1
+    doc = json.loads(text)
+    assert doc == report.to_json_dict()
+    assert doc["report_version"] == 2
+    assert doc["provenance"] == {
+        "field": {"kind": "Fp", "p": 3},
+        "caps": {"subgroupoid_arrows": SUBGROUPOID_ARROWS, "exhaustive_dim": EXHAUSTIVE_DIM},
+    }
 
 
 def test_json_deterministic():
@@ -139,18 +160,21 @@ def test_hypothesis_column_consistency(reports):
 
 
 # sha256 of run_suite(load_builtin(name), scope).to_json(); a change to any
-# verdict, detail or witness of a builtin shows here
+# verdict, detail or witness of a builtin shows here.  Every digest in this
+# file is of report version 2, each report checked, when it was re-pinned,
+# to equal its version-1 report under the version's intended edits; the
+# "computed with" notes below name the code the version-1 reports matched
 REPORT_SHA256 = {
-    ("trivial", "all"): "68f2d632b1ad30318daa9bb7bf1c878a75a3e9ce20c07687b44ec7f124ca66ac",
-    ("trivial", "s3"): "e82c68a9b5a6c3cc71e81eba9aceca526c6ecfd09ed89c334c59b32b67919809",
-    ("pair_f5", "all"): "7f2a8eec99ea31122f142aee4523981591e0ba9bd1e9d882efbcde2758506125",
-    ("pair_f5", "s3"): "71fa4a2f73f9b517256614d9f616435aa87a6dc0b1d805a910bf01ee08f467cf",
-    ("klein_m2f3", "all"): "0d622893a3a9d8eecb87444d7eb61eee4401cd442a11dabb08e8558fbc19b15b",
-    ("klein_m2f3", "s3"): "d168ea881a1cae024c645819ebc7b37b4e6e1328a91009d657c48f042b915580",
-    ("klein_disjoint2", "all"): "8eb3b3b40ba945ef07dd65071bbe71445e6d60d9d5b053040beb697fe76b566d",
-    ("klein_disjoint2", "s3"): "b9442818cb833b490a7f6b1abdf433fd872c1ad453a3789c6bf8bb1db46ea5f0",
-    ("cyclic_shift_c3", "all"): "52b3fc2d3b59015a5fdbe70a35a84d224c64c7e52ded13c429f82a841f8c7d51",
-    ("cyclic_shift_c3", "s3"): "c033080f5bd1e7bdaf11c8362aa0e73b8e8f9b12187f0c1b486c9ab708d29a95",
+    ("trivial", "all"): "e060acc985e8b9fbc9104000bd032de32850f1dd1e798287e6a1cc6ecd919ddc",
+    ("trivial", "s3"): "2e90d9469b11293a6e0704cc9a7d44ff68c9280dc8c20b519ae8b03628533e65",
+    ("pair_f5", "all"): "df17fa631437afa30e861ecdbe54abe2fc526da2a2743b37bdb9293c7f4e67c3",
+    ("pair_f5", "s3"): "5cee4850ce72e47415c6bea1d29246260f19a88363e0eadfc024c59833031dd6",
+    ("klein_m2f3", "all"): "67e49357d8d08fe48d5fd7dd00674fc023fb0a6397f5ccdb7da487aba34ce1e3",
+    ("klein_m2f3", "s3"): "df5dfc470328f3c603fe94fc1b795894c60f4ecce016c68c4ed75c1e1efc773f",
+    ("klein_disjoint2", "all"): "ac9e13b012a7905143bc154dd5d1dd435a2f3b30cb1805b1203adb1c3a6f699d",
+    ("klein_disjoint2", "s3"): "f057730782497d52cdc7333737346212b16773249c1b1b4b9626d0717fd37b7e",
+    ("cyclic_shift_c3", "all"): "c0f4fd85f7691ddd6be501b178f701039b63e7559e1890f584fd05773f023265",
+    ("cyclic_shift_c3", "s3"): "424471689fd60797d42fa3e8809a3b286005fed5f208c580f1179cefcbb7c43f",
 }
 
 
@@ -190,28 +214,28 @@ def test_registry_matches_manifest():
 # benchmark document; the builtins workload rebuilds the five builtins
 BENCH_REPORT_SHA256 = {
     **{("builtins", name, scope): digest for (name, scope), digest in REPORT_SHA256.items()},
-    ("klein_p", "klein_m2f5", "all"): "abc3db1a1d1fa353af7a46d1175adb60a0ae2860c5db87a2bd69ad927b7590e3",
-    ("klein_p", "klein_m2f5", "s3"): "4a34a60b9a921298bca1ef30ee14f9bf19c58a1307dc6deb643163c7282eabf3",
-    ("klein_p", "klein_m2f11", "all"): "8d5476f3400f6b2a2920fa180a4b428fb0ffada341226cae7e28896ab3f3cceb",
-    ("klein_p", "klein_m2f11", "s3"): "f9c7b1de4f5634d1f6454253b6109202fcb096999b94ef47ba5e03954c669a5a",
-    ("klein_p", "klein_m2f17", "all"): "630d882f5f4604081295b5a7e162009f58e06e11b70aab0102e89406b1410bdb",
-    ("klein_p", "klein_m2f17", "s3"): "3cb7ab5c98c2088b51924a78da310c7b560d32f19e431322d221e980c4d66003",
-    ("objects", "pair_f5x2", "all"): "96651b9097bcc54f734820dbfa745bb1e04619d877ee49c272644dfcdcf79110",
-    ("objects", "pair_f5x2", "s3"): "aa3ce323b8c5c630b7febc44153e6a7da9c8be946de2d2a58f58b3e2bf11c756",
-    ("objects", "pair_f5x3", "all"): "5a123d02e4d85d1db529c0150288ebc6f4ce851e48b34904aaba87a32033d83f",
-    ("objects", "pair_f5x3", "s3"): "c1fca1f900922856693edeed6700e81fe09c59189cc7f0f2331f87d3353131b7",
-    ("objects", "cyclic_shift_c3x2", "all"): "894a55db7ebb9a8acc9c797f917347b4d76fa35a261cfde5560ee735f9036b3d",
-    ("objects", "cyclic_shift_c3x2", "s3"): "eead03a19d71bb4495d8b56c3f64d94438b4cc608aa58e6bca1f9424bd964b01",
-    ("objects", "cyclic_shift_c3x3", "all"): "f2c5d80c46b4d83adcd975fe91cfa52a1037b176acdb8c857096c76d8ec49bdf",
-    ("objects", "cyclic_shift_c3x3", "s3"): "c45acdf61f6fefb47d4fea2837dfd116085dc796842995c384eaf3930c02ff16",
-    ("objects", "pair_f5+cyclic_shift_c3", "all"): "482fee0e67b52e102dcadaea8ea41b9cc340e5b7198d81ac37b0b5dee1d8f30a",
-    ("objects", "pair_f5+cyclic_shift_c3", "s3"): "6ec341e6043d3fdd6641319d852e5ccc6f8562d2a91af16e2a4570caabd8ff44",
-    ("rational", "pair_q", "all"): "867c77aa7a9ad2b0d424f4a02522126c0e813a311a50127b16642acc956319e7",
-    ("rational", "pair_q", "s3"): "b5bdc3e01b2302c3a7098c0f336787fa867e7e2109ecfcbb67d24c9b18506a5c",
-    ("rational", "cyclic_shift_c3_q", "all"): "568518daaea66760de6a3e698aabed983368c88cbdbf627b9d70b92128271602",
-    ("rational", "cyclic_shift_c3_q", "s3"): "1b660808b93fb51e2e88e95f3b3fb2b306dedf4a9de28776c35ae6b458a7b1cd",
-    ("rational", "pair_qx2", "all"): "b88a6c1d32849c8dcb13c29508768d3f0566de8ea9aa558f202222cc6512aa52",
-    ("rational", "pair_qx2", "s3"): "d77ac663d34ecc9df6531bd80ef56f0d291b6cc37f811079d549b2f9f96343f8",
+    ("klein_p", "klein_m2f5", "all"): "ae2ceb0b2ab64bc7bb1be223bb6ba657277073acf4b8460b236c5141d5c66c83",
+    ("klein_p", "klein_m2f5", "s3"): "bab91cb8a076ef75178d3ef0d9e797b3295c9ffd60dc2f861cb295b668b38fa7",
+    ("klein_p", "klein_m2f11", "all"): "577de019407daecbec785d11efd55920f365c586e17b46adb622acd0845dd10a",
+    ("klein_p", "klein_m2f11", "s3"): "0e49f2071f0844db4f782a59a34bc5028c9c14415adc4f4cef96a312e13f7c10",
+    ("klein_p", "klein_m2f17", "all"): "a72cda25666114206abdae3b5cea4fe6a92a3864131318bf348a2010d4088cc4",
+    ("klein_p", "klein_m2f17", "s3"): "8713dac2eee75216fd7b910f2b1eb98818c85a9107c71acbe5990968f402254c",
+    ("objects", "pair_f5x2", "all"): "98b38d9b1bc408b0c489a1dae5500ae4907779f9d83ff4bc7523f36f9f03700c",
+    ("objects", "pair_f5x2", "s3"): "71df9792b4a1b29cf7d023ffe2af332a26994d973a9b99332179e932a5955f33",
+    ("objects", "pair_f5x3", "all"): "bd79908fcb3f4ceb0b7a3dcd33aa73b63a64cc68ed3f92e5696ee9f44108e6b3",
+    ("objects", "pair_f5x3", "s3"): "9bd2cefa0ba4493a373283106fe94586453cf4a710a806e20e5719a7741f80ab",
+    ("objects", "cyclic_shift_c3x2", "all"): "33306c42eaf619a188cdbe330f05e9ce6ae5f36d3f3f2f160e1f5c5bf2ca410c",
+    ("objects", "cyclic_shift_c3x2", "s3"): "1bbf35d1a5a7535b7be43b4d91235804f569f5b600d60f7f5820d0aaa8dc6528",
+    ("objects", "cyclic_shift_c3x3", "all"): "1be5e0721e8e8a01a7ef6fd4a0ad5c8775c116b2ec27d163fe51f2386156b052",
+    ("objects", "cyclic_shift_c3x3", "s3"): "241ab38053325febbe3a7898d534f63e6b32469046097466bff476a0a21aa529",
+    ("objects", "pair_f5+cyclic_shift_c3", "all"): "ccd27da9dce97fd88bc088fbe1b7b6047faefd79dafaf9d385e6c4692c65b89b",
+    ("objects", "pair_f5+cyclic_shift_c3", "s3"): "47aafcd9b524b1625361c7636cb677aa9b03d3b9625c1e808e5de8c5d38883b5",
+    ("rational", "pair_q", "all"): "084bc7b72dcf5229c92d480d9c5cfbd2463a9f0954df676112fcf297b8a7f7ab",
+    ("rational", "pair_q", "s3"): "e087e6042f104304784c0f8db67d407a0317b60f7a3030f947d37507eb680f7b",
+    ("rational", "cyclic_shift_c3_q", "all"): "e9b6f8d2f2959dc8d8613d863a3e80616e4323b57cdb2d8a55e3f300b87e5291",
+    ("rational", "cyclic_shift_c3_q", "s3"): "a2f478aca736468c99418aeaa63f845bb4f6c60e0da2b2c4a418fb2d924aca8d",
+    ("rational", "pair_qx2", "all"): "299658aab35ff9ea2ddde8f5e603f0ded6a777c9041f0779c3710d17045bda5a",
+    ("rational", "pair_qx2", "s3"): "e95e153834fffa701e3696b4564794cc8e4ace427ed01db2d7f5a4a108fcb012",
 }
 
 
@@ -227,12 +251,12 @@ def test_benchmark_report_json_pinned(workload, name):
 
 
 # sha256 of run_suite(..., scope).to_json() on four copies of pair_f5 (624
-# subgroupoids), computed with the all-pairs sweeps of Lemma 3.2 and
-# Theorem 3.11: its 255 gated subgroupoids share one theta, so the report
-# lists all 32,385 of their pairs, which pins the bucketed emit order
+# subgroupoids): its 255 gated subgroupoids share one theta, so Lemma 3.2
+# lists them as one theta-class, in enumeration order, standing for 32,385
+# pairs (the all-pairs sweep listed each pair)
 PAIR_F5X4_SHA256 = {
-    "all": "e6c9cf4c5e8ab51fed9c2ec130f42ee18d9b97497f709433d5daedd270f52c69",
-    "s3": "d27e3912d25843b1ef5571e46e21b05422b296c67995c4d960e4fa750eb42a99",
+    "all": "4752c84258187b1b5ff98f11fc7452030f06a069366976650aa690aac332ff86",
+    "s3": "8d3169ea325776f9a0f390091524b6dc40683bc75608fc7a00e7c0142573763a",
 }
 
 
@@ -247,8 +271,8 @@ def test_pair_f5x4_report_json_pinned():
 # one connected, non-central component and one central Klein group,
 # computed with theta(H) and gamma(H) formed on every H for the sweeps
 PAIR_F5_KLEIN_SHA256 = {
-    "all": "edbcaacc462a9abcd62b8a0ee148a131d19cbcf065667c248f8727dc94daaa85",
-    "s3": "712bd5504d9e6199f0bbbaac7444b219b98ac50eea55afc4004508f1295c4cde",
+    "all": "e2af9f48f2c8eb94f749d9028f7f4593f02be637d18ac7534fb64644d3498750",
+    "s3": "cc1ce701ad17d7c948f96eb240c45dc0723175a2247eda98f3f3a3d5d8e6d13b",
 }
 
 
@@ -292,8 +316,8 @@ def test_lemma_3_4_forms_each_product_once(count_calls, workload, name, products
 # (728 subgroupoids), computed with the closure walk over the whole groupoid
 # and Lemma 3.1 and the double-centralizer hypothesis decided on every H
 CYCLIC_SHIFT_C3X6_SHA256 = {
-    "all": "bcc381fbd92d0d8277c959ca7df4cc4f7e0efe41dd81f1905709e86d205bead9",
-    "s3": "a94f2e9591f1f97f6719d5b03d75c37112e591583ae883605415380790ad20e5",
+    "all": "1ae467a4a4f059543640ee464baf72b50df41cee031adf9e62027db62f86d83c",
+    "s3": "40740aee735f8e9381cd8032108b64687c5a7c9808cb09823d843c232c930bde",
 }
 
 
@@ -308,8 +332,8 @@ def test_cyclic_shift_c3x6_report_json_pinned():
 # cyclic_shift_c3 (6,560 subgroupoids, 256 wide), computed with J_g, j, and
 # Lemmas 2.1 and 3.7 decided over all of R, on every wide H
 CYCLIC_SHIFT_C3X8_SHA256 = {
-    "all": "bd36aa6d46205586fddcd6329a0d53d4b0dafbffa8f1bd02602e2f32cc2e3ba8",
-    "s3": "fb0001bd65204d98df55fb7c247005380be9a258333ec3050b709a44548b119a",
+    "all": "4eded6c4f0a8bf515e10c2bad1edf008bcb63ceeb81b49b1fe24b2e8a3285680",
+    "s3": "73bdc43a960ec2ca6040c93474b8b7f5a465d7bd1a6a27fd6e61b275c650d8eb",
 }
 
 
@@ -417,12 +441,12 @@ def test_failing_instance_coordinates_leave_the_gate_to_the_solve(name):
 
 # sha256 of run_suite(load_instance_dict(clock_shift(n, p)), scope).to_json()
 CLOCK_SHIFT_SHA256 = {
-    (2, 5, "all"): "4946aa405d1fb11b817114d192366c2a4e1a014b19bde5e52ea3f8898fadb5e5",
-    (2, 5, "s3"): "884680e08926e6d21dbf1a54e546cf7d2fe2d229f9fdc2bdfd584e122ba66133",
-    (3, 7, "all"): "fed657b9ea6aeae525875dc9b2d49ce71764c388c0e500632acc182f6a1b3dc3",
-    (3, 7, "s3"): "bb8e827990327c9d7b3c198cbe51df69b7c646e8081a499f98bf94e1ef0b2a0d",
-    (4, 5, "all"): "6c0d0cecd8492a6f3c15ff45375010196a38f92fd298ab107bebb6d8b9ae2d4c",
-    (4, 5, "s3"): "09326dec44b51ceceba6daf03bb8e943cb7653c00cc451a870a430197d419d0a",
+    (2, 5, "all"): "3003d6c9cf9a52010ab58c5932e7c2e28f970ae7bed0556ae27b8475ea6662cc",
+    (2, 5, "s3"): "1b739a6702e26c7970f7b22ea9646e4b65c16b48edd542024d470a6026c9eca3",
+    (3, 7, "all"): "86f1926eeda45a1141ccd4733b0543017a6eb4612780e0f867c7d5e4e50d1388",
+    (3, 7, "s3"): "3fefba71a993ab830e7adcda37473ffb3616cf0e42d9b714f9dce4c31595265b",
+    (4, 5, "all"): "32577beed573cc71c379e008fd841e364f4227b65e007ff28263f00bcc58832e",
+    (4, 5, "s3"): "c951cdf76ef71e7302ab6b320c01070e7992a84775c87a69a04ec222bbc8ebaa",
 }
 
 
@@ -491,8 +515,8 @@ KLEIN_M2F3X3 = WORKLOADS["disjoint_union"]([WORKLOADS["klein_m2"](3)] * 3, "klei
 # sha256 of run_suite(..., scope).to_json() on three copies of klein_m2f3,
 # computed with every separability verdict solved on the whole S
 KLEIN_M2F3X3_SHA256 = {
-    "all": "c04a0b99c58259a286bca68dc024f0df715f842022765518a35d1b788e834215",
-    "s3": "df4ea33b5ed59186b3621b10e423d73ff847eea9bb1fbaae32da2b98d3060db7",
+    "all": "25a4f3e650c47c243937c0b14282b90d7abacebede20d9792754c36adc05e20c",
+    "s3": "0c06e30e24b231bc188191850e7dc6ac1d6f75c68798a71a04e5cc78054af17b",
 }
 
 
