@@ -165,19 +165,17 @@ def build_skew_groupoid_ring(act: Action) -> SkewGroupoidRing:
     return SkewGroupoidRing(slots=slots, action=act)
 
 
-def endomorphism_space(act: Action, invariant_ring: Subspace, block: Subspace | None = None) -> Subspace:
-    """End(R) as a right module over the invariant ring: matrices F with
-    F @ R_s = R_s @ F for every basis element s (flattened, canonical).
-
-    With ``block`` a subspace B that every R_s maps into itself, the same
-    for the restrictions to B, in the coordinates of B's RREF basis: a
-    vector of B has its entries at the pivots as coordinates."""
+def endomorphism_space(act: Action, invariant_ring: Subspace, block: Subspace) -> Subspace:
+    """End(B) as a right module over the invariant ring, for a subspace B
+    that every right multiplication R_s maps into itself: matrices F with
+    F @ R_s = R_s @ F on B for every basis element s (flattened, canonical),
+    in the coordinates of B's RREF basis.  A vector of B has its entries at
+    the pivots as coordinates; with B = R they are its own coordinates."""
     f = act.field
-    space = act.algebra.full_space if block is None else block
-    m = space.dim
+    m = block.dim
     # right_mult(s) on B for each basis row s; F R_s - R_s F = 0 on
     # row-major flat F is the Sylvester operator of (R_s, R_s^T), negated
-    rs = act.algebra.products(space.basis, invariant_ring.basis)[:, :, space.pivots].transpose(1, 2, 0)
+    rs = act.algebra.products(block.basis, invariant_ring.basis)[:, :, block.pivots].transpose(1, 2, 0)
     rs = rs[rs.any(axis=(1, 2))]  # an s that vanishes on B adds no condition
     if len(rs) == 0:
         return Subspace.full(f, m * m)
@@ -222,15 +220,11 @@ def j_isomorphism_check(act: Action, skew: SkewGroupoidRing, invariant_ring: Sub
     dimensions as it has basis elements; and j is onto iff each block's
     image is its block of End, since both sides are direct sums over the
     same blocks.  A block is computed in the coordinates of the RREF basis
-    of R_c; with one component, R_c = R and its basis is the identity."""
+    of R_c."""
     f, n, gp = act.field, act.algebra.dim, act.groupoid
-    comps = components(gp)
-    if len(comps) == 1:
-        blocks = [act.algebra.full_space]
-    else:
-        blocks = [Subspace(f, n, np.vstack([act.ideals[e].basis for e in gp.identities if e in c])) for c in comps]
     dim_end, injective, surjective = 0, True, True
-    for arrows, space in zip(comps, blocks):
+    for arrows in components(gp):
+        space = Subspace(f, n, np.vstack([act.ideals[e].basis for e in gp.identities if e in arrows]))
         end_space = endomorphism_space(act, invariant_ring, space)
         slots = [(g, row) for g, row in skew.slots if g in arrows]
         image = _j_block_image(act, slots, space)
@@ -243,7 +237,7 @@ def j_isomorphism_check(act: Action, skew: SkewGroupoidRing, invariant_ring: Sub
 def _j_block_image(act: Action, slots: list[tuple[int, int]], space: Subspace) -> Subspace:
     """The span of j(a u_g) restricted to ``space``, over the skew basis
     elements ``slots``, as flattened matrices in the coordinates of the
-    space's RREF basis (the identity when the space is R)."""
+    space's RREF basis."""
     f, alg, m = act.field, act.algebra, space.dim
     rows: dict[int, list[int]] = {}
     for g, row in slots:
@@ -251,7 +245,7 @@ def _j_block_image(act: Action, slots: list[tuple[int, int]], space: Subspace) -
     mats = []
     for g, picked in rows.items():
         # row i: beta_g of basis row i; then a beta_g(.) for each a
-        images = act.beta[g].T if m == alg.dim else linalg.matmul(f, space.basis, act.beta[g].T)
+        images = linalg.matmul(f, space.basis, act.beta[g].T)
         prods = alg.products(act.ideal(g).basis[picked], images)[:, :, space.pivots]
         mats.append(prods.transpose(0, 2, 1).reshape(len(picked), m * m))
     return Subspace(f, m * m, np.vstack(mats) if mats else f.zeros((0, m * m)))
@@ -331,10 +325,7 @@ class GaloisContext:
         """For each component c, the parts H_c of the wide subgroupoids H:
         the subgroupoids inside c that hold every identity of c.  The wide
         H are the unions of one part per component, so there are Pi_c W_c
-        of them from Sigma_c W_c parts.  With one component the parts are
-        the wide subgroupoids themselves."""
-        if len(self.components) == 1:
-            return [self.wide_subgroupoids]
+        of them from Sigma_c W_c parts."""
         ids = frozenset(self.act.groupoid.identities)
         return [[h for h in self.component_subgroupoids if c & ids <= h.members <= c] for c in self.components]
 

@@ -21,7 +21,7 @@ REPORT_VERSION = 2  # the JSON layout; 2: one line, theta-classes, provenance
 class CheckRecord:
     check_id: str
     anchor: str
-    hypothesis: str  # "met" | "unmet" | "n/a"
+    hypothesis: str  # "met" | "unmet"
     verdict: str
     detail: str = ""
     witnesses: dict = field(default_factory=dict)

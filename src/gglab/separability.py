@@ -29,9 +29,9 @@ reduces the matrices of every member, and the nullspace bases read off
 them are brought to canonical RREF by a second one.  Each basis is
 substituted back before it is kept: every basis vector v must satisfy
 s v = v s for every basis vector s of S, and dim V(S) must be n minus the
-rank.  A basis that fails is an internal error, never a verdict.  A
-member's clauses are then read off the canonical keys; one with V(A) = A
-is central over C iff A = C, since A cap V(A) = A.
+rank.  A basis that fails is an internal error, never a verdict.  Every
+member's clauses are then read by ``double_centralizer_check``, one member
+at a time, from the commutants cached by canonical key.
 """
 
 from __future__ import annotations
@@ -55,11 +55,11 @@ from .algebra import (
 from .linalg import Subspace
 
 EXHAUSTIVE_DIM = 6  # above this dimension the subalgebra sweep is pool-restricted
-# A dimension with fewer members is swept one S at a time: stacking a
-# dimension costs about 1.5 ms however few its members, a member taken
-# alone about 0.15 ms (tori of M_2(F_11), 2-vCPU Xeon: 10 cost 1.7 ms
-# either way; the 6-9 dim-8 members of klein_disjoint2's dimensions cost
-# more stacked).
+# The sweep stacks the commutants and bicommutants only of a dimension
+# with at least this many members; the others are computed one S at a
+# time, when a check asks.  Stacking costs about 1 ms however few the
+# members, one member alone about 0.1 ms (tori of M_2(F_11), 2-vCPU Xeon:
+# 10 cost 1.1 ms stacked, 0.8 ms alone; 20 cost 1.5 and 1.9 ms).
 SWEEP_STACK_MIN = 10
 
 
@@ -177,7 +177,6 @@ def verify_certificate(cert: SeparabilityCertificate) -> bool:
 @dataclass
 class DoubleCentralizerResult:
     subalgebra: Subspace
-    bicommutant: Subspace
     double_centralizer_holds: bool
     commutant_separable: bool
     tensor_clause: str  # "holds" | "fails" | "skipped (A not central)"
@@ -186,44 +185,34 @@ class DoubleCentralizerResult:
 def double_centralizer_check(
     alg: Algebra, a: Subspace, center_sub: Subspace, facts: SubalgebraFacts | None = None
 ) -> DoubleCentralizerResult:
-    """The Azumaya double-centralizer statement, clause by clause: the
-    per-S path of ``double_centralizer_sweep``.
+    """The Azumaya double-centralizer statement, clause by clause.
 
     Commutants and separability verdicts are read from ``facts``, which a
     sweep shares across its members; a standalone call starts an empty one.
+    V(V(A)) = A iff their canonical keys are equal.
     """
     facts = SubalgebraFacts(alg) if facts is None else facts
     va = facts.commutant(a)
     vva = facts.commutant(va)
-    # A central over C: A cap V(A) = C, i.e. the center of A is exactly C.
-    # C lies in both, and dim(A cap V(A)) = dim A + dim V(A) - dim(A + V(A))
-    central = (
-        a.contains_space(center_sub)
-        and va.contains_space(center_sub)
-        and a.dim + va.dim - linalg.rank(alg.field, np.vstack([a.basis, va.basis]))
-        == center_sub.dim
-    )
-    return DoubleCentralizerResult(
-        a, vva, vva == a, _commutant_separable(va, center_sub, facts), _tensor_clause(alg, a, va, center_sub, central)
-    )
-
-
-def _commutant_separable(va: Subspace, center_sub: Subspace, facts: SubalgebraFacts) -> bool:
-    """Whether V(A) is separable over C, read from ``facts`` where known."""
-    sep = facts.separable.get((va.key(), center_sub.key()))
-    if sep is None:  # the solve refuses a base outside V(A), which is not separable over it
-        sep = va.contains_space(center_sub) and facts.separable_over(va, center_sub)
-    return sep
-
-
-def _tensor_clause(alg: Algebra, a: Subspace, va: Subspace, center_sub: Subspace, central: bool) -> str:
-    """The tensor clause, evaluated only when A is central over C."""
-    if not central:
-        return "skipped (A not central)"
-    # mu: A (x)_S V(A) -> R is an isomorphism iff the relative tensor
-    # product has dim R and the products span R
-    ok = relative_tensor_dim(alg, a, va, center_sub) == alg.dim and _products_span(alg, a, va)
-    return "holds" if ok else "fails"
+    # A central over C: A cap V(A) = C, i.e. the center of A is exactly C
+    if va.key() == a.key():  # A cap V(A) = A
+        central = a.key() == center_sub.key()
+    else:  # C lies in both, and dim(A cap V(A)) = dim A + dim V(A) - dim(A + V(A))
+        central = (
+            a.contains_space(center_sub)
+            and va.contains_space(center_sub)
+            and a.dim + va.dim - linalg.rank(alg.field, np.vstack([a.basis, va.basis])) == center_sub.dim
+        )
+    separable = facts.separable.get((va.key(), center_sub.key()))
+    if separable is None:  # the solve refuses a base outside V(A), which is not separable over it
+        separable = va.contains_space(center_sub) and facts.separable_over(va, center_sub)
+    tensor = "skipped (A not central)"
+    if central:
+        # mu: A (x)_S V(A) -> R is an isomorphism iff the relative tensor
+        # product has dim R and the products span R
+        ok = relative_tensor_dim(alg, a, va, center_sub) == alg.dim and product_space(alg, a, va).dim == alg.dim
+        tensor = "holds" if ok else "fails"
+    return DoubleCentralizerResult(a, vva.key() == a.key(), separable, tensor)
 
 
 def double_centralizer_sweep(
@@ -233,31 +222,15 @@ def double_centralizer_sweep(
     order, sharing ``facts``.
 
     Over F_p, the members of a dimension that at least ``SWEEP_STACK_MIN``
-    of them share have their commutants and bicommutants computed in
-    stacks (``_commutant_stack``), and their clauses read off the cached
-    keys: V(V(A)) = A iff the keys are equal.  A member with V(A) = A has
-    A cap V(A) = A, so it is central over C iff A = C; whether any other
-    is central is decided in stacks (``_central_stack``).  Every other
-    member takes the per-S path.
+    of them share have their commutants, and then the commutants of those,
+    put into ``facts`` in stacks (``_cache_commutants``) before any member
+    is checked; every other commutant is computed when a check first asks.
     """
     by_dim = Counter(s.dim for s in subalgebras)
     stacked = [s for s in subalgebras if alg.field.modular and by_dim[s.dim] >= SWEEP_STACK_MIN]
     _cache_commutants(alg, stacked, facts)
-    commutants = [facts.commutants[s.key()] for s in stacked]
-    _cache_commutants(alg, commutants, facts)
-    ckey = center_sub.key()
-    keys = [(s.key(), va.key()) for s, va in zip(stacked, commutants)]
-    central = [key == ckey for key, _ in keys]  # where V(A) = A
-    mixed = [i for i, (key, vkey) in enumerate(keys) if key != vkey]
-    for i, ok in zip(mixed, _central_stack(alg, [stacked[i] for i in mixed], [commutants[i] for i in mixed], center_sub)):
-        central[i] = ok
-    rows: dict[tuple, DoubleCentralizerResult] = {}
-    for s, va, (key, vkey), ok in zip(stacked, commutants, keys, central):
-        vva = facts.commutants[vkey]
-        rows[key] = DoubleCentralizerResult(
-            s, vva, vva.key() == key, _commutant_separable(va, center_sub, facts), _tensor_clause(alg, s, va, center_sub, ok)
-        )
-    return [rows[s.key()] if s.key() in rows else double_centralizer_check(alg, s, center_sub, facts) for s in subalgebras]
+    _cache_commutants(alg, [facts.commutants[s.key()] for s in stacked], facts)
+    return [double_centralizer_check(alg, s, center_sub, facts) for s in subalgebras]
 
 
 def _chunks(count: int, cells: int):
@@ -327,36 +300,6 @@ def _commutant_stack(alg: Algebra, bases: np.ndarray) -> list[Subspace]:
     return out
 
 
-def _central_stack(
-    alg: Algebra, subalgebras: list[Subspace], commutants: list[Subspace], center_sub: Subspace
-) -> list[bool]:
-    """Whether each A is central over C, as ``double_centralizer_check``
-    decides it, stacked by (dim A, dim V(A)): C lies in A iff C's entries
-    at A's pivots, as coordinates, reproduce it, and likewise in V(A);
-    dim(A + V(A)) is the pivot count of one stacked elimination of [A; V(A)].
-    """
-    f = alg.field
-    c = center_sub.basis
-    out = [False] * len(subalgebras)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (a, va) in enumerate(zip(subalgebras, commutants)):
-        groups.setdefault((a.dim, va.dim), []).append(i)
-    for (ka, kv), members in groups.items():
-        for part in _chunks(len(members), (ka + kv) * alg.dim + len(c) * alg.dim):
-            idx = members[part]
-            a = np.stack([subalgebras[i].basis for i in idx])
-            va = np.stack([commutants[i].basis for i in idx])
-            inside = np.ones(len(idx), dtype=bool)
-            for spaces, stack in ((subalgebras, a), (commutants, va)):
-                pivots = np.array([spaces[i].pivots for i in idx], dtype=np.int64)
-                coords = c[:, pivots].transpose(1, 0, 2)  # [g, row of C, pivot]
-                inside &= ~f.reduce(c - np.matmul(coords, stack)).any(axis=(1, 2))
-            rank = _purerref.rref_mod_stack(np.concatenate([a, va], axis=1), f.p).sum(axis=1)
-            for i, ok in zip(idx, inside & (ka + kv - rank == len(c))):
-                out[i] = bool(ok)
-    return out
-
-
 def relative_tensor_dim(alg: Algebra, a: Subspace, b: Subspace, base: Subspace) -> int:
     """dim of A (x)_S B for subalgebras A, B both containing the central S.
 
@@ -383,10 +326,6 @@ def relative_tensor_dim(alg: Algebra, a: Subspace, b: Subspace, base: Subspace) 
         return ka
     rows = linalg.sylvester(f, left.reshape(k, ka, ka), right.reshape(k, kb, kb))
     return ka * kb - linalg.rank(f, rows.reshape(k * ka * kb, ka * kb))
-
-
-def _products_span(alg: Algebra, a: Subspace, b: Subspace) -> bool:
-    return product_space(alg, a, b).dim == alg.dim
 
 
 def is_separable_subalgebra_over(

@@ -104,7 +104,7 @@ class SuiteState:
     """The facts checks share, each computed once, on first use."""
 
     inst: Instance
-    identity_results: dict[tuple, tuple[bool, bool]] = dc_field(default_factory=dict)
+    identity_results: dict[tuple, tuple[bool, bool]] = dc_field(default_factory=dict, init=False)
 
     # No check calls this: Proposition 2.2 is decided by inheritance.  It
     # stays because perfbench's tracer binds it (span suite.restriction),
@@ -415,8 +415,6 @@ def _wide_fixers(state: SuiteState) -> dict[str, str]:
     """The label of the fixer of theta(H), by probe label, for every wide
     H, from one fixer per part (proof in ``_lemma_2_1``)."""
     act, ctx, g = state.inst.action, state.ctx, state.inst.groupoid
-    if len(ctx.components) == 1:
-        return {f"theta{h.label()}": fixer_subgroupoid(act, ctx.theta(h)).label() for h in ctx.wide_subgroupoids}
     pieces = [
         {h.members: fixer_subgroupoid(act, ctx.theta(h)).members & c for h in parts}
         for c, parts in zip(ctx.components, ctx.wide_parts)

@@ -125,7 +125,7 @@ def test_j_isomorphism_reports():
 def test_endomorphism_space_full_when_invariants_scalar():
     inst = load_builtin("klein_m2f3")
     ctx = GaloisContext(inst.action)
-    end = endomorphism_space(inst.action, ctx.invariant_ring)
+    end = endomorphism_space(inst.action, ctx.invariant_ring, inst.algebra.full_space)
     assert end.dim == 16  # all linear maps commute with scalars
 
 

@@ -446,6 +446,8 @@ SWEEP_DOCUMENTS = {
     "klein_disjoint2": json.loads(WORKLOADS["documents"]("builtins")["klein_disjoint2"]),
     **{name: json.loads(WORKLOADS["documents"]("objects")[name]) for name in ("pair_f5x2", "cyclic_shift_c3x3")},
     "pair_qx2": json.loads(WORKLOADS["documents"]("rational")["pair_qx2"]),  # Q: always the per-S path
+    # 75 members whose commutant is larger than themselves
+    "klein_m2f3x3": WORKLOADS["disjoint_union"]([WORKLOADS["klein_m2"](3)] * 3, "klein_m2f3x3"),
 }
 
 
@@ -492,25 +494,28 @@ def test_stacked_sweep_over_any_base_and_list(monkeypatch):
             assert len(calls) == before
 
 
-def sweep_reaching_the_central_stack(monkeypatch, alg, members, base):
-    """The sweep's rows, every dimension stacked, and the members whose
-    centrality ``_central_stack`` decided."""
-    reached = []
-    real = separability._central_stack
-
-    def recorded(alg, subalgebras, commutants, center_sub):
-        reached.extend(subalgebras)
-        return real(alg, subalgebras, commutants, center_sub)
-
-    monkeypatch.setattr(separability, "SWEEP_STACK_MIN", 1)
-    monkeypatch.setattr(separability, "_central_stack", recorded)
-    return separability.double_centralizer_sweep(alg, members, base, SubalgebraFacts(alg)), reached
+def test_sweep_on_three_copies_runs_the_tensor_clause_iff_a_meets_its_commutant_in_the_center():
+    """On three copies of M_2(F_3), 98 of the 125 swept members have
+    V(A) != A, 75 of them in dimensions whose commutants are stacked, and
+    the check's rank test decides whether each is central: for every
+    member, the tensor clause runs exactly when A cap V(A), formed
+    independently, is the center.  8 of the 98 are central."""
+    state = SuiteState(load_instance_dict(SWEEP_DOCUMENTS["klein_m2f3x3"]))
+    alg, c, subs = state.inst.algebra, state.ctx.center, state.center_enum.subalgebras
+    rows = separability.double_centralizer_sweep(alg, subs, c, state.facts)
+    commutants = [commutant(alg, a, alg.full_space) for a in subs]
+    central = [intersection(a, va) == c for a, va in zip(subs, commutants)]
+    for a, res, ok in zip(subs, rows, central):
+        assert res.subalgebra == a
+        assert (res.tensor_clause != "skipped (A not central)") == ok, a.to_json()
+    ranked = [ok for a, va, ok in zip(subs, commutants, central) if va != a]
+    assert len(subs) == 125 and len(ranked) == 98 and sum(ranked) == 8
 
 
 def test_sweep_decides_a_self_commutant_member_central_iff_it_is_the_base(monkeypatch):
-    """V(A) = A gives A cap V(A) = A, so A is central over C iff A = C,
-    with no stacked centrality test.  The maximal commutative subalgebra D
-    of M_2(F_3) swept over [D] is central (A = C = V(A)), so its tensor
+    """V(A) = A gives A cap V(A) = A, so A is central over C iff A = C.
+    The maximal commutative subalgebra D of M_2(F_3) swept over [D] is
+    central (A = C = V(A)), so its tensor
     clause is evaluated; the 2-dimensional unital subalgebras, the 9 tori
     and the 4 F[N] with N nilpotent, are their own commutants and are not
     central over the center."""
@@ -519,21 +524,12 @@ def test_sweep_decides_a_self_commutant_member_central_iff_it_is_the_base(monkey
     maximal = [s for s in unital if commutant(alg, s, alg.full_space) == s]
     diag = Subspace(F3, 4, F3.array([[1, 0, 0, 0], [0, 0, 0, 1]]))
     assert diag in maximal and len(maximal) == 13 and {s.dim for s in maximal} == {2}
+    monkeypatch.setattr(separability, "SWEEP_STACK_MIN", 1)
     for members, base in (([diag], diag), (maximal, center(alg))):
-        got, reached = sweep_reaching_the_central_stack(monkeypatch, alg, members, base)
+        got = separability.double_centralizer_sweep(alg, members, base, SubalgebraFacts(alg))
         assert got == [double_centralizer_check(alg, a, base) for a in members]
-        assert reached == []
         skipped = [res.tensor_clause == "skipped (A not central)" for res in got]
         assert skipped == [a != base for a in members]
-
-
-def test_sweep_sends_only_members_with_a_larger_commutant_to_the_central_stack(monkeypatch):
-    alg = m2f3()
-    unital = [s for s in (Subspace(F3, 4, m) for m in all_subspaces(F3, 4)) if is_unital_subalgebra(alg, s)]
-    got, reached = sweep_reaching_the_central_stack(monkeypatch, alg, unital, center(alg))
-    assert got == [double_centralizer_check(alg, a, center(alg)) for a in unital]
-    assert reached == [a for a in unital if commutant(alg, a, alg.full_space) != a]
-    assert 0 < len(reached) < len(unital)
 
 
 def test_a_tampered_stacked_nullspace_is_an_internal_error(monkeypatch):
