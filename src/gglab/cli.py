@@ -36,27 +36,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="verb", required=True)
 
     sp = sub.add_parser("validate", help="run all structural validators")
+    sp.set_defaults(run=_cmd_validate)
     _add_instance_args(sp)
 
     sp = sub.add_parser("solve-coordinates", help="find or certify Galois coordinates")
+    sp.set_defaults(run=_cmd_solve_coordinates)
     _add_instance_args(sp)
 
     sp = sub.add_parser("jmodules", help="print the modules J_g")
+    sp.set_defaults(run=_cmd_jmodules)
     _add_instance_args(sp)
 
     sp = sub.add_parser("subgroupoids", help="enumerate subgroupoids")
+    sp.set_defaults(run=_cmd_subgroupoids)
     _add_instance_args(sp)
     sp.add_argument("--wide", action="store_true", help="wide subgroupoids only")
 
     sp = sub.add_parser("theta-table", help="theta/gamma table over wide subgroupoids")
+    sp.set_defaults(run=_cmd_theta_table)
     _add_instance_args(sp)
 
     sp = sub.add_parser("suite", help="run the verification suite")
+    sp.set_defaults(run=_cmd_suite)
     _add_instance_args(sp)
     sp.add_argument("--scope", choices=("s3", "all"), default="all")
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("builtin", help="describe or emit a builtin instance")
+    sp.set_defaults(run=_cmd_builtin)
     sp.add_argument("name", choices=BUILTIN_NAMES)
     sp.add_argument("--emit", action="store_true", help="print the instance JSON")
     return p
@@ -154,20 +161,7 @@ def _cmd_builtin(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.verb == "validate":
-            return _cmd_validate(args)
-        if args.verb == "solve-coordinates":
-            return _cmd_solve_coordinates(args)
-        if args.verb == "jmodules":
-            return _cmd_jmodules(args)
-        if args.verb == "subgroupoids":
-            return _cmd_subgroupoids(args)
-        if args.verb == "theta-table":
-            return _cmd_theta_table(args)
-        if args.verb == "suite":
-            return _cmd_suite(args)
-        if args.verb == "builtin":
-            return _cmd_builtin(args)
+        return args.run(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -175,7 +169,6 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -69,8 +69,11 @@ def _vector(f: Field, vec, where: str, index: int | None = None) -> np.ndarray:
 
 
 def _matrix(f: Field, mat, where: str) -> np.ndarray:
-    rows = enumerate(_typed(mat, list, where))
-    return f.array([[f.parse_scalar(v) for v in _typed(row, list, where, i)] for i, row in rows])
+    rows = [[f.parse_scalar(v) for v in _typed(row, list, where, i)] for i, row in enumerate(_typed(mat, list, where))]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise InstanceError(f"{where}[{i}] has {len(row)} entries, but {where}[0] has {len(rows[0])}")
+    return f.array(rows)
 
 
 def load_instance_dict(doc: dict) -> Instance:
@@ -161,7 +164,7 @@ def load_instance_dict(doc: dict) -> Instance:
     seeds = []
     for i, ssec in enumerate(_typed(doc.get("subalgebras", []), list, "subalgebras")):
         where = f"subalgebras[{i}]"
-        label = _typed(ssec, dict, where).get("label", f"seed{i}")
+        label = _typed(_typed(ssec, dict, where).get("label", f"seed{i}"), str, f"{where}.label")
         gens = [_vector(f, vec, f"{where}.generators") for vec in _need(ssec, "generators", where, list)]
         if any(v.shape != (alg.dim,) for v in gens):
             raise InstanceError(f"{where} generators must have length {alg.dim}")

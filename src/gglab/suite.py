@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import cache, cached_property, partial
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -178,12 +178,9 @@ class SuiteState:
         each 1_c theta(H) is its bicommutant in R_c.  Where H_c is empty
         that is V_{R_c}(C(R_c)) = R_c, which always holds; otherwise it is
         the same condition for H_c.  So the hypothesis holds on every H iff
-        it holds on every H inside one component.  Only when one of those
-        fails is every H walked, to name the first in enumeration order."""
-        ctx = self.ctx
-        if all(self.bicommutant_failure(h) is None for h in ctx.component_subgroupoids):
-            return None
-        return next(fail for h in ctx.all_subgroupoids if (fail := self.bicommutant_failure(h)))
+        it holds on every H inside one component, and a failure is named by
+        the first of those that fails, in enumeration order."""
+        return next((fail for h in self.ctx.component_subgroupoids if (fail := self.bicommutant_failure(h))), None)
 
     @cached_property
     def azu(self) -> bool:
@@ -390,61 +387,35 @@ def _lemma_2_1(state: SuiteState) -> Outcome:
     (1 - 1_c)R.  Hence the fixer of theta(H) is the union over c of
     fixer(theta(H_c)) & c.  Products and inverses never leave a
     component, so a set of arrows is closed iff its part in each component
-    is, and every wide fixer is closed iff every part fixer is.  Only when
-    a part fixer is not closed is every wide H walked, to name the first
-    failure."""
+    is, and every wide fixer is closed iff every part fixer is.  So the
+    part fixers are probed with the others, and the first probe whose
+    fixer is not closed is the violation; with one component the parts
+    are the wide H themselves."""
     inst, ctx = state.inst, state.ctx
+    parts = [(c, h) for c, hs in zip(ctx.components, ctx.wide_parts) for h in hs]
     probes = [
         ("span(1)", Subspace.span(inst.field, inst.algebra.unit)),
         ("center", ctx.center),
         ("invariants", ctx.invariant_ring),
+        *((f"theta{h.label()}", ctx.theta(h)) for _, h in parts),
     ]
-    try:
-        fixers = {label: fixer_subgroupoid(inst.action, t).label() for label, t in probes}
-        fixers.update(_wide_fixers(state))
-    except CERTIFICATE_ERRORS:
-        return _lemma_2_1_walk(state, probes)
-    return Outcome(
-        "pass",
-        f"{len(fixers)} fixer sets certified closed",
-        {"fixers": dict(sorted(fixers.items()))},
-    )
-
-
-def _wide_fixers(state: SuiteState) -> dict[str, str]:
-    """The label of the fixer of theta(H), by probe label, for every wide
-    H, from one fixer per part (proof in ``_lemma_2_1``)."""
-    act, ctx, g = state.inst.action, state.ctx, state.inst.groupoid
-    pieces = [
-        {h.members: fixer_subgroupoid(act, ctx.theta(h)).members & c for h in parts}
-        for c, parts in zip(ctx.components, ctx.wide_parts)
-    ]
-    return {
-        f"theta{h.label()}": g.label(
-            frozenset().union(*(piece[h.members & c] for c, piece in zip(ctx.components, pieces)))
-        )
-        for h in ctx.wide_subgroupoids
-    }
-
-
-def _lemma_2_1_walk(state: SuiteState, probes: list[tuple[str, Subspace]]) -> Outcome:
-    """Lemma 2.1 decided by one fixer per probe and per wide H."""
-    inst, ctx = state.inst, state.ctx
-    probes = probes + [(f"theta{h.label()}", ctx.theta(h)) for h in ctx.wide_subgroupoids]
-    fixers = {}
+    fixed = {}
     for label, t in probes:
         try:
-            fixers[label] = fixer_subgroupoid(inst.action, t)
+            fixed[label] = fixer_subgroupoid(inst.action, t).members
         except CERTIFICATE_ERRORS as e:  # closure failure is a theorem violation
             return Outcome(
                 "violation",
                 f"fixer of {label} is not a subgroupoid",
                 {"subalgebra": label, "error": str(e)},
             )
+    piece = {h.members: fixed.pop(f"theta{h.label()}") & c for c, h in parts}
+    for h in ctx.wide_subgroupoids:
+        fixed[f"theta{h.label()}"] = frozenset().union(*(piece[h.members & c] for c in ctx.components))
     return Outcome(
         "pass",
-        f"{len(probes)} fixer sets certified closed",
-        {"fixers": {k: v.label() for k, v in sorted(fixers.items())}},
+        f"{len(fixed)} fixer sets certified closed",
+        {"fixers": {label: inst.groupoid.label(members) for label, members in sorted(fixed.items())}},
     )
 
 
@@ -553,28 +524,13 @@ def _lemma_3_1(state: SuiteState) -> Outcome:
     J_g over H is the direct sum of those over the H_c.  So the two sides
     agree on H, with a direct sum, iff they do on each nonempty H_c, and
     the lemma holds on every H iff it holds on every H inside one
-    component.  Only when one of those fails is every H walked, to list
-    each failing subgroupoid; the passing record counts every H."""
+    component.  The failures listed are those H inside one component; the
+    passing record counts every H."""
     if not state.galois:
         return _skip("Galois gate unmet")
-    ctx = state.ctx
-    failures = _lemma_3_1_failures(state, ctx.component_subgroupoids)
-    if failures:
-        failures = _lemma_3_1_failures(state, ctx.all_subgroupoids)
-    checks, wide = len(ctx.all_subgroupoids), len(ctx.wide_subgroupoids)
-    return Outcome(
-        "violation" if failures else "pass",
-        f"{checks} restriction checks ({wide} wide); decomposition "
-        + ("violated" if failures else "exact and direct everywhere"),
-        {"failures": failures} if failures else {"checks": checks, "wide": wide},
-    )
-
-
-def _lemma_3_1_failures(state: SuiteState, subs: list[Subgroupoid]) -> list[dict]:
-    """The subgroupoids in ``subs`` on which Lemma 3.1 fails, with both sides' dimensions."""
     act, ctx = state.inst.action, state.ctx
     failures = []
-    for h in subs:
+    for h in ctx.component_subgroupoids:
         vr = state.facts.commutant(ctx.theta(h))
         if not h.wide:
             vr = Subspace(act.field, act.algebra.dim, act.algebra.products(vr.basis, act.unit_of(h)[None])[:, 0])
@@ -590,7 +546,13 @@ def _lemma_3_1_failures(state: SuiteState, subs: list[Subgroupoid]) -> list[dict
                     "sum_dim": total.dim,
                 }
             )
-    return failures
+    checks, wide = len(ctx.all_subgroupoids), len(ctx.wide_subgroupoids)
+    return Outcome(
+        "violation" if failures else "pass",
+        f"{checks} restriction checks ({wide} wide); decomposition "
+        + ("violated" if failures else "exact and direct everywhere"),
+        {"failures": failures} if failures else {"checks": checks, "wide": wide},
+    )
 
 
 @check("lemma_3_2")
@@ -768,21 +730,20 @@ def _theorem_3_5(state: SuiteState) -> Outcome:
 def _lemma_3_6(state: SuiteState) -> Outcome:
     """sigma is injective on the support.
 
-    Whether J_a = J_b depends on the arrows alone, not on H, so the equal
-    pairs a < b among the arrows with J != 0 are found once, by bucketing
-    on ``J.key()``.  The support of H is H's arrows with J != 0, so the
-    clashing pairs of H are exactly the equal pairs with both arrows in
-    H, listed in the order of ``combinations(support(H), 2)``."""
+    The support of H is H's arrows with J != 0, and whether J_a = J_b
+    depends on the arrows alone, not on H.  So sigma fails on the support
+    of some H iff two arrows with J != 0 have equal J: a clash of H is
+    such a pair, and conversely any such pair lies in the support of G,
+    which is a subgroupoid.  The equal pairs a < b are found once, by
+    bucketing on ``J.key()``, and each is one clash; the H that fail are
+    those holding both arrows of a clash."""
     if not state.galois:
         return _skip("Galois gate unmet")
     ctx, g = state.ctx, state.inst.groupoid
     live = [a for a in g.arrows() if ctx.jmodules[a].dim > 0]
-    equal = [(live[i], live[j]) for i, j in _bucket_pairs([ctx.jmodules[a].key() for a in live])]
     clashes = [
-        {"subgroupoid": h.label(), "g": g.names[a], "h": g.names[b]}
-        for h in ctx.all_subgroupoids
-        for a, b in equal
-        if a in h.members and b in h.members
+        {"g": g.names[live[i]], "h": g.names[live[j]]}
+        for i, j in _bucket_pairs([ctx.jmodules[a].key() for a in live])
     ]
     return Outcome(
         "violation" if clashes else "pass",
@@ -811,34 +772,24 @@ def _lemma_3_7(state: SuiteState) -> Outcome:
     gamma(H_c) = 1_c V_R(R^(beta_{S_{H_c}})) on every c, and the lemma
     holds on every wide H iff it holds on every part.  1_c is the unit
     1_{H_c} of the part, and a part is wide only when c is the only
-    component, where no cut is needed.  Only when a part fails is every
-    wide H walked, to list each failing subgroupoid."""
+    component, where no cut is needed.  The failures listed are the
+    failing parts."""
     if not state.galois:
         return _skip("Galois gate unmet")
-    ctx = state.ctx
-    fails = _lemma_3_7_failures(state, [h for parts in ctx.wide_parts for h in parts])
-    if fails:
-        fails = _lemma_3_7_failures(state, ctx.wide_subgroupoids)
-    return Outcome(
-        "violation" if fails else "pass",
-        f"gamma(H) = V_R(R^(beta_S_H)) on {len(ctx.wide_subgroupoids)} wide subgroupoids",
-        {"failures": fails} if fails else {"checked": len(ctx.wide_subgroupoids)},
-    )
-
-
-def _lemma_3_7_failures(state: SuiteState, subs: list[Subgroupoid]) -> list[dict]:
-    """The subgroupoids in ``subs`` on which gamma(H) differs from
-    1_H V_R(R^(beta_S_H)), with both dimensions."""
     act, ctx = state.inst.action, state.ctx
     fails = []
-    for h in subs:
+    for h in chain.from_iterable(ctx.wide_parts):
         gam, _ = ctx.gamma(h)
         vs = state.facts.commutant(ctx.invariants(ctx.support(h)))
         if not h.wide:
             vs = Subspace(act.field, act.algebra.dim, act.algebra.products(vs.basis, act.unit_of(h)[None])[:, 0])
         if gam != vs:
             fails.append({"subgroupoid": h.label(), "gamma_dim": gam.dim, "commutant_dim": vs.dim})
-    return fails
+    return Outcome(
+        "violation" if fails else "pass",
+        f"gamma(H) = V_R(R^(beta_S_H)) on {len(ctx.wide_subgroupoids)} wide subgroupoids",
+        {"failures": fails} if fails else {"checked": len(ctx.wide_subgroupoids)},
+    )
 
 
 @check("lemma_3_8")

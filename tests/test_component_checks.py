@@ -10,8 +10,10 @@ fails on most of the unions, each time first on a subgroupoid inside one
 component, which is the first one in enumeration order as well.  So
 synthetic states make one single-component subgroupoid of
 ``klein_disjoint2`` fail, for every H that holds it as its part in that
-component, and show that the fallback lists the same failures and names
-the same first subgroupoid, which spans both components.
+component.  The suite reports that part; the oracle must reach the same
+verdict, and the H on which it fails must be exactly those holding the
+part.  With one component the parts are the H themselves, so a spoiled
+``klein_m2f3`` must give the oracle's record byte for byte.
 
 theta(H) of a subgroupoid spanning several components, formed from its
 parts, must equal the invariants of H solved whole, on the documents with
@@ -111,45 +113,87 @@ def test_per_component_checks_equal_the_all_subgroupoid_loops(name):
     assert_checks_match(DOCUMENTS[name])
 
 
-def failing_part(monkeypatch, owner, method, spoil):
+def failing_part(monkeypatch, owner, method, spoil, name="builtins/klein_disjoint2"):
     """Make ``owner.method`` answer ``spoil(answer)`` on every H whose part in
-    the second component of klein_disjoint2 is its last closed set there,
-    and return that set's label.  Every such H holds an arrow of the first
-    component except the set itself, so the first failure in enumeration
-    order spans both components."""
-    doc = DOCUMENTS["builtins/klein_disjoint2"]
+    the last component of the document is its last closed set there, and
+    return the document and that set's label.  On klein_disjoint2 every
+    such H holds an arrow of the first component except the set itself,
+    so the first failure in enumeration order spans both components."""
+    doc = DOCUMENTS[name]
     g = load_instance_dict(doc).groupoid
-    second = components(g)[1]
-    target = [h for h in GaloisContext(load_instance_dict(doc).action).component_subgroupoids if h.members <= second][-1]
+    last = components(g)[-1]
+    target = [h for h in GaloisContext(load_instance_dict(doc).action).component_subgroupoids if h.members <= last][-1]
     real = getattr(owner, method)
 
     def patched(self, h):
         answer = real(self, h)
-        return spoil(answer) if h.members & second == target.members else answer
+        return spoil(answer) if h.members & last == target.members else answer
 
     monkeypatch.setattr(owner, method, patched)
     return doc, target.label()
 
 
+def holding(state: SuiteState, parts: list[str]) -> list[str]:
+    """The labels of the H, in enumeration order, whose part in some
+    component is one of ``parts``."""
+    g, ctx = state.inst.groupoid, state.ctx
+    return [h.label() for h in ctx.all_subgroupoids if any(g.label(h.members & c) in parts for c in ctx.components)]
+
+
+def bicommutant_failures(state: SuiteState) -> list[str]:
+    """Every H, in enumeration order, whose theta(H) is not its own
+    bicommutant: ``dcp_fail`` without the early stop."""
+    facts, ctx = state.facts, state.ctx
+    return [h.label() for h in ctx.all_subgroupoids if facts.commutant(facts.commutant(ctx.theta(h))) != ctx.theta(h)]
+
+
+def states(doc: dict) -> tuple[SuiteState, SuiteState]:
+    """Two states of ``doc`` that share no cache: the suite's and the oracle's."""
+    return SuiteState(load_instance_dict(doc)), SuiteState(load_instance_dict(doc))
+
+
+def spoil_directness(answer):
+    return answer[0], False
+
+
+def zero(space):
+    # theta reads 0 on the spoiled H, whose bicommutant V_R(R) = C(R) is not 0
+    return Subspace(space.field, space.ambient, space.field.zeros((0, space.ambient)))
+
+
 def test_a_failing_component_lists_every_failure(monkeypatch):
-    doc, target = failing_part(monkeypatch, GaloisContext, "gamma", lambda answer: (answer[0], False))
-    out, _ = assert_checks_match(doc)
-    assert out.verdict == "violation"
-    failed = [f["subgroupoid"] for f in out.witnesses["failures"]]
-    # the target and each union of it with a closed set of the first copy
-    # (five there, so six in all), in enumeration order
-    assert len(failed) == 6 and target in failed and failed[0] != target
-    assert all(not f["direct"] for f in out.witnesses["failures"])
+    doc, target = failing_part(monkeypatch, GaloisContext, "gamma", spoil_directness)
+    state, oracle = states(doc)
+    out, want = CHECKS["lemma_3_1"](state), lemma_3_1(oracle)
+    assert out.verdict == want.verdict == "violation" and out.detail == want.detail
+    # the suite lists the failing part; the oracle lists every H holding it:
+    # the part and its union with each closed set of the first copy (five
+    # there, so six in all), in enumeration order
+    assert [f["subgroupoid"] for f in out.witnesses["failures"]] == [target]
+    failed = [f["subgroupoid"] for f in want.witnesses["failures"]]
+    assert failed == holding(oracle, [target]) and len(failed) == 6 and failed[0] != target
+    assert out.witnesses["failures"] == [f for f in want.witnesses["failures"] if f["subgroupoid"] == target]
 
 
 def test_a_failing_component_names_the_first_bicommutant_failure(monkeypatch):
-    # theta reads 0 on those H, whose bicommutant V_R(R) = C(R) is not 0
-    def zero(space):
-        return Subspace(space.field, space.ambient, space.field.zeros((0, space.ambient)))
-
     doc, target = failing_part(monkeypatch, GaloisContext, "theta", zero)
-    _, fail = assert_checks_match(doc)
-    assert fail["invariants_dim"] == 0 and fail["subgroupoid"] != target
+    state, oracle = states(doc)
+    fail, want = state.dcp_fail, dcp_fail(oracle)
+    # both fail; the suite names the part, the oracle the first H holding it
+    assert fail["subgroupoid"] == target and fail["invariants_dim"] == 0
+    assert want["subgroupoid"] != target and want["subgroupoid"] == holding(oracle, [target])[0]
+    assert bicommutant_failures(oracle) == holding(oracle, [target])
+
+
+@pytest.mark.parametrize("method, spoil", [("gamma", spoil_directness), ("theta", zero)])
+def test_a_spoiled_single_component_gives_the_oracle_record(monkeypatch, method, spoil):
+    # with one component the parts are the H, so nothing is renamed
+    doc, target = failing_part(monkeypatch, GaloisContext, method, spoil, "builtins/klein_m2f3")
+    out, fail = assert_checks_match(doc)
+    if method == "gamma":
+        assert out.verdict == "violation" and [f["subgroupoid"] for f in out.witnesses["failures"]] == [target]
+    else:
+        assert fail["subgroupoid"] == target and fail["invariants_dim"] == 0
 
 
 def classes(subs, key) -> list[list[int]]:

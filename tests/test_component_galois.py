@@ -12,6 +12,10 @@ the same order, on every benchmark document, on four copies of
 union of ``pair_f5`` with ``klein_m2(5)``.  None of them fails a check,
 so synthetic states make one part of ``klein_disjoint2`` fail Lemma 3.7,
 one part fixer not closed, and one block of j not onto or not injective.
+The suite names a failing part where the oracles name wide H: the
+verdicts must agree, and the wide H on which an oracle fails must be
+exactly those holding the part.  With one component the parts are the
+wide H, so on ``klein_m2f3`` the spoiled records must be the oracles'.
 
 A change of basis of R is a metamorphic test of the coordinate code: the
 records of the four checks hold only dimensions, booleans and arrow
@@ -255,44 +259,90 @@ def second_part(label: str) -> frozenset:
     return next(h.members for h in ctx.wide_parts[1] if h.label() == label)
 
 
-def test_a_failing_part_lists_every_failing_wide_subgroupoid(monkeypatch):
-    # gamma reads 0 on every H whose part in the second copy is {e2,a2}
-    target = second_part("{e2,a2}")
-    second = components(load_instance_dict(DISJOINT).groupoid)[1]
+def holding(state: SuiteState, part: frozenset) -> list[str]:
+    """The labels of the wide H, in enumeration order, with ``part`` as
+    their part in its component."""
+    ctx = state.ctx
+    return [h.label() for h in ctx.wide_subgroupoids if any(h.members & c == part for c in ctx.components)]
+
+
+def spoil_gamma(monkeypatch, doc: dict, part: frozenset):
+    """gamma reads 0 on every H whose part in the last component of ``doc``
+    is ``part``."""
+    last = components(load_instance_dict(doc).groupoid)[-1]
     real = GaloisContext.gamma
 
     def gamma(self, h):
         space, direct = real(self, h)
-        return (Subspace.zero(space.field, space.ambient), direct) if h.members & second == target else (space, direct)
+        return (Subspace.zero(space.field, space.ambient), direct) if h.members & last == part else (space, direct)
 
     monkeypatch.setattr(GaloisContext, "gamma", gamma)
-    state, oracle = states(DISJOINT)
-    out = CHECKS["lemma_3_7"](state)
-    assert record(out) == record(lemma_3_7(oracle))
-    failed = [f["subgroupoid"] for f in out.witnesses["failures"]]
-    # one for each of the five wide parts of the first copy
-    assert out.verdict == "violation" and len(failed) == 5
-    assert all("a2" in label and "b2" not in label for label in failed)
 
 
-def test_a_part_fixer_that_is_not_closed_names_the_first_wide_failure(monkeypatch):
-    # fixers whose part in the second copy is {e2,a2} are reported not closed
-    g = load_instance_dict(DISJOINT).groupoid
-    target, second = second_part("{e2,a2}"), components(g)[1]
+def unclosed_fixers(monkeypatch, doc: dict, part: frozenset):
+    """Fixers whose part in the last component of ``doc`` is ``part`` are
+    reported not closed."""
+    g = load_instance_dict(doc).groupoid
+    last = components(g)[-1]
     real = suite.fixer_subgroupoid
 
     def fixer(act, t):
         h = real(act, t)
-        if h.members & second == target:
+        if h.members & last == part:
             raise ActionError(f"fixer set {g.label(h.members)} is not closed; theorem violation")
         return h
 
     monkeypatch.setattr(suite, "fixer_subgroupoid", fixer)
+
+
+def test_a_failing_part_lists_every_failing_wide_subgroupoid(monkeypatch):
+    target = second_part("{e2,a2}")
+    spoil_gamma(monkeypatch, DISJOINT, target)
     state, oracle = states(DISJOINT)
-    out = CHECKS["lemma_2_1"](state)
-    assert record(out) == record(lemma_2_1(oracle))
+    out, want = CHECKS["lemma_3_7"](state), lemma_3_7(oracle)
+    assert out.verdict == want.verdict == "violation" and out.detail == want.detail
+    # the suite lists the part; the oracle lists each wide H holding it,
+    # one for each of the five wide parts of the first copy
+    assert [f["subgroupoid"] for f in out.witnesses["failures"]] == ["{e2,a2}"]
+    failed = [f["subgroupoid"] for f in want.witnesses["failures"]]
+    assert failed == holding(oracle, target) and len(failed) == 5
+
+
+def test_a_part_fixer_that_is_not_closed_names_the_first_wide_failure(monkeypatch):
+    target = second_part("{e2,a2}")
+    unclosed_fixers(monkeypatch, DISJOINT, target)
+    state, oracle = states(DISJOINT)
+    out, want = CHECKS["lemma_2_1"](state), lemma_2_1(oracle)
+    assert out.verdict == want.verdict == "violation"
+    # the suite names the part, the oracle the first wide H holding it
+    assert out.witnesses["subalgebra"] == "theta{e2,a2}"
+    assert want.witnesses["subalgebra"] == f"theta{holding(oracle, target)[0]}"
+    assert want.witnesses["subalgebra"].startswith("theta{e1")
+    # and the wide H whose fixer is not closed are exactly those holding it
+    act, ctx = oracle.inst.action, oracle.ctx
+    unclosed = []
+    for h in ctx.wide_subgroupoids:
+        try:
+            suite.fixer_subgroupoid(act, ctx.theta(h))
+        except ActionError:
+            unclosed.append(h.label())
+    assert unclosed == holding(oracle, target)
+
+
+@pytest.mark.parametrize("check", ["lemma_2_1", "lemma_3_7"])
+def test_a_spoiled_single_component_gives_the_oracle_record(monkeypatch, check):
+    # on klein_m2f3 the parts are the wide H, so nothing is renamed; the
+    # spoiled part is the subgroup {e,a}
+    doc = BENCHMARK["builtins/klein_m2f3"]
+    ctx = GaloisContext(load_instance_dict(doc).action)
+    target = ctx.wide_parts[0][1]
+    (unclosed_fixers if check == "lemma_2_1" else spoil_gamma)(monkeypatch, doc, target.members)
+    state, oracle = states(doc)
+    out = CHECKS[check](state)
+    assert record(out) == record({"lemma_2_1": lemma_2_1, "lemma_3_7": lemma_3_7}[check](oracle))
     assert out.verdict == "violation"
-    assert out.witnesses["subalgebra"].startswith("theta{e1") and "a2" in out.witnesses["subalgebra"]
+    named = out.witnesses["subalgebra"] if check == "lemma_2_1" else out.witnesses["failures"][0]["subgroupoid"]
+    assert named.endswith(target.label())
 
 
 def test_part_fixers_are_cut_to_their_component(monkeypatch):

@@ -152,6 +152,13 @@ def test_emitted_json_is_stable():
     json.loads(a)  # well-formed
 
 
+# a ragged matrix and a label that is not a string; the refusal must name
+# the offending row or field, not only fail
+RAGGED_MAP = {"action.maps.s": [[0], [1, 0]]}
+LIST_LABEL = {"subalgebras": [{"label": [1], "generators": []}]}
+NAMED = [(RAGGED_MAP, "action.maps.s[1]"), (LIST_LABEL, "subalgebras[0].label")]
+
+
 # each edit gives one section a wrong JSON type (or an unreadable scalar);
 # loading must refuse it as a bad instance, never as an internal error
 @pytest.mark.parametrize(
@@ -175,6 +182,8 @@ def test_emitted_json_is_stable():
         {"coordinates": [5]},
         {"coordinates": [[5, [0, 1]]]},
         {"field": {"kind": "Q"}, "algebra.unit": ["1/0", 1]},
+        RAGGED_MAP,
+        LIST_LABEL,
     ],
     ids="+".join,
 )
@@ -191,6 +200,7 @@ def test_malformed_section_fails_at_load(tmp_path, capsys, edits):
     assert main(["validate", str(target)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert all(where in err for named, where in NAMED if edits == named)
 
 
 def test_repeated_structure_entry_is_refused():

@@ -10,6 +10,9 @@ witnesses in the same order, on every benchmark document, on
 its non-wide coincidences once per theta-class where the oracle lists
 pairs: each class expands into the pairs of its members that are not
 both wide, and these must be the oracle's pairs, as a set and in number.
+Lemma 3.6 lists each pair of arrows with equal J once where the oracle
+lists it once per H holding both: expanded over the H, the pairs must give
+the oracle's rows, and so the H on which it fails.
 No shipped document runs Theorem 3.11 with a zero J module or has a
 Lemma 3.6 clash, so synthetic states (J modules zeroed or made equal,
 theta values made to collide) exercise those paths as well."""
@@ -178,15 +181,32 @@ def pair_set(state: SuiteState, out: Outcome) -> Outcome:
     return out._replace(witnesses=w)
 
 
+def clashes_per_subgroupoid(state: SuiteState, out: Outcome) -> Outcome:
+    """``out`` with each Lemma 3.6 clash repeated for every H holding both
+    of its arrows, H in enumeration order, as the oracle lists them."""
+    if not (out.witnesses and "clashes" in out.witnesses):
+        return out
+    g = state.inst.groupoid
+    rows = [
+        {"subgroupoid": h.label(), **clash}
+        for h in state.ctx.all_subgroupoids
+        for clash in out.witnesses["clashes"]
+        if {g.index(clash["g"]), g.index(clash["h"])} <= h.members
+    ]
+    return out._replace(witnesses={"clashes": rows})
+
+
 def assert_sweeps_match(state: SuiteState) -> dict[str, Outcome]:
     """Each bucketed check equals its oracle on ``state``, witness order
-    included (Lemma 3.2's coincidences as a set of pairs and their count);
-    returns the outcomes."""
+    included (Lemma 3.2's coincidences as a set of pairs and their count,
+    Lemma 3.6's clashes expanded over the H); returns the outcomes."""
     outs = {}
     for cid, oracle in ORACLES.items():
         out, want = CHECKS[cid](state), oracle(state)
         if cid == "lemma_3_2":
             assert pair_set(state, out) == pair_set(state, want), cid
+        elif cid == "lemma_3_6":
+            assert json.dumps(list(clashes_per_subgroupoid(state, out))) == json.dumps(list(want)), cid
         else:
             assert json.dumps(list(out)) == json.dumps(list(want)), cid
         outs[cid] = out
@@ -221,15 +241,33 @@ def test_sweeps_with_zero_j_modules():
 
 
 def test_sweeps_with_equal_j_modules():
-    # J_b1 := J_a1 puts a clash into every subgroupoid holding both
+    # J_b1 := J_a1 puts a clash into every subgroupoid holding both; the
+    # suite reports the pair once, the oracle once per such subgroupoid
     state = SuiteState(load_builtin("klein_disjoint2"))
     g = state.inst.groupoid
     state.ctx.jmodules[g.index("b1")] = state.ctx.jmodules[g.index("a1")]
     outs = assert_sweeps_match(state)
-    clashes = outs["lemma_3_6"].witnesses["clashes"]
+    assert outs["lemma_3_6"].verdict == "violation"
+    assert outs["lemma_3_6"].witnesses["clashes"] == [{"g": "a1", "h": "b1"}]
+    clashes = lemma_3_6(state).witnesses["clashes"]
     holding = [h.label() for h in state.ctx.all_subgroupoids if {g.index("a1"), g.index("b1")} <= h.members]
-    assert [c["subgroupoid"] for c in clashes] == holding
+    assert [c["subgroupoid"] for c in clashes] == holding and len(holding) == 6
     assert {(c["g"], c["h"]) for c in clashes} == {("a1", "b1")}
+
+
+def test_equal_j_modules_on_one_component():
+    # on klein_m2f3, J_b := J_c := J_a gives three clashes, one per pair;
+    # the whole group is the only H holding any pair, so the oracle lists
+    # the three there
+    state = SuiteState(load_builtin("klein_m2f3"))
+    g = state.inst.groupoid
+    for name in ("b", "c"):
+        state.ctx.jmodules[g.index(name)] = state.ctx.jmodules[g.index("a")]
+    outs = assert_sweeps_match(state)
+    assert outs["lemma_3_6"].witnesses["clashes"] == [
+        {"g": "a", "h": "b"}, {"g": "a", "h": "c"}, {"g": "b", "h": "c"}
+    ]
+    assert [c["subgroupoid"] for c in lemma_3_6(state).witnesses["clashes"]] == ["{e,a,b,c}"] * 3
 
 
 def test_sweeps_with_colliding_theta():
