@@ -107,17 +107,6 @@ class Field:
     def one(self):
         return 1
 
-    def inv(self, a):
-        if self.modular:
-            a = int(a) % self.p
-            if a == 0:
-                raise ZeroDivisionError("inverse of 0")
-            return pow(a, self.p - 2, self.p)
-        a = Fraction(a)
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return _canon(1 / a)
-
     # -- (de)serialization ----------------------------------------------------
 
     def parse_scalar(self, v):

@@ -33,7 +33,7 @@ class Instance:
     algebra: Algebra
     action: Action
     coordinates: GaloisCoordinates | None = None
-    subalgebra_seeds: list[tuple[str, list[np.ndarray]]] = dc_field(default_factory=list)
+    subalgebra_seeds: list[list[np.ndarray]] = dc_field(default_factory=list)
     flags: dict = dc_field(default_factory=dict)
 
 
@@ -164,11 +164,11 @@ def load_instance_dict(doc: dict) -> Instance:
     seeds = []
     for i, ssec in enumerate(_typed(doc.get("subalgebras", []), list, "subalgebras")):
         where = f"subalgebras[{i}]"
-        label = _typed(_typed(ssec, dict, where).get("label", f"seed{i}"), str, f"{where}.label")
+        _typed(_typed(ssec, dict, where).get("label", ""), str, f"{where}.label")  # optional and unread
         gens = [_vector(f, vec, f"{where}.generators") for vec in _need(ssec, "generators", where, list)]
         if any(v.shape != (alg.dim,) for v in gens):
             raise InstanceError(f"{where} generators must have length {alg.dim}")
-        seeds.append((label, gens))
+        seeds.append(gens)
 
     return Instance(
         name=name,

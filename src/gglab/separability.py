@@ -31,7 +31,8 @@ substituted back before it is kept: every basis vector v must satisfy
 s v = v s for every basis vector s of S, and dim V(S) must be n minus the
 rank.  A basis that fails is an internal error, never a verdict.  Every
 member's clauses are then read by ``double_centralizer_check``, one member
-at a time, from the commutants cached by canonical key.
+at a time, from the commutants cached by canonical key; a V(V(A)) not
+cached yet is computed there, one at a time.
 """
 
 from __future__ import annotations
@@ -55,10 +56,10 @@ from .algebra import (
 from .linalg import Subspace
 
 EXHAUSTIVE_DIM = 6  # above this dimension the subalgebra sweep is pool-restricted
-# The sweep stacks the commutants and bicommutants only of a dimension
-# with at least this many members; the others are computed one S at a
-# time, when a check asks.  Stacking costs about 1 ms however few the
-# members, one member alone about 0.1 ms (tori of M_2(F_11), 2-vCPU Xeon:
+# The sweep stacks the commutants only of a dimension with at least this
+# many members; the others are computed one S at a time, when a check
+# asks.  Stacking costs about 1 ms however few the members, one member
+# alone about 0.1 ms (tori of M_2(F_11), 2-vCPU Xeon:
 # 10 cost 1.1 ms stacked, 0.8 ms alone; 20 cost 1.5 and 1.9 ms).
 SWEEP_STACK_MIN = 10
 
@@ -222,14 +223,15 @@ def double_centralizer_sweep(
     order, sharing ``facts``.
 
     Over F_p, the members of a dimension that at least ``SWEEP_STACK_MIN``
-    of them share have their commutants, and then the commutants of those,
-    put into ``facts`` in stacks (``_cache_commutants``) before any member
-    is checked; every other commutant is computed when a check first asks.
+    of them share have their commutants put into ``facts`` in stacks
+    (``_cache_commutants``) before any member is checked; every other
+    commutant, the V(V(A)) among them, is computed when a check first asks.
+    A member with V(A) = A, such as a torus of M_2(F_p), finds V(V(A)) =
+    V(A) in the stack already.
     """
     by_dim = Counter(s.dim for s in subalgebras)
     stacked = [s for s in subalgebras if alg.field.modular and by_dim[s.dim] >= SWEEP_STACK_MIN]
     _cache_commutants(alg, stacked, facts)
-    _cache_commutants(alg, [facts.commutants[s.key()] for s in stacked], facts)
     return [double_centralizer_check(alg, s, center_sub, facts) for s in subalgebras]
 
 

@@ -141,17 +141,36 @@ class SuiteState:
         return build_skew_groupoid_ring(self.inst.action)
 
     @cached_property
+    def theta_keys(self) -> list[tuple]:
+        """``ctx.theta_key`` of every H of ``ctx.all_subgroupoids``, in
+        order.  Two keys are equal exactly when the theta values are, so
+        every theta-coincidence is read off this one list (``_classes``)."""
+        return [self.ctx.theta_key(h) for h in self.ctx.all_subgroupoids]
+
+    @cached_property
+    def gamma_keys(self) -> list[tuple]:
+        """``ctx.gamma_key`` of every H, as ``theta_keys`` holds theta's."""
+        return [self.ctx.gamma_key(h) for h in self.ctx.all_subgroupoids]
+
+    def _wide(self, i: int) -> bool:
+        return self.ctx.all_subgroupoids[i].wide
+
+    @cached_property
     def theta_wide(self) -> tuple[bool, list[str] | None]:
-        """Whether theta is injective on the wide subgroupoids; else a
-        coinciding pair.  Read off ``ctx.theta_key``, which is equal for
-        two subgroupoids exactly when their theta values are."""
-        return _injective([(h, self.ctx.theta_key(h)) for h in self.ctx.wide_subgroupoids])
+        """Whether theta is injective on the wide subgroupoids; else the
+        first coinciding pair an in-order scan of the wide H meets: the two
+        first members of the wide class whose second member comes first."""
+        classes = _classes(self.theta_keys, self._wide)
+        if not classes:
+            return True, None
+        subs = self.ctx.all_subgroupoids
+        return False, [subs[i].label() for i in min(classes, key=lambda c: c[1])[:2]]
 
     @cached_property
     def gamma_wide_inj(self) -> bool:
-        """Whether gamma is injective on the wide subgroupoids, read off
-        ``ctx.gamma_key`` as ``theta_wide`` reads theta."""
-        return _injective([(h, self.ctx.gamma_key(h)) for h in self.ctx.wide_subgroupoids])[0]
+        """Whether gamma is injective on the wide subgroupoids: no
+        gamma-class has two wide members."""
+        return not _classes(self.gamma_keys, self._wide)
 
     @cached_property
     def facts(self) -> SubalgebraFacts:
@@ -561,43 +580,39 @@ def _lemma_3_2(state: SuiteState) -> Outcome:
     J != 0 throughout; the all-subgroupoid reading is reported as data
     alongside but never judged.
 
-    The gated subgroupoids are bucketed once on ``ctx.theta_key``, which is
-    equal for two subgroupoids exactly when their theta values are, so a
-    pair coincides iff it lies in one bucket, and no theta(H) is formed.
-    A wide pair in a bucket is a violation, listed as a pair, in the order
-    of the all-pairs sweep over the gated list.  The non-wide data is
-    listed once per theta-class: a bucket of k >= 2 members, w < k of them
-    wide, as its labels in enumeration order.  The non-wide coinciding
-    pairs (H, L), H before L in the gated list, are then exactly the pairs
-    of a class, read in enumeration order, that are not both wide: a
-    bucket of one member has no pair, and a bucket of wide members only
-    has no pair that is not wide.  So there are sum C(k, 2) - C(w, 2) of
-    them over the classes, the count recorded beside the classes.  The
-    pair counts are tallies: with W of the G gated subgroupoids wide,
-    W(W - 1)/2 pairs are wide and the other G(G - 1)/2 - W(W - 1)/2 are
-    not."""
+    The gated subgroupoids are grouped by ``state.theta_keys``, whose
+    keys are equal for two subgroupoids exactly when their theta values
+    are, so a pair coincides iff it lies in one class (``_classes``), and
+    no theta(H) is formed.  A wide pair in a class is a violation, listed
+    as a pair, in the order of the all-pairs sweep over the gated list.
+    The non-wide data is listed once per theta-class: a class of k >= 2
+    members, w < k of them wide, as its labels in enumeration order.  The
+    non-wide coinciding pairs (H, L), H before L in the gated list, are
+    then exactly the pairs of a class, read in enumeration order, that are
+    not both wide: a class of wide members only has no pair that is not
+    wide.  So there are sum C(k, 2) - C(w, 2) of them over the classes,
+    the count recorded beside the classes.  The pair counts are tallies:
+    with W of the G gated subgroupoids wide, W(W - 1)/2 pairs are wide
+    and the other G(G - 1)/2 - W(W - 1)/2 are not."""
     if not state.galois:
         return _skip("Galois gate unmet")
-    ctx = state.ctx
+    subs = state.ctx.all_subgroupoids
     # the hypothesis J != 0 on H and L: keep only the subgroupoids that
-    # hold no zero-J arrow (filtering keeps the enumeration order)
-    zero_j = {a for a, j in ctx.jmodules.items() if j.dim == 0}
-    gated = [h for h in ctx.all_subgroupoids if not h.members & zero_j]
-    wide = sum(h.wide for h in gated)
+    # hold no zero-J arrow
+    zero_j = {a for a, j in state.ctx.jmodules.items() if j.dim == 0}
+    gated = [not h.members & zero_j for h in subs]
+    wide = sum(h.wide for keep, h in zip(gated, subs) if keep)
     checked = wide * (wide - 1) // 2
-    non_wide = len(gated) * (len(gated) - 1) // 2 - checked
-    buckets: dict = {}
-    for i, h in enumerate(gated):
-        buckets.setdefault(ctx.theta_key(h), []).append(i)
+    non_wide = sum(gated) * (sum(gated) - 1) // 2 - checked
     wide_pairs, classes, coincidences = [], [], 0
-    for members in buckets.values():
-        in_wide = [i for i in members if gated[i].wide]
+    for members in _classes(state.theta_keys, gated.__getitem__):
+        in_wide = [i for i in members if subs[i].wide]
         wide_pairs += combinations(in_wide, 2)
         k, w = len(members), len(in_wide)
-        if k > 1 and w < k:
-            classes.append([gated[i].label() for i in members])
+        if w < k:
+            classes.append([subs[i].label() for i in members])
             coincidences += k * (k - 1) // 2 - w * (w - 1) // 2
-    bad_pairs = [[gated[i].label(), gated[j].label()] for i, j in sorted(wide_pairs)]
+    bad_pairs = [[subs[i].label(), subs[j].label()] for i, j in sorted(wide_pairs)]
     witnesses = {
         "non_wide_pairs_reported": non_wide,
         "non_wide_theta_classes": classes,
@@ -734,22 +749,21 @@ def _lemma_3_6(state: SuiteState) -> Outcome:
     depends on the arrows alone, not on H.  So sigma fails on the support
     of some H iff two arrows with J != 0 have equal J: a clash of H is
     such a pair, and conversely any such pair lies in the support of G,
-    which is a subgroupoid.  The equal pairs a < b are found once, by
-    bucketing on ``J.key()``, and each is one clash; the H that fail are
-    those holding both arrows of a clash."""
+    which is a subgroupoid.  The equal pairs a < b are the pairs of the
+    classes of ``J.key()`` over the arrows with J != 0 (``_classes``), and
+    each is one clash; the H that fail are those holding both arrows of a
+    clash."""
     if not state.galois:
         return _skip("Galois gate unmet")
     ctx, g = state.ctx, state.inst.groupoid
-    live = [a for a in g.arrows() if ctx.jmodules[a].dim > 0]
-    clashes = [
-        {"g": g.names[live[i]], "h": g.names[live[j]]}
-        for i, j in _bucket_pairs([ctx.jmodules[a].key() for a in live])
-    ]
-    return Outcome(
-        "violation" if clashes else "pass",
-        "sigma restricted to each support set is injective",
-        {"clashes": clashes} if clashes else {"subgroupoids": len(ctx.all_subgroupoids)},
-    )
+    jm = ctx.jmodules
+    classes = _classes([jm[a].key() for a in g.arrows()], lambda a: jm[a].dim > 0)
+    clashes = [{"g": g.names[a], "h": g.names[b]} for a, b in sorted(p for c in classes for p in combinations(c, 2))]
+    if clashes:
+        detail = f"sigma not injective on the support of G: {len(clashes)} pairs of arrows with equal nonzero J"
+        return Outcome("violation", detail, {"clashes": clashes})
+    detail = "sigma restricted to each support set is injective"
+    return Outcome("pass", detail, {"subgroupoids": len(ctx.all_subgroupoids)})
 
 
 @check("lemma_3_7")
@@ -805,11 +819,10 @@ def _lemma_3_8(state: SuiteState) -> Outcome:
         for hp in ctx.all_subgroupoids:
             if sup < hp.members < h.members:
                 squeezed.append({"subgroupoid": h.label(), "between": hp.label()})
-    return Outcome(
-        "violation" if squeezed else "pass",
-        "no proper subgroupoid strictly between S_H and H",
-        {"violations": squeezed} if squeezed else {"wide": len(ctx.wide_subgroupoids)},
-    )
+    if squeezed:
+        detail = f"{len(squeezed)} (H, subgroupoid) pairs with the subgroupoid strictly between S_H and H"
+        return Outcome("violation", detail, {"violations": squeezed})
+    return Outcome("pass", "no proper subgroupoid strictly between S_H and H", {"wide": len(ctx.wide_subgroupoids)})
 
 
 @check("theorem_3_9")
@@ -851,14 +864,13 @@ def _dcp_unmet(state: SuiteState) -> str | None:
 def _theorem_3_10(state: SuiteState) -> Outcome:
     """theta is injective on the wide subgroupoids iff gamma is, under the
     double-centralizer hypothesis; the all-subgroupoid readings are
-    reported alongside.  theta (gamma) is injective on every H iff the
-    keys ``ctx.theta_key`` (``ctx.gamma_key``) are pairwise distinct, since
-    keys are equal exactly when the values are; so no theta(H) or gamma(H)
-    is formed."""
-    ctx, subs = state.ctx, state.ctx.all_subgroupoids
+    reported alongside.  theta (gamma) is injective on every H iff
+    ``state.theta_keys`` (``state.gamma_keys``) has no class of equal
+    keys, since keys are equal exactly when the values are; so no
+    theta(H) or gamma(H) is formed."""
     both = {
-        "theta_injective": {"wide": state.theta_wide[0], "all": _distinct([ctx.theta_key(h) for h in subs])},
-        "gamma_injective": {"wide": state.gamma_wide_inj, "all": _distinct([ctx.gamma_key(h) for h in subs])},
+        "theta_injective": {"wide": state.theta_wide[0], "all": not _classes(state.theta_keys)},
+        "gamma_injective": {"wide": state.gamma_wide_inj, "all": not _classes(state.gamma_keys)},
     }
     why = _dcp_unmet(state)
     if why:
@@ -879,19 +891,19 @@ def _theorem_3_11(state: SuiteState) -> Outcome:
     join(H, L) outside H & L" coincide; a pair is reported where they
     disagree.
 
-    The pairs are swept by bucket, not all N(N - 1)/2 of them.  Three
+    The pairs are swept by class, not all N(N - 1)/2 of them.  Three
     booleans that disagree are not all false, so a reported pair has
     eq_gamma, eq_theta or j_zero true.  The first two are equalities of
-    subspaces, that is, of canonical keys, so such a pair lies in one
-    bucket of ``gamma(H).key()`` or of ``theta(H).key()``.  For j_zero,
-    let Z be the set of arrows with J = 0.  H and L lie in join(H, L), so
+    subspaces, that is, of keys, so such a pair lies in one class of
+    ``state.gamma_keys`` or of ``state.theta_keys``.  For j_zero, let Z
+    be the set of arrows with J = 0.  H and L lie in join(H, L), so
     H - L and L - H lie outside H & L, and j_zero puts both inside Z.
     Then H - Z lies in H & L, hence in L - Z, and by symmetry
     H - Z = L - Z.  gamma(H) is the sum of the J_a over H - Z, so then
-    gamma(H) = gamma(L), and the pair lies in a gamma bucket too.  Only
-    the pairs of the two bucketings are decided, in the all-pairs order,
-    and only those with H - Z = L - Z form a join; the pair counts are
-    tallies, as in ``_lemma_3_2``.  Both equalities are read off the
+    gamma(H) = gamma(L), and the pair lies in a gamma class too.  Only
+    the pairs of the two sets of classes are decided, in the all-pairs
+    order, and only those with H - Z = L - Z form a join; the pair counts
+    are tallies, as in ``_lemma_3_2``.  Both equalities are read off the
     per-component keys ``ctx.gamma_key`` and ``ctx.theta_key``, which are
     equal exactly when the subspaces are, so no theta(H) or gamma(H) is
     formed.
@@ -907,15 +919,15 @@ def _theorem_3_11(state: SuiteState) -> Outcome:
     ctx = state.ctx
     subs = ctx.all_subgroupoids
     zero_j = frozenset(a for a, j in ctx.jmodules.items() if j.dim == 0)
-    gamma_keys = [ctx.gamma_key(h) for h in subs]
-    theta_keys = [ctx.theta_key(h) for h in subs]
+    gamma_keys, theta_keys = state.gamma_keys, state.theta_keys
     nonzero = [h.members - zero_j for h in subs]
     wide = sum(h.wide for h in subs)
     pairs = wide * (wide - 1) // 2
     non_wide_pairs = len(subs) * (len(subs) - 1) // 2 - pairs
     bad = []
     non_wide_discrepancies = []
-    for i, j in _bucket_pairs(gamma_keys, theta_keys):
+    classes = _classes(gamma_keys) + _classes(theta_keys)
+    for i, j in sorted({p for c in classes for p in combinations(c, 2)}):
         h, l = subs[i], subs[j]
         eq_gamma = gamma_keys[i] == gamma_keys[j]
         eq_theta = theta_keys[i] == theta_keys[j]
@@ -1081,38 +1093,15 @@ def _theorem_4_4(state: SuiteState) -> Outcome:
     )
 
 
-def _bucket_pairs(*columns: list) -> list[tuple[int, int]]:
-    """The index pairs i < j with column[i] == column[j] in at least one of
-    the equal-length key lists ``columns``, in ``combinations`` order.
-
-    Each column is grouped into buckets of equal keys, so the cost is the
-    number of keys plus the number of pairs found, not n(n - 1)/2."""
-    later: list[list[int]] = [[] for _ in columns[0]]
-    for column in columns:
-        buckets: dict = {}
-        for i, key in enumerate(column):
-            buckets.setdefault(key, []).append(i)
-        for bucket in buckets.values():
-            for pos in range(len(bucket) - 1):
-                later[bucket[pos]] += bucket[pos + 1 :]
-    if len(columns) > 1:
-        later = [sorted(set(js)) for js in later]
-    return [(i, j) for i, js in enumerate(later) for j in js]
-
-
-def _distinct(keys: list) -> bool:
-    return len(set(keys)) == len(keys)
-
-
-def _injective(pairs: list[tuple[Subgroupoid, tuple]]):
-    """(True, None), or (False, labels) for the first H whose key an
-    earlier one shares."""
-    seen: dict[tuple, Subgroupoid] = {}
-    for h, k in pairs:
-        if k in seen and seen[k].members != h.members:
-            return False, [seen[k].label(), h.label()]
-        seen[k] = h
-    return True, None
+def _classes(keys: list, keep: Callable[[int], bool] = lambda i: True) -> list[list[int]]:
+    """The classes of equal keys among the indices i that ``keep`` admits,
+    those of two or more members only: each in increasing order, the
+    classes ordered by their first index."""
+    classes: dict = {}
+    for i, key in enumerate(keys):
+        if keep(i):
+            classes.setdefault(key, []).append(i)
+    return [c for c in classes.values() if len(c) > 1]
 
 
 def _pool(state: SuiteState) -> list[Subspace]:
@@ -1127,6 +1116,6 @@ def _pool(state: SuiteState) -> list[Subspace]:
             pool.append(Subspace.span(inst.field, np.vstack([basis[i], basis[j]])))
     for h in state.ctx.wide_subgroupoids:
         pool.append(state.ctx.theta(h))
-    for _, gens in inst.subalgebra_seeds:
+    for gens in inst.subalgebra_seeds:
         pool.append(Subspace.span(inst.field, np.vstack(gens)))
     return pool

@@ -1,5 +1,6 @@
-"""The bucketed pair sweeps of Lemma 3.2, Lemma 3.6 and Theorem 3.11, and
-Theorem 3.10's injectivity readings, against the loops they replaced.
+"""The pair sweeps of Lemma 3.2, Lemma 3.6 and Theorem 3.11, and Theorem
+3.10's injectivity readings, all read off classes of equal keys, against
+the loops they replaced.
 
 The oracles below are those loops, kept as they were: each compares
 theta, gamma, J and a join on every pair, or forms theta(H) and gamma(H)
@@ -25,10 +26,11 @@ from pathlib import Path
 import pytest
 
 from gglab import groupoid
-from gglab.groupoid import Subgroupoid, join
+from gglab.galois import GaloisContext
+from gglab.groupoid import Subgroupoid, is_subgroupoid, join
 from gglab.instances import clock_shift, load_builtin, load_instance_dict
 from gglab.linalg import Subspace
-from gglab.suite import CHECKS, Outcome, SuiteState, _dcp_unmet, _injective, _skip, run_suite
+from gglab.suite import CHECKS, Outcome, SuiteState, _dcp_unmet, _skip, run_suite
 
 WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
 DOCUMENTS = {
@@ -80,10 +82,12 @@ def lemma_3_6(state: SuiteState) -> Outcome:
         for a, b in combinations(ctx.support(h), 2)
         if ctx.jmodules[a] == ctx.jmodules[b]
     ]
+    if clashes:
+        pairs = len({(c["g"], c["h"]) for c in clashes})
+        detail = f"sigma not injective on the support of G: {pairs} pairs of arrows with equal nonzero J"
+        return Outcome("violation", detail, {"clashes": clashes})
     return Outcome(
-        "violation" if clashes else "pass",
-        "sigma restricted to each support set is injective",
-        {"clashes": clashes} if clashes else {"subgroupoids": len(ctx.all_subgroupoids)},
+        "pass", "sigma restricted to each support set is injective", {"subgroupoids": len(ctx.all_subgroupoids)}
     )
 
 
@@ -125,16 +129,20 @@ def theorem_3_11(state: SuiteState) -> Outcome:
     )
 
 
+def distinct(keys: list) -> bool:
+    return len(set(keys)) == len(keys)
+
+
 def theorem_3_10(state: SuiteState) -> Outcome:
     ctx = state.ctx
     both = {
         "theta_injective": {
             "wide": state.theta_wide[0],
-            "all": _injective([(h, ctx.theta(h)) for h in ctx.all_subgroupoids])[0],
+            "all": distinct([ctx.theta(h).key() for h in ctx.all_subgroupoids]),
         },
         "gamma_injective": {
             "wide": state.gamma_wide_inj,
-            "all": _injective([(h, ctx.gamma(h)[0]) for h in ctx.all_subgroupoids])[0],
+            "all": distinct([ctx.gamma(h)[0].key() for h in ctx.all_subgroupoids]),
         },
     }
     why = _dcp_unmet(state)
@@ -213,6 +221,18 @@ def assert_sweeps_match(state: SuiteState) -> dict[str, Outcome]:
     return outs
 
 
+def first_wide_coincidence(state: SuiteState) -> list[str] | None:
+    """The first pair (earlier H, H) with equal theta(H) subspaces that an
+    in-order scan of the wide subgroupoids meets, or None."""
+    seen = {}
+    for h in state.ctx.wide_subgroupoids:
+        key = state.ctx.theta(h).key()
+        if key in seen:
+            return [seen[key].label(), h.label()]
+        seen[key] = h
+    return None
+
+
 def zero_space(state: SuiteState) -> Subspace:
     return Subspace(state.inst.field, state.inst.algebra.dim, state.inst.field.zeros((0, state.inst.algebra.dim)))
 
@@ -249,6 +269,7 @@ def test_sweeps_with_equal_j_modules():
     outs = assert_sweeps_match(state)
     assert outs["lemma_3_6"].verdict == "violation"
     assert outs["lemma_3_6"].witnesses["clashes"] == [{"g": "a1", "h": "b1"}]
+    assert outs["lemma_3_6"].detail == "sigma not injective on the support of G: 1 pairs of arrows with equal nonzero J"
     clashes = lemma_3_6(state).witnesses["clashes"]
     holding = [h.label() for h in state.ctx.all_subgroupoids if {g.index("a1"), g.index("b1")} <= h.members]
     assert [c["subgroupoid"] for c in clashes] == holding and len(holding) == 6
@@ -283,6 +304,7 @@ def test_sweeps_with_colliding_theta():
     ctx.theta_key = lambda h: theta_key(first) if h == last else theta_key(h)
     outs = assert_sweeps_match(state)
     assert outs["lemma_3_2"].witnesses["pairs"] == [[first.label(), last.label()]]
+    assert state.theta_wide == (False, first_wide_coincidence(state)) == (False, [first.label(), last.label()])
     assert outs["theorem_3_11"].verdict == "violation"
     assert outs["theorem_3_10"].witnesses["table"]["theta_injective"] == {"wide": False, "all": False}
 
@@ -312,6 +334,8 @@ def test_sweeps_with_a_collision_inside_one_component():
     assert len(holding) == 6
     assert {frozenset([h.label(), swapped(h).label()]) for h in holding} <= reported
     assert len(lemma["pairs"]) == sum(h.wide for h in holding) == 5
+    assert state.theta_wide == (False, first_wide_coincidence(state))
+    assert state.theta_wide[1] in lemma["pairs"]
     assert outs["theorem_3_11"].verdict == "violation"
     assert outs["theorem_3_10"].witnesses["table"]["theta_injective"] == {"wide": False, "all": False}
 
@@ -323,3 +347,48 @@ def test_theorem_3_11_forms_no_join(count_calls):
     report = run_suite(load_builtin("klein_disjoint2"), scope="all")
     assert [r.verdict for r in report.checks if r.check_id == "theorem_3_11"] == ["pass"]
     assert len(joins) == 0
+
+
+@pytest.mark.parametrize("name", ["klein_disjoint2", "pair_f5x4"])
+def test_one_suite_forms_each_key_once(monkeypatch, name):
+    # every theta/gamma coincidence is read off the suite's two key lists,
+    # so one all suite asks for each subgroupoid's keys once; the
+    # per-check key lists asked 130/95 times on klein_disjoint2's 35
+    calls = {"theta_key": 0, "gamma_key": 0}
+    for attr in calls:
+        method = getattr(GaloisContext, attr)
+
+        def counted(self, h, attr=attr, method=method):
+            calls[attr] += 1
+            return method(self, h)
+
+        monkeypatch.setattr(GaloisContext, attr, counted)
+    inst = load_builtin(name) if name == "klein_disjoint2" else load_instance_dict(DOCUMENTS[name])
+    run_suite(inst, scope="all")
+    n = len(GaloisContext(inst.action).all_subgroupoids)
+    assert n == {"klein_disjoint2": 35, "pair_f5x4": 624}[name]
+    assert calls == {"theta_key": n, "gamma_key": n}
+
+
+def test_lemma_3_8_violation_lists_every_subgroupoid_between():
+    # on klein_m2f3 the support of G := {e} puts the three subgroups of
+    # order 2 strictly between S_G and G; every other wide H keeps its
+    # support, so these are the only rows, as a scan of every arrow set
+    # finds them
+    state = SuiteState(load_builtin("klein_m2f3"))
+    ctx, g = state.ctx, state.inst.groupoid
+    whole, e = frozenset(g.arrows()), g.index("e")
+    support = ctx.support
+    ctx.support = lambda h: [e] if h.members == whole else support(h)
+    out = CHECKS["lemma_3_8"](state)
+    rows = [
+        {"subgroupoid": h.label(), "between": g.label(frozenset(m))}
+        for h in ctx.wide_subgroupoids
+        for k in range(1, len(h.members))
+        for m in combinations(sorted(h.members), k)
+        if set(ctx.support(h)) < set(m) and is_subgroupoid(g, m)
+    ]
+    assert out.verdict == "violation"
+    assert out.detail == "3 (H, subgroupoid) pairs with the subgroupoid strictly between S_H and H"
+    assert out.witnesses == {"violations": rows}
+    assert [r["between"] for r in rows] == ["{e,a}", "{e,b}", "{e,c}"]

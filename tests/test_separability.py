@@ -473,8 +473,9 @@ def test_stacked_sweep_over_any_base_and_list(monkeypatch):
     """Every dimension stacked, on the unital subalgebras of M_2(F_3) over
     the bases of ``test_centrality_clause_matches_the_intersection`` (so
     the base is outside some A), as one list and one member at a time (so
-    V(A) is outside the list): the rows equal the per-S rows, and no
-    commutant is computed one at a time."""
+    V(A) is outside the list): the rows equal the per-S rows, and the only
+    commutants computed one at a time are the V(V(A)) whose V(A) is not a
+    member, once per distinct V(A)."""
     alg = m2f3()
     bases = [center(alg), Subspace(F3, 4, F3.array([[1, 0, 0, 0], [0, 0, 0, 1]])), Subspace(F3, 4, F3.array([[1, 0, 0, 0]]))]
     subalgebras = [s for s in (Subspace(F3, 4, m) for m in all_subspaces(F3, 4)) if is_unital_subalgebra(alg, s)]
@@ -489,9 +490,11 @@ def test_stacked_sweep_over_any_base_and_list(monkeypatch):
     for base in bases:
         for members in [subalgebras] + [[a] for a in subalgebras]:
             want = [double_centralizer_check(alg, a, base) for a in members]
+            keys = {a.key() for a in members}
+            outside = {va.key() for a in members if (va := commutant(alg, a, alg.full_space)).key() not in keys}
             before = len(calls)
             assert separability.double_centralizer_sweep(alg, members, base, SubalgebraFacts(alg)) == want
-            assert len(calls) == before
+            assert len(calls) - before == len(outside)
 
 
 def test_sweep_on_three_copies_runs_the_tensor_clause_iff_a_meets_its_commutant_in_the_center():
