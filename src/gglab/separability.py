@@ -429,6 +429,12 @@ class SeparableEnumeration:
     note: str
 
 
+def walkable(field, dim: int) -> bool:
+    """Whether ``enumerate_separable_subalgebras`` walks every subspace of
+    an algebra of this dimension over this field (``_walk``)."""
+    return field.modular and dim <= EXHAUSTIVE_DIM
+
+
 def enumerate_separable_subalgebras(
     alg: Algebra,
     base: Subspace,
@@ -451,7 +457,7 @@ def enumerate_separable_subalgebras(
     facts = SubalgebraFacts(alg) if facts is None else facts
     if base.dim == alg.dim:
         return SeparableEnumeration([base] if facts.separable_over(base, base) else [], True, "exhaustive")
-    if f.modular and alg.dim <= EXHAUSTIVE_DIM:
+    if walkable(f, alg.dim):
         found = _walk(alg, base, facts)
         return SeparableEnumeration([found[k] for k in sorted(found)], True, "exhaustive")
 

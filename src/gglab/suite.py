@@ -18,12 +18,13 @@ import time
 from dataclasses import dataclass, field as dc_field
 from functools import cache, cached_property, partial
 from itertools import chain, combinations
+from math import prod
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .action import Action, ActionError, fixer_subgroupoid, restrict
-from .algebra import AlgebraError, product_space
+from .algebra import Algebra, AlgebraError, center, product_space, subspace_algebra
 from .galois import (
     GaloisContext,
     GaloisCoordinates,
@@ -45,6 +46,7 @@ from .separability import (
     SubalgebraFacts,
     double_centralizer_sweep,
     enumerate_separable_subalgebras,
+    walkable,
 )
 
 # (check id, anchor, scope); order is the run order of a full-scope suite
@@ -97,6 +99,45 @@ class Outcome(NamedTuple):
 
 def _skip(detail: str, witnesses: dict | None = None) -> Outcome:
     return Outcome("skip", detail, witnesses, "unmet")
+
+
+@dataclass
+class Block:
+    """Where Theorem 3.9 and Section 4 are read (``SuiteState.blocks``): R
+    itself, or one object's E_e = 1_e R as an algebra on the RREF basis of
+    E_e, with unit 1_e.  Subspaces of a block are in its own coordinates."""
+
+    ring: Algebra  # R
+    name: str | None  # the object e; None for R itself
+    alg: Algebra
+    space: Subspace  # the block inside R
+    center: Subspace
+    facts: SubalgebraFacts
+    enum: SeparableEnumeration  # the separable subalgebras over the center
+    arrows: frozenset[int]  # the arrows acting on the block
+    parts: list[Subgroupoid]  # the wide parts whose theta the block reads
+
+    def lift(self, s: Subspace) -> Subspace:
+        """A subspace of the block, in R's coordinates."""
+        return s if self.name is None else self.space.from_coords(s.basis)
+
+    def cut(self, t: Subspace) -> Subspace:
+        """1_e T for a subspace T of R, in the block's coordinates."""
+        if self.name is None:
+            return t
+        one = self.ring.field.reduce(self.alg.unit @ self.space.basis)
+        rows = self.space.coords_rows(self.ring.products(t.basis, one[None])[:, 0])
+        return Subspace(self.ring.field, self.alg.dim, rows)
+
+    def fixer(self, act: Action, t: Subspace) -> Subgroupoid:
+        """The arrows of the block that fix a subspace T of R."""
+        h = fixer_subgroupoid(act, t)
+        return h if self.name is None else Subgroupoid(h.parent, h.members & self.arrows)
+
+    def witness(self, s: Subspace) -> dict:
+        """A member as a failure lists it: in R's coordinates, with its
+        object where R is split."""
+        return {"subalgebra": self.lift(s).to_json(), **({} if self.name is None else {"object": self.name})}
 
 
 @dataclass
@@ -227,18 +268,119 @@ class SuiteState:
 
     @cached_property
     def center_enum(self) -> SeparableEnumeration:
-        """The separable subalgebras over the center.  The seed pool is
+        """The separable subalgebras of R over its center.  The seed pool is
         built only where the enumeration reads it: not by the exhaustive
-        walk, and not when the center is R itself."""
+        walk, and not when the center is R itself.  A suite reads this
+        only where R is its own block (``blocks``)."""
         return enumerate_separable_subalgebras(self.inst.algebra, self.ctx.center, partial(_pool, self), self.facts)
+
+    @cached_property
+    def blocks(self) -> list[Block]:
+        """The blocks on which Theorem 3.9 and Section 4 are read: one per
+        object with 1_e != 0 where the central gate holds, there are two
+        or more such objects and every block is walked
+        (``separability.walkable``); otherwise R alone, with
+        ``center_enum``, the facts and the wide subgroupoids of R.
+
+        Under the central gate the groupoid acts within objects.  Each 1_e
+        is central, so it lies in C(R) = R^beta, and for an arrow
+        g: e -> e' the fixed-point condition at g reads
+        beta_g(1_e 1_{g^-1}) = 1_e 1_{e'}: the left side is
+        beta_g(1_e) = 1_{e'}, the right side 0 when e != e'.  So 1_{e'} = 0,
+        and so is E_e, which beta_g carries onto E_{e'}.  An arrow between
+        two objects thus joins only objects with 1_e = 0, and a component
+        with 1_c != 0 is the group of one object.  Hence R = (+)_e E_e over
+        the objects with 1_e != 0, and:
+
+        - C(R) = (+)_e C(E_e): z commutes with R iff each 1_e z commutes
+          with E_e, as products across blocks vanish.
+        - A unital subalgebra S >= C(R) holds every 1_e, so
+          S = (+)_e 1_e S, and each 1_e S is a unital subalgebra of E_e,
+          with unit 1_e, holding C(E_e) = 1_e C(R); every such sum is one.
+          S is separable over C(R) iff each 1_e S is over C(E_e)
+          (``SubalgebraFacts``).  So the separable subalgebras over the
+          center are the sums of one member of each block's list, Pi_e N_e
+          of them.
+        - R is Azumaya under the gate (``azu``), and (1_e (x) 1_e) z is a
+          separability element of E_e over C(E_e) when z is one of R
+          (``SubalgebraFacts``), so each list holds E_e itself.
+
+        Each block is walked over its own center with its own facts;
+        objects with 1_e = 0 add the factor 0 and are left out.  The
+        readings of the blocks, and their proofs, are in ``theta_image``,
+        ``identities`` and ``_theorem_3_9``."""
+        act, ctx, alg = self.inst.action, self.ctx, self.inst.algebra
+        g = act.groupoid
+        if self.central:
+            # (component, its wide parts, its object) where 1_e != 0
+            objs = [
+                (c, parts, e)
+                for c, parts in zip(ctx.components, ctx.wide_parts)
+                for e in g.identities
+                if e in c and act.idempotents[e].any()
+            ]
+            if len(objs) > 1 and all(walkable(alg.field, act.ideals[e].dim) for _, _, e in objs):
+                return self._object_blocks(objs)
+        return [
+            Block(
+                alg, None, alg, alg.full_space, ctx.center, self.facts, self.center_enum,
+                frozenset(g.arrows()), ctx.wide_subgroupoids,
+            )
+        ]
+
+    def _object_blocks(self, objs: list[tuple[frozenset[int], list[Subgroupoid], int]]) -> list[Block]:
+        """The block E_e of each object, walked over its center.  Blocks
+        with equal structure constants and unit are one algebra, so they
+        share one center, one walk and one set of facts."""
+        act, alg = self.inst.action, self.inst.algebra
+        walked: dict[tuple, tuple] = {}
+        blocks = []
+        for c, parts, e in objs:
+            space = act.ideals[e]
+            block = subspace_algebra(alg, space, act.idempotents[e])
+            key = (block.dim, block.table.tobytes(), block.unit.tobytes())
+            if key not in walked:
+                base, facts = center(block), SubalgebraFacts(block)
+                walked[key] = (block, base, facts, enumerate_separable_subalgebras(block, base, None, facts))
+            block, base, facts, enum = walked[key]
+            blocks.append(Block(alg, act.groupoid.names[e], block, space, base, facts, enum, c, parts))
+        return blocks
+
+    @property
+    def separable_count(self) -> int:
+        """The number of separable subalgebras over the center: the product
+        of the blocks' counts (``blocks``)."""
+        return prod(len(b.enum.subalgebras) for b in self.blocks)
+
+    @property
+    def enum_note(self) -> str:
+        return "exhaustive" if self.ft_decided else "pool-restricted"
 
     @cached_property
     def theta_image(self) -> tuple[bool, bool]:
         """Whether theta's wide image lies in, and covers, the separable
-        subalgebras over the center."""
-        sep = {s.key() for s in self.center_enum.subalgebras}
-        image = {self.ctx.theta(h).key() for h in self.ctx.wide_subgroupoids}
-        return image <= sep, sep <= image
+        subalgebras over the center, read one block at a time: in each
+        block, 1_e theta of every wide part against the block's list.
+
+        Split into objects (``blocks``), the wide H are the unions of one
+        wide part H_c per component (``ctx.wide_parts``), and
+        theta(H) = (+)_c 1_c theta(H_c) (``GaloisContext.theta``), which is
+        (+)_e 1_e theta(H_e) over the objects with 1_e != 0.  So theta's
+        image is the product of the block images {1_e theta(H_e)}, and the
+        separable list the product of the block lists, none of them empty.
+        One product of nonempty sets lies in another iff each factor lies
+        in the other's factor, so the image lies in (covers) the list iff
+        every block image lies in (covers) its list: theta_e is a bijection
+        onto the block list for every e iff theta is, theta being injective
+        iff each theta_e is (``theta_wide``).  R alone is its own block,
+        with the wide H as its parts."""
+        inside = onto = True
+        for b in self.blocks:
+            sep = {s.key() for s in b.enum.subalgebras}
+            image = {b.cut(self.ctx.theta(h)).key() for h in b.parts}
+            inside &= image <= sep
+            onto &= sep <= image
+        return inside, onto
 
     @property
     def ft_holds(self) -> bool:
@@ -247,24 +389,39 @@ class SuiteState:
 
     @property
     def ft_decided(self) -> bool:
-        return self.center_enum.exhaustive
+        return all(b.enum.exhaustive for b in self.blocks)
 
-    def identities(self, s: Subspace) -> tuple[bool, bool]:
-        """Theorem 4.1 on a separable S over the center: V_R(S) = sum of J_g
-        over H_S, and S = sum of J_g over H_{V_R(S)}."""
-        key = s.key()
+    def identities(self, b: Block, s: Subspace) -> tuple[bool, bool]:
+        """Theorem 4.1 on a separable S over the center of block b:
+        V(S) = sum of J_g over H_S, and S = sum of J_g over H_{V(S)}, with
+        V the commutant in the block and H_T the arrows of the block that
+        fix T.
+
+        On R's separable S = (+)_e S_e, split into objects (``blocks``),
+        both identities hold iff they hold on every S_e in its block.
+        V_R(S) = (+)_e V_{E_e}(S_e), as S holds every 1_e
+        (``GaloisContext.component_subgroupoids``).  An arrow of e's group
+        fixes S iff it fixes S_e, since its fixed-point condition reads only
+        s 1_e, and an arrow between objects with 1_e = 0 fixes every T and
+        has J_g = 0.  So the sum of the J_g over H_S is the direct sum over
+        e of those over the fixer of S_e in e's group, direct iff each is,
+        and likewise for H_{V_R(S)}.  Both sides of each identity are
+        direct sums over the E_e, so they are equal iff they are in every
+        block."""
+        key = (b.name, s.key())
         if key not in self.identity_results:
             act, ctx = self.inst.action, self.ctx
-            vrs = self.facts.commutant(s)
-            sum1, direct1 = ctx.gamma(fixer_subgroupoid(act, s))
-            sum2, direct2 = ctx.gamma(fixer_subgroupoid(act, vrs))
-            self.identity_results[key] = (direct1 and sum1 == vrs, direct2 and sum2 == s)
+            t, vrs = b.lift(s), b.lift(b.facts.commutant(s))
+            sum1, direct1 = ctx.gamma(b.fixer(act, t))
+            sum2, direct2 = ctx.gamma(b.fixer(act, vrs))
+            self.identity_results[key] = (direct1 and sum1 == vrs, direct2 and sum2 == t)
         return self.identity_results[key]
 
     @cached_property
     def identity_all(self) -> bool:
-        """The first identity holds on every separable S over the center."""
-        return all(self.identities(s)[0] for s in self.center_enum.subalgebras)
+        """The first identity holds on every separable S over the center:
+        on every member of every block (``identities``)."""
+        return all(self.identities(b, s)[0] for b in self.blocks for s in b.enum.subalgebras)
 
 
 CHECKS: dict[str, Callable[[SuiteState], Outcome]] = {}
@@ -684,8 +841,7 @@ def _remark_2_3(state: SuiteState) -> Outcome:
     # under the central gate R is Azumaya by proof (``SuiteState.azu``)
     return Outcome(
         "pass",
-        "central Galois algebra is Azumaya, proved from the certified coordinates (proof in SuiteState.azu); "
-        "Hirata flag derived",
+        "central Galois algebra is Azumaya, proved from the certified coordinates (proof in SuiteState.azu)",
         {"azumaya": True},
     )
 
@@ -827,13 +983,34 @@ def _lemma_3_8(state: SuiteState) -> Outcome:
 
 @check("theorem_3_9")
 def _theorem_3_9(state: SuiteState) -> Outcome:
-    """The double-centralizer sweep over separable subalgebras containing the center."""
+    """The double-centralizer sweep over the separable subalgebras
+    containing the center, one block at a time (``SuiteState.blocks``).
+
+    A member fails when V(V(A)) != A, when V(A) is not separable over the
+    center, or when A is central (A cap V(A) is the center) and
+    mu: A (x)_C V(A) -> R is not an isomorphism.  Split into objects, the
+    statement holds on every sum S = (+)_e S_e iff it holds on every block
+    member S_e in its block.  S holds every 1_e, so V_R(S) = (+)_e V(S_e)
+    and V_R(V_R(S)) = (+)_e V(V(S_e)); V_R(S) is separable over C(R) iff
+    each V(S_e) is over C(E_e) (``SubalgebraFacts``); S cap V_R(S) is
+    (+)_e S_e cap V(S_e), so S is central iff each S_e is; and
+    A (x)_C V(A) and the span of the products are direct sums over the
+    blocks (a cross term x 1_e (x) 1_e' y vanishes), so mu is an
+    isomorphism iff each block's is.  A failing S therefore has a failing
+    S_e: a failed double centralizer or separability fails in some block,
+    and a failed tensor clause means every S_e is central and some
+    block's mu is not an isomorphism.  Conversely a failing S_e fails in
+    the sum of S_e with E_e' in every other block, since E_e' is in each
+    list (``SuiteState.blocks``), is central, and passes every clause:
+    V(E_e') = C(E_e'), whose commutant is E_e', is separable over itself,
+    and E_e' (x)_C C(E_e') = E_e'.  So the count swept is the product of
+    the blocks' counts, and the failures are the failing block members,
+    each named by its object, in R's coordinates."""
     if not state.azu:
         return _skip("R is not Azumaya (hypothesis not met)")
-    enum = state.center_enum
     fails = [
         {
-            "subalgebra": res.subalgebra.to_json(),
+            **b.witness(res.subalgebra),
             "result": {
                 "dim": res.subalgebra.dim,
                 "double_centralizer": res.double_centralizer_holds,
@@ -841,13 +1018,15 @@ def _theorem_3_9(state: SuiteState) -> Outcome:
                 "tensor_clause": res.tensor_clause,
             },
         }
-        for res in double_centralizer_sweep(state.inst.algebra, enum.subalgebras, state.ctx.center, state.facts)
+        for b in state.blocks
+        for res in double_centralizer_sweep(b.alg, b.enum.subalgebras, b.center, b.facts)
         if not (res.double_centralizer_holds and res.commutant_separable and res.tensor_clause != "fails")
     ]
+    n, note = state.separable_count, state.enum_note
     return Outcome(
         "violation" if fails else "pass",
-        f"{len(enum.subalgebras)} separable subalgebras containing the center swept ({enum.note})",
-        {"failures": fails} if fails else {"swept": len(enum.subalgebras), "mode": enum.note},
+        f"{n} separable subalgebras containing the center swept ({note})",
+        {"failures": fails} if fails else {"swept": n, "mode": note},
     )
 
 
@@ -960,8 +1139,7 @@ _S4_UNMET = _skip("standing hypothesis unmet: R is not a certified central Galoi
 def _fundamental_theorem(state: SuiteState) -> Outcome:
     if not state.central:
         return _S4_UNMET
-    enum = state.center_enum
-    n = len(enum.subalgebras)
+    n = state.separable_count
     injective = state.theta_wide[0]
     image_separable, onto = state.theta_image
     if state.ft_decided:
@@ -981,7 +1159,7 @@ def _fundamental_theorem(state: SuiteState) -> Outcome:
         {
             "wide_subgroupoids": len(state.ctx.wide_subgroupoids),
             "separable_subalgebras": n,
-            "mode": enum.note,
+            "mode": state.enum_note,
             "injective": injective,
             "image_separable": image_separable,
             "surjective": onto,
@@ -992,20 +1170,24 @@ def _fundamental_theorem(state: SuiteState) -> Outcome:
 
 @check("theorem_4_1")
 def _theorem_4_1(state: SuiteState) -> Outcome:
+    """Both identities on every separable subalgebra over the center, read
+    one block member at a time (proof in ``SuiteState.identities``); a
+    failure is a block member, named by its object where R is split."""
     if not state.central:
         return _S4_UNMET
     if not (state.ft_holds and state.ft_decided):
         return _skip("R does not (decidably) satisfy the fundamental theorem")
-    subs = state.center_enum.subalgebras
     fails = []
-    for s in subs:
-        ok1, ok2 = state.identities(s)
-        if not (ok1 and ok2):
-            fails.append({"subalgebra": s.to_json(), "v_r": ok1, "s_sum": ok2})
+    for b in state.blocks:
+        for s in b.enum.subalgebras:
+            ok1, ok2 = state.identities(b, s)
+            if not (ok1 and ok2):
+                fails.append({**b.witness(s), "v_r": ok1, "s_sum": ok2})
+    n = state.separable_count
     return Outcome(
         "violation" if fails else "pass",
-        f"both displayed identities on {len(subs)} separable subalgebras",
-        {"failures": fails} if fails else {"checked": len(subs)},
+        f"both displayed identities on {n} separable subalgebras",
+        {"failures": fails} if fails else {"checked": n},
     )
 
 
@@ -1068,7 +1250,7 @@ def _theorem_4_3(state: SuiteState) -> Outcome:
     return Outcome(
         "pass" if holds else "violation",
         "V_R(S) decomposition holds for every separable S; fundamental theorem follows",
-        {"holds": holds} if holds else {"holds": holds, "mode": state.center_enum.note},
+        {"holds": holds} if holds else {"holds": holds, "mode": state.enum_note},
     )
 
 
