@@ -25,14 +25,18 @@ verdict.
 The Theorem 3.9 sweep (``double_centralizer_sweep``) computes the
 commutants of the members of one dimension together (``_commutant_stack``).
 V(S) is the nullspace of S's commutator matrix; one stacked elimination
-reduces the matrices of every member, and the nullspace bases read off
-them are brought to canonical RREF by a second one.  Each basis is
-substituted back before it is kept: every basis vector v must satisfy
-s v = v s for every basis vector s of S, and dim V(S) must be n minus the
-rank.  A basis that fails is an internal error, never a verdict.  Every
-member's clauses are then read by ``double_centralizer_check``, one member
-at a time, from the commutants cached by canonical key; a V(V(A)) not
-cached yet is computed there, one at a time.
+reduces the matrices of every member.  A member whose unreduced matrix
+annihilates its own basis lies in its commutant, and if the rank also
+leaves dim V(S) = dim S, then V(S) = S: such a member, a torus of M_2(F_p)
+say, is settled as its own commutant, with no nullspace formed.  The
+nullspace bases of the other members are read off the reduced matrices
+and brought to canonical RREF by a second stacked elimination.  Each
+basis is substituted back before it is kept: every basis vector v must
+satisfy s v = v s for every basis vector s of S, and dim V(S) must be n
+minus the rank.  A basis that fails is an internal error, never a
+verdict.  Every member's clauses, settled or not, are then read by
+``double_centralizer_check`` from the commutants cached by canonical key;
+a V(V(A)) not cached yet is computed there.
 """
 
 from __future__ import annotations
@@ -58,9 +62,13 @@ from .linalg import Subspace
 EXHAUSTIVE_DIM = 6  # above this dimension the subalgebra sweep is pool-restricted
 # The sweep stacks the commutants only of a dimension with at least this
 # many members; the others are computed one S at a time, when a check
-# asks.  Stacking costs about 1 ms however few the members, one member
-# alone about 0.1 ms (tori of M_2(F_11), 2-vCPU Xeon:
-# 10 cost 1.1 ms stacked, 0.8 ms alone; 20 cost 1.5 and 1.9 ms).
+# asks.  Settling members that are their own commutants, a stack costs
+# about 0.3 ms however few they are, one member alone about 0.08 ms
+# (tori of M_2(F_11), 2-vCPU Xeon, best of 25: 10 cost 0.33-0.48 ms
+# stacked, 0.73-1.03 ms alone; 20 cost 0.37-0.56 and 1.41-1.82 ms).  A
+# stack with nullspaces to read costs more: on three copies of M_2(F_3)
+# the 27 and 18 members of dimensions 5 and 7, none settled, cost 6.2-6.5
+# and 5.7-6.2 ms stacked against 5.6 and 4.6 ms alone.
 SWEEP_STACK_MIN = 10
 
 
@@ -226,8 +234,9 @@ def double_centralizer_sweep(
     of them share have their commutants put into ``facts`` in stacks
     (``_cache_commutants``) before any member is checked; every other
     commutant, the V(V(A)) among them, is computed when a check first asks.
-    A member with V(A) = A, such as a torus of M_2(F_p), finds V(V(A)) =
-    V(A) in the stack already.
+    A member the stack settles as its own commutant, such as a torus of
+    M_2(F_p), is cached as V(A) = A itself, so its check finds V(V(A)) in
+    the cache too and takes the V(A) = A branch.
     """
     by_dim = Counter(s.dim for s in subalgebras)
     stacked = [s for s in subalgebras if alg.field.modular and by_dim[s.dim] >= SWEEP_STACK_MIN]
@@ -251,40 +260,45 @@ def _cache_commutants(alg: Algebra, spaces: list[Subspace], facts: SubalgebraFac
         if s.key() not in facts.commutants:
             todo.setdefault(s.dim, {})[s.key()] = s
     for group in todo.values():
-        keys = list(group)
-        bases = np.stack([group[key].basis for key in keys])
-        facts.commutants.update(zip(keys, _commutant_stack(alg, bases)))
+        facts.commutants.update(zip(group, _commutant_stack(alg, list(group.values()))))
 
 
-def _commutant_stack(alg: Algebra, bases: np.ndarray) -> list[Subspace]:
-    """V_R(S) for the span S of each stack member bases[g] (shape (k, n),
-    F_p), as ``commutant(alg, S, alg.full_space)`` gives it.
+def _commutant_stack(alg: Algebra, spaces: list[Subspace]) -> list[Subspace]:
+    """V_R(S) for each S of ``spaces`` (all of one dimension k, over F_p),
+    as ``commutant(alg, S, alg.full_space)`` gives it.
 
-    Row (a, j) of member g's commutator matrix holds coordinate j of
+    Row (a, j) of S's commutator matrix holds coordinate j of
     s_a e_c - e_c s_a in column c, so V(S) is its nullspace.  One stacked
-    elimination reduces the matrices; members with the same pivot mask
-    share the shape of their nullspace basis e_f - sum_i r[i, f] e_(piv_i),
-    which a second stacked elimination brings to canonical RREF.  Every
-    basis is substituted back (s_a v = v s_a for each pair, and dim V(S)
-    = n - rank) before it is returned; a failure is an internal error.
+    elimination gives every matrix its rank.  A member whose unreduced
+    matrix already annihilates its own basis has S <= V(S), checked by
+    substitution; if the rank is also n - k, then dim V(S) = k and
+    V(S) = S, so S itself is returned, with no nullspace formed.  The
+    other members with the same pivot mask share the shape of their
+    nullspace basis e_f - sum_i r[i, f] e_(piv_i), which a second stacked
+    elimination brings to canonical RREF.  Every such basis is substituted
+    back (s_a v = v s_a for each pair, and dim V(S) = n - rank) before it
+    is returned; a failure is an internal error.
     """
     f, n = alg.field, alg.dim
-    g, k = bases.shape[:2]
+    k = spaces[0].dim
     # [i, c, j] = coordinate j of b_i e_c - e_c b_i, unreduced, so that its
     # entries stay below p in size
     diff = (alg.table - alg.table.transpose(1, 0, 2)).reshape(n, n * n)
     out: list[Subspace] = []
-    for part in _chunks(g, k * n * n):
-        chunk = bases[part]
-        mats = f.reduce(np.matmul(chunk, diff)).reshape(len(chunk), k, n, n)
+    for part in _chunks(len(spaces), k * n * n):
+        chunk = spaces[part]
+        bases = np.stack([s.basis for s in chunk])
+        mats = f.reduce(np.matmul(bases, diff)).reshape(len(chunk), k, n, n)
         mats = mats.transpose(0, 1, 3, 2).reshape(len(chunk), k * n, n)
         red = mats.copy()
         masks = _purerref.rref_mod_stack(red, f.p)
-        spaces: list[Subspace | None] = [None] * len(chunk)
-        shapes, group = np.unique(masks, axis=0, return_inverse=True)
-        group = group.reshape(-1)
+        inside = ~f.reduce(np.matmul(mats, bases.transpose(0, 2, 1))).any(axis=(1, 2))
+        settled = inside & (masks.sum(axis=1) == n - k)
+        got = [s if done else None for s, done in zip(chunk, settled.tolist())]
+        rest = np.flatnonzero(~settled)
+        shapes, group = _mask_groups(masks[rest])
         for i, mask in enumerate(shapes):
-            members = np.flatnonzero(group == i)
+            members = rest[group == i]
             piv, free = np.flatnonzero(mask), np.flatnonzero(~mask)
             null = f.zeros((len(members), len(free), n))
             null[:, np.arange(len(free)), free] = 1
@@ -297,9 +311,21 @@ def _commutant_stack(alg: Algebra, bases: np.ndarray) -> list[Subspace]:
             # each null mask has len(free) pivots, checked above
             null_pivots = np.nonzero(null_masks)[1].reshape(len(members), len(free)).tolist()
             for m, basis, pivots in zip(members, null, null_pivots):
-                spaces[m] = Subspace.from_rref(f, basis, pivots)
-        out.extend(spaces)
+                got[m] = Subspace.from_rref(f, basis, pivots)
+        out.extend(got)
     return out
+
+
+def _mask_groups(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the boolean (count, width) ``masks`` and, for
+    each row, the index of its class among them: the partition that
+    ``np.unique(masks, axis=0, return_inverse=True)`` gives.  Each row is
+    packed into bytes and compared as one opaque value, so one 1-D sort
+    groups them."""
+    packed = np.packbits(masks, axis=1)
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    _, first, group = np.unique(rows, return_index=True, return_inverse=True)
+    return masks[first], group.reshape(-1)
 
 
 def relative_tensor_dim(alg: Algebra, a: Subspace, b: Subspace, base: Subspace) -> int:
@@ -613,8 +639,7 @@ def _separable_stack(field, tables: np.ndarray, units: np.ndarray, base_coords: 
     rels = linalg.sylvester(field, left.reshape(g * k, d, d), right.reshape(g * k, d, d))
     rels = rels.reshape(g, k * d * d, d * d)
     masks = _purerref.rref_mod_stack(rels, field.p)
-    shapes, group = np.unique(masks, axis=0, return_inverse=True)
-    group = group.reshape(-1)
+    shapes, group = _mask_groups(masks)
     for i, mask in enumerate(shapes):
         members = np.flatnonzero(group == i)
         verdicts[members] = _solve_quotient(field, tables[members], units[members], rels[members, : int(mask.sum())], mask)

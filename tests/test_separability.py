@@ -400,7 +400,7 @@ def assert_stacked_commutants_agree(alg, spaces):
     for s in spaces:
         by_dim.setdefault(s.dim, []).append(s)
     for group in by_dim.values():
-        got = separability._commutant_stack(alg, np.stack([s.basis for s in group]))
+        got = separability._commutant_stack(alg, group)
         for s, v in zip(group, got):
             want = commutant(alg, s, alg.full_space)
             assert v == want and v.pivots == want.pivots, s.to_json()
@@ -442,7 +442,7 @@ def test_stacked_commutant_with_several_pivot_masks():
 
 
 SWEEP_DOCUMENTS = {
-    **{f"klein_m2f{p}": WORKLOADS["klein_m2"](p) for p in (3, 5, 7, 11)},
+    **{f"klein_m2f{p}": WORKLOADS["klein_m2"](p) for p in (3, 5, 7, 11, 17)},
     "klein_disjoint2": json.loads(WORKLOADS["documents"]("builtins")["klein_disjoint2"]),
     **{name: json.loads(WORKLOADS["documents"]("objects")[name]) for name in ("pair_f5x2", "cyclic_shift_c3x3")},
     "pair_qx2": json.loads(WORKLOADS["documents"]("rational")["pair_qx2"]),  # Q: always the per-S path
@@ -467,6 +467,64 @@ def test_sweep_equals_per_subalgebra_checks(name, stack_min, monkeypatch):
     assert got == want
     assert state.facts.commutants == per_s.commutants
     assert state.facts.separable == per_s.separable
+
+
+@pytest.mark.parametrize("p", [5, 11, 17])
+def test_the_stack_settles_every_torus_as_its_own_commutant(p, monkeypatch):
+    """The p^2 tori of M_2(F_p) (289 at p = 17) are their own commutants.
+    The sweep settles them in one stacked elimination per chunk, with no
+    second elimination for a nullspace, and caches each torus itself as
+    its commutant; F_p and M_2(F_p), one member each, are checked one at a
+    time.  The suite's check sweeps all p^2 + 2 members."""
+    state = SuiteState(load_instance_dict(SWEEP_DOCUMENTS[f"klein_m2f{p}"]))
+    alg, c, subs = state.inst.algebra, state.ctx.center, state.center_enum.subalgebras
+    tori = [s for s in subs if s.dim == 2]
+    assert len(tori) == p * p and len(subs) == p * p + 2
+    real, stacked = _purerref.rref_mod_stack, []
+
+    def counted(mats, q):
+        stacked.append(len(mats))
+        return real(mats, q)
+
+    monkeypatch.setattr(_purerref, "rref_mod_stack", counted)
+    out = CHECKS["theorem_3_9"](state)
+    assert stacked == [len(tori[part]) for part in separability._chunks(len(tori), 2 * alg.dim**2)]
+    assert all(state.facts.commutants[s.key()] is s for s in tori)
+    assert out.verdict == "pass" and out.witnesses == {"swept": p * p + 2, "mode": "exhaustive"}
+    assert separability.double_centralizer_sweep(alg, subs, c, state.facts) == [
+        double_centralizer_check(alg, s, c) for s in subs
+    ]
+
+
+def test_packed_mask_groups_equal_the_row_unique_partition():
+    """``_mask_groups`` partitions the rows as ``np.unique(axis=0)`` does,
+    on widths 1-80, so that masks cross byte boundaries and pass 64
+    columns; the rows are variants of one row by single flipped bits, so
+    classes that differ in one late column meet."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def run(data):
+        width = data.draw(st.integers(1, 80))
+        row = np.array(data.draw(st.lists(st.booleans(), min_size=width, max_size=width)), dtype=bool)
+        variants = [row]
+        for col in data.draw(st.lists(st.integers(0, width - 1), max_size=4)):
+            variants.append(row.copy())
+            variants[-1][col] ^= True
+        picks = data.draw(st.lists(st.integers(0, len(variants) - 1), max_size=12))
+        masks = np.array([variants[i] for i in picks], dtype=bool).reshape(len(picks), width)
+        shapes, group = separability._mask_groups(masks)
+        want_shapes, want_group = np.unique(masks, axis=0, return_inverse=True)
+        want_group = want_group.reshape(-1)
+
+        def classes(labels, count):
+            return {tuple(np.flatnonzero(labels == i)) for i in range(count)}
+
+        assert np.array_equal(shapes[group], masks)
+        assert len(shapes) == len(want_shapes)
+        assert classes(group, len(shapes)) == classes(want_group, len(want_shapes))
+
+    run()
 
 
 def test_stacked_sweep_over_any_base_and_list(monkeypatch):
@@ -538,7 +596,10 @@ def test_sweep_decides_a_self_commutant_member_central_iff_it_is_the_base(monkey
 def test_a_tampered_stacked_nullspace_is_an_internal_error(monkeypatch):
     """One is added to the first reduced row of every stacked matrix off
     its pivots, so each nullspace read off it is wrong; the substitution
-    check refuses it and the check stops instead of recording a violation."""
+    check refuses it and the check stops instead of recording a violation.
+    Every torus of M_2(F_5) is its own commutant, settled with no
+    nullspace read, so every dimension is stacked: R, whose commutant is
+    the center, then has its nullspace read off a tampered matrix."""
     real = _purerref.rref_mod_stack
 
     def shifted(mats, p):
@@ -550,6 +611,7 @@ def test_a_tampered_stacked_nullspace_is_an_internal_error(monkeypatch):
     state = SuiteState(load_instance_dict(SWEEP_DOCUMENTS["klein_m2f5"]))
     state.azu, state.center_enum  # the walk runs untampered
     monkeypatch.setattr(_purerref, "rref_mod_stack", shifted)
+    monkeypatch.setattr(separability, "SWEEP_STACK_MIN", 1)
     with pytest.raises(RuntimeError, match="internal: stacked commutant failed substitution"):
         CHECKS["theorem_3_9"](state)
 
