@@ -2,25 +2,34 @@
 centralizers, and the separable-subalgebra enumeration feeding the
 Galois-correspondence checks.
 
-Every positive separability answer here carries a certificate, found by
-the solve over R (x)_S R and re-verified by substitution; every negative
-answer is a rank argument from the solve (the defining system is
-genuinely linear, so "no solution" is a proof).  R over an invariant ring
-theta(H), and over its center when R^beta <= C(R), is not solved for: the
-suite proves it from the certified Galois coordinates (``suite._lemma_4_2``).
-Over a base that holds an action's central idempotents 1_e, S is solved
+Every separability verdict here is a rank argument or a certificate.
+Where the base B is a unital subalgebra central in S whose own regular
+trace form is nondegenerate (``_gram_base``), "S is separable over B"
+is "S is semisimple", and the rank of S's trace form (Gram) matrix
+decides it (``_gram_verdicts``): full rank proves S separable in any
+characteristic, and a degenerate matrix proves it not separable over Q,
+over F_p when p^2 > dim S, and for a commutative S.  Every other verdict
+comes from the solve over S (x)_B S: a positive answer carries a
+separability element, re-verified by substitution, and a negative one is
+a rank argument from the solve (the defining system is genuinely linear,
+so "no solution" is a proof).  R over an invariant ring theta(H), and
+over its center when R^beta <= C(R), is not decided here: the suite
+proves it from the certified Galois coordinates (``suite._lemma_4_2``).
+Over a base that holds an action's central idempotents 1_e, S is decided
 block by block, one 1_e S at a time (``SubalgebraFacts``).
 
 The exhaustive walk (``_walk``) filters the candidates of one RREF pivot
 pattern together and decides the unital subalgebras of one dimension,
-across every pattern, together.  It solves the same system as
-``separability_idempotent``, in each candidate's own coordinates, with
-stacked eliminations (``_purerref.rref_mod_stack``): a pivot in the
-right-hand column is the rank argument for a negative verdict, and every
-solution read off is substituted back into mu(z) = 1 and r z = z r
-modulo the balancing relations before a positive verdict is recorded.
-A solution that fails substitution is an internal error, never a
-verdict.
+across every pattern, together (``_separable_stack``).  Where the base
+passes ``_gram_base``, one stacked elimination
+(``_purerref.rref_mod_stack``) ranks every candidate's Gram matrix.
+The candidates it leaves undecided, and every candidate over any other
+base, are solved as ``separability_idempotent`` solves them, in their
+own coordinates, with stacked eliminations: a pivot in the right-hand
+column is the rank argument for a negative verdict, and every solution
+read off is substituted back into mu(z) = 1 and r z = z r modulo the
+balancing relations before a positive verdict is recorded.  A solution
+that fails substitution is an internal error, never a verdict.
 
 The Theorem 3.9 sweep (``double_centralizer_sweep``) computes the
 commutants of the members of one dimension together (``_commutant_stack``).
@@ -356,10 +365,82 @@ def relative_tensor_dim(alg: Algebra, a: Subspace, b: Subspace, base: Subspace) 
     return ka * kb - linalg.rank(f, rows.reshape(k * ka * kb, ka * kb))
 
 
+def _gram_verdicts(field, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The trace-form test on each algebra S of structure constants
+    tables[g] (shape (d, d, d)) over the prime field: boolean arrays
+    (separable, decided) of length g, where ``separable`` holds only where
+    ``decided`` does.
+
+    The Gram matrix of S's regular trace form is T_ij = Tr(L_(b_i b_j)) =
+    sum_k tables[g, i, j, k] tr_k, with tr_k = Tr(L_(b_k)) =
+    sum_j tables[g, k, j, j]; over F_p its rank is read off one stacked
+    elimination.  rad S is a nilpotent ideal, so x y is nilpotent, of
+    trace 0, for x in rad S and every y: rad S lies in ker T.  So
+    rank T = d proves S semisimple, which over a perfect field (F_p or Q)
+    is separable.  A degenerate T proves S not semisimple:
+
+    - over Q, since ker T is then a nil ideal: x in ker T has
+      Tr(L_x^m) = T(x, x^(m-1)) = 0 for every m >= 1, so L_x, and x, are
+      nilpotent in characteristic 0;
+    - over F_p when p^2 > d, or S is commutative: a semisimple S is a
+      product of blocks M_m(F_q) with m^2 <= d, so m < p (m = 1 when S is
+      commutative), and the regular trace form of a block,
+      m Tr_(F_q/F_p)(tr(x y)), is nondegenerate because p does not divide m.
+
+    The rest, over F_p with p^2 <= d, S not commutative and T degenerate,
+    are left undecided: M_2(F_2) and M_3(F_3) are separable with T = 0.
+    """
+    g, d = tables.shape[:2]
+    tr = field.reduce(np.einsum("gkjj->gk", tables))
+    gram = field.reduce(np.matmul(tables, tr[:, None, :, None])[..., 0])
+    if field.modular:
+        full = _purerref.rref_mod_stack(gram, field.p).sum(axis=1) == d
+    else:
+        full = np.array([linalg.rank(field, t) == d for t in gram], dtype=bool)
+    if not field.modular or field.p**2 > d:
+        return full, np.ones(g, dtype=bool)
+    commutative = ~np.any(tables != tables.transpose(0, 2, 1, 3), axis=(1, 2, 3))
+    return full, full | commutative
+
+
+def _gram_base(alg: Algebra, base: Subspace) -> bool:
+    """Whether ``_gram_verdicts`` decides separability over ``base`` for
+    every unital subalgebra S >= base of ``alg``: base is a unital
+    subalgebra, central in ``alg``, whose own regular trace form is
+    nondegenerate.  Its structure constants are read with ``coords_rows``.
+
+    Such a base B is commutative, so the trace form decides exactly
+    whether B is separable over the prime field F.  B lies in the center
+    of S, and then S is separable over B iff S is separable over F
+    (DeMeyer & Ingraham, *Separable Algebras over Commutative Rings*,
+    LNM 181, Ch. II).  If S is separable over B, it is over F by
+    transitivity.  If S is separable over F, then S (x)_F B is separable
+    over B by base change, and s (x) b -> s b maps it onto S as a
+    B-algebra, since B is central, so S is separable over B as a quotient.
+    A base that fails the test keeps the solve.
+    """
+    f, n, k = alg.field, alg.dim, base.dim
+    if k == 0 or not base.contains(alg.unit):
+        return False
+    # [x, (j, c)] = coordinate c of b_x e_j, and of e_j b_x
+    left = f.reduce(np.matmul(base.basis, alg.table.reshape(n, n * n)))
+    right = f.reduce(np.matmul(base.basis, alg.table.transpose(1, 0, 2).reshape(n, n * n)))
+    if np.any(left != right):
+        return False
+    # row (x, y) = b_x b_y
+    table = base.coords_rows(f.reduce(np.matmul(base.basis, left.reshape(k, n, n))).reshape(k * k, n))
+    return table is not None and bool(_gram_verdicts(f, table.reshape(1, k, k, k))[0][0])
+
+
 def is_separable_subalgebra_over(
     alg: Algebra, sub: Subspace, base: Subspace, unit: np.ndarray | None = None
 ) -> bool:
-    """S separable over a base contained in S: certificate in S (x)_base S.
+    """S separable over a base contained in S.
+
+    Where the base, in S, passes ``_gram_base``, the rank of S's trace
+    form decides (``_gram_verdicts``).  Every other S, and any S that
+    test leaves undecided, is solved by ``separability_idempotent`` in
+    S (x)_base S, whose solution is substituted back.
 
     S must be a subalgebra with unit ``unit`` (R's own by default), as
     every commutant is and as the enumeration checks first;
@@ -371,6 +452,10 @@ def is_separable_subalgebra_over(
         raise ValueError("base is not contained in the subalgebra")
     small = subspace_algebra(alg, sub, alg.unit if unit is None else unit)
     base_sub = Subspace(alg.field, sub.dim, base_coords)
+    if _gram_base(small, base_sub):
+        separable, decided = _gram_verdicts(alg.field, small.table[None])
+        if decided[0]:
+            return bool(separable[0])
     return separability_idempotent(small, base_sub) is not None
 
 
@@ -388,9 +473,9 @@ class SubalgebraFacts:
     S over B is then the sum of one of each block 1_e S (unit 1_e) over
     1_e B, and (1_e (x) 1_e) z is one of the block when z is one of S.
     So S is separable over B iff every block is, and one block that is not
-    refutes S.  Each block is solved by ``is_separable_subalgebra_over``,
-    certificate and substitution included, and its verdict kept by
-    (1_e S key, 1_e B key).  Elsewhere S is solved whole.
+    refutes S.  Each block is decided by ``is_separable_subalgebra_over``
+    and its verdict kept by (1_e S key, 1_e B key).  Elsewhere S is
+    decided whole.
     """
 
     def __init__(self, alg: Algebra, idempotents=()):
@@ -545,12 +630,14 @@ def _walk(alg: Algebra, base: Subspace, facts: SubalgebraFacts) -> dict[tuple, S
     of each pivot pattern are filtered in stacks (``_closed_fills``); the
     unital subalgebras that pass, of every pattern of one dimension, are
     decided together by ``_separable_stack``, except those whose verdict
-    ``facts`` already holds.  Each verdict goes into ``facts`` under the
-    candidate's canonical key.
+    ``facts`` already holds.  Whether the base lets their trace forms
+    decide (``_gram_base``) is settled once, before any is.  Each verdict
+    goes into ``facts`` under the candidate's canonical key.
     """
     f, n = alg.field, alg.dim
     comp = [c for c in range(n) if c not in base.pivots]
     bkey = base.key()
+    gram = _gram_base(alg, base)
     found: dict[tuple, Subspace] = {}
     for d, patterns in groupby(_patterns(len(comp)), lambda pattern: base.dim + len(pattern[0])):
         cells = max(d**5, d * n * n)
@@ -578,7 +665,7 @@ def _walk(alg: Algebra, base: Subspace, facts: SubalgebraFacts) -> dict[tuple, S
         units = np.concatenate([np.broadcast_to(alg.unit[piv], (len(t), d)) for _, t, piv, _ in todo])
         coords = np.concatenate([np.broadcast_to(base.basis[:, piv], (len(t), base.dim, d)) for _, t, piv, _ in todo])
         verdicts = np.concatenate(
-            [_separable_stack(f, tables[part], units[part], coords[part]) for part in _chunks(len(tables), cells)]
+            [_separable_stack(f, tables[part], units[part], coords[part], gram) for part in _chunks(len(tables), cells)]
         ).tolist()
         members = [(basis, piv, key) for bases, _, piv, keys in todo for basis, key in zip(bases, keys)]
         for (basis, piv, key), verdict in zip(members, verdicts):
@@ -618,19 +705,30 @@ def _closed_fills(
     return bases[closed], tables[closed]
 
 
-def _separable_stack(field, tables: np.ndarray, units: np.ndarray, base_coords: np.ndarray) -> np.ndarray:
+def _separable_stack(
+    field, tables: np.ndarray, units: np.ndarray, base_coords: np.ndarray, gram: bool
+) -> np.ndarray:
     """Whether each algebra of structure constants tables[g] (shape
     (d, d, d)) with unit units[g] is separable over the span of the rows
     of base_coords[g] (shape (k, d)).
 
-    The balancing relations of each S (x)_base S are reduced in one
-    stacked elimination; candidates with the same relation pivots share
-    their quotient coordinates and are solved together by
-    ``_solve_quotient``.
+    With ``gram``, which ``_walk`` sets where the base passes
+    ``_gram_base``, one stacked elimination ranks every member's trace
+    form (``_gram_verdicts``).  Full rank proves a member separable; a
+    degenerate form refutes it where p^2 > d or it is commutative.  Only
+    the members left, p^2 <= d, not commutative and degenerate, and every
+    member without ``gram``, are solved: the balancing relations of each
+    S (x)_base S are reduced in one stacked elimination, and members with
+    the same relation pivots share their quotient coordinates and are
+    solved together by ``_solve_quotient``.
     """
     g, d = tables.shape[:2]
     k = base_coords.shape[1]
-    verdicts = np.zeros(g, dtype=bool)
+    verdicts, todo = np.zeros(g, dtype=bool), np.arange(g)
+    if gram and g:
+        verdicts, decided = _gram_verdicts(field, tables)
+        todo = np.flatnonzero(~decided)
+        tables, units, base_coords, g = tables[todo], units[todo], base_coords[todo], len(todo)
     if g == 0:
         return verdicts
     # [g, s, i] = b_i s and [g, s, j] = s b_j, as in ``tensor_square``
@@ -642,7 +740,9 @@ def _separable_stack(field, tables: np.ndarray, units: np.ndarray, base_coords: 
     shapes, group = _mask_groups(masks)
     for i, mask in enumerate(shapes):
         members = np.flatnonzero(group == i)
-        verdicts[members] = _solve_quotient(field, tables[members], units[members], rels[members, : int(mask.sum())], mask)
+        verdicts[todo[members]] = _solve_quotient(
+            field, tables[members], units[members], rels[members, : int(mask.sum())], mask
+        )
     return verdicts
 
 

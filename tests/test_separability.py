@@ -10,7 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gglab import _purerref, linalg, separability
-from gglab.algebra import center, commutant, is_unital_subalgebra, subalgebra_generated, validate_algebra
+from gglab.algebra import (
+    center,
+    commutant,
+    is_unital_subalgebra,
+    subalgebra_generated,
+    subspace_algebra,
+    validate_algebra,
+)
 from gglab.fields import Field
 from gglab.instances import clock_shift, load_builtin, load_instance_dict
 from gglab.linalg import Subspace
@@ -262,15 +269,16 @@ def per_candidate_walk(alg, base):
     unital candidate's verdict."""
     f, n = alg.field, alg.dim
     comp = [c for c in range(n) if c not in base.pivots]
-    facts = SubalgebraFacts(alg)
-    found = {}
+    verdicts, found = {}, {}
     for quot in all_subspaces(f, len(comp)):
         lift = f.zeros((quot.shape[0], n))
         lift[:, comp] = quot
         cand = Subspace(f, n, np.vstack([base.basis, lift]))
-        if is_unital_subalgebra(alg, cand) and facts.separable_over(cand, base):
-            found[cand.key()] = cand
-    return [found[k] for k in sorted(found)], facts.separable
+        if is_unital_subalgebra(alg, cand):
+            verdicts[cand.key(), base.key()] = solved_verdict(alg, cand, base)
+            if verdicts[cand.key(), base.key()]:
+                found[cand.key()] = cand
+    return [found[k] for k in sorted(found)], verdicts
 
 
 def assert_walks_agree(alg, base):
@@ -333,23 +341,132 @@ def test_stacked_walk_on_random_block_sums(p):
 def test_walk_on_klein_m2f17_solves_one_stack_per_dimension(monkeypatch):
     """The unital subalgebras of M_2(F_17) over its center, C, the 289
     tori, the 18 F[N] with N nilpotent, the 18 Borel subalgebras and R,
-    are solved in one stack per dimension; R over C, which the Azumaya
-    flag records, is not solved again."""
-    solved = []
+    are decided in one stack per dimension; R over C, which the Azumaya
+    flag records, is not decided again.  The center F_17 passes the base
+    test, and every member has dimension at most 3 < 17^2, so each stack
+    is decided by its trace forms alone, with no quotient solve."""
+    solved, quotients = [], []
     real = separability._separable_stack
 
-    def counted(field, tables, units, base_coords):
-        solved.append((tables.shape[1], len(tables)))
-        return real(field, tables, units, base_coords)
+    def counted(field, tables, units, base_coords, gram):
+        solved.append((tables.shape[1], len(tables), gram))
+        return real(field, tables, units, base_coords, gram)
 
     monkeypatch.setattr(separability, "_separable_stack", counted)
+    monkeypatch.setattr(separability, "_solve_quotient", lambda *args: quotients.append(args))
     state = SuiteState(load_instance_dict(WORKLOADS["klein_m2"](17)))
     assert state.azu
     enum = state.center_enum
     ckey = state.ctx.center.key()
     verdicts = [v for (_, base), v in state.facts.separable.items() if base == ckey]
     assert len(verdicts) == 327 and verdicts.count(True) == len(enum.subalgebras) == 291
-    assert solved == [(1, 1), (2, 289 + 18), (3, 18)]
+    assert solved == [(1, 1, True), (2, 289 + 18, True), (3, 18, True)]
+    assert quotients == []
+
+
+# -- the trace-form (Gram) verdicts against the tensor-square solve
+
+
+def block_algebra(field, sizes, basis=None):
+    """M_k1 + M_k2 + ... on matrix units, or on the basis given by the
+    rows of ``basis``."""
+    table, unit = block_table(field, sizes)
+    if basis is not None:
+        table, unit = change_basis(field, table, unit, basis)
+    return validate_algebra(field, [f"b{i}" for i in range(len(unit))], table, unit)
+
+
+def solved_verdict(alg, s, base):
+    """S separable over the base by ``separability_idempotent`` alone."""
+    small = subspace_algebra(alg, s, alg.unit)
+    return separability_idempotent(small, Subspace(alg.field, s.dim, s.coords_rows(base.basis))) is not None
+
+
+@pytest.mark.parametrize("field", [Field("Fp", p) for p in (2, 3, 5, 7)] + [Field("Q")], ids=["F2", "F3", "F5", "F7", "Q"])
+def test_gram_verdicts_equal_the_solve(field, monkeypatch):
+    """``is_separable_subalgebra_over`` decides as ``separability_idempotent``
+    on random unital subalgebras S >= B of random block sums of dimension
+    at most 6 (5 over Q), over F_p for p in {2, 3, 5, 7} and over Q, for
+    a base B of every kind, and on R itself.  The trace form leaves a
+    member undecided only where p^2 <= dim S, so only over F_2, where
+    M_2(F_2) has a zero trace form, do some draws reach the solve: R does
+    over its center whenever it has an M_2 block."""
+    real, fallbacks = separability._gram_verdicts, []
+
+    def counted(f, tables):
+        separable, decided = real(f, tables)
+        fallbacks.extend(tables.shape[1] for _ in np.flatnonzero(~decided))
+        return separable, decided
+
+    monkeypatch.setattr(separability, "_gram_verdicts", counted)
+    scalars = st.integers(0, field.p - 1) if field.modular else st.integers(-2, 2)
+    # over Q the oracle's solve runs on Fractions: M_2 + Q + Q, whose
+    # tensor square has dimension 36, can take seconds per draw
+    shapes = [[2], [2, 1], [1, 2], [1, 1], [1, 1, 1]] + ([[2, 1, 1]] if field.modular else [])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def run(data):
+        sizes = data.draw(st.sampled_from(shapes))
+        n = sum(k * k for k in sizes)
+        basis = None
+        if data.draw(st.booleans()):  # a random basis
+            basis = field.array(data.draw(st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n)))
+            assume(linalg.rank(field, basis) == n)
+        alg = block_algebra(field, sizes, basis)
+        vectors = st.one_of(st.lists(scalars, min_size=n, max_size=n).map(field.vector), st.integers(0, n - 1).map(alg.basis_vector))
+        x = data.draw(vectors)
+        assume(x.any())
+        gens = data.draw(st.lists(vectors, max_size=3))
+        for kind in BASE_KINDS:
+            base = walk_base(alg, kind, x)
+            for s in (subalgebra_generated(alg, list(base.basis) + gens), alg.full_space):
+                assert is_separable_subalgebra_over(alg, s, base) == solved_verdict(alg, s, base), (kind, s.to_json())
+
+    run()
+    assert bool(fallbacks) == (field.p == 2) and set(fallbacks) <= {4, 5, 6}
+
+
+def test_a_zero_trace_form_is_decided_by_the_solve(count_calls):
+    """Separable algebras whose trace form vanishes on a factor M_p(F_p),
+    so that dim S >= p^2 and the rank cannot decide: M_3(F_3) over its
+    scalars (its whole trace form is 0), M_3(F_3) x F_3 inside M_4(F_3),
+    and M_2(F_2).  Each reaches the solve once and is found separable,
+    by ``is_separable_subalgebra_over`` and by ``_separable_stack`` alike."""
+    solves, stacked = count_calls(separability_idempotent), count_calls(separability._solve_quotient)
+    f2, f3 = Field("Fp", 2), Field("Fp", 3)
+    m3, m4, m2 = block_algebra(f3, [3]), block_algebra(f3, [4]), block_algebra(f2, [2])
+    # E_ij of the top-left 3 x 3 corner and E_33, in M_4's row-major basis
+    m3_f3 = Subspace(f3, 16, f3.eye(16)[[4 * i + j for i in range(3) for j in range(3)] + [15]])
+    for alg, s in [(m3, m3.full_space), (m4, m3_f3), (m2, m2.full_space)]:
+        scalars = Subspace.span(alg.field, alg.unit)
+        small = subspace_algebra(alg, s, alg.unit)
+        separable, decided = separability._gram_verdicts(alg.field, small.table[None])
+        assert not separable[0] and not decided[0]
+        assert is_separable_subalgebra_over(alg, s, scalars)
+        unit_coords = small.unit[None, None]
+        assert separability._separable_stack(alg.field, small.table[None], small.unit[None], unit_coords, True).tolist() == [True]
+    assert len(solves) == len(stacked) == 3
+    # the walk of M_2(F_2) over F_2 solves R alone: its other unital
+    # subalgebras are commutative or of dimension 3 < 2^2
+    stacked.clear()
+    found = enumerate_separable_subalgebras(m2, Subspace.span(f2, m2.unit)).subalgebras
+    assert [len(args[1]) for args in stacked] == [1] and m2.full_space in found
+
+
+def test_a_commutative_radical_is_refuted_without_a_solve(monkeypatch):
+    """F_5[t]/(t^2) has the degenerate trace form [[2, 0], [0, 0]]; it is
+    commutative (and 2 < 5^2), so the rank refutes it, alone and in the
+    walk, and nothing is solved."""
+    f5 = Field("Fp", 5)
+    table = f5.zeros((2, 2, 2))
+    table[0, 0, 0] = table[0, 1, 1] = table[1, 0, 1] = 1
+    alg = validate_algebra(f5, ["1", "t"], table, f5.vector([1, 0]))
+    for name in ("separability_idempotent", "_solve_quotient"):
+        monkeypatch.setattr(separability, name, None)
+    scalars = Subspace.span(f5, alg.unit)
+    assert not is_separable_subalgebra_over(alg, alg.full_space, scalars)
+    assert enumerate_separable_subalgebras(alg, scalars).subalgebras == [scalars]
 
 
 def test_full_base_is_decided_before_the_walk(monkeypatch):
@@ -371,8 +488,13 @@ def test_full_base_is_decided_before_the_walk(monkeypatch):
 def test_a_tampered_stacked_solution_is_an_internal_error(monkeypatch):
     """Every right-hand side of a consistent stacked system is shifted by
     one after the elimination, so each read-off solution is wrong; the
-    substitution check refuses it and the suite stops instead of
-    recording a violation."""
+    substitution check refuses it and the walk stops instead of recording
+    a verdict.  The walk of M_2(F_3) over F[t]/(t^2), t = E12, reaches the
+    solve, since that base is not separable over F_3; S = F[t] itself is
+    separable over it, so one system is consistent."""
+    alg = m2f3()
+    base = walk_base(alg, "generated", alg.basis_vector(1))
+    assert not separability._gram_base(alg, base)
     real = _purerref.rref_mod_stack
 
     def shifted(mats, p):
@@ -382,7 +504,7 @@ def test_a_tampered_stacked_solution_is_an_internal_error(monkeypatch):
 
     monkeypatch.setattr(_purerref, "rref_mod_stack", shifted)
     with pytest.raises(RuntimeError, match="internal: stacked separability solution failed substitution"):
-        run_suite(load_builtin("klein_m2f3"), scope="all")
+        enumerate_separable_subalgebras(alg, base)
 
 
 # -- the stacked Theorem 3.9 sweep against the per-S path
