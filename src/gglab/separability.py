@@ -20,16 +20,12 @@ block by block, one 1_e S at a time (``SubalgebraFacts``).
 
 The exhaustive walk (``_walk``) filters the candidates of one RREF pivot
 pattern together and decides the unital subalgebras of one dimension,
-across every pattern, together (``_separable_stack``).  Where the base
-passes ``_gram_base``, one stacked elimination
-(``_purerref.rref_mod_stack``) ranks every candidate's Gram matrix.
-The candidates it leaves undecided, and every candidate over any other
-base, are solved as ``separability_idempotent`` solves them, in their
-own coordinates, with stacked eliminations: a pivot in the right-hand
-column is the rank argument for a negative verdict, and every solution
-read off is substituted back into mu(z) = 1 and r z = z r modulo the
-balancing relations before a positive verdict is recorded.  A solution
-that fails substitution is an internal error, never a verdict.
+across every pattern, together: where the base passes ``_gram_base``,
+one stacked elimination (``_purerref.rref_mod_stack``) ranks every
+candidate's Gram matrix.  The candidates it leaves undecided, and every
+candidate over any other base, are decided one at a time by
+``is_separable_subalgebra_over``, so the solve over S (x)_B S and its
+substitution check live in ``separability_idempotent`` alone.
 
 The Theorem 3.9 sweep (``double_centralizer_sweep``) computes the
 commutants of the members of one dimension together (``_commutant_stack``).
@@ -222,7 +218,9 @@ def double_centralizer_check(
             and a.dim + va.dim - linalg.rank(alg.field, np.vstack([a.basis, va.basis])) == center_sub.dim
         )
     separable = facts.separable.get((va.key(), center_sub.key()))
-    if separable is None:  # the solve refuses a base outside V(A), which is not separable over it
+    # is_separable_subalgebra_over refuses a base outside V(A) with a
+    # ValueError; V(A) is not separable over such a base
+    if separable is None:
         separable = va.contains_space(center_sub) and facts.separable_over(va, center_sub)
     tensor = "skipped (A not central)"
     if central:
@@ -628,11 +626,14 @@ def _walk(alg: Algebra, base: Subspace, facts: SubalgebraFacts) -> dict[tuple, S
     A subspace containing the base is the base plus a subspace of the
     coordinates off the base pivots, one per RREF matrix there.  The fills
     of each pivot pattern are filtered in stacks (``_closed_fills``); the
-    unital subalgebras that pass, of every pattern of one dimension, are
-    decided together by ``_separable_stack``, except those whose verdict
-    ``facts`` already holds.  Whether the base lets their trace forms
-    decide (``_gram_base``) is settled once, before any is.  Each verdict
-    goes into ``facts`` under the candidate's canonical key.
+    unital subalgebras that pass, except those whose verdict ``facts``
+    already holds, are decided one dimension at a time.  Where the base
+    passes ``_gram_base``, settled once before any member is, one
+    ``_gram_verdicts`` call ranks the trace forms of every member of the
+    dimension, across its patterns.  Each member it leaves undecided, and
+    every member over any other base, is decided by
+    ``is_separable_subalgebra_over``.  Each verdict goes into ``facts``
+    under the candidate's canonical key.
     """
     f, n = alg.field, alg.dim
     comp = [c for c in range(n) if c not in base.pivots]
@@ -640,8 +641,8 @@ def _walk(alg: Algebra, base: Subspace, facts: SubalgebraFacts) -> dict[tuple, S
     gram = _gram_base(alg, base)
     found: dict[tuple, Subspace] = {}
     for d, patterns in groupby(_patterns(len(comp)), lambda pattern: base.dim + len(pattern[0])):
-        cells = max(d**5, d * n * n)
-        # the closed candidates left to solve, one entry per stack of fills:
+        cells = d * n * n
+        # the closed candidates left to decide, one entry per stack of fills:
         # (RREF bases, structure constants, pivot columns, canonical keys)
         todo: list[tuple[np.ndarray, np.ndarray, list[int], list[tuple]]] = []
         for pivots, free in patterns:
@@ -659,19 +660,16 @@ def _walk(alg: Algebra, base: Subspace, facts: SubalgebraFacts) -> dict[tuple, S
                     todo.append((bases[new], tables[new], piv, [keys[i] for i in new]))
         if not todo:
             continue
-        tables = np.concatenate([t for _, t, _, _ in todo])
-        # the unit and the base in S's coordinates are their entries at S's
-        # pivots, shared by a pattern's candidates
-        units = np.concatenate([np.broadcast_to(alg.unit[piv], (len(t), d)) for _, t, piv, _ in todo])
-        coords = np.concatenate([np.broadcast_to(base.basis[:, piv], (len(t), base.dim, d)) for _, t, piv, _ in todo])
-        verdicts = np.concatenate(
-            [_separable_stack(f, tables[part], units[part], coords[part], gram) for part in _chunks(len(tables), cells)]
-        ).tolist()
         members = [(basis, piv, key) for bases, _, piv, keys in todo for basis, key in zip(bases, keys)]
-        for (basis, piv, key), verdict in zip(members, verdicts):
+        separable = decided = np.zeros(len(members), dtype=bool)
+        if gram:
+            separable, decided = _gram_verdicts(f, np.concatenate([t for _, t, _, _ in todo]))
+        for (basis, piv, key), ranked, done in zip(members, separable.tolist(), decided.tolist()):
+            s = None if done and not ranked else Subspace.from_rref(f, basis, piv)
+            verdict = ranked if done else is_separable_subalgebra_over(alg, s, base)
             facts.separable[(key, bkey)] = verdict
             if verdict:
-                found[key] = Subspace.from_rref(f, basis, piv)
+                found[key] = s
     return found
 
 
@@ -703,84 +701,3 @@ def _closed_fills(
     tables = prods[..., piv]  # the products' coordinates, where they lie in S
     closed = ~f.reduce(prods - np.matmul(tables, bases[:, None])).any(axis=(1, 2, 3))
     return bases[closed], tables[closed]
-
-
-def _separable_stack(
-    field, tables: np.ndarray, units: np.ndarray, base_coords: np.ndarray, gram: bool
-) -> np.ndarray:
-    """Whether each algebra of structure constants tables[g] (shape
-    (d, d, d)) with unit units[g] is separable over the span of the rows
-    of base_coords[g] (shape (k, d)).
-
-    With ``gram``, which ``_walk`` sets where the base passes
-    ``_gram_base``, one stacked elimination ranks every member's trace
-    form (``_gram_verdicts``).  Full rank proves a member separable; a
-    degenerate form refutes it where p^2 > d or it is commutative.  Only
-    the members left, p^2 <= d, not commutative and degenerate, and every
-    member without ``gram``, are solved: the balancing relations of each
-    S (x)_base S are reduced in one stacked elimination, and members with
-    the same relation pivots share their quotient coordinates and are
-    solved together by ``_solve_quotient``.
-    """
-    g, d = tables.shape[:2]
-    k = base_coords.shape[1]
-    verdicts, todo = np.zeros(g, dtype=bool), np.arange(g)
-    if gram and g:
-        verdicts, decided = _gram_verdicts(field, tables)
-        todo = np.flatnonzero(~decided)
-        tables, units, base_coords, g = tables[todo], units[todo], base_coords[todo], len(todo)
-    if g == 0:
-        return verdicts
-    # [g, s, i] = b_i s and [g, s, j] = s b_j, as in ``tensor_square``
-    left = field.reduce(np.matmul(base_coords, tables.transpose(0, 2, 1, 3).reshape(g, d, d * d)))
-    right = field.reduce(np.matmul(base_coords, tables.reshape(g, d, d * d)))
-    rels = linalg.sylvester(field, left.reshape(g * k, d, d), right.reshape(g * k, d, d))
-    rels = rels.reshape(g, k * d * d, d * d)
-    masks = _purerref.rref_mod_stack(rels, field.p)
-    shapes, group = _mask_groups(masks)
-    for i, mask in enumerate(shapes):
-        members = np.flatnonzero(group == i)
-        verdicts[todo[members]] = _solve_quotient(
-            field, tables[members], units[members], rels[members, : int(mask.sum())], mask
-        )
-    return verdicts
-
-
-def _solve_quotient(field, tables: np.ndarray, units: np.ndarray, rels: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``separability_idempotent`` on a stack of algebras, each with its
-    unit units[g], whose RREF relations ``rels`` share the pivot ``mask``.
-
-    A pivot in the right-hand column proves that no separability element
-    exists; every other solution is substituted back into mu(z) = 1 and
-    r z = z r modulo the relations, and a failure is an internal error.
-    """
-    g, d = tables.shape[:2]
-    rel_piv, qc = np.flatnonzero(mask), np.flatnonzero(~mask)
-    q = len(qc)
-
-    def reduce_rel(v, rel):  # coset representatives of v[g, row], as ``reduce_vector``
-        return field.reduce(v - np.matmul(v[..., rel_piv], rel))
-
-    # z -> b_r z - z b_r on R (x) R, as ``_commute_operators``
-    ops = linalg.sylvester(
-        field, tables.transpose(0, 1, 3, 2).reshape(g * d, d, d), tables.transpose(0, 2, 3, 1).reshape(g * d, d, d)
-    ).reshape(g, d, d * d, d * d)
-    # row (r, c): the image of quotient basis vector qc[c] under b_r z - z b_r
-    moved = reduce_rel(ops[..., qc].transpose(0, 1, 3, 2).reshape(g, d * q, d * d), rels)[..., qc]
-    system = field.zeros((g, d + d * q, q + 1))
-    system[:, :d, :q] = tables.reshape(g, d * d, d).transpose(0, 2, 1)[..., qc]
-    system[:, d:, :q] = moved.reshape(g, d, q, q).transpose(0, 1, 3, 2).reshape(g, d * q, q)
-    system[:, :d, q] = units
-    pivots = _purerref.rref_mod_stack(system, field.p)
-    solvable = ~pivots[:, q]
-    idx = np.flatnonzero(solvable)
-    at = pivots[idx, :q]
-    gi, ci = np.nonzero(at)
-    z = field.zeros((len(idx), d * d))
-    z[gi, qc[ci]] = system[idx[gi], (np.cumsum(at, axis=1) - 1)[gi, ci], q]
-    t, zz = tables[idx], z.reshape(-1, 1, d, d)
-    mu = field.reduce(np.matmul(z[:, None], t.reshape(-1, d * d, d)))[:, 0]
-    comm = field.reduce(np.matmul(t.transpose(0, 1, 3, 2), zz) - np.matmul(zz, t.transpose(0, 2, 1, 3)))
-    if np.any(mu != units[idx]) or np.any(reduce_rel(comm.reshape(-1, d, d * d), rels[idx])):
-        raise RuntimeError("internal: stacked separability solution failed substitution")
-    return solvable

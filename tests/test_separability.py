@@ -32,7 +32,7 @@ from gglab.separability import (
     tensor_square,
     verify_certificate,
 )
-from gglab.suite import CHECKS, SuiteState, _pool, run_suite
+from gglab.suite import CHECKS, SuiteState, _pool
 from test_batched import block_table, change_basis
 from test_linalg import all_subspaces
 
@@ -338,30 +338,31 @@ def test_stacked_walk_on_random_block_sums(p):
     run()
 
 
-def test_walk_on_klein_m2f17_solves_one_stack_per_dimension(monkeypatch):
+def test_walk_on_klein_m2f17_solves_one_stack_per_dimension(monkeypatch, count_calls):
     """The unital subalgebras of M_2(F_17) over its center, C, the 289
     tori, the 18 F[N] with N nilpotent, the 18 Borel subalgebras and R,
     are decided in one stack per dimension; R over C, which the Azumaya
     flag records, is not decided again.  The center F_17 passes the base
     test, and every member has dimension at most 3 < 17^2, so each stack
-    is decided by its trace forms alone, with no quotient solve."""
-    solved, quotients = [], []
-    real = separability._separable_stack
+    is decided by its trace forms alone, with no tensor-square solve."""
+    ranked = []
+    real = separability._gram_verdicts
 
-    def counted(field, tables, units, base_coords, gram):
-        solved.append((tables.shape[1], len(tables), gram))
-        return real(field, tables, units, base_coords, gram)
+    def counted(field, tables):
+        ranked.append((tables.shape[1], len(tables)))
+        return real(field, tables)
 
-    monkeypatch.setattr(separability, "_separable_stack", counted)
-    monkeypatch.setattr(separability, "_solve_quotient", lambda *args: quotients.append(args))
+    monkeypatch.setattr(separability, "_gram_verdicts", counted)
+    solves = count_calls(separability_idempotent)
     state = SuiteState(load_instance_dict(WORKLOADS["klein_m2"](17)))
     assert state.azu
     enum = state.center_enum
     ckey = state.ctx.center.key()
     verdicts = [v for (_, base), v in state.facts.separable.items() if base == ckey]
     assert len(verdicts) == 327 and verdicts.count(True) == len(enum.subalgebras) == 291
-    assert solved == [(1, 1, True), (2, 289 + 18, True), (3, 18, True)]
-    assert quotients == []
+    # the first is ``_gram_base``'s test of the center itself
+    assert ranked == [(1, 1), (1, 1), (2, 289 + 18), (3, 18)]
+    assert solves == []
 
 
 # -- the trace-form (Gram) verdicts against the tensor-square solve
@@ -431,9 +432,8 @@ def test_a_zero_trace_form_is_decided_by_the_solve(count_calls):
     """Separable algebras whose trace form vanishes on a factor M_p(F_p),
     so that dim S >= p^2 and the rank cannot decide: M_3(F_3) over its
     scalars (its whole trace form is 0), M_3(F_3) x F_3 inside M_4(F_3),
-    and M_2(F_2).  Each reaches the solve once and is found separable,
-    by ``is_separable_subalgebra_over`` and by ``_separable_stack`` alike."""
-    solves, stacked = count_calls(separability_idempotent), count_calls(separability._solve_quotient)
+    and M_2(F_2).  Each reaches the solve once and is found separable."""
+    solves = count_calls(separability_idempotent)
     f2, f3 = Field("Fp", 2), Field("Fp", 3)
     m3, m4, m2 = block_algebra(f3, [3]), block_algebra(f3, [4]), block_algebra(f2, [2])
     # E_ij of the top-left 3 x 3 corner and E_33, in M_4's row-major basis
@@ -444,14 +444,12 @@ def test_a_zero_trace_form_is_decided_by_the_solve(count_calls):
         separable, decided = separability._gram_verdicts(alg.field, small.table[None])
         assert not separable[0] and not decided[0]
         assert is_separable_subalgebra_over(alg, s, scalars)
-        unit_coords = small.unit[None, None]
-        assert separability._separable_stack(alg.field, small.table[None], small.unit[None], unit_coords, True).tolist() == [True]
-    assert len(solves) == len(stacked) == 3
+    assert len(solves) == 3
     # the walk of M_2(F_2) over F_2 solves R alone: its other unital
     # subalgebras are commutative or of dimension 3 < 2^2
-    stacked.clear()
+    solves.clear()
     found = enumerate_separable_subalgebras(m2, Subspace.span(f2, m2.unit)).subalgebras
-    assert [len(args[1]) for args in stacked] == [1] and m2.full_space in found
+    assert [args[0].dim for args in solves] == [4] and m2.full_space in found
 
 
 def test_a_commutative_radical_is_refuted_without_a_solve(monkeypatch):
@@ -462,8 +460,7 @@ def test_a_commutative_radical_is_refuted_without_a_solve(monkeypatch):
     table = f5.zeros((2, 2, 2))
     table[0, 0, 0] = table[0, 1, 1] = table[1, 0, 1] = 1
     alg = validate_algebra(f5, ["1", "t"], table, f5.vector([1, 0]))
-    for name in ("separability_idempotent", "_solve_quotient"):
-        monkeypatch.setattr(separability, name, None)
+    monkeypatch.setattr(separability, "separability_idempotent", None)
     scalars = Subspace.span(f5, alg.unit)
     assert not is_separable_subalgebra_over(alg, alg.full_space, scalars)
     assert enumerate_separable_subalgebras(alg, scalars).subalgebras == [scalars]
@@ -485,25 +482,24 @@ def test_full_base_is_decided_before_the_walk(monkeypatch):
     assert facts.separable == {(alg.full_space.key(), alg.full_space.key()): True}
 
 
-def test_a_tampered_stacked_solution_is_an_internal_error(monkeypatch):
-    """Every right-hand side of a consistent stacked system is shifted by
-    one after the elimination, so each read-off solution is wrong; the
-    substitution check refuses it and the walk stops instead of recording
-    a verdict.  The walk of M_2(F_3) over F[t]/(t^2), t = E12, reaches the
-    solve, since that base is not separable over F_3; S = F[t] itself is
-    separable over it, so one system is consistent."""
+def test_a_tampered_solution_is_an_internal_error(monkeypatch):
+    """Every solution of the tensor-square system is shifted by one, so
+    each is wrong; the substitution check refuses it and the walk stops
+    instead of recording a verdict.  The walk of M_2(F_3) over
+    F[t]/(t^2), t = E12, reaches the solve, since that base is not
+    separable over F_3; S = F[t] itself is separable over it, so one
+    system is consistent."""
     alg = m2f3()
     base = walk_base(alg, "generated", alg.basis_vector(1))
     assert not separability._gram_base(alg, base)
-    real = _purerref.rref_mod_stack
+    real = linalg.solve
 
-    def shifted(mats, p):
-        mask = real(mats, p)
-        mats[:, :, -1] = (mats[:, :, -1] + 1) % p
-        return mask
+    def shifted(field, a, b):
+        sol = real(field, a, b)
+        return None if sol is None else field.reduce(sol + 1)
 
-    monkeypatch.setattr(_purerref, "rref_mod_stack", shifted)
-    with pytest.raises(RuntimeError, match="internal: stacked separability solution failed substitution"):
+    monkeypatch.setattr(linalg, "solve", shifted)
+    with pytest.raises(RuntimeError, match="internal: separability solution failed substitution"):
         enumerate_separable_subalgebras(alg, base)
 
 

@@ -254,6 +254,7 @@ def test_benchmark_report_json_pinned(workload, name):
         assert digest == BENCH_REPORT_SHA256[workload, name, scope], (workload, name, scope)
 
 
+PAIR_F5X4 = WORKLOADS["disjoint_union"]([WORKLOADS["pair"]({"kind": "Fp", "p": 5})] * 4, "pair_f5x4")
 # sha256 of run_suite(..., scope).to_json() on four copies of pair_f5 (624
 # subgroupoids): its 255 gated subgroupoids share one theta, so Lemma 3.2
 # lists them as one theta-class, in enumeration order, standing for 32,385
@@ -265,12 +266,14 @@ PAIR_F5X4_SHA256 = {
 
 
 def test_pair_f5x4_report_json_pinned():
-    doc = WORKLOADS["disjoint_union"]([WORKLOADS["pair"]({"kind": "Fp", "p": 5})] * 4, "pair_f5x4")
     for scope in ("all", "s3"):
-        report = run_suite(load_instance_dict(doc), scope=scope)
+        report = run_suite(load_instance_dict(PAIR_F5X4), scope=scope)
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == PAIR_F5X4_SHA256[scope], scope
 
 
+PAIR_F5_KLEIN = WORKLOADS["disjoint_union"](
+    [WORKLOADS["pair"]({"kind": "Fp", "p": 5}), WORKLOADS["klein_m2"](5)], "pair_f5+klein_m2(5)"
+)
 # sha256 of run_suite(..., scope).to_json() on pair_f5 beside klein_m2(5):
 # one connected, non-central component and one central Klein group,
 # computed with theta(H) and gamma(H) formed on every H for the sweeps
@@ -281,11 +284,8 @@ PAIR_F5_KLEIN_SHA256 = {
 
 
 def test_pair_f5_klein_m2f5_report_json_pinned():
-    doc = WORKLOADS["disjoint_union"](
-        [WORKLOADS["pair"]({"kind": "Fp", "p": 5}), WORKLOADS["klein_m2"](5)], "pair_f5+klein_m2(5)"
-    )
     for scope in ("all", "s3"):
-        report = run_suite(load_instance_dict(doc), scope=scope)
+        report = run_suite(load_instance_dict(PAIR_F5_KLEIN), scope=scope)
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == PAIR_F5_KLEIN_SHA256[scope], scope
 
 
@@ -316,6 +316,7 @@ def test_lemma_3_4_forms_each_product_once(count_calls, workload, name, products
     assert (len(prods), len(comms)) == (products, commutants)
 
 
+CYCLIC_SHIFT_C3X6 = WORKLOADS["disjoint_union"]([WORKLOADS["cyclic_shift"]({"kind": "Fp", "p": 5})] * 6, "cyclic_shift_c3x6")
 # sha256 of run_suite(..., scope).to_json() on six copies of cyclic_shift_c3
 # (728 subgroupoids), computed with the closure walk over the whole groupoid
 # and Lemma 3.1 and the double-centralizer hypothesis decided on every H
@@ -326,12 +327,12 @@ CYCLIC_SHIFT_C3X6_SHA256 = {
 
 
 def test_cyclic_shift_c3x6_report_json_pinned():
-    doc = WORKLOADS["disjoint_union"]([WORKLOADS["cyclic_shift"]({"kind": "Fp", "p": 5})] * 6, "cyclic_shift_c3x6")
     for scope in ("all", "s3"):
-        report = run_suite(load_instance_dict(doc), scope=scope)
+        report = run_suite(load_instance_dict(CYCLIC_SHIFT_C3X6), scope=scope)
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == CYCLIC_SHIFT_C3X6_SHA256[scope], scope
 
 
+CYCLIC_SHIFT_C3X8 = WORKLOADS["disjoint_union"]([WORKLOADS["cyclic_shift"]({"kind": "Fp", "p": 5})] * 8, "cyclic_shift_c3x8")
 # sha256 of run_suite(..., scope).to_json() on eight copies of
 # cyclic_shift_c3 (6,560 subgroupoids, 256 wide), computed with J_g, j, and
 # Lemmas 2.1 and 3.7 decided over all of R, on every wide H
@@ -342,9 +343,8 @@ CYCLIC_SHIFT_C3X8_SHA256 = {
 
 
 def test_cyclic_shift_c3x8_report_json_pinned():
-    doc = WORKLOADS["disjoint_union"]([WORKLOADS["cyclic_shift"]({"kind": "Fp", "p": 5})] * 8, "cyclic_shift_c3x8")
     for scope in ("all", "s3"):
-        report = run_suite(load_instance_dict(doc), scope=scope)
+        report = run_suite(load_instance_dict(CYCLIC_SHIFT_C3X8), scope=scope)
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == CYCLIC_SHIFT_C3X8_SHA256[scope], scope
 
 
@@ -498,23 +498,6 @@ def count_tensor_squares(monkeypatch, inst) -> list[int]:
     return built
 
 
-@pytest.mark.parametrize(
-    "name, squares",
-    [("klein_disjoint2", 0), ("klein_m2f3", 0), ("trivial", 0), ("pair_f5", 0), ("cyclic_shift_c3", 0)],
-)
-def test_tensor_squares_built_per_suite(monkeypatch, name, squares):
-    # lemma_4_2 and the Azumaya flag of a Galois R with R^beta <= C(R) are
-    # stated from the certified coordinates, so no tensor square is built
-    # for them (65, 23, 1, 1 and 1 squares when the solve decided them);
-    # the exhaustive walk on klein_m2f3 decides every candidate in stacks,
-    # one per dimension, with no tensor square (18 when each candidate had
-    # its own, 7 while patterns of under five fills had); klein_disjoint2 is
-    # walked one object block at a time, so no square is built for it
-    # either (18 squares of one block over F_3 when its pool candidates
-    # were split at the two 1_e, 40 when each S was solved whole)
-    assert len(count_tensor_squares(monkeypatch, load_builtin(name))) == squares
-
-
 KLEIN_M2F3X3 = WORKLOADS["disjoint_union"]([WORKLOADS["klein_m2"](3)] * 3, "klein_m2f3x3")
 # sha256 of run_suite(..., scope).to_json() on three copies of klein_m2f3:
 # Section 4 is decided from one walk of the 11 separable subalgebras of an
@@ -533,13 +516,6 @@ def test_klein_m2f3x3_report_json_pinned():
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == KLEIN_M2F3X3_SHA256[scope], scope
 
 
-def test_klein_m2f3x3_builds_no_tensor_square(monkeypatch):
-    # the blocks are walked, whose stacked solves build no tensor square;
-    # with the pool, 27 squares of one block over F_3 were built, and
-    # solved whole, 160, up to dimension 10 over the 3-dimensional center
-    assert count_tensor_squares(monkeypatch, load_instance_dict(KLEIN_M2F3X3)) == []
-
-
 KLEIN_M2F11X2 = WORKLOADS["disjoint_union"]([WORKLOADS["klein_m2"](11)] * 2, "klein_m2f11x2")
 # sha256 of run_suite(..., scope).to_json() on two copies of klein_m2f11:
 # each M_2(F_11) block has 11^2 + 2 = 123 separable subalgebras over its
@@ -554,3 +530,25 @@ def test_klein_m2f11x2_report_json_pinned():
     for scope in ("all", "s3"):
         report = run_suite(load_instance_dict(KLEIN_M2F11X2), scope=scope)
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == KLEIN_M2F11X2_SHA256[scope], scope
+
+
+# every benchmark document and every pinned extra, by name
+PINNED_DOCUMENTS = {
+    **{name: json.loads(BENCH_DOCS[w][name]) for w, name, _ in BENCH_REPORT_SHA256},
+    "pair_f5x4": PAIR_F5X4,
+    "pair_f5+klein_m2(5)": PAIR_F5_KLEIN,
+    "klein_m2f3x3": KLEIN_M2F3X3,
+    "klein_m2f11x2": KLEIN_M2F11X2,
+    "cyclic_shift_c3x6": CYCLIC_SHIFT_C3X6,
+    "cyclic_shift_c3x8": CYCLIC_SHIFT_C3X8,
+    **{f"clock_shift({n}, {p})": clock_shift(n, p) for n, p, _ in CLOCK_SHIFT_SHA256},
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_DOCUMENTS))
+def test_tensor_squares_built_per_suite(monkeypatch, name):
+    # lemma_4_2 and the Azumaya flag of a Galois R with R^beta <= C(R) are
+    # stated from the certified coordinates, and every other separability
+    # verdict of these suites, each member of an exhaustive walk among
+    # them, is decided by its trace form, so no tensor square is built
+    assert count_tensor_squares(monkeypatch, load_instance_dict(PINNED_DOCUMENTS[name])) == []
