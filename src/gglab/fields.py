@@ -147,5 +147,7 @@ class Field:
                 raise FieldError(f"modulus p must be a JSON integer, not {p!r}")
             return Field("Fp", p)
         if kind == "Q":
+            if "p" in d:
+                raise FieldError("rational field takes no modulus")
             return Field("Q")
         raise FieldError(f"unknown field kind {kind!r}")

@@ -15,8 +15,6 @@ a rank argument from the solve (the defining system is genuinely linear,
 so "no solution" is a proof).  R over an invariant ring theta(H), and
 over its center when R^beta <= C(R), is not decided here: the suite
 proves it from the certified Galois coordinates (``suite._lemma_4_2``).
-Over a base that holds an action's central idempotents 1_e, S is decided
-block by block, one 1_e S at a time (``SubalgebraFacts``).
 
 The exhaustive walk (``_walk``) filters the candidates of one RREF pivot
 pattern together and decides the unital subalgebras of one dimension,
@@ -27,21 +25,16 @@ candidate over any other base, are decided one at a time by
 ``is_separable_subalgebra_over``, so the solve over S (x)_B S and its
 substitution check live in ``separability_idempotent`` alone.
 
-The Theorem 3.9 sweep (``double_centralizer_sweep``) computes the
-commutants of the members of one dimension together (``_commutant_stack``).
-V(S) is the nullspace of S's commutator matrix; one stacked elimination
-reduces the matrices of every member.  A member whose unreduced matrix
-annihilates its own basis lies in its commutant, and if the rank also
-leaves dim V(S) = dim S, then V(S) = S: such a member, a torus of M_2(F_p)
-say, is settled as its own commutant, with no nullspace formed.  The
-nullspace bases of the other members are read off the reduced matrices
-and brought to canonical RREF by a second stacked elimination.  Each
-basis is substituted back before it is kept: every basis vector v must
-satisfy s v = v s for every basis vector s of S, and dim V(S) must be n
-minus the rank.  A basis that fails is an internal error, never a
-verdict.  Every member's clauses, settled or not, are then read by
-``double_centralizer_check`` from the commutants cached by canonical key;
-a V(V(A)) not cached yet is computed there.
+The Theorem 3.9 sweep (``double_centralizer_sweep``) settles the members
+of one dimension that are their own commutants together
+(``_self_commutants``).  V(S) is the nullspace of S's commutator matrix.
+A member whose unreduced matrix annihilates its own basis lies in its
+commutant, and if one stacked elimination also ranks the matrix at n
+minus dim S, then V(S) = S: such a member, a torus of M_2(F_p) say, is
+cached as its own commutant, with no nullspace formed.  Every other
+commutant is computed one S at a time (``SubalgebraFacts.commutant``).
+Every member's clauses are then read by ``double_centralizer_check``
+from the commutants cached by canonical key.
 """
 
 from __future__ import annotations
@@ -65,15 +58,13 @@ from .algebra import (
 from .linalg import Subspace
 
 EXHAUSTIVE_DIM = 6  # above this dimension the subalgebra sweep is pool-restricted
-# The sweep stacks the commutants only of a dimension with at least this
-# many members; the others are computed one S at a time, when a check
-# asks.  Settling members that are their own commutants, a stack costs
+# The sweep stacks only the members of a dimension with at least this
+# many; the commutants of the others, and of every member a stack does
+# not settle, are computed one S at a time, when a check asks.  Settling
+# members that are their own commutants, a stack costs
 # about 0.3 ms however few they are, one member alone about 0.08 ms
 # (tori of M_2(F_11), 2-vCPU Xeon, best of 25: 10 cost 0.33-0.48 ms
-# stacked, 0.73-1.03 ms alone; 20 cost 0.37-0.56 and 1.41-1.82 ms).  A
-# stack with nullspaces to read costs more: on three copies of M_2(F_3)
-# the 27 and 18 members of dimensions 5 and 7, none settled, cost 6.2-6.5
-# and 5.7-6.2 ms stacked against 5.6 and 4.6 ms alone.
+# stacked, 0.73-1.03 ms alone; 20 cost 0.37-0.56 and 1.41-1.82 ms).
 SWEEP_STACK_MIN = 10
 
 
@@ -238,12 +229,11 @@ def double_centralizer_sweep(
     order, sharing ``facts``.
 
     Over F_p, the members of a dimension that at least ``SWEEP_STACK_MIN``
-    of them share have their commutants put into ``facts`` in stacks
-    (``_cache_commutants``) before any member is checked; every other
-    commutant, the V(V(A)) among them, is computed when a check first asks.
-    A member the stack settles as its own commutant, such as a torus of
-    M_2(F_p), is cached as V(A) = A itself, so its check finds V(V(A)) in
-    the cache too and takes the V(A) = A branch.
+    of them share are first stacked (``_cache_commutants``): each one the
+    stack settles as its own commutant, such as a torus of M_2(F_p), is
+    cached as V(A) = A itself, so its check finds V(V(A)) in the cache too
+    and takes the V(A) = A branch.  Every other commutant is computed when
+    a check first asks.
     """
     by_dim = Counter(s.dim for s in subalgebras)
     stacked = [s for s in subalgebras if alg.field.modular and by_dim[s.dim] >= SWEEP_STACK_MIN]
@@ -260,79 +250,42 @@ def _chunks(count: int, cells: int):
 
 
 def _cache_commutants(alg: Algebra, spaces: list[Subspace], facts: SubalgebraFacts) -> None:
-    """Put V_R(S) into ``facts`` for every S of ``spaces`` not there yet,
-    one ``_commutant_stack`` per dimension."""
+    """Cache V_R(S) = S for every S of ``spaces``, not in ``facts`` yet,
+    that ``_self_commutants`` settles, one stack per dimension."""
     todo: dict[int, dict[tuple, Subspace]] = {}
     for s in spaces:
         if s.key() not in facts.commutants:
             todo.setdefault(s.dim, {})[s.key()] = s
     for group in todo.values():
-        facts.commutants.update(zip(group, _commutant_stack(alg, list(group.values()))))
+        members = list(group.values())
+        facts.commutants.update((s.key(), s) for s, own in zip(members, _self_commutants(alg, members)) if own)
 
 
-def _commutant_stack(alg: Algebra, spaces: list[Subspace]) -> list[Subspace]:
-    """V_R(S) for each S of ``spaces`` (all of one dimension k, over F_p),
-    as ``commutant(alg, S, alg.full_space)`` gives it.
+def _self_commutants(alg: Algebra, spaces: list[Subspace]) -> list[bool]:
+    """Whether V_R(S) = S, for each S of ``spaces`` (all of one dimension
+    k, over F_p).
 
     Row (a, j) of S's commutator matrix holds coordinate j of
-    s_a e_c - e_c s_a in column c, so V(S) is its nullspace.  One stacked
-    elimination gives every matrix its rank.  A member whose unreduced
-    matrix already annihilates its own basis has S <= V(S), checked by
-    substitution; if the rank is also n - k, then dim V(S) = k and
-    V(S) = S, so S itself is returned, with no nullspace formed.  The
-    other members with the same pivot mask share the shape of their
-    nullspace basis e_f - sum_i r[i, f] e_(piv_i), which a second stacked
-    elimination brings to canonical RREF.  Every such basis is substituted
-    back (s_a v = v s_a for each pair, and dim V(S) = n - rank) before it
-    is returned; a failure is an internal error.
+    s_a e_c - e_c s_a in column c, so V(S) is its nullspace.  A member
+    whose unreduced matrix annihilates its own basis has S <= V(S),
+    checked by substitution; one stacked elimination ranks the matrices
+    of those members, and rank n - k leaves dim V(S) = k, so V(S) = S.
     """
     f, n = alg.field, alg.dim
     k = spaces[0].dim
     # [i, c, j] = coordinate j of b_i e_c - e_c b_i, unreduced, so that its
     # entries stay below p in size
     diff = (alg.table - alg.table.transpose(1, 0, 2)).reshape(n, n * n)
-    out: list[Subspace] = []
+    out: list[bool] = []
     for part in _chunks(len(spaces), k * n * n):
-        chunk = spaces[part]
-        bases = np.stack([s.basis for s in chunk])
-        mats = f.reduce(np.matmul(bases, diff)).reshape(len(chunk), k, n, n)
-        mats = mats.transpose(0, 1, 3, 2).reshape(len(chunk), k * n, n)
-        red = mats.copy()
-        masks = _purerref.rref_mod_stack(red, f.p)
-        inside = ~f.reduce(np.matmul(mats, bases.transpose(0, 2, 1))).any(axis=(1, 2))
-        settled = inside & (masks.sum(axis=1) == n - k)
-        got = [s if done else None for s, done in zip(chunk, settled.tolist())]
-        rest = np.flatnonzero(~settled)
-        shapes, group = _mask_groups(masks[rest])
-        for i, mask in enumerate(shapes):
-            members = rest[group == i]
-            piv, free = np.flatnonzero(mask), np.flatnonzero(~mask)
-            null = f.zeros((len(members), len(free), n))
-            null[:, np.arange(len(free)), free] = 1
-            null[:, :, piv] = f.reduce(-red[members][:, : len(piv)][:, :, free].transpose(0, 2, 1))
-            null_masks = _purerref.rref_mod_stack(null, f.p)
-            if np.any(null_masks.sum(axis=1) != len(free)) or np.any(
-                f.reduce(np.matmul(mats[members], null.transpose(0, 2, 1)))
-            ):
-                raise RuntimeError("internal: stacked commutant failed substitution")
-            # each null mask has len(free) pivots, checked above
-            null_pivots = np.nonzero(null_masks)[1].reshape(len(members), len(free)).tolist()
-            for m, basis, pivots in zip(members, null, null_pivots):
-                got[m] = Subspace.from_rref(f, basis, pivots)
-        out.extend(got)
+        bases = np.stack([s.basis for s in spaces[part]])
+        mats = f.reduce(np.matmul(bases, diff)).reshape(len(bases), k, n, n)
+        mats = mats.transpose(0, 1, 3, 2).reshape(len(bases), k * n, n)
+        own = ~f.reduce(np.matmul(mats, bases.transpose(0, 2, 1))).any(axis=(1, 2))
+        if own.any():
+            own[own] = _purerref.rref_mod_stack(mats[own], f.p).sum(axis=1) == n - k
+        out.extend(own.tolist())
     return out
-
-
-def _mask_groups(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of the boolean (count, width) ``masks`` and, for
-    each row, the index of its class among them: the partition that
-    ``np.unique(masks, axis=0, return_inverse=True)`` gives.  Each row is
-    packed into bytes and compared as one opaque value, so one 1-D sort
-    groups them."""
-    packed = np.packbits(masks, axis=1)
-    rows = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
-    _, first, group = np.unique(rows, return_index=True, return_inverse=True)
-    return masks[first], group.reshape(-1)
 
 
 def relative_tensor_dim(alg: Algebra, a: Subspace, b: Subspace, base: Subspace) -> int:
@@ -430,9 +383,7 @@ def _gram_base(alg: Algebra, base: Subspace) -> bool:
     return table is not None and bool(_gram_verdicts(f, table.reshape(1, k, k, k))[0][0])
 
 
-def is_separable_subalgebra_over(
-    alg: Algebra, sub: Subspace, base: Subspace, unit: np.ndarray | None = None
-) -> bool:
+def is_separable_subalgebra_over(alg: Algebra, sub: Subspace, base: Subspace) -> bool:
     """S separable over a base contained in S.
 
     Where the base, in S, passes ``_gram_base``, the rank of S's trace
@@ -440,15 +391,15 @@ def is_separable_subalgebra_over(
     test leaves undecided, is solved by ``separability_idempotent`` in
     S (x)_base S, whose solution is substituted back.
 
-    S must be a subalgebra with unit ``unit`` (R's own by default), as
-    every commutant is and as the enumeration checks first;
+    S must be a subalgebra with R's unit, as every commutant is and as
+    the enumeration checks first;
     ``subspace_algebra`` refuses any other S.  A base outside S is the
     caller's error, not a verdict.
     """
     base_coords = sub.coords_rows(base.basis)
     if base_coords is None:
         raise ValueError("base is not contained in the subalgebra")
-    small = subspace_algebra(alg, sub, alg.unit if unit is None else unit)
+    small = subspace_algebra(alg, sub, alg.unit)
     base_sub = Subspace(alg.field, sub.dim, base_coords)
     if _gram_base(small, base_sub):
         separable, decided = _gram_verdicts(alg.field, small.table[None])
@@ -460,29 +411,12 @@ def is_separable_subalgebra_over(
 class SubalgebraFacts:
     """Facts about subspaces S of one algebra R, each computed once and kept
     by canonical key: the commutant V_R(S), and whether S is a unital
-    subalgebra separable over a base.
+    subalgebra separable over a base (``is_separable_subalgebra_over``)."""
 
-    ``idempotents`` are central orthogonal idempotents 1_e of R that sum to
-    1, as an action's are certified at load.  Over a base B that holds
-    every nonzero 1_e, at least two of them, a verdict is decided block by
-    block.  S contains B, so S = (+)_e 1_e S, and a cross term
-    x 1_e (x) 1_e' y = x (x) 1_e 1_e' y of S (x)_B S vanishes, so
-    S (x)_B S = (+)_e 1_e S (x)_(1_e B) 1_e S.  A separability element of
-    S over B is then the sum of one of each block 1_e S (unit 1_e) over
-    1_e B, and (1_e (x) 1_e) z is one of the block when z is one of S.
-    So S is separable over B iff every block is, and one block that is not
-    refutes S.  Each block is decided by ``is_separable_subalgebra_over``
-    and its verdict kept by (1_e S key, 1_e B key).  Elsewhere S is
-    decided whole.
-    """
-
-    def __init__(self, alg: Algebra, idempotents=()):
+    def __init__(self, alg: Algebra):
         self.alg = alg
-        self.idempotents = [one for one in idempotents if one.any()]
         self.commutants: dict[tuple, Subspace] = {}
         self.separable: dict[tuple, bool] = {}  # (S key, base key) -> verdict
-        self.block_separable: dict[tuple, bool] = {}  # (1_e S key, 1_e B key) -> verdict
-        self._base_blocks: dict[tuple, list[Subspace] | None] = {}  # B key -> [1_e B], None if unsplit
 
     def commutant(self, s: Subspace) -> Subspace:
         key = s.key()
@@ -493,35 +427,8 @@ class SubalgebraFacts:
     def separable_over(self, s: Subspace, base: Subspace) -> bool:
         key = (s.key(), base.key())
         if key not in self.separable:
-            blocks = self.base_blocks(base)
-            if blocks is None:
-                self.separable[key] = is_separable_subalgebra_over(self.alg, s, base)
-            elif not s.contains_space(base):
-                raise ValueError("base is not contained in the subalgebra")
-            else:
-                self.separable[key] = all(
-                    self._block_separable(s, one, block) for one, block in zip(self.idempotents, blocks)
-                )
+            self.separable[key] = is_separable_subalgebra_over(self.alg, s, base)
         return self.separable[key]
-
-    def base_blocks(self, base: Subspace) -> list[Subspace] | None:
-        """The blocks 1_e B of ``base`` in the order of ``idempotents``, or
-        None where the split does not apply."""
-        key = base.key()
-        if key not in self._base_blocks:
-            split = len(self.idempotents) >= 2 and base.coords_rows(np.stack(self.idempotents)) is not None
-            self._base_blocks[key] = [self._block(base, one) for one in self.idempotents] if split else None
-        return self._base_blocks[key]
-
-    def _block(self, s: Subspace, one: np.ndarray) -> Subspace:
-        return Subspace(self.alg.field, self.alg.dim, self.alg.products(s.basis, one[None])[:, 0])
-
-    def _block_separable(self, s: Subspace, one: np.ndarray, base_block: Subspace) -> bool:
-        block = self._block(s, one)
-        key = (block.key(), base_block.key())
-        if key not in self.block_separable:
-            self.block_separable[key] = is_separable_subalgebra_over(self.alg, block, base_block, one)
-        return self.block_separable[key]
 
 
 def _rational_key_order(key: tuple) -> tuple:
@@ -535,7 +442,6 @@ def _rational_key_order(key: tuple) -> tuple:
 class SeparableEnumeration:
     subalgebras: list[Subspace]  # S >= base, unital, separable over base
     exhaustive: bool
-    note: str
 
 
 def walkable(field, dim: int) -> bool:
@@ -565,10 +471,10 @@ def enumerate_separable_subalgebras(
     f = alg.field
     facts = SubalgebraFacts(alg) if facts is None else facts
     if base.dim == alg.dim:
-        return SeparableEnumeration([base] if facts.separable_over(base, base) else [], True, "exhaustive")
+        return SeparableEnumeration([base] if facts.separable_over(base, base) else [], True)
     if walkable(f, alg.dim):
         found = _walk(alg, base, facts)
-        return SeparableEnumeration([found[k] for k in sorted(found)], True, "exhaustive")
+        return SeparableEnumeration([found[k] for k in sorted(found)], True)
 
     # the subalgebra grown from a seed depends only on its span, so each
     # distinct span(base + candidate) is grown once
@@ -585,7 +491,7 @@ def enumerate_separable_subalgebras(
         s = candidates[key]
         if is_unital_subalgebra(alg, s) and facts.separable_over(s, base):
             out.append(s)
-    return SeparableEnumeration(out, False, "pool-restricted")
+    return SeparableEnumeration(out, False)
 
 
 def _patterns(m: int):

@@ -215,9 +215,8 @@ class SuiteState:
 
     @cached_property
     def facts(self) -> SubalgebraFacts:
-        """Commutants V_R(S) and separability verdicts, shared by every check;
-        a verdict over a base holding every 1_e is decided block by block."""
-        return SubalgebraFacts(self.inst.algebra, self.inst.action.idempotents.values())
+        """Commutants V_R(S) and separability verdicts, shared by every check."""
+        return SubalgebraFacts(self.inst.algebra)
 
     def bicommutant_failure(self, h: Subgroupoid) -> dict | None:
         """Where theta(H) differs from V_R(V_R(theta(H))), or None."""
@@ -297,13 +296,15 @@ class SuiteState:
         - A unital subalgebra S >= C(R) holds every 1_e, so
           S = (+)_e 1_e S, and each 1_e S is a unital subalgebra of E_e,
           with unit 1_e, holding C(E_e) = 1_e C(R); every such sum is one.
-          S is separable over C(R) iff each 1_e S is over C(E_e)
-          (``SubalgebraFacts``).  So the separable subalgebras over the
-          center are the sums of one member of each block's list, Pi_e N_e
-          of them.
-        - R is Azumaya under the gate (``azu``), and (1_e (x) 1_e) z is a
-          separability element of E_e over C(E_e) when z is one of R
-          (``SubalgebraFacts``), so each list holds E_e itself.
+          S is separable over C(R) iff each 1_e S is over C(E_e): a cross
+          term x 1_e (x) 1_e' y = x (x) 1_e 1_e' y of S (x)_C(R) S
+          vanishes, so S (x)_C(R) S = (+)_e 1_e S (x)_C(E_e) 1_e S.  A
+          separability element of S is then the sum of one of each block
+          1_e S over C(E_e), and (1_e (x) 1_e) z is one of the block when
+          z is one of S.  So the separable subalgebras over the center are
+          the sums of one member of each block's list, Pi_e N_e of them.
+        - R is Azumaya under the gate (``azu``), so by the item above each
+          E_e is separable over C(E_e), and each list holds E_e itself.
 
         Each block is walked over its own center with its own facts;
         objects with 1_e = 0 add the factor 0 and are left out.  The
@@ -992,7 +993,7 @@ def _theorem_3_9(state: SuiteState) -> Outcome:
     statement holds on every sum S = (+)_e S_e iff it holds on every block
     member S_e in its block.  S holds every 1_e, so V_R(S) = (+)_e V(S_e)
     and V_R(V_R(S)) = (+)_e V(V(S_e)); V_R(S) is separable over C(R) iff
-    each V(S_e) is over C(E_e) (``SubalgebraFacts``); S cap V_R(S) is
+    each V(S_e) is over C(E_e) (``SuiteState.blocks``); S cap V_R(S) is
     (+)_e S_e cap V(S_e), so S is central iff each S_e is; and
     A (x)_C V(A) and the span of the products are direct sums over the
     blocks (a cross term x 1_e (x) 1_e' y vanishes), so mu is an

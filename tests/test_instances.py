@@ -94,6 +94,18 @@ def test_modulus_must_be_a_json_integer(p):
         load_instance_dict(doc)
 
 
+@pytest.mark.parametrize("p", [7, 0, None])
+def test_a_rational_field_takes_no_modulus(p, tmp_path, capsys):
+    doc = builtin("pair_f5")
+    doc["field"] = {"kind": "Q", "p": p}
+    with pytest.raises(InstanceError, match="^field: rational field takes no modulus$"):
+        load_instance_dict(doc)
+    target = tmp_path / "q_mod.json"
+    target.write_text(json.dumps(doc))
+    assert main(["validate", str(target)]) == 2
+    assert "field: rational field takes no modulus" in capsys.readouterr().err
+
+
 def test_wrong_length_idempotent_rejected_at_load():
     doc = builtin("pair_f5")
     doc["action"]["idempotents"]["e1"] = [1, 0, 0]

@@ -73,7 +73,7 @@ def walked() -> tuple[SuiteState, list[Subspace]]:
         state = SuiteState(load_builtin("klein_disjoint2"))
         state.blocks
         enum = state.center_enum
-    assert enum.note == "exhaustive"
+    assert enum.exhaustive
     return state, enum.subalgebras
 
 
