@@ -340,7 +340,7 @@ class GaloisContext:
         of c reads only r 1_c.  So theta(H) = sum_c 1_c theta(H_c), and
         projecting by 1_c gives back each 1_c theta(H_c), hence theta(H_c).
         Then theta(H) = theta(L) iff theta(H_c) = theta(L_c) for every c.
-        Each part is formed once, through ``theta``'s cache: the sum over c
+        Each part is formed once, through ``invariants``' cache: the sum over c
         of the closed sets of c, not one subspace per subgroupoid."""
         return self._part_key(h, "_theta_parts", self.theta)
 
@@ -379,30 +379,8 @@ class GaloisContext:
         return _center(self.act.algebra)
 
     def theta(self, h: Subgroupoid) -> Subspace:
-        """The Galois map value R^{beta_H}.
-
-        A subgroupoid spanning several components has it formed from its
-        parts: theta(H) = sum_c 1_c theta(H_c), with theta(empty) = R, by
-        the facts in ``component_subgroupoids``.  Each part is formed once,
-        through this cache, so a whole H costs one elimination of the rows
-        1_c theta(H_c) instead of a nullspace of the fix operators of H."""
-        parts = [h.members & c for c in self.components]
-        if sum(map(bool, parts)) < 2:
-            return self.invariants(h.members)
-        cache = self.__dict__.setdefault("_theta_cache", {})
-        if h.members not in cache:
-            act = self.act
-            rows = [
-                act.algebra.products(self.theta(Subgroupoid(h.parent, part)).basis, one[None])[:, 0]
-                for part, one in zip(parts, self.component_units)
-            ]
-            cache[h.members] = Subspace(act.field, act.algebra.dim, np.vstack(rows))
-        return cache[h.members]
-
-    @cached_property
-    def component_units(self) -> list[np.ndarray]:
-        """1_c, the sum of the 1_e over the objects e of each component c."""
-        return [self.act.unit_of(Subgroupoid(self.act.groupoid, c)) for c in self.components]
+        """The Galois map value theta(H) = R^{beta_H}, the invariants of H's arrows."""
+        return self.invariants(h.members)
 
     def invariants(self, arrows) -> Subspace:
         """R^{beta_S} for an arrow set S, formed once per set."""

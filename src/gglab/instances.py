@@ -166,6 +166,8 @@ def load_instance_dict(doc: dict) -> Instance:
         where = f"subalgebras[{i}]"
         _typed(_typed(ssec, dict, where).get("label", ""), str, f"{where}.label")  # optional and unread
         gens = [_vector(f, vec, f"{where}.generators") for vec in _need(ssec, "generators", where, list)]
+        if not gens:
+            raise InstanceError(f"{where}.generators must hold at least one vector")
         if any(v.shape != (alg.dim,) for v in gens):
             raise InstanceError(f"{where} generators must have length {alg.dim}")
         seeds.append(gens)

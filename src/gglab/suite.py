@@ -6,10 +6,13 @@ hypotheses first and records pass/skip/violation per instance; a failed
 hypothesis always yields "skip" with the failed hypothesis named, never
 a silent omission and never a spurious violation.
 
-Each check is one function, registered with ``@check`` under its MANIFEST
-id.  It reads the facts it shares with other checks off ``SuiteState``,
-where each is computed once, on first use, and returns an ``Outcome``.
-``run_suite`` walks MANIFEST, times each call and records the result.
+Each check is one function, declared by ``@check`` with its id, the
+anchor it is read against and its scope; the declarations fill MANIFEST,
+and run order is registration order.  A check reads the facts it shares
+with other checks off ``SuiteState``, where each is computed once, on
+first use, and returns an ``Outcome``.  ``run_suite`` walks MANIFEST,
+times each call and records the result, with the hypothesis "unmet"
+exactly when the verdict is "skip".
 """
 
 from __future__ import annotations
@@ -49,39 +52,6 @@ from .separability import (
     walkable,
 )
 
-# (check id, anchor, scope); order is the run order of a full-scope suite
-MANIFEST: list[tuple[str, str, str]] = [
-    ("validate_groupoid", "plumbing", "s3"),
-    ("validate_algebra", "plumbing", "s3"),
-    ("validate_action", "definition_action", "s3"),
-    ("galois_coordinates", "definition_galois_extension", "s3"),
-    ("jmodules", "definition_j_modules", "s3"),
-    ("connecting_arrows", "observation", "s3"),
-    ("lemma_2_1", "lemma_2_1", "s3"),
-    ("prop_2_2", "prop_2_2", "s3"),
-    ("skew_ring", "definition_skew_groupoid_ring", "s3"),
-    ("j_isomorphism", "lemma_3_1", "s3"),
-    ("lemma_3_1", "lemma_3_1", "s3"),
-    ("lemma_3_2", "lemma_3_2", "s3"),
-    ("theorem_3_3", "theorem_3_3", "s3"),
-    ("azumaya", "definition_azumaya", "s3"),
-    ("central_galois", "definition_central_galois", "s3"),
-    ("remark_2_3", "remark_2_3", "s3"),
-    ("lemma_3_4", "lemma_3_4", "s3"),
-    ("theorem_3_5", "theorem_3_5", "s3"),
-    ("lemma_3_6", "lemma_3_6", "s3"),
-    ("lemma_3_7", "lemma_3_7", "s3"),
-    ("lemma_3_8", "lemma_3_8", "s3"),
-    ("theorem_3_9", "theorem_3_9", "s3"),
-    ("theorem_3_10", "theorem_3_10", "s3"),
-    ("theorem_3_11", "theorem_3_11", "s3"),
-    ("fundamental_theorem", "section_4_preamble", "s4"),
-    ("theorem_4_1", "theorem_4_1", "s4"),
-    ("lemma_4_2", "lemma_4_2", "s4"),
-    ("theorem_4_3", "theorem_4_3", "s4"),
-    ("theorem_4_4", "theorem_4_4", "s4"),
-]
-
 # A construction that certifies its result raises one of these when the
 # certificate fails, which falsifies the statement being checked.  Any
 # other exception is a bug and propagates instead of becoming a violation.
@@ -89,16 +59,16 @@ CERTIFICATE_ERRORS = (GroupoidError, ActionError, AlgebraError, GaloisError)
 
 
 class Outcome(NamedTuple):
-    """What a check returns; ``run_suite`` adds the id, anchor and seconds."""
+    """What a check returns; ``run_suite`` adds the id, anchor, hypothesis
+    and seconds."""
 
     verdict: str
     detail: str = ""
     witnesses: dict | None = None
-    hypothesis: str = "met"
 
 
 def _skip(detail: str, witnesses: dict | None = None) -> Outcome:
-    return Outcome("skip", detail, witnesses, "unmet")
+    return Outcome("skip", detail, witnesses)
 
 
 @dataclass
@@ -425,15 +395,20 @@ class SuiteState:
         return all(self.identities(b, s)[0] for b in self.blocks for s in b.enum.subalgebras)
 
 
+# (check id, anchor, scope), one per ``@check``, in registration order,
+# which is the run order of a full-scope suite
+MANIFEST: list[tuple[str, str, str]] = []
 CHECKS: dict[str, Callable[[SuiteState], Outcome]] = {}
 
 
-def check(cid: str):
-    """Register the decorated function as the MANIFEST check ``cid``."""
+def check(cid: str, anchor: str, scope: str = "s3"):
+    """Declare the decorated function as check ``cid``, read against the
+    paper's ``anchor`` and run in ``scope``: append it to MANIFEST."""
 
     def register(fn):
         if cid in CHECKS:
             raise ValueError(f"check {cid!r} registered twice")
+        MANIFEST.append((cid, anchor, scope))
         CHECKS[cid] = fn
         return fn
 
@@ -455,7 +430,7 @@ def run_suite(inst: Instance, scope: str = "all") -> VerificationReport:
             CheckRecord(
                 check_id=cid,
                 anchor=anchor,
-                hypothesis=out.hypothesis,
+                hypothesis="unmet" if out.verdict == "skip" else "met",
                 verdict=out.verdict,
                 detail=out.detail,
                 witnesses=out.witnesses or {},
@@ -477,13 +452,13 @@ def provenance(inst: Instance) -> dict:
 # --- validators (already certified during load; record the facts) ----------
 
 
-@check("validate_groupoid")
+@check("validate_groupoid", "plumbing")
 def _validate_groupoid(state: SuiteState) -> Outcome:
     g = state.inst.groupoid
     return Outcome("pass", f"{g.size} arrows, {len(g.identities)} identities", {"arrows": list(g.names)})
 
 
-@check("validate_algebra")
+@check("validate_algebra", "plumbing")
 def _validate_algebra(state: SuiteState) -> Outcome:
     inst = state.inst
     return Outcome(
@@ -493,7 +468,7 @@ def _validate_algebra(state: SuiteState) -> Outcome:
     )
 
 
-@check("validate_action")
+@check("validate_action", "definition_action")
 def _validate_action(state: SuiteState) -> Outcome:
     g, act = state.inst.groupoid, state.inst.action
     return Outcome(
@@ -506,7 +481,7 @@ def _validate_action(state: SuiteState) -> Outcome:
 # --- Galois coordinates, J modules and the connecting-arrow observation -----
 
 
-@check("galois_coordinates")
+@check("galois_coordinates", "definition_galois_extension")
 def _galois_coordinates(state: SuiteState) -> Outcome:
     inst = state.inst
     if state.coordinate_failures:
@@ -525,13 +500,13 @@ def _galois_coordinates(state: SuiteState) -> Outcome:
     return Outcome("pass", f"instance coordinates certified ({n} pairs)", {"pairs": n})
 
 
-@check("jmodules")
+@check("jmodules", "definition_j_modules")
 def _jmodules(state: SuiteState) -> Outcome:
     g, jm = state.inst.groupoid, state.ctx.jmodules
     return Outcome("pass", "J modules computed", {"dims": {g.names[a]: jm[a].dim for a in g.arrows()}})
 
 
-@check("connecting_arrows")
+@check("connecting_arrows", "observation")
 def _connecting_arrows(state: SuiteState) -> Outcome:
     g, jm = state.inst.groupoid, state.ctx.jmodules
     conn = [a for a in g.arrows() if g.source[a] != g.target[a]]
@@ -550,7 +525,7 @@ def _connecting_arrows(state: SuiteState) -> Outcome:
 # --- Section 2 ----------------------------------------------------------------
 
 
-@check("lemma_2_1")
+@check("lemma_2_1", "lemma_2_1")
 def _lemma_2_1(state: SuiteState) -> Outcome:
     """Fixers are subgroupoids.
 
@@ -596,7 +571,7 @@ def _lemma_2_1(state: SuiteState) -> Outcome:
     )
 
 
-@check("prop_2_2")
+@check("prop_2_2", "prop_2_2")
 def _prop_2_2(state: SuiteState) -> Outcome:
     """Restrictions are actions and stay Galois, by inheritance: no
     restriction is built and no coordinate system re-certified.  The
@@ -634,7 +609,7 @@ def _prop_2_2(state: SuiteState) -> Outcome:
 # --- skew groupoid ring and the j isomorphism ----------------------------------
 
 
-@check("skew_ring")
+@check("skew_ring", "definition_skew_groupoid_ring")
 def _skew_ring(state: SuiteState) -> Outcome:
     """R*G is associative and unital by the action axioms certified at load
     (proof in ``build_skew_groupoid_ring``), and the detail says so."""
@@ -646,7 +621,7 @@ def _skew_ring(state: SuiteState) -> Outcome:
     )
 
 
-@check("j_isomorphism")
+@check("j_isomorphism", "lemma_3_1")
 def _j_isomorphism(state: SuiteState) -> Outcome:
     """j is decided bijective by ranks; that it is multiplicative and
     unital is proved from the action axioms (see
@@ -673,7 +648,7 @@ def _j_isomorphism(state: SuiteState) -> Outcome:
 # --- Section 3 ----------------------------------------------------------------
 
 
-@check("lemma_3_1")
+@check("lemma_3_1", "lemma_3_1")
 def _lemma_3_1(state: SuiteState) -> Outcome:
     """V_R(R^beta) is the direct sum of the J_g, on every subgroupoid's
     restriction, decided in R's own coordinates from the parent's facts.
@@ -732,7 +707,7 @@ def _lemma_3_1(state: SuiteState) -> Outcome:
     )
 
 
-@check("lemma_3_2")
+@check("lemma_3_2", "lemma_3_2")
 def _lemma_3_2(state: SuiteState) -> Outcome:
     """theta(H) = theta(L) forces H = L on the wide subgroupoids with
     J != 0 throughout; the all-subgroupoid reading is reported as data
@@ -789,7 +764,7 @@ def _theta_wide_witness(state: SuiteState) -> dict:
     return {"wide_subgroupoids": len(state.ctx.wide_subgroupoids)} if injective else {"coincidence": coincidence}
 
 
-@check("theorem_3_3")
+@check("theorem_3_3", "theorem_3_3")
 def _theorem_3_3(state: SuiteState) -> Outcome:
     ctx = state.ctx
     injective = state.theta_wide[0]
@@ -809,12 +784,12 @@ def _theorem_3_3(state: SuiteState) -> Outcome:
 # --- flags: Azumaya / central Galois / Hirata chain ------------------------------
 
 
-@check("azumaya")
+@check("azumaya", "definition_azumaya")
 def _azumaya(state: SuiteState) -> Outcome:
     return Outcome("pass", f"separable over its center: {state.azu}", {"azumaya": state.azu})
 
 
-@check("central_galois")
+@check("central_galois", "definition_central_galois")
 def _central_galois(state: SuiteState) -> Outcome:
     ctx = state.ctx
     return Outcome(
@@ -828,7 +803,7 @@ def _central_galois(state: SuiteState) -> Outcome:
     )
 
 
-@check("remark_2_3")
+@check("remark_2_3", "remark_2_3")
 def _remark_2_3(state: SuiteState) -> Outcome:
     expected = state.inst.flags.get("central_galois_expected")
     if expected is not None and expected != state.central:
@@ -847,7 +822,7 @@ def _remark_2_3(state: SuiteState) -> Outcome:
     )
 
 
-@check("lemma_3_4")
+@check("lemma_3_4", "lemma_3_4")
 def _lemma_3_4(state: SuiteState) -> Outcome:
     """The product rule; the table is reported whether or not the gate is met.
 
@@ -886,7 +861,7 @@ def _lemma_3_4(state: SuiteState) -> Outcome:
     )
 
 
-@check("theorem_3_5")
+@check("theorem_3_5", "theorem_3_5")
 def _theorem_3_5(state: SuiteState) -> Outcome:
     if not state.central:
         return _skip("hypothesis (Hirata/central) unmet")
@@ -898,7 +873,7 @@ def _theorem_3_5(state: SuiteState) -> Outcome:
     )
 
 
-@check("lemma_3_6")
+@check("lemma_3_6", "lemma_3_6")
 def _lemma_3_6(state: SuiteState) -> Outcome:
     """sigma is injective on the support.
 
@@ -923,7 +898,7 @@ def _lemma_3_6(state: SuiteState) -> Outcome:
     return Outcome("pass", detail, {"subgroupoids": len(ctx.all_subgroupoids)})
 
 
-@check("lemma_3_7")
+@check("lemma_3_7", "lemma_3_7")
 def _lemma_3_7(state: SuiteState) -> Outcome:
     """gamma(H) = V_R(R^(beta_S)) on every wide H, with S = S_H the arrows
     of H whose J is not 0; decided on the parts H_c of the wide H in each
@@ -963,7 +938,7 @@ def _lemma_3_7(state: SuiteState) -> Outcome:
     )
 
 
-@check("lemma_3_8")
+@check("lemma_3_8", "lemma_3_8")
 def _lemma_3_8(state: SuiteState) -> Outcome:
     if not state.galois:
         return _skip("Galois gate unmet")
@@ -982,7 +957,7 @@ def _lemma_3_8(state: SuiteState) -> Outcome:
     return Outcome("pass", "no proper subgroupoid strictly between S_H and H", {"wide": len(ctx.wide_subgroupoids)})
 
 
-@check("theorem_3_9")
+@check("theorem_3_9", "theorem_3_9")
 def _theorem_3_9(state: SuiteState) -> Outcome:
     """The double-centralizer sweep over the separable subalgebras
     containing the center, one block at a time (``SuiteState.blocks``).
@@ -1040,7 +1015,7 @@ def _dcp_unmet(state: SuiteState) -> str | None:
     return None
 
 
-@check("theorem_3_10")
+@check("theorem_3_10", "theorem_3_10")
 def _theorem_3_10(state: SuiteState) -> Outcome:
     """theta is injective on the wide subgroupoids iff gamma is, under the
     double-centralizer hypothesis; the all-subgroupoid readings are
@@ -1065,7 +1040,7 @@ def _theorem_3_10(state: SuiteState) -> Outcome:
     )
 
 
-@check("theorem_3_11")
+@check("theorem_3_11", "theorem_3_11")
 def _theorem_3_11(state: SuiteState) -> Outcome:
     """gamma(H) = gamma(L), theta(H) = theta(L) and "J = 0 on
     join(H, L) outside H & L" coincide; a pair is reported where they
@@ -1136,7 +1111,7 @@ def _theorem_3_11(state: SuiteState) -> Outcome:
 _S4_UNMET = _skip("standing hypothesis unmet: R is not a certified central Galois algebra")
 
 
-@check("fundamental_theorem")
+@check("fundamental_theorem", "section_4_preamble", "s4")
 def _fundamental_theorem(state: SuiteState) -> Outcome:
     if not state.central:
         return _S4_UNMET
@@ -1169,7 +1144,7 @@ def _fundamental_theorem(state: SuiteState) -> Outcome:
     )
 
 
-@check("theorem_4_1")
+@check("theorem_4_1", "theorem_4_1", "s4")
 def _theorem_4_1(state: SuiteState) -> Outcome:
     """Both identities on every separable subalgebra over the center, read
     one block member at a time (proof in ``SuiteState.identities``); a
@@ -1192,7 +1167,7 @@ def _theorem_4_1(state: SuiteState) -> Outcome:
     )
 
 
-@check("lemma_4_2")
+@check("lemma_4_2", "lemma_4_2", "s4")
 def _lemma_4_2(state: SuiteState) -> Outcome:
     """R is separable over theta(H) for every wide H, by proof from the
     certified coordinates: no tensor square is built.  The detail says so
@@ -1239,7 +1214,7 @@ def _lemma_4_2(state: SuiteState) -> Outcome:
 # Theorems 4.3 and 4.4: the two directions of the characterization
 
 
-@check("theorem_4_3")
+@check("theorem_4_3", "theorem_4_3", "s4")
 def _theorem_4_3(state: SuiteState) -> Outcome:
     if not state.central:
         return _S4_UNMET
@@ -1255,7 +1230,7 @@ def _theorem_4_3(state: SuiteState) -> Outcome:
     )
 
 
-@check("theorem_4_4")
+@check("theorem_4_4", "theorem_4_4", "s4")
 def _theorem_4_4(state: SuiteState) -> Outcome:
     if not state.central:
         return _S4_UNMET

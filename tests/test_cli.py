@@ -32,6 +32,16 @@ def test_validate_file(tmp_path, capsys):
     assert code == 0
 
 
+def test_validate_refuses_a_subalgebra_without_generators(tmp_path, capsys):
+    doc = builtin("pair_f5")
+    doc["subalgebras"] = [{"generators": []}]
+    path = tmp_path / "no_generators.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: subalgebras[0].generators must hold at least one vector\n"
+
+
 def test_validate_bad_file(tmp_path, capsys):
     doc = builtin("pair_f5")
     doc["field"]["p"] = 6
@@ -160,6 +170,45 @@ def test_theta_table(capsys):
     code, out, _ = run_cli(["theta-table", "--builtin", "klein_m2f3"], capsys)
     assert code == 0
     assert "theta injective: True" in out
+
+
+# klein_disjoint2 has two components, so most of its wide subgroupoids
+# span both and their theta(H) reads arrows of each
+KLEIN_DISJOINT2_THETA_TABLE = [
+    "subgroupoid                theta dim  gamma dim  direct",
+    "{e1,a1,b1,c1,e2}                   5          5  True  ",
+    "{e1,a1,b1,c1,e2,a2}                3          6  True  ",
+    "{e1,a1,b1,c1,e2,a2,b2,c2}          2          8  True  ",
+    "{e1,a1,b1,c1,e2,b2}                3          6  True  ",
+    "{e1,a1,b1,c1,e2,c2}                3          6  True  ",
+    "{e1,a1,e2}                         6          3  True  ",
+    "{e1,a1,e2,a2}                      4          4  True  ",
+    "{e1,a1,e2,a2,b2,c2}                3          6  True  ",
+    "{e1,a1,e2,b2}                      4          4  True  ",
+    "{e1,a1,e2,c2}                      4          4  True  ",
+    "{e1,b1,e2}                         6          3  True  ",
+    "{e1,b1,e2,a2}                      4          4  True  ",
+    "{e1,b1,e2,a2,b2,c2}                3          6  True  ",
+    "{e1,b1,e2,b2}                      4          4  True  ",
+    "{e1,b1,e2,c2}                      4          4  True  ",
+    "{e1,c1,e2}                         6          3  True  ",
+    "{e1,c1,e2,a2}                      4          4  True  ",
+    "{e1,c1,e2,a2,b2,c2}                3          6  True  ",
+    "{e1,c1,e2,b2}                      4          4  True  ",
+    "{e1,c1,e2,c2}                      4          4  True  ",
+    "{e1,e2}                            8          2  True  ",
+    "{e1,e2,a2}                         6          3  True  ",
+    "{e1,e2,a2,b2,c2}                   5          5  True  ",
+    "{e1,e2,b2}                         6          3  True  ",
+    "{e1,e2,c2}                         6          3  True  ",
+    "theta injective: True   gamma injective: True",
+]
+
+
+def test_theta_table_spanning_two_components(capsys):
+    code, out, _ = run_cli(["theta-table", "--builtin", "klein_disjoint2"], capsys)
+    assert code == 0
+    assert out.splitlines() == KLEIN_DISJOINT2_THETA_TABLE and out.endswith("\n")
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

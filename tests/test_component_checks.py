@@ -15,9 +15,10 @@ verdict, and the H on which it fails must be exactly those holding the
 part.  With one component the parts are the H themselves, so a spoiled
 ``klein_m2f3`` must give the oracle's record byte for byte.
 
-theta(H) of a subgroupoid spanning several components, formed from its
-parts, must equal the invariants of H solved whole, on the documents with
-several components and on shuffled arrow orders of ``klein_disjoint2``.
+theta(H) of a subgroupoid spanning several components must equal the sum
+over components c of 1_c theta(H_c), formed here from its parts, on the
+documents with several components and on shuffled arrow orders of
+``klein_disjoint2``: the fact on which ``theta_key`` rests.
 
 ``theta_key`` and ``gamma_key`` must split the subgroupoids into the same
 classes as the canonical keys of theta(H) and gamma(H) formed whole, on
@@ -28,13 +29,14 @@ import json
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gglab.action import invariants
 from gglab.galois import GaloisContext
-from gglab.groupoid import components
+from gglab.groupoid import Subgroupoid, components
 from gglab.instances import load_instance_dict
 from gglab.linalg import Subspace
 from gglab.suite import CHECKS, Outcome, SuiteState, _skip
@@ -206,9 +208,7 @@ def classes(subs, key) -> list[list[int]]:
 
 def assert_keys_split_like_subspaces(doc: dict):
     """theta_key and gamma_key partition every subgroupoid as the whole
-    theta(H) and gamma(H) do, with no cache shared between the two sides;
-    theta(H) is solved whole by ``invariants``, since ``GaloisContext.theta``
-    forms it from its parts."""
+    theta(H) and gamma(H) do, with no cache shared between the two sides."""
     keyed, whole = GaloisContext(load_instance_dict(doc).action), GaloisContext(load_instance_dict(doc).action)
     subs = keyed.all_subgroupoids
     assert classes(subs, keyed.theta_key) == classes(subs, lambda h: invariants(whole.act, h.members).key())
@@ -247,12 +247,21 @@ def test_component_keys_are_blind_to_arrow_order(name, data):
 MULTI_COMPONENT = sorted(name for name, doc in DOCUMENTS.items() if len(components(load_instance_dict(doc).groupoid)) > 1)
 
 
+def theta_from_parts(ctx: GaloisContext, h) -> Subspace:
+    """sum_c 1_c theta(H_c), each part solved on its own, with theta(empty) = R."""
+    act = ctx.act
+    rows = [
+        act.algebra.products(invariants(act, h.members & c).basis, act.unit_of(Subgroupoid(act.groupoid, c))[None])[:, 0]
+        for c in ctx.components
+    ]
+    return Subspace(act.field, act.algebra.dim, np.vstack(rows))
+
+
 def assert_theta_equals_the_invariants(doc: dict):
-    act = load_instance_dict(doc).action
-    ctx = GaloisContext(act)
+    ctx = GaloisContext(load_instance_dict(doc).action)
     spanning = 0
     for h in ctx.all_subgroupoids:
-        got, want = ctx.theta(h), invariants(act, h.members)
+        got, want = ctx.theta(h), theta_from_parts(ctx, h)
         assert got == want and got.pivots == want.pivots, h.label()
         spanning += sum(bool(h.members & c) for c in ctx.components) > 1
     assert spanning

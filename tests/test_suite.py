@@ -45,11 +45,11 @@ def test_no_violations_on_builtins(reports):
 
 
 def test_no_silent_skips(reports):
-    # every skip names its failed hypothesis
+    # every skip names its failed hypothesis, and only a skip has one unmet
     for report in reports.values():
         for c in report.checks:
+            assert (c.hypothesis == "unmet") == (c.verdict == "skip"), (report.instance, c.check_id)
             if c.verdict == "skip":
-                assert c.hypothesis == "unmet"
                 assert c.detail
 
 
