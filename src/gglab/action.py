@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
-from . import linalg
+from . import _purerref, linalg
 from .algebra import Algebra, subspace_algebra
 from .fields import Field
 from .groupoid import Groupoid, Subgroupoid, is_subgroupoid
@@ -36,12 +37,9 @@ class Action:
 
     @cached_property
     def ideals(self) -> dict[int, Subspace]:
-        """E_e = 1_e R for each identity, as subspaces of R."""
-        out = {}
-        eye = self.field.eye(self.algebra.dim)
-        for e, one_e in self.idempotents.items():
-            out[e] = Subspace(self.field, self.algebra.dim, self.algebra.products(eye, one_e[None])[:, 0])
-        return out
+        """E_e = 1_e R for each identity, as subspaces of R: spanned by the
+        b_i 1_e, the columns of P_e (``idempotent_mult``)."""
+        return {e: Subspace(self.field, self.algebra.dim, m.T) for e, m in self.idempotent_mult.items()}
 
     def ideal(self, g: int) -> Subspace:
         """E_g = E_{r(g)}."""
@@ -49,8 +47,11 @@ class Action:
 
     @cached_property
     def idempotent_mult(self) -> dict[int, np.ndarray]:
-        """Multiplication-by-1_e matrices (1_e is central, so one matrix)."""
-        return {e: self.algebra.right_mult(v) for e, v in self.idempotents.items()}
+        """Multiplication-by-1_e matrices P_e (1_e is central, so one
+        matrix), formed for all identities in one product."""
+        ids = list(self.idempotents)
+        vecs = np.array([self.idempotents[e] for e in ids], dtype=self.field.dtype).reshape(len(ids), self.algebra.dim)
+        return dict(zip(ids, self.algebra.right_mult(vecs)))
 
     @cached_property
     def fix_operators(self) -> np.ndarray:
@@ -75,92 +76,168 @@ class Action:
 
 
 def validate_action(g: Groupoid, alg: Algebra, idempotents, beta) -> Action:
-    """Certify every action axiom by explicit finite checks."""
+    """Certify every action axiom by explicit finite checks.
+
+    Each axiom is decided for all identities, arrows or composable pairs
+    at once, by stacked products taken in chunks of at most
+    ``_purerref.STACK_CELLS`` multiply-adds (``_chunked``).  With P_e the
+    matrix of right multiplication by 1_e, the projection of R onto E_e:
+
+    - the 1_e are idempotent, central, pairwise orthogonal and sum to 1_R;
+    - beta_a vanishes off E_{d(a)} and lands in E_{r(a)}: beta_a P_{d(a)}
+      = beta_a and P_{r(a)} beta_a = beta_a;
+    - beta_a(1_{d(a)}) = 1_{r(a)}, beta_e P_e = P_e for each identity e,
+      and beta_a beta_b = beta_{ab} for each composable pair;
+    - beta_a(xy) = beta_a(x) beta_a(y) for x, y in a basis of E_{d(a)}.
+
+    Multiplicativity on E_{d(a)} is multiplicativity on R: both sides are
+    bilinear, so the basis pairs decide E_{d(a)}, and since beta_a
+    vanishes off E_{d(a)} and 1_{d(a)} is a central idempotent, for all
+    x, y in R, beta_a(xy) = beta_a((x 1_{d(a)})(y 1_{d(a)})) =
+    beta_a(x 1_{d(a)}) beta_a(y 1_{d(a)}) = beta_a(x) beta_a(y).  A check
+    on all of R would cost (n / dim E_{d(a)})^2 times more.
+
+    Bijectivity of beta_a: E_{d(a)} -> E_{r(a)} needs no check of its
+    own.  With a^-1 a = d(a) and a a^-1 = r(a), the cocycle and the
+    identity axioms make beta_{a^-1} beta_a = beta_{d(a)} the identity
+    on E_{d(a)} and beta_a beta_{a^-1} = beta_{r(a)} the identity on
+    E_{r(a)}, and beta_a, beta_{a^-1} map each ideal into the other; so
+    beta_{a^-1} is a two-sided inverse of beta_a between E_{d(a)} and
+    E_{r(a)}.  Ranks are computed only on a document that fails, to name
+    its first failure in the order arrow by arrow (vanishing, landing,
+    bijectivity, unit, multiplicativity), then the identities, then the
+    composable pairs.
+    """
     field = alg.field
     n = alg.dim
     names = g.names
+    ids, arrows = list(g.identities), list(g.arrows())
 
-    idem = {}
-    for e in g.identities:
-        if e not in idempotents:
-            raise ActionError(f"missing idempotent for identity {names[e]}")
-        v = field.reduce(np.asarray(idempotents[e]).astype(field.dtype, copy=True))
-        if v.shape != (n,):
-            raise ActionError(f"idempotent for {names[e]} has shape {v.shape}, want {(n,)}")
-        idem[e] = v
-    for e in idempotents:
-        if e not in idem:
-            raise ActionError(f"idempotent given for non-identity arrow {names[e]}")
-
-    bmats = {}
-    for a in g.arrows():
-        if a not in beta:
-            raise ActionError(f"missing matrix for arrow {names[a]}")
-        m = field.reduce(np.asarray(beta[a]).astype(field.dtype, copy=True))
-        if m.shape != (n, n):
-            raise ActionError(f"matrix for {names[a]} has shape {m.shape}, want {(n, n)}")
-        bmats[a] = m
-
-    act = Action(groupoid=g, algebra=alg, idempotents=idem, beta=bmats)
+    pos = {e: i for i, e in enumerate(ids)}
+    vecs = _stack_entries(field, idempotents, ids, (n,), names, "idempotent", "identity")
+    extra = [e for e in idempotents if e not in pos]
+    if extra:
+        raise ActionError(f"idempotent given for non-identity arrow {names[extra[0]]}")
+    mats = _stack_entries(field, beta, arrows, (n, n), names, "matrix", "arrow")
+    act = Action(groupoid=g, algebra=alg, idempotents=dict(zip(ids, vecs)), beta=dict(zip(arrows, mats)))
 
     # central orthogonal idempotents summing to 1 (standing assumption R = sum E_e)
-    ids = list(idem)
-    stacked = np.array(list(idem.values()), dtype=field.dtype).reshape(len(ids), n)
-    prods = alg.products(stacked, stacked)
-    for k, (e, v) in enumerate(idem.items()):
-        if not np.array_equal(prods[k, k], v):
-            raise ActionError(f"1_{names[e]} is not idempotent")
-        if not np.array_equal(alg.left_mult(v), alg.right_mult(v)):
-            raise ActionError(f"1_{names[e]} is not central")
-    for k, e in enumerate(ids):
-        for l, f in enumerate(ids):
-            if e < f and np.any(prods[k, l] != 0):
-                raise ActionError(f"1_{names[e]} and 1_{names[f]} are not orthogonal")
-    total = field.zeros(n)
-    for e in g.identities:
-        total = field.reduce(total + idem[e])
-    if not np.array_equal(total, alg.unit):
+    proj = np.array(list(act.idempotent_mult.values()), dtype=field.dtype)  # P_e, stacked like ids
+    prods = field.reduce(np.matmul(proj, vecs.T))  # prods[l, :, k] = 1_k 1_l
+    at = np.arange(len(ids))
+    idempotent = (prods[at, :, at] == vecs).all(axis=1)
+    central = (alg.left_mult(vecs) == proj).all(axis=(1, 2))
+    if not (idempotent & central).all():
+        k = int(np.argmin(idempotent & central))
+        raise ActionError(f"1_{names[ids[k]]} is {'not central' if idempotent[k] else 'not idempotent'}")
+    nonzero = prods.any(axis=1)  # [l, k]: 1_k 1_l != 0, symmetric as the 1_e are central
+    if np.count_nonzero(nonzero) > np.count_nonzero(nonzero.diagonal()):
+        k, l = np.argwhere(np.triu(nonzero.T, 1))[0]
+        raise ActionError(f"1_{names[ids[k]]} and 1_{names[ids[l]]} are not orthogonal")
+    if not np.array_equal(field.reduce(vecs.sum(axis=0)), alg.unit):
         raise ActionError("idempotents do not sum to 1_R; R = direct sum of E_e fails")
 
-    ideals = act.ideals
-    for a in g.arrows():
-        dom = ideals[g.source[a]]  # E_{a^-1} = E_{d(a)}
-        cod = ideals[g.target[a]]
-        m = bmats[a]
-        # vanishing off the domain ideal, image inside the codomain ideal
-        dmat = act.idempotent_mult[g.source[a]]
-        if not np.array_equal(linalg.matmul(field, m, dmat), m):
+    src = np.array([pos[g.source[a]] for a in arrows])
+    tgt = np.array([pos[g.target[a]] for a in arrows])
+    # a basis of each E_e, padded with zero rows to the widest, and its
+    # products; row 0 of ``rows`` is zero, and E_e's basis starts at starts[i]
+    bases = [act.ideals[e].basis for e in ids]
+    width = max(len(b) for b in bases)
+    rows = np.concatenate([field.zeros((1, n)), *bases])
+    starts = accumulate([len(b) for b in bases[:-1]], initial=1)
+    dom = rows[[[s + j if j < len(b) else 0 for j in range(width)] for s, b in zip(starts, bases)]]
+    mult_work = width * n**3 + width * width * n * n  # products() of two stacks of width rows
+    dom_prods = _chunked(len(ids), mult_work, lambda s: alg.products(dom[s], dom[s]))
+    dom_prods = dom_prods.reshape(len(ids), width * width, n)
+
+    def arrow_checks(s):
+        """Columns: beta_a vanishes off E_{d(a)}, lands in E_{r(a)}, sends
+        1_{d(a)} = P_{d(a)} 1_R to 1_{r(a)}, is multiplicative on E_{d(a)},
+        and is the identity on E_{d(a)} (read at the identities only)."""
+        m, mt, d = mats[s], np.swapaxes(mats[s], 1, 2), src[s]
+        on_dom = field.reduce(np.matmul(m, proj[d]))
+        imgs = field.reduce(np.matmul(dom[d], mt))
+        lhs = field.reduce(np.matmul(dom_prods[d], mt))
+        return np.stack(
+            [
+                _equal(on_dom, m),
+                _equal(field.reduce(np.matmul(proj[tgt[s]], m)), m),
+                _equal(field.reduce(np.matmul(on_dom, alg.unit)), vecs[tgt[s]]),
+                _equal(lhs, alg.products(imgs, imgs)),
+                _equal(on_dom, proj[d]),
+            ],
+            axis=1,
+        )
+
+    # imgs and lhs take less than a second products()
+    checks = _chunked(len(arrows), 2 * n**3 + n * n + 2 * mult_work, arrow_checks)
+    vanishes, lands, unital, mult, identity = checks.T
+    identity = identity[ids]
+    pairs = [(a, b, g.comp[a][b]) for a in arrows for b in arrows if g.composable(a, b)]
+    left, right, ab = (np.array(c) for c in zip(*pairs))
+    cocycle = _chunked(
+        len(pairs), n**3, lambda s: _equal(field.reduce(np.matmul(mats[left[s]], mats[right[s]])), mats[ab[s]])
+    )
+
+    if (vanishes & lands & unital & mult).all() and identity.all() and cocycle.all():
+        return act
+    for a in arrows:
+        d, r = g.source[a], g.target[a]
+        if not vanishes[a]:
             raise ActionError(f"beta_{names[a]} does not vanish off its domain ideal")
-        imgs = linalg.matmul(field, dom.basis, m.T)  # beta_a of each basis row
-        if cod.coords_rows(imgs) is None:
-            raise ActionError(f"beta_{names[a]} maps outside E_{names[g.target[a]]}")
-        # bijective onto E_a
-        if linalg.rank(field, imgs) != cod.dim or dom.dim != cod.dim:
-            raise ActionError(f"beta_{names[a]} is not bijective onto E_{names[g.target[a]]}")
-        # unit preservation and multiplicativity on a basis of the domain
-        if not np.array_equal(linalg.matmul(field, m, idem[g.source[a]]), idem[g.target[a]]):
-            raise ActionError(f"beta_{names[a]} does not send 1_{names[g.source[a]]} to 1_{names[g.target[a]]}")
-        lhs = linalg.matmul(field, alg.products(dom.basis, dom.basis), m.T)
-        if not np.array_equal(lhs, alg.products(imgs, imgs)):
-            raise ActionError(f"beta_{names[a]} is not multiplicative on E_{names[g.source[a]]}")
+        if not lands[a]:
+            raise ActionError(f"beta_{names[a]} maps outside E_{names[r]}")
+        dom_a, cod_a = act.ideals[d], act.ideals[r]
+        if dom_a.dim != cod_a.dim or linalg.rank(field, linalg.matmul(field, dom_a.basis, mats[a].T)) != cod_a.dim:
+            raise ActionError(f"beta_{names[a]} is not bijective onto E_{names[r]}")
+        if not unital[a]:
+            raise ActionError(f"beta_{names[a]} does not send 1_{names[d]} to 1_{names[r]}")
+        if not mult[a]:
+            raise ActionError(f"beta_{names[a]} is not multiplicative on E_{names[d]}")
+    if not identity.all():
+        e = ids[int(np.argmin(identity))]
+        raise ActionError(f"beta_{names[e]} is not the identity on E_{names[e]}")
+    a, b, c = pairs[int(np.argmin(cocycle))]
+    raise ActionError(f"cocycle fails: beta_{names[a]} o beta_{names[b]} != beta_{names[c]}")
 
-    for e in g.identities:
-        # identity on E_e
-        rows = ideals[e].basis
-        if not np.array_equal(linalg.matmul(field, rows, bmats[e].T), rows):
-            raise ActionError(f"beta_{names[e]} is not the identity on E_{names[e]}")
 
-    for a in g.arrows():
-        for b in g.arrows():
-            if not g.composable(a, b):
-                continue
-            ab = g.comp[a][b]
-            lhs = linalg.matmul(field, bmats[a], bmats[b])
-            if not np.array_equal(lhs, bmats[ab]):
-                raise ActionError(
-                    f"cocycle fails: beta_{names[a]} o beta_{names[b]} != beta_{names[ab]}"
-                )
-    return act
+def _stack_entries(field, given, keys, shape, names, kind, owner) -> np.ndarray:
+    """given[k] for each k of keys, reduced, as one array of shape
+    (len(keys), *shape); else the ActionError for the first entry that
+    is missing or has another shape."""
+    try:
+        out = np.array([given[k] for k in keys], dtype=field.dtype)
+        if out.shape == (len(keys), *shape):
+            return field.reduce(out)
+    except (KeyError, ValueError, TypeError):
+        pass
+    for k in keys:
+        if k not in given:
+            raise ActionError(f"missing {kind} for {owner} {names[k]}")
+        got = np.shape(given[k])
+        if got != shape:
+            raise ActionError(f"{kind} for {names[k]} has shape {got}, want {shape}")
+    # every entry has the right shape, so one of them does not convert: raise that
+    return field.reduce(np.array([given[k] for k in keys], dtype=field.dtype))
+
+
+def _chunked(count: int, work: int, step_fn) -> np.ndarray:
+    """step_fn(s) over consecutive slices s of range(count), concatenated.
+
+    One item takes ``work`` multiply-adds, and a slice at most
+    ``_purerref.STACK_CELLS`` of them (or one item).  That also bounds
+    the entries of each array a step makes, since each entry of a product
+    costs at least one multiply-add.
+    """
+    step = max(1, _purerref.STACK_CELLS // max(work, 1))
+    if step >= count:
+        return step_fn(slice(None))
+    return np.concatenate([step_fn(slice(lo, lo + step)) for lo in range(0, count, step)])
+
+
+def _equal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Whether x[i] and y[i] hold the same entries, for each i along the first axis."""
+    return (x.reshape(len(x), -1) == y.reshape(len(y), -1)).all(axis=1)
 
 
 def invariants(act: Action, members) -> Subspace:

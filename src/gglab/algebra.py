@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
+from . import _purerref, linalg
 from .fields import Field
 from .linalg import Subspace
 
@@ -37,10 +37,12 @@ class Algebra:
 
         Two contractions with the structure-constant table, each reduced:
         first the rows of x*b_j for every x, then the combinations by y.
+        Stacks of rows, shapes (..., r, n) and (..., s, n), give the
+        products within each stack entry, shape (..., r, s, n).
         """
         n = self.dim
-        left = self.field.reduce(np.dot(xs, self.table.reshape(n, n * n))).reshape(len(xs), n, n)
-        return self.field.reduce(np.matmul(ys, left))
+        left = self.field.reduce(np.dot(xs, self.table.reshape(n, n * n))).reshape(*xs.shape, n)
+        return self.field.reduce(np.matmul(ys[..., None, :, :], left))
 
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if x.shape != (self.dim,) or y.shape != (self.dim,):
@@ -48,17 +50,17 @@ class Algebra:
         return self.products(x[None], y[None])[0, 0]
 
     def left_mult(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of y -> x*y acting on column vectors."""
+        """Matrix of y -> x*y acting on column vectors; one per row of a stack x."""
         n = self.dim
-        m = np.dot(x, self.table.reshape(n, n * n)).reshape(n, n)
-        return self.field.reduce(m.T)
+        m = np.dot(x, self.table.reshape(n, n * n)).reshape(*x.shape, n)
+        return self.field.reduce(np.swapaxes(m, -1, -2))
 
     def right_mult(self, y: np.ndarray) -> np.ndarray:
-        """Matrix of x -> x*y acting on column vectors."""
+        """Matrix of x -> x*y acting on column vectors; one per row of a stack y."""
         n = self.dim
         tt = np.transpose(self.table, (1, 0, 2)).reshape(n, n * n)
-        m = np.dot(y, tt).reshape(n, n)
-        return self.field.reduce(m.T)
+        m = np.dot(y, tt).reshape(*y.shape, n)
+        return self.field.reduce(np.swapaxes(m, -1, -2))
 
     def basis_vector(self, i: int) -> np.ndarray:
         v = self.field.zeros(self.dim)
@@ -95,18 +97,25 @@ def _check_associative(alg: Algebra) -> None:
     """Raise unless (b_i b_j) b_k = b_i (b_j b_k) on every basis triple,
     naming the row-major first triple that fails.
 
-    Both sides are contractions of the table with itself, taken one b_i
-    at a time so that no array holds more than n^3 entries.
+    Both sides are contractions of the table with itself, taken for a
+    chunk of the b_i at a time: 2 n^4 multiply-adds per b_i, and at most
+    ``_purerref.STACK_CELLS`` per chunk (or one b_i), which also bounds
+    the entries of each array a chunk makes.
     """
     f, t, labels = alg.field, alg.table, alg.labels
     n = alg.dim
     rows, cols = t.reshape(n * n, n), t.reshape(n, n * n)
-    for i in range(n):
-        # row (j, k), column l: (b_i b_j) b_k - b_i (b_j b_k)
-        diff = f.reduce(np.dot(t[i], cols).reshape(n * n, n) - np.dot(rows, t[i]))
-        if diff.any():
-            j, k = divmod(int(np.flatnonzero(diff.any(axis=1))[0]), n)
-            raise AlgebraError(f"associativity fails at triple ({labels[i]},{labels[j]},{labels[k]})")
+    step = max(1, _purerref.STACK_CELLS // max(2 * n**4, 1))
+    for lo in range(0, n, step):
+        ts = t[lo : lo + step]
+        # [i, (j, k), l]: coefficient l of (b_i b_j) b_k - b_i (b_j b_k)
+        diff = np.dot(ts.reshape(-1, n), cols).reshape(len(ts), n * n, n)
+        diff -= np.matmul(rows, ts)
+        bad = f.reduce(diff).any(axis=2)
+        if bad.any():
+            i, jk = divmod(int(np.flatnonzero(bad)[0]), n * n)
+            j, k = divmod(jk, n)
+            raise AlgebraError(f"associativity fails at triple ({labels[lo + i]},{labels[j]},{labels[k]})")
 
 
 def _check_unit_laws(alg: Algebra) -> None:

@@ -11,6 +11,7 @@ through ``Fraction``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +20,9 @@ import numpy as np
 
 class FieldError(ValueError):
     pass
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _canon(x):
@@ -110,18 +114,21 @@ class Field:
     # -- (de)serialization ----------------------------------------------------
 
     def parse_scalar(self, v):
-        """Instance-file scalar: an int, or "a/b" for rationals."""
-        if isinstance(v, str):
-            if self.modular:
-                raise FieldError(f"fraction string {v!r} in a prime-field instance")
+        """Instance-file scalar: a JSON integer, or over Q also a string
+        "num/den" or "num" in ASCII digits with an optional leading minus,
+        as ``scalar_json`` writes it."""
+        if type(v) is int:
+            return v % self.p if self.modular else v
+        if not self.modular and isinstance(v, str) and _RATIONAL.fullmatch(v):
             num, _, den = v.partition("/")
             try:
-                return _canon(Fraction(int(num), int(den) if den else 1))
+                return _canon(Fraction(int(num), int(den or 1)))
             except ZeroDivisionError:
-                raise FieldError(f"bad scalar {v!r}") from None
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise FieldError(f"bad scalar {v!r}")
-        return v % self.p if self.modular else v
+                raise FieldError(f"bad scalar {v!r}: zero denominator") from None
+            except ValueError as e:  # more digits than int() converts
+                raise FieldError(f"bad scalar {v!r:.40}: {e}") from None
+        want = "a JSON integer" if self.modular else 'a JSON integer or a "num/den" string'
+        raise FieldError(f"bad scalar {v!r:.40}: want {want}")
 
     def scalar_json(self, v):
         if self.modular:

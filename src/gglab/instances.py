@@ -64,12 +64,29 @@ def _names(doc: dict, key: str, where: str) -> list:
     return names
 
 
-def _vector(f: Field, vec, where: str, index: int | None = None) -> np.ndarray:
-    return f.vector([f.parse_scalar(v) for v in _typed(vec, list, where, index)])
+def _scalar(f: Field, v, where: str):
+    """``f.parse_scalar(v)``, its error located at ``where``."""
+    try:
+        return f.parse_scalar(v)
+    except FieldError as e:
+        raise InstanceError(f"{where}: {e}") from None
+
+
+def _scalars(f: Field, row: list, where: str) -> list:
+    """The scalars of the JSON array ``row`` at ``where``.  A row of plain
+    ints that fit int64 is returned as it is, for ``Field.vector`` or
+    ``Field.array`` to reduce in one numpy call."""
+    if set(map(type, row)) <= {int} and (not row or -(2**63) <= min(row) and max(row) < 2**63):
+        return row
+    return [_scalar(f, v, f"{where}[{j}]") for j, v in enumerate(row)]
+
+
+def _vector(f: Field, vec, where: str) -> np.ndarray:
+    return f.vector(_scalars(f, _typed(vec, list, where), where))
 
 
 def _matrix(f: Field, mat, where: str) -> np.ndarray:
-    rows = [[f.parse_scalar(v) for v in _typed(row, list, where, i)] for i, row in enumerate(_typed(mat, list, where))]
+    rows = [_scalars(f, _typed(row, list, where, i), f"{where}[{i}]") for i, row in enumerate(_typed(mat, list, where))]
     for i, row in enumerate(rows):
         if len(row) != len(rows[0]):
             raise InstanceError(f"{where}[{i}] has {len(row)} entries, but {where}[0] has {len(rows[0])}")
@@ -133,7 +150,7 @@ def load_instance_dict(doc: dict) -> Instance:
                 f"algebra.structure[{seen[key]}]"
             )
         seen[key] = pos
-        table[i, j, k] = f.parse_scalar(c)
+        table[i, j, k] = _scalar(f, c, f"algebra.structure[{pos}]")
     unit = _vector(f, _need(asec, "unit", "algebra", list), "algebra.unit")
     alg = validate_algebra(f, labels, table, unit)
 
@@ -155,7 +172,7 @@ def load_instance_dict(doc: dict) -> Instance:
         for i, xy in enumerate(_need(doc, "coordinates", "", list)):
             if not (isinstance(xy, list) and len(xy) == 2):
                 raise InstanceError("coordinates entries must be [x, y] vector pairs")
-            x, y = (_vector(f, v, "coordinates", i) for v in xy)
+            x, y = (_vector(f, v, f"coordinates[{i}][{k}]") for k, v in enumerate(xy))
             if x.shape != (alg.dim,) or y.shape != (alg.dim,):
                 raise InstanceError(f"coordinates vectors must have length {alg.dim}")
             pairs.append((x, y))
@@ -165,7 +182,9 @@ def load_instance_dict(doc: dict) -> Instance:
     for i, ssec in enumerate(_typed(doc.get("subalgebras", []), list, "subalgebras")):
         where = f"subalgebras[{i}]"
         _typed(_typed(ssec, dict, where).get("label", ""), str, f"{where}.label")  # optional and unread
-        gens = [_vector(f, vec, f"{where}.generators") for vec in _need(ssec, "generators", where, list)]
+        gens = [
+            _vector(f, vec, f"{where}.generators[{k}]") for k, vec in enumerate(_need(ssec, "generators", where, list))
+        ]
         if not gens:
             raise InstanceError(f"{where}.generators must hold at least one vector")
         if any(v.shape != (alg.dim,) for v in gens):

@@ -1,3 +1,4 @@
+import re
 from itertools import chain, combinations, product
 
 import numpy as np
@@ -150,6 +151,45 @@ def test_validate_action_rejects_image_outside_ideal():
     beta[g.index("e1")] = inst.field.array([[0, 0], [1, 0]])  # vanishes off E_e1, lands in E_e2
     with pytest.raises(ActionError, match="^beta_e1 maps outside E_e1$"):
         validate_action(g, inst.algebra, inst.action.idempotents, beta)
+
+
+def with_idempotent(name, arrow, entries):
+    inst = load_builtin(name)
+    idem = dict(inst.action.idempotents)
+    idem[inst.groupoid.index(arrow)] = inst.field.vector(entries)
+    return inst.groupoid, inst.algebra, idem, inst.action.beta
+
+
+def with_maps(name, **maps):
+    """``name``'s action data with beta_a replaced for each ``a=matrix``;
+    a matrix given as an arrow name is that arrow's own beta."""
+    inst = load_builtin(name)
+    g = inst.groupoid
+    beta = dict(inst.action.beta)
+    for arrow, mat in maps.items():
+        beta[g.index(arrow)] = inst.action.beta[g.index(mat)] if isinstance(mat, str) else inst.field.array(mat)
+    return g, inst.algebra, inst.action.idempotents, beta
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (with_idempotent("pair_f5", "e1", [2, 0]), "1_e1 is not idempotent"),
+        # 0 is a central idempotent orthogonal to 1_e1, but 1_e1 + 0 != 1
+        (with_idempotent("pair_f5", "e2", [0, 0]), "idempotents do not sum to 1_R; R = direct sum of E_e fails"),
+        (with_maps("pair_f5", t=[[0, 0], [1, 1]]), "beta_t does not vanish off its domain ideal"),
+        # vanishes off E_e1 and lands in E_e2, with rank 0
+        (with_maps("pair_f5", t=[[0, 0], [0, 0]]), "beta_t is not bijective onto E_e2"),
+        (with_maps("pair_f5", t=[[0, 0], [2, 0]]), "beta_t does not send 1_e1 to 1_e2"),
+        # conjugation by diag(1, -1) is a unital automorphism of M_2, not the identity
+        (with_maps("klein_m2f3", e="a"), "beta_e is not the identity on E_e"),
+        # every beta is an automorphism, but beta_a beta_b = beta_b
+        (with_maps("klein_m2f3", a="e"), "cocycle fails: beta_a o beta_b != beta_c"),
+    ],
+)
+def test_validate_action_names_each_failing_axiom(data, message):
+    with pytest.raises(ActionError, match=f"^{re.escape(message)}$"):
+        validate_action(*data)
 
 
 def test_restrict_wide_keeps_algebra():

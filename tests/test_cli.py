@@ -42,6 +42,26 @@ def test_validate_refuses_a_subalgebra_without_generators(tmp_path, capsys):
     assert err == "error: subalgebras[0].generators must hold at least one vector\n"
 
 
+@pytest.mark.parametrize(
+    "field, value, want",
+    [
+        ({"kind": "Q"}, "1_0", 'a JSON integer or a "num/den" string'),  # int() would read it as 10
+        ({"kind": "Q"}, "1.5", 'a JSON integer or a "num/den" string'),
+        ({"kind": "Fp", "p": 5}, "x", "a JSON integer"),
+        ({"kind": "Fp", "p": 5}, True, "a JSON integer"),
+    ],
+)
+def test_validate_locates_a_bad_scalar(tmp_path, capsys, field, value, want):
+    doc = builtin("pair_f5")
+    doc["field"] = field
+    doc["action"]["maps"]["t"][1][0] = value
+    path = tmp_path / "bad_scalar.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: action.maps.t[1][0]: bad scalar {value!r}: want {want}\n"
+
+
 def test_validate_bad_file(tmp_path, capsys):
     doc = builtin("pair_f5")
     doc["field"]["p"] = 6

@@ -6,6 +6,7 @@ every matrix handed to ``linalg.rref`` while the suite runs is checked.
 """
 
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from test_suite import BENCH_DOCS
 
 from gglab import linalg
 from gglab.fields import Field, FieldError
-from gglab.instances import load_instance_dict
+from gglab.instances import InstanceError, load_instance_dict
 from gglab.suite import run_suite
 
 Q = Field("Q")
@@ -35,6 +36,57 @@ def test_canonical_scalars():
         int,
         Fraction,
     ]
+
+
+WANT_Q = 'want a JSON integer or a "num/den" string'
+
+
+@pytest.mark.parametrize(
+    "value", ["1_0", " 1/2", "1/2 ", "\u0663", "1.5", "+1", "1/-2", "1//2", "x", "", True, 1.5, None]
+)
+def test_a_rational_scalar_is_an_int_or_a_fraction_string(value):
+    # int() would read "1_0" as 10 and " 1/2" or the Arabic-Indic digit 3 as numbers
+    with pytest.raises(FieldError, match=f"^bad scalar {re.escape(repr(value))}: {re.escape(WANT_Q)}$"):
+        Q.parse_scalar(value)
+
+
+@pytest.mark.parametrize("value", ["1/2", "x", "3", True, 1.5])
+def test_a_prime_field_scalar_is_an_int(value):
+    with pytest.raises(FieldError, match=f"^bad scalar {re.escape(repr(value))}: want a JSON integer$"):
+        Field("Fp", 5).parse_scalar(value)
+
+
+def test_rational_scalars_round_trip_through_json():
+    for x in [0, -3, 10**30, Fraction(-1, 2), Fraction(7, 3), Fraction(-(10**20), 3)]:
+        text = Q.scalar_json(x)
+        assert Q.parse_scalar(text) == x and type(Q.parse_scalar(text)) is type(x)
+    assert Q.parse_scalar("-12") == -12 and Q.parse_scalar("-4/6") == Fraction(-2, 3)
+    with pytest.raises(FieldError, match="^bad scalar '1/0': zero denominator$"):
+        Q.parse_scalar("1/0")
+
+
+@pytest.mark.parametrize(
+    "path, where",
+    [
+        (("action", "maps", "t", 1, 0), "action.maps.t[1][0]"),
+        (("action", "idempotents", "e2", 1), "action.idempotents.e2[1]"),
+        (("algebra", "unit", 0), "algebra.unit[0]"),
+        (("algebra", "structure", 1, 3), "algebra.structure[1]"),
+        (("coordinates", 1, 0, 1), "coordinates[1][0][1]"),
+        (("subalgebras", 0, "generators", 0, 1), "subalgebras[0].generators[0][1]"),
+    ],
+)
+def test_a_bad_scalar_is_located(path, where):
+    doc = json.loads(BENCH_DOCS["rational"]["pair_q"])
+    doc["coordinates"] = [[[1, 0], [1, 0]], [[0, 1], [0, 1]]]
+    doc["subalgebras"] = [{"generators": [[1, 1]]}]
+    *parents, key = path
+    sec = doc
+    for k in parents:
+        sec = sec[k]
+    sec[key] = "1_0"
+    with pytest.raises(InstanceError, match=f"^{re.escape(where)}: bad scalar '1_0': {re.escape(WANT_Q)}$"):
+        load_instance_dict(doc)
 
 
 def check_rref(monkeypatch) -> list:
