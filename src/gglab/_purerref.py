@@ -1,16 +1,21 @@
-"""Row-reduction kernels: the exact Gauss-Jordan eliminations of gglab.
+"""Row-reduction kernels: the exact eliminations of gglab.
 
 ``rref_mod`` reduces an int64 matrix mod p and ``rref_frac`` an object
-matrix of rationals.  Each copies the matrix into Python lists of rows,
-reduces those, stores the result back into the matrix and returns the
-pivot columns; ``linalg.rref`` is their only caller.
+matrix of rationals, Gauss-Jordan, to the canonical RREF.  Each copies
+the matrix into Python lists of rows, reduces those, stores the result
+back into the matrix and returns the pivot columns; ``linalg.rref`` is
+their only caller.
 
-``rref_mod_stack`` reduces a whole stack of equally shaped int64
-matrices mod p at once, column by column in numpy.  It serves the
-exhaustive subalgebra walk and the Theorem 3.9 double-centralizer sweep
-of ``separability``, whose matrices are small but come by the hundreds.
-It picks the same pivot rows as ``rref_mod``, so each matrix of the
-stack ends in the same (unique) RREF.
+``rank_mod_stack`` is the one stacked kernel: it computes only the rank
+mod p of each matrix of a stack of equally shaped int64 matrices, column
+by column in numpy.  It serves the exhaustive subalgebra walk and the
+Theorem 3.9 double-centralizer sweep of ``separability``, whose matrices
+are small but come by the hundreds, and which only count pivots.  So it
+eliminates forward, fraction-free: no inverse, no normalised pivot row
+and no back-substitution.  Each product it forms is of two entries in
+0..p-1, below p^2 < 2^62 since p < 2^31 (``fields.Field``), so int64
+never overflows: piv * row_i - f_i * row_pivot lies strictly between
+-p^2 and p^2.
 
 ``rref_frac`` keeps every entry in the canonical form of ``fields``: a
 Python ``int`` when integral, else a ``Fraction``.  Integer rows are
@@ -62,68 +67,46 @@ def rref_mod(mat: np.ndarray, p: int) -> list[int]:
 STACK_CELLS = 1 << 20  # int64 entries a stacked step handles at once (8 MB)
 
 
-def _inv_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x^(p-2) mod p elementwise: the inverse of each nonzero entry.
+def rank_mod_stack(mats: np.ndarray, p: int) -> np.ndarray:
+    """The rank mod p of each matrix of ``mats`` (int64, shape (s, m, n),
+    entries in 0..p-1), an int64 array of length s.  ``mats`` is
+    overwritten.
 
-    Every factor is below p < 2^31, so each product fits in int64.
-    """
-    out = np.ones_like(x)
-    base, e = x % p, p - 2
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
-
-
-def rref_mod_stack(mats: np.ndarray, p: int) -> np.ndarray:
-    """Reduce each matrix of ``mats`` (int64, shape (s, m, n), entries in
-    0..p-1) to RREF in place, mod p, and return the (s, n) boolean mask of
-    pivot columns.
-
-    Each matrix keeps its own current row, and its pivot in column c is
-    its first nonzero entry at or below that row, as in ``rref_mod``.  The
-    stack is reduced ``STACK_CELLS`` entries at a time.
+    In column c each matrix takes as pivot its first nonzero entry in a
+    row that has not been a pivot row yet, and every other such row i
+    becomes piv * row_i - f_i * row_pivot mod p, where f_i is its entry
+    in column c.  Scaling a row by the unit piv keeps the row space, so
+    each matrix keeps its rank, which is its number of pivot rows.  Only
+    the columns after c are updated, since no later step reads column c.
+    The stack is reduced ``STACK_CELLS`` entries at a time.
     """
     s, m, n = mats.shape
-    mask = np.zeros((s, n), dtype=bool)
+    ranks = np.zeros(s, dtype=np.int64)
     if m == 0 or n == 0:
-        return mask
+        return ranks
     step = max(1, STACK_CELLS // (m * n))
     for lo in range(0, s, step):
-        _reduce_block(mats[lo : lo + step], mask[lo : lo + step], p)
-    return mask
-
-
-def _reduce_block(mats: np.ndarray, mask: np.ndarray, p: int) -> None:
-    s, m, n = mats.shape
-    rows = np.arange(m)
-    row = np.zeros(s, dtype=np.int64)  # each matrix's next pivot row
-    below = np.ones((s, m), dtype=bool)  # rows at or below it
-    for c in range(n):
-        cand = (mats[:, :, c] != 0) & below
-        has = cand.any(axis=1)
-        if not has.any():
-            continue
-        sel = np.flatnonzero(has)
-        whole = len(sel) == s
-        sub = mats if whole else mats[sel]
-        at = np.arange(len(sel))
-        r, pr = row[sel], cand[sel].argmax(axis=1)
-        prow = sub[at, pr]
-        sub[at, pr] = sub[at, r]
-        prow = prow * _inv_mod(prow[:, c], p)[:, None] % p
-        sub[at, r] = prow
-        factor = sub[:, :, c].copy()
-        factor[at, r] = 0
-        sub -= factor[:, :, None] * prow[:, None, :]
-        sub %= p
-        if not whole:
-            mats[sel] = sub
-        mask[sel, c] = True
-        row[sel] += 1
-        below[sel] = rows >= row[sel, None]
+        block = mats[lo : lo + step]
+        at = np.arange(len(block))
+        free = np.ones(block.shape[:2], dtype=bool)  # rows not yet a pivot row
+        for c in range(n):
+            cand = (block[:, :, c] != 0) & free
+            pr = cand.argmax(axis=1)
+            has = cand[at, pr]
+            if not has.any():
+                continue
+            free[at, pr] &= ~has
+            cand[at, pr] = False
+            piv = block[at, pr, c]
+            piv[piv == 0] = 1  # a matrix without a pivot here is only scaled
+            factor = block[:, :, c] * cand
+            prow = block[at, pr, c + 1 :]
+            rest = block[:, :, c + 1 :]
+            rest *= piv[:, None, None]
+            rest -= factor[:, :, None] * prow[:, None, :]
+            rest %= p
+        ranks[lo : lo + step] = m - free.sum(axis=1)
+    return ranks
 
 
 def rref_frac(mat: np.ndarray) -> list[int]:

@@ -227,6 +227,8 @@ def load_instance(path) -> Instance:
         raise InstanceError(f"{p}: not UTF-8 text: {e.reason}") from e
     except json.JSONDecodeError as e:
         raise InstanceError(f"{p}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    except ValueError as e:  # an integer of more digits than int() converts
+        raise InstanceError(f"{p}: invalid JSON: {e}") from e
     except RecursionError:
         raise InstanceError(f"{p}: JSON nested too deeply to decode") from None
     return load_instance_dict(doc)

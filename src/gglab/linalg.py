@@ -37,16 +37,35 @@ def rank(field: Field, mat: np.ndarray) -> int:
 
 
 def nullspace(field: Field, mat: np.ndarray) -> np.ndarray:
-    """Canonical (RREF) basis of {x | mat @ x = 0}, one row per basis vector."""
-    m, n = mat.shape
-    r, pivots = rref(field, mat)
-    free = [c for c in range(n) if c not in set(pivots)]
-    basis = field.zeros((len(free), n))
-    for k, c in enumerate(free):
-        basis[k, c] = field.one
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = -r[i, c]
-    return row_space(field, field.reduce(basis))
+    """Canonical (RREF) basis of {x | mat @ x = 0}, one row per basis vector.
+
+    One elimination, of the matrix with its columns reversed.  Let r be
+    that RREF, with pivot columns q_i.  For each free column c of it, the
+    kernel vector with a 1 at c, 0 at every other free column, and
+    -r[i, c] at each q_i, is nonzero at q_i only when q_i < c, since row i
+    is zero before q_i.  Mapped back, column j going to n - 1 - j, the
+    vector leads with its 1 at its own free column n - 1 - c, and every
+    other vector of the basis is 0 there.  Taken in order of that column,
+    the vectors are therefore in RREF, which is unique: the canonical
+    basis, with no second elimination.
+    """
+    n = mat.shape[1]
+    r, pivots = rref(field, mat[:, ::-1])
+    rows = r[: len(pivots)].tolist()
+    p, taken = field.p, set(pivots)
+    basis = []
+    for c in reversed(range(n)):
+        if c in taken:
+            continue
+        vec = [0] * n
+        vec[n - 1 - c] = field.one
+        for q, row in zip(pivots, rows):
+            if q > c:
+                break
+            if row[c]:
+                vec[n - 1 - q] = (-row[c]) % p if field.modular else -row[c]
+        basis.append(vec)
+    return np.array(basis, dtype=field.dtype).reshape(len(basis), n)
 
 
 def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -106,15 +125,17 @@ class Subspace:
         self._key = None
 
     @classmethod
-    def from_rref(cls, field: Field, basis: np.ndarray, pivots: list[int] | None = None) -> "Subspace":
+    def from_rref(
+        cls, field: Field, basis: np.ndarray, pivots: list[int] | None = None, key: tuple | None = None
+    ) -> "Subspace":
         """The subspace of a basis that is already canonical: RREF rows,
         none zero, with their pivot columns (by default each row's first
-        nonzero column).  Nothing is re-reduced, so the caller vouches for
-        the form."""
+        nonzero column) and, if the caller has built it, its ``key``.
+        Nothing is re-reduced, so the caller vouches for the form."""
         if pivots is None:
             pivots = np.argmax(basis != 0, axis=1).tolist()
         s = cls.__new__(cls)
-        s.field, s.ambient, s.basis, s.pivots, s._key = field, basis.shape[1], basis, list(pivots), None
+        s.field, s.ambient, s.basis, s.pivots, s._key = field, basis.shape[1], basis, list(pivots), key
         return s
 
     def from_coords(self, coeffs: np.ndarray) -> "Subspace":

@@ -19,22 +19,27 @@ proves it from the certified Galois coordinates (``suite._lemma_4_2``).
 The exhaustive walk (``_walk``) filters the candidates of one RREF pivot
 pattern together and decides the unital subalgebras of one dimension,
 across every pattern, together: where the base passes ``_gram_base``,
-one stacked elimination (``_purerref.rref_mod_stack``) ranks every
+one stacked rank (``_purerref.rank_mod_stack``) decides every
 candidate's Gram matrix.  The candidates it leaves undecided, and every
 candidate over any other base, are decided one at a time by
 ``is_separable_subalgebra_over``, so the solve over S (x)_B S and its
-substitution check live in ``separability_idempotent`` alone.
+substitution check live in ``separability_idempotent`` alone.  Each
+member it finds carries the canonical key the walk built for it.
 
-The Theorem 3.9 sweep (``double_centralizer_sweep``) settles the members
-of one dimension that are their own commutants together
+The Theorem 3.9 sweep (``double_centralizer_sweep``) returns only the
+members that fail the double-centralizer statement.  It settles the
+members of one dimension that are their own commutants together
 (``_self_commutants``).  V(S) is the nullspace of S's commutator matrix.
 A member whose unreduced matrix annihilates its own basis lies in its
-commutant, and if one stacked elimination also ranks the matrix at n
-minus dim S, then V(S) = S: such a member, a torus of M_2(F_p) say, is
-cached as its own commutant, with no nullspace formed.  Every other
-commutant is computed one S at a time (``SubalgebraFacts.commutant``).
-Every member's clauses are then read by ``double_centralizer_check``
-from the commutants cached by canonical key.
+commutant, and if one stacked rank of the matrix is also n minus dim S,
+then V(S) = S: such a member, a torus of M_2(F_p) say, is cached as its
+own commutant, with no nullspace formed.  A settled member that is not
+the base and is already known separable over it passes with no check:
+V(V(S)) = S, S is not central, and V(S) = S is separable, which is the
+proof the sweep carries for it.  Every other commutant is computed one
+S at a time (``SubalgebraFacts.commutant``), and every other member's
+clauses are read by ``double_centralizer_check`` from the commutants
+cached by canonical key.
 """
 
 from __future__ import annotations
@@ -61,10 +66,10 @@ EXHAUSTIVE_DIM = 6  # above this dimension the subalgebra sweep is pool-restrict
 # The sweep stacks only the members of a dimension with at least this
 # many; the commutants of the others, and of every member a stack does
 # not settle, are computed one S at a time, when a check asks.  Settling
-# members that are their own commutants, a stack costs
-# about 0.3 ms however few they are, one member alone about 0.08 ms
-# (tori of M_2(F_11), 2-vCPU Xeon, best of 25: 10 cost 0.33-0.48 ms
-# stacked, 0.73-1.03 ms alone; 20 cost 0.37-0.56 and 1.41-1.82 ms).
+# members that are their own commutants, a stack costs about 0.1 ms
+# however few they are, one member alone about 0.035 ms (tori of
+# M_2(F_11), 2-vCPU Xeon, best of 25 in each of two processes: 10 cost
+# 0.10-0.12 ms stacked, 0.33-0.35 ms alone; 20 cost 0.14 and 0.69-0.71 ms).
 SWEEP_STACK_MIN = 10
 
 
@@ -225,20 +230,37 @@ def double_centralizer_check(
 def double_centralizer_sweep(
     alg: Algebra, subalgebras: list[Subspace], center_sub: Subspace, facts: SubalgebraFacts
 ) -> list[DoubleCentralizerResult]:
-    """``double_centralizer_check`` on every member of ``subalgebras``, in
-    order, sharing ``facts``.
+    """The rows of ``double_centralizer_check`` that fail, over the members
+    of ``subalgebras``, in order, sharing ``facts``.  A row fails when
+    V(V(A)) != A, when V(A) is not separable over the base, or when its
+    tensor clause fails.
 
     Over F_p, the members of a dimension that at least ``SWEEP_STACK_MIN``
     of them share are first stacked (``_cache_commutants``): each one the
     stack settles as its own commutant, such as a torus of M_2(F_p), is
-    cached as V(A) = A itself, so its check finds V(V(A)) in the cache too
-    and takes the V(A) = A branch.  Every other commutant is computed when
-    a check first asks.
+    cached as V(A) = A itself.  A member A whose cached commutant is A,
+    that is not the base, and that ``facts`` already holds separable over
+    the base, passes without a check: V(V(A)) = V(A) = A;
+    A cap V(A) = A is not the base, so A is not central and the tensor
+    clause is skipped; and V(A) = A is separable by that verdict.  The
+    check would read all three from ``facts`` and add nothing to it.
+    Every other member is checked, and each commutant it needs and the
+    cache lacks is computed then.
     """
     by_dim = Counter(s.dim for s in subalgebras)
     stacked = [s for s in subalgebras if alg.field.modular and by_dim[s.dim] >= SWEEP_STACK_MIN]
     _cache_commutants(alg, stacked, facts)
-    return [double_centralizer_check(alg, s, center_sub, facts) for s in subalgebras]
+    bkey = center_sub.key()
+    fails = []
+    for s in subalgebras:
+        key = s.key()
+        own = facts.commutants.get(key)
+        if key != bkey and own is not None and own.key() == key and facts.separable.get((key, bkey)):
+            continue
+        res = double_centralizer_check(alg, s, center_sub, facts)
+        if not (res.double_centralizer_holds and res.commutant_separable and res.tensor_clause != "fails"):
+            fails.append(res)
+    return fails
 
 
 def _chunks(count: int, cells: int):
@@ -268,8 +290,8 @@ def _self_commutants(alg: Algebra, spaces: list[Subspace]) -> list[bool]:
     Row (a, j) of S's commutator matrix holds coordinate j of
     s_a e_c - e_c s_a in column c, so V(S) is its nullspace.  A member
     whose unreduced matrix annihilates its own basis has S <= V(S),
-    checked by substitution; one stacked elimination ranks the matrices
-    of those members, and rank n - k leaves dim V(S) = k, so V(S) = S.
+    checked by substitution; one stacked rank of the matrices of those
+    members follows, and rank n - k leaves dim V(S) = k, so V(S) = S.
     """
     f, n = alg.field, alg.dim
     k = spaces[0].dim
@@ -283,7 +305,7 @@ def _self_commutants(alg: Algebra, spaces: list[Subspace]) -> list[bool]:
         mats = mats.transpose(0, 1, 3, 2).reshape(len(bases), k * n, n)
         own = ~f.reduce(np.matmul(mats, bases.transpose(0, 2, 1))).any(axis=(1, 2))
         if own.any():
-            own[own] = _purerref.rref_mod_stack(mats[own], f.p).sum(axis=1) == n - k
+            own[own] = _purerref.rank_mod_stack(mats[own], f.p) == n - k
         out.extend(own.tolist())
     return out
 
@@ -345,7 +367,7 @@ def _gram_verdicts(field, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tr = field.reduce(np.einsum("gkjj->gk", tables))
     gram = field.reduce(np.matmul(tables, tr[:, None, :, None])[..., 0])
     if field.modular:
-        full = _purerref.rref_mod_stack(gram, field.p).sum(axis=1) == d
+        full = _purerref.rank_mod_stack(gram, field.p) == d
     else:
         full = np.array([linalg.rank(field, t) == d for t in gram], dtype=bool)
     if not field.modular or field.p**2 > d:
@@ -561,7 +583,7 @@ def _walk(alg: Algebra, base: Subspace, facts: SubalgebraFacts) -> dict[tuple, S
                     if known is None:
                         new.append(i)
                     elif known:
-                        found[key] = Subspace.from_rref(f, bases[i], piv)
+                        found[key] = Subspace.from_rref(f, bases[i], piv, key)
                 if new:
                     todo.append((bases[new], tables[new], piv, [keys[i] for i in new]))
         if not todo:
@@ -571,7 +593,7 @@ def _walk(alg: Algebra, base: Subspace, facts: SubalgebraFacts) -> dict[tuple, S
         if gram:
             separable, decided = _gram_verdicts(f, np.concatenate([t for _, t, _, _ in todo]))
         for (basis, piv, key), ranked, done in zip(members, separable.tolist(), decided.tolist()):
-            s = None if done and not ranked else Subspace.from_rref(f, basis, piv)
+            s = None if done and not ranked else Subspace.from_rref(f, basis, piv, key)
             verdict = ranked if done else is_separable_subalgebra_over(alg, s, base)
             facts.separable[(key, bkey)] = verdict
             if verdict:

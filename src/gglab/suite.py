@@ -996,7 +996,6 @@ def _theorem_3_9(state: SuiteState) -> Outcome:
         }
         for b in state.blocks
         for res in double_centralizer_sweep(b.alg, b.enum.subalgebras, b.center, b.facts)
-        if not (res.double_centralizer_holds and res.commutant_separable and res.tensor_clause != "fails")
     ]
     n, note = state.separable_count, state.enum_note
     return Outcome(

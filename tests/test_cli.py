@@ -129,6 +129,20 @@ def test_deeply_nested_json_is_a_user_error(tmp_path, capsys):
     assert err == f"error: {path}: JSON nested too deeply to decode\n"
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int() digits")
+def test_an_over_long_integer_is_a_user_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not JSONDecodeError, for an
+    # integer of more digits than int() converts
+    doc = builtin("pair_f5")
+    doc["algebra"]["unit"][0] = "long"
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc).replace('"long"', "7" * 5000))
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: invalid JSON: Exceeds the limit") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_suite_refuses_a_groupoid_over_the_enumeration_cap(tmp_path, capsys):
     path = tmp_path / "trivial25.json"
     path.write_text(emit_instance(_disjoint_copies(builtin("trivial"), 25, "trivial25")))

@@ -160,31 +160,55 @@ def _stack(shape, entries, column_draws):
     return mats
 
 
+def _ranks_one_at_a_time(mats, p):
+    return [len(_purerref.rref_mod(mat.copy(), p)) for mat in mats]
+
+
 @settings(max_examples=300, deadline=None)
 @given(stack_inputs)
-def test_rref_mod_stack_equals_rref_mod(case):
+def test_rank_mod_stack_equals_rref_mod(case):
     p, mats = case
-    work = mats.copy()
-    mask = _purerref.rref_mod_stack(work, p)
-    s, m, n = mats.shape
-    assert mask.shape == (s, n) and mask.dtype == bool and work.shape == mats.shape
-    for i in range(s):
-        one = mats[i].copy()
-        pivots = _purerref.rref_mod(one, p)
-        assert np.array_equal(work[i], one)
-        assert np.flatnonzero(mask[i]).tolist() == pivots
+    ranks = _purerref.rank_mod_stack(mats.copy(), p)
+    assert ranks.shape == (len(mats),) and ranks.dtype == np.int64
+    assert ranks.tolist() == _ranks_one_at_a_time(mats, p)
 
 
-def test_rref_mod_stack_chunks_alike(monkeypatch):
+def _shaped_stack(p):
+    """All-zero, repeated-row and full-rank 4 x 5 matrices over F_p, and
+    their ranks; entries p - 1 bring each product of the elimination near
+    p^2."""
+    t = p - 1
+    row, other = [t, 1, 0, t, t], [0, t, t, 0, 1]
+    mats = [
+        [[0] * 5] * 4,
+        [row, row, row, [0] * 5],
+        [row, other, row, other],
+        [[t, t, 0, 0, 0], [0, t, t, 0, 0], [0, 0, t, t, 0], [1, 0, 0, t, t]],
+        [[t] * 5] * 4,
+    ]
+    return np.array(mats, dtype=np.int64) % p, [0, 1, 2, 4, 1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+def test_rank_mod_stack_on_zero_repeated_and_full_rank_matrices(p):
+    mats, want = _shaped_stack(p)
+    assert _ranks_one_at_a_time(mats, p) == want
+    assert _purerref.rank_mod_stack(mats.copy(), p).tolist() == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+def test_rank_mod_stack_chunks_alike(p, monkeypatch):
     rng = np.random.default_rng(7)
-    mats = rng.integers(0, 5, (40, 6, 5)).astype(np.int64)
+    mats = rng.integers(0, p, (40, 6, 5)).astype(np.int64)
     mats[::3, :, 1] = 0
-    whole = mats.copy()
-    mask = _purerref.rref_mod_stack(whole, 5)
+    mats[1::4] = mats[1::4, :1]  # repeated rows
+    mats[2::5] = 0
+    shaped = _shaped_stack(p)[0]
+    mats = np.concatenate([mats, np.concatenate([shaped, shaped[:, :2]], axis=1)])
+    whole = _purerref.rank_mod_stack(mats.copy(), p)
+    assert whole.tolist() == _ranks_one_at_a_time(mats, p)
     monkeypatch.setattr(_purerref, "STACK_CELLS", 64)  # two matrices per chunk
-    chunked = mats.copy()
-    assert np.array_equal(_purerref.rref_mod_stack(chunked, 5), mask)
-    assert np.array_equal(chunked, whole)
+    assert np.array_equal(_purerref.rank_mod_stack(mats.copy(), p), whole)
 
 
 def _rref_all_fractions(mat):
@@ -266,6 +290,70 @@ def test_nullspace_annihilates():
         assert ns.shape[0] == 6 - linalg.rank(F5, mat)
         if ns.size:
             assert not np.any(linalg.matmul(F5, mat, ns.T) % 5)
+
+
+def _nullspace_two_eliminations(field, mat):
+    """The kernel basis built from the RREF of ``mat`` itself, each vector
+    with a 1 at its free column, then reduced again: a second elimination
+    that ``linalg.nullspace`` does without."""
+    n = mat.shape[1]
+    r, pivots = linalg.rref(field, mat)
+    free = [c for c in range(n) if c not in set(pivots)]
+    basis = field.zeros((len(free), n))
+    for k, c in enumerate(free):
+        basis[k, c] = field.one
+        for i, pc in enumerate(pivots):
+            basis[k, pc] = -r[i, c]
+    return linalg.row_space(field, field.reduce(basis))
+
+
+NULLSPACE_FIELDS = [Field("Fp", 2), F3, F5, Field("Fp", 2**31 - 1), Q]
+
+
+def _nullspace_case(field, data):
+    """A matrix of 0-5 rows and 0-6 columns, wide or tall: random, all
+    zero, or of full column rank (a unit-diagonal top block)."""
+    m, n = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 6))
+    scalars = st.one_of(st.just(0), st.just(1), st.integers(0, field.p - 1)) if field.modular else rationals
+    rows = data.draw(st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=m, max_size=m))
+    mat = field.array(rows).reshape(m, n)
+    kind = data.draw(st.sampled_from(["random", "zero", "full column rank"]))
+    if kind == "zero":
+        mat = field.zeros((m, n))
+    elif kind == "full column rank":
+        mat = np.vstack([field.eye(n), mat])
+        for j in range(1, n):
+            mat[j - 1, j] = data.draw(scalars)
+    return mat
+
+
+def _exact(arr):
+    return arr.dtype, arr.shape, [[(type(x), x) for x in row] for row in arr.tolist()]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(NULLSPACE_FIELDS), st.data())
+def test_nullspace_equals_the_two_elimination_oracle(field, data):
+    mat = _nullspace_case(field, data)
+    got = linalg.nullspace(field, mat)
+    want = _nullspace_two_eliminations(field, mat)
+    assert _exact(got) == _exact(want)
+    if field.modular:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("field", NULLSPACE_FIELDS, ids=lambda f: f"Fp{f.p}" if f.modular else "Q")
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0), (2, 5), (5, 2), (4, 4)])
+def test_nullspace_of_zero_and_identity_blocks(field, shape):
+    """An all-zero matrix has the whole space as kernel, and a matrix with
+    an identity block of full column rank has none."""
+    m, n = shape
+    zero = field.zeros((m, n))
+    assert _exact(linalg.nullspace(field, zero)) == _exact(_nullspace_two_eliminations(field, zero))
+    assert np.array_equal(linalg.nullspace(field, zero), field.eye(n))
+    eye = np.vstack([field.eye(n), field.zeros((m, n))])
+    assert _exact(linalg.nullspace(field, eye)) == _exact(_nullspace_two_eliminations(field, eye))
+    assert linalg.nullspace(field, eye).shape == (0, n)
 
 
 @settings(max_examples=40)

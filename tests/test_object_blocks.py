@@ -24,6 +24,7 @@ from gglab import separability, suite
 from gglab.instances import builtin, load_builtin, load_instance_dict
 from gglab.linalg import Subspace
 from gglab.suite import CHECKS, SuiteState, run_suite
+from test_separability import failing
 
 WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
 OBJECTS = {name: json.loads(doc) for name, doc in WORKLOADS["documents"]("objects").items()}
@@ -93,20 +94,20 @@ def test_whole_sweep_agrees_member_by_member_with_the_block_clauses(walked):
     members: a conjunction for the double centralizer, the commutant's
     separability and both identities; the tensor clause is skipped unless
     every block member is central, and then holds iff it holds in every
-    block."""
+    block.  Each sweep, of a block and of R, fails exactly the members
+    whose check fails: none."""
     state, members = walked
     alg, ctx = state.inst.algebra, state.ctx
     by_key = sums(state)
     block_rows = [
-        {
-            s.key(): res
-            for s, res in zip(
-                b.enum.subalgebras, separability.double_centralizer_sweep(b.alg, b.enum.subalgebras, b.center, b.facts)
-            )
-        }
+        {s.key(): separability.double_centralizer_check(b.alg, s, b.center, b.facts) for s in b.enum.subalgebras}
         for b in state.blocks
     ]
-    rows = separability.double_centralizer_sweep(alg, members, ctx.center, state.facts)
+    rows = [separability.double_centralizer_check(alg, s, ctx.center, state.facts) for s in members]
+    for b, table in zip(state.blocks, block_rows):
+        got = separability.double_centralizer_sweep(b.alg, b.enum.subalgebras, b.center, b.facts)
+        assert got == failing(table.values()) == []
+    assert separability.double_centralizer_sweep(alg, members, ctx.center, state.facts) == failing(rows) == []
     # R as its own block, for the identities over R
     arrows = frozenset(state.inst.groupoid.arrows())
     r = suite.Block(alg, None, alg, alg.full_space, ctx.center, state.facts, None, arrows, [])
@@ -183,18 +184,19 @@ def test_the_pool_is_not_built_for_a_split_document(count_calls):
 
 
 def test_a_spoiled_block_names_its_object(monkeypatch):
-    """The second block's first sweep row is made to fail its double
-    centralizer: Theorem 3.9 fails on that member alone, named by its
+    """The second block's sweep is made to fail the double centralizer of
+    its first member: Theorem 3.9 fails on that member alone, named by its
     object, in R's coordinates."""
     real = suite.double_centralizer_sweep
     calls = []
 
     def spoiled(alg, members, base, facts):
-        rows = real(alg, members, base, facts)
-        calls.append(len(rows))
+        fails = real(alg, members, base, facts)
+        calls.append(len(members))
         if len(calls) == 2:
-            rows[0] = dataclasses.replace(rows[0], double_centralizer_holds=False)
-        return rows
+            row = separability.double_centralizer_check(alg, members[0], base, facts)
+            fails = [dataclasses.replace(row, double_centralizer_holds=False)] + fails
+        return fails
 
     monkeypatch.setattr(suite, "double_centralizer_sweep", spoiled)
     state = SuiteState(load_builtin("klein_disjoint2"))

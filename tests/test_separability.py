@@ -569,18 +569,24 @@ SWEEP_DOCUMENTS = {
 }
 
 
+def failing(rows):
+    """The rows of ``double_centralizer_check`` that fail a clause."""
+    return [r for r in rows if not (r.double_centralizer_holds and r.commutant_separable and r.tensor_clause != "fails")]
+
+
 @pytest.mark.parametrize("stack_min", [separability.SWEEP_STACK_MIN, 1])
 @pytest.mark.parametrize("name", sorted(SWEEP_DOCUMENTS))
 def test_sweep_equals_per_subalgebra_checks(name, stack_min, monkeypatch):
-    """The sweep's rows, field by field, and the commutants and verdicts it
-    leaves in the facts, equal those of one ``double_centralizer_check``
-    per member; with the threshold at 1 every dimension is stacked."""
+    """The sweep's failures, field by field, equal the failing rows of one
+    ``double_centralizer_check`` per member, and the commutants and
+    verdicts it leaves in the facts equal those the checks leave; with the
+    threshold at 1 every dimension is stacked."""
     monkeypatch.setattr(separability, "SWEEP_STACK_MIN", stack_min)
     state = SuiteState(load_instance_dict(SWEEP_DOCUMENTS[name]))
     alg, c, subs = state.inst.algebra, state.ctx.center, state.center_enum.subalgebras
     per_s = SubalgebraFacts(alg)
     per_s.separable.update(state.facts.separable)
-    want = [double_centralizer_check(alg, s, c, per_s) for s in subs]
+    want = failing([double_centralizer_check(alg, s, c, per_s) for s in subs])
     got = separability.double_centralizer_sweep(alg, subs, c, state.facts)
     assert got == want
     assert state.facts.commutants == per_s.commutants
@@ -590,38 +596,39 @@ def test_sweep_equals_per_subalgebra_checks(name, stack_min, monkeypatch):
 @pytest.mark.parametrize("p", [5, 11, 17])
 def test_the_stack_settles_every_torus_as_its_own_commutant(p, monkeypatch):
     """The p^2 tori of M_2(F_p) (289 at p = 17) are their own commutants.
-    The sweep settles them in one stacked elimination per chunk and caches
-    each torus itself as its commutant; F_p and M_2(F_p), one member each,
-    are checked one at a time.  The suite's check sweeps all p^2 + 2
-    members."""
+    The sweep settles them in one stacked rank per chunk and caches each
+    torus itself as its commutant; F_p and M_2(F_p), one member each, are
+    checked one at a time.  The suite's check sweeps all p^2 + 2 members,
+    and none fails."""
     state = SuiteState(load_instance_dict(SWEEP_DOCUMENTS[f"klein_m2f{p}"]))
     alg, c, subs = state.inst.algebra, state.ctx.center, state.center_enum.subalgebras
     tori = [s for s in subs if s.dim == 2]
     assert len(tori) == p * p and len(subs) == p * p + 2
-    real, stacked = _purerref.rref_mod_stack, []
+    real, stacked = _purerref.rank_mod_stack, []
 
     def counted(mats, q):
         stacked.append(len(mats))
         return real(mats, q)
 
-    monkeypatch.setattr(_purerref, "rref_mod_stack", counted)
+    monkeypatch.setattr(_purerref, "rank_mod_stack", counted)
     out = CHECKS["theorem_3_9"](state)
     assert stacked == [len(tori[part]) for part in separability._chunks(len(tori), 2 * alg.dim**2)]
     assert all(state.facts.commutants[s.key()] is s for s in tori)
     assert out.verdict == "pass" and out.witnesses == {"swept": p * p + 2, "mode": "exhaustive"}
-    assert separability.double_centralizer_sweep(alg, subs, c, state.facts) == [
-        double_centralizer_check(alg, s, c) for s in subs
-    ]
+    assert separability.double_centralizer_sweep(alg, subs, c, state.facts) == failing(
+        [double_centralizer_check(alg, s, c) for s in subs]
+    )
 
 
 def test_stacked_sweep_over_any_base_and_list(monkeypatch):
     """Every dimension stacked, on the unital subalgebras of M_2(F_3) over
     the bases of ``test_centrality_clause_matches_the_intersection`` (so
     the base is outside some A), as one list and one member at a time (so
-    V(A) is outside the list): the rows equal the per-S rows, and the
-    commutants computed one at a time are those of the members the stack
-    does not settle as their own commutants, and the V(V(A)) whose V(A)
-    is not a member, once per distinct space."""
+    V(A) is outside the list): the failures equal the failing per-S rows,
+    and the commutants computed one at a time are those of the members the
+    stack does not settle as their own commutants, and the V(V(A)) whose
+    V(A) is not a member, once per distinct space.  Over the center, 8 of
+    the 19 unital subalgebras fail."""
     alg = m2f3()
     bases = [center(alg), Subspace(F3, 4, F3.array([[1, 0, 0, 0], [0, 0, 0, 1]])), Subspace(F3, 4, F3.array([[1, 0, 0, 0]]))]
     subalgebras = [s for s in (Subspace(F3, 4, m) for m in all_subspaces(F3, 4)) if is_unital_subalgebra(alg, s)]
@@ -635,12 +642,14 @@ def test_stacked_sweep_over_any_base_and_list(monkeypatch):
     monkeypatch.setattr(separability, "commutant", counted)
     for base in bases:
         for members in [subalgebras] + [[a] for a in subalgebras]:
-            want = [double_centralizer_check(alg, a, base) for a in members]
+            want = failing([double_centralizer_check(alg, a, base) for a in members])
             comm = {a.key(): commutant(alg, a, alg.full_space).key() for a in members}
             settled = {key for key, v in comm.items() if key == v}
             before = len(calls)
             assert separability.double_centralizer_sweep(alg, members, base, SubalgebraFacts(alg)) == want
             assert len(calls) - before == len((set(comm) | set(comm.values())) - settled)
+    whole = failing([double_centralizer_check(alg, a, bases[0]) for a in subalgebras])
+    assert len(subalgebras) == 19 and len(whole) == 8
 
 
 def test_sweep_on_three_copies_runs_the_tensor_clause_iff_a_meets_its_commutant_in_the_center():
@@ -651,7 +660,7 @@ def test_sweep_on_three_copies_runs_the_tensor_clause_iff_a_meets_its_commutant_
     independently, is the center.  8 of the 98 are central."""
     state = SuiteState(load_instance_dict(SWEEP_DOCUMENTS["klein_m2f3x3"]))
     alg, c, subs = state.inst.algebra, state.ctx.center, state.center_enum.subalgebras
-    rows = separability.double_centralizer_sweep(alg, subs, c, state.facts)
+    rows = [double_centralizer_check(alg, a, c, state.facts) for a in subs]
     commutants = [commutant(alg, a, alg.full_space) for a in subs]
     central = [intersection(a, va) == c for a, va in zip(subs, commutants)]
     for a, res, ok in zip(subs, rows, central):
@@ -667,7 +676,8 @@ def test_sweep_decides_a_self_commutant_member_central_iff_it_is_the_base(monkey
     central (A = C = V(A)), so its tensor
     clause is evaluated; the 2-dimensional unital subalgebras, the 9 tori
     and the 4 F[N] with N nilpotent, are their own commutants and are not
-    central over the center."""
+    central over the center.  The sweep fails exactly the members whose
+    check fails."""
     alg = m2f3()
     unital = [s for s in (Subspace(F3, 4, m) for m in all_subspaces(F3, 4)) if is_unital_subalgebra(alg, s)]
     maximal = [s for s in unital if commutant(alg, s, alg.full_space) == s]
@@ -675,10 +685,35 @@ def test_sweep_decides_a_self_commutant_member_central_iff_it_is_the_base(monkey
     assert diag in maximal and len(maximal) == 13 and {s.dim for s in maximal} == {2}
     monkeypatch.setattr(separability, "SWEEP_STACK_MIN", 1)
     for members, base in (([diag], diag), (maximal, center(alg))):
-        got = separability.double_centralizer_sweep(alg, members, base, SubalgebraFacts(alg))
-        assert got == [double_centralizer_check(alg, a, base) for a in members]
-        skipped = [res.tensor_clause == "skipped (A not central)" for res in got]
+        rows = [double_centralizer_check(alg, a, base) for a in members]
+        assert separability.double_centralizer_sweep(alg, members, base, SubalgebraFacts(alg)) == failing(rows)
+        skipped = [res.tensor_clause == "skipped (A not central)" for res in rows]
         assert skipped == [a != base for a in members]
+
+
+@pytest.mark.parametrize("verdict", [True, False])
+def test_sweep_with_known_verdicts_fails_what_the_check_fails(verdict, monkeypatch):
+    """Seeded with one verdict, true or false, for every member over the
+    base, the sweep passes a member without its check only where the check
+    passes: its failures are the failing checks read from the same
+    verdicts, and it leaves the same facts.  Over D, D is its own
+    commutant and held separable, yet it is the base, so it is central and
+    its tensor clause (D (x)_D D = D, not M_2) fails."""
+    alg = m2f3()
+    unital = [s for s in (Subspace(F3, 4, m) for m in all_subspaces(F3, 4)) if is_unital_subalgebra(alg, s)]
+    maximal = [s for s in unital if commutant(alg, s, alg.full_space) == s]
+    diag = Subspace(F3, 4, F3.array([[1, 0, 0, 0], [0, 0, 0, 1]]))
+    monkeypatch.setattr(separability, "SWEEP_STACK_MIN", 1)
+    for members, base in (([diag], diag), (maximal, diag), (maximal, center(alg))):
+        facts, per_s = SubalgebraFacts(alg), SubalgebraFacts(alg)
+        for known in (facts, per_s):
+            known.separable.update({(a.key(), base.key()): verdict for a in members})
+        want = failing([double_centralizer_check(alg, a, base, per_s) for a in members])
+        assert separability.double_centralizer_sweep(alg, members, base, facts) == want
+        assert facts.commutants == per_s.commutants and facts.separable == per_s.separable
+        assert len(want) == (int(base in members) if verdict else len(members))
+        if base == diag:
+            assert [(r.tensor_clause, r.commutant_separable) for r in want if r.subalgebra == diag] == [("fails", verdict)]
 
 
 # -- verdicts on direct sums at the central idempotents 1_e
