@@ -10,7 +10,6 @@ import numpy as np
 
 from . import linalg
 from .action import Action, invariants
-from .algebra import commutant
 from .groupoid import Subgroupoid, components, enumerate_subgroupoids
 from .linalg import Subspace
 
@@ -32,14 +31,22 @@ class GaloisCoordinates:
 
 
 def coordinate_sums(act: Action, coords: GaloisCoordinates) -> dict[int, np.ndarray]:
-    """For each arrow g: sum_i x_i * beta_g(y_i 1_{g^-1})."""
-    rows = coords.rows(act)
-    out = {}
-    for g in act.groupoid.arrows():
-        # the terms are the diagonal of all products x_i * beta_g(y_j 1_{g^-1})
-        prods = act.algebra.products(rows[0::2], act.apply_truncated(g, rows[1::2]))
-        out[g] = act.field.reduce(prods.diagonal().sum(axis=-1))
-    return out
+    """For each arrow g: sum_i x_i * beta_g(y_i 1_{g^-1}), for all arrows in
+    one stacked contraction.
+
+    With z[g, i] = beta_g(y_i 1_{g^-1}) and w[i, b] the coordinates of
+    x_i b_b, the sum at g is sum_{i,b} z[g, i, b] w[i, b].  The sums over b
+    are taken for every i and g in one batched product and reduced before
+    the sum over i: each has dim R terms, so int64 holds it under the
+    loader's headroom guard for any number of pairs."""
+    f, gp, rows = act.field, act.groupoid, coords.rows(act)
+    arrows = list(gp.arrows())
+    proj = np.stack([act.idempotent_mult[gp.source[g]].T for g in arrows])
+    betas = np.stack([act.beta[g].T for g in arrows])
+    z = f.reduce(np.matmul(f.reduce(np.matmul(rows[1::2], proj)), betas))  # [g, i, b]
+    w = act.algebra.left_mult(rows[0::2]).transpose(0, 2, 1)  # [i, b, k]
+    sums = f.reduce(f.reduce(np.matmul(z.transpose(1, 0, 2), w)).sum(axis=0))  # [g, k]
+    return dict(zip(arrows, sums))
 
 
 def check_galois_coordinates(act: Action, coords: GaloisCoordinates):
@@ -100,16 +107,19 @@ def j_module(act: Action, g: int) -> Subspace:
     x 1_e 1_{d(g)} = 0, and x r = x 1_e 1_{r(g)} r = 0.  When d(g) differs
     from r(g), x in E_{d(g)} gives r beta_g(x) = x r = 0; beta_g maps
     E_{d(g)} onto E_{r(g)}, so r E_{r(g)} = 0 and r = r 1_{r(g)} = 0, which
-    meets the condition at x in E_{r(g)} as well.  Writing r = t B, with B
-    the RREF basis of E_g, puts r in E_g, and the t form an RREF nullspace,
-    so t B is the canonical basis of J_g with no second elimination
-    (``Subspace.from_coords``)."""
+    meets the condition at x in E_{r(g)} as well.  So J_g = 0 on such an
+    arrow, and it is returned before any system is formed.  On a loop,
+    writing r = t B, with B the RREF basis of E_g, puts r in E_g, and the
+    t form an RREF nullspace, so t B is the canonical basis of J_g with no
+    second elimination (``Subspace.from_coords``)."""
     f = act.field
     alg = act.algebra
+    if act.groupoid.source[g] != act.groupoid.target[g]:
+        return Subspace.zero(f, alg.dim)
     ideal = act.ideal(g)
     if ideal.dim == 0:
         return ideal
-    xs = act.ideals[act.groupoid.source[g]].basis
+    xs = ideal.basis  # E_{d(g)} = E_g on a loop
     cs = act.apply_truncated(g, xs)  # row x: c_x = beta_g(x 1_{g^-1})
     # block x, row k, column i: coordinate k of e_i c_x - x e_i, e_i the basis of E_g
     blocks = alg.products(ideal.basis, cs).transpose(1, 2, 0) - alg.products(xs, ideal.basis).transpose(0, 2, 1)
@@ -263,15 +273,6 @@ def gamma(act: Action, members, jmods: dict[int, Subspace]) -> tuple[Subspace, b
     )
     space = Subspace(f, n, stacked)
     return space, space.dim == total
-
-
-def v_in_ideal(act: Action, g: int) -> Subspace:
-    """V_{E_g}(R): the commutant of R inside the ideal E_g, solved for in
-    the coordinates of E_g with x over the basis of E_g only.  R is the
-    sum of the E_e; for x in E_e with e other than r(g) and v in E_g, both
-    x v and v x vanish, so V_{E_g}(R) = V_{E_g}(E_g)."""
-    ideal = act.ideal(g)
-    return commutant(act.algebra, ideal, ideal)
 
 
 class GaloisContext:

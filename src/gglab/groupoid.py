@@ -238,7 +238,7 @@ def _closed_sets(g: Groupoid, arrows) -> set[frozenset[int]]:
 def enumerate_subgroupoids(g: Groupoid) -> list[Subgroupoid]:
     """All subgroupoids, lexicographic on sorted member lists.
 
-    The closed sets of each connected component are found alone, by
+    The closed sets of each connected component are found alone, once, by
     ``_closed_sets``; the subgroupoids of G are then every nonempty union
     of one closed set per component, or none from a component.  That list
     is complete and has no repeats: products and inverses of arrows in one
@@ -254,7 +254,8 @@ def enumerate_subgroupoids(g: Groupoid) -> list[Subgroupoid]:
         )
     found = [frozenset()]
     for comp in components(g):
-        found = [s | t for s in found for t in [frozenset(), *_closed_sets(g, comp)]]
+        closed = [frozenset(), *_closed_sets(g, comp)]
+        found = [s | t for s in found for t in closed]
     return [Subgroupoid(g, s) for s in sorted(found, key=sorted) if s]
 
 

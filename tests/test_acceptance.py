@@ -28,7 +28,6 @@ from gglab.galois import (
     check_galois_coordinates,
     j_isomorphism_check,
     solve_galois_coordinates,
-    v_in_ideal,
 )
 from gglab.groupoid import enumerate_subgroupoids, is_subgroupoid, pair_star
 from gglab.instances import BUILTIN_NAMES, load_builtin
@@ -42,6 +41,7 @@ from gglab.separability import (
     verify_certificate,
 )
 from gglab.suite import SuiteState, run_suite
+from test_component_galois import v_in_ideal
 
 GALOIS_BUILTINS = [n for n in BUILTIN_NAMES if load_builtin(n).flags.get("galois_expected")]
 

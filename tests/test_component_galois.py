@@ -1,17 +1,23 @@
 """J modules, V_{E_e}(R), the j isomorphism and Lemmas 2.1 and 3.7, decided
 in the coordinates of an ideal or one connected component at a time,
-against the whole-R computations they replaced; and the seed pool, built
-only where the enumeration reads it, against the eager pool.
+against the whole-R computations they replaced; Lemma 3.4's table, which
+forms only the products that can be nonzero and reads V_{E_e}(R) as J_e,
+against the table of every ordered pair; the stacked coordinate sums
+against one product per arrow; and the seed pool, built only where the
+enumeration reads it, against the eager pool.
 
 The oracles below are those computations, kept as they were: J_g and
 V_{E_e}(R) solved over all of R and eliminated a second time, End(R) and
-j over all of R, one fixer and one commutant per wide H, and the pool
-built before every enumeration.  The answers must be equal, witnesses in
+j over all of R, one fixer and one commutant per wide H, J_x J_y for
+every ordered pair with V_{E_e}(R) as the commutant of E_e in itself,
+the coordinate sums one arrow at a time, and the pool built before every
+enumeration.  The answers must be equal, witnesses in
 the same order, on every benchmark document, on four copies of
 ``pair_f5``, six of ``cyclic_shift_c3``, three of ``klein_m2f3`` and a
 union of ``pair_f5`` with ``klein_m2(5)``.  None of them fails a check,
 so synthetic states make one part of ``klein_disjoint2`` fail Lemma 3.7,
-one part fixer not closed, and one block of j not onto or not injective.
+one part fixer not closed, one block of j not onto or not injective, and
+one J module of it or of ``pair_f5`` another subspace of its ideal.
 The suite names a failing part where the oracles name wide H: the
 verdicts must agree, and the wide H on which an oracle fails must be
 exactly those holding the part.  With one component the parts are the
@@ -23,6 +29,8 @@ labels, so they must not move."""
 
 import json
 import runpy
+from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -34,13 +42,15 @@ from gglab import linalg, suite
 from gglab.action import ActionError, invariants
 from gglab.galois import (
     GaloisContext,
+    GaloisCoordinates,
     JIsomorphismReport,
     SkewGroupoidRing,
+    check_galois_coordinates,
+    coordinate_sums,
     endomorphism_space,
     j_isomorphism_check,
-    v_in_ideal,
 )
-from gglab.groupoid import components
+from gglab.groupoid import components, pair_star
 from gglab.instances import load_instance_dict
 from gglab.linalg import Subspace
 from gglab.separability import (
@@ -49,7 +59,7 @@ from gglab.separability import (
     _rational_key_order,
     enumerate_separable_subalgebras,
 )
-from gglab.algebra import commutant, is_unital_subalgebra, subalgebra_generated
+from gglab.algebra import commutant, is_unital_subalgebra, product_space, subalgebra_generated
 from gglab.suite import CERTIFICATE_ERRORS, CHECKS, Outcome, SuiteState, _pool, _skip
 
 WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
@@ -89,6 +99,67 @@ def whole_commutant(alg, s1, s2) -> Subspace:
     if coeffs.shape[0] == 0:
         return Subspace.zero(alg.field, alg.dim)
     return Subspace(alg.field, alg.dim, linalg.matmul(alg.field, coeffs, s2.basis))
+
+
+def v_in_ideal(act, g) -> Subspace:
+    """V_{E_g}(R) as the commutant of E_g in itself: for x in E_e with e
+    other than r(g) and v in E_g, both x v and v x vanish."""
+    ideal = act.ideal(g)
+    return commutant(act.algebra, ideal, ideal)
+
+
+def lemma_3_4(state: SuiteState) -> Outcome:
+    """Lemma 3.4's table with J_x J_y formed for every ordered pair."""
+    act, g, jm = state.inst.action, state.inst.groupoid, state.ctx.jmodules
+    prod = cache(lambda x, y: product_space(act.algebra, jm[x], jm[y]))
+    v_ideal = {e: v_in_ideal(act, e) for e in g.identities}
+    pair_rows = []
+    for a, b in pair_star(g):
+        forward, target = prod(b, a), jm[g.comp[a][b]]
+        pair_rows.append(
+            {
+                "g": g.names[a],
+                "h": g.names[b],
+                "gh": g.names[g.comp[a][b]],
+                "equal": forward == target,
+                "included": target.contains_space(forward),
+                "reversed_equal": prod(a, b) == target,
+            }
+        )
+    particular = [{"g": g.names[a], "equal": prod(g.inv[a], a) == v_ideal[g.target[a]]} for a in g.arrows()]
+    witnesses = {"pairs": pair_rows, "particular": particular}
+    if not state.central:
+        return _skip(
+            "Hirata separability not expected; product table reported, inclusions not upgraded to failures",
+            witnesses,
+        )
+    ok = all(row["equal"] for row in pair_rows + particular)
+    return Outcome(
+        "pass" if ok else "violation",
+        f"{len(pair_rows)} composable pairs; J_h J_g = J_gh and J_g^-1 J_g = V_Eg(R)",
+        witnesses,
+    )
+
+
+def arrow_sums(act, coords) -> dict:
+    """sum_i x_i * beta_g(y_i 1_{g^-1}), one arrow at a time."""
+    rows = coords.rows(act)
+    out = {}
+    for g in act.groupoid.arrows():
+        prods = act.algebra.products(rows[0::2], act.apply_truncated(g, rows[1::2]))
+        out[g] = act.field.reduce(prods.diagonal().sum(axis=-1))
+    return out
+
+
+def arrow_failures(act, coords) -> list:
+    """(arrow, residual) where the delta condition fails, from ``arrow_sums``."""
+    g, f, n = act.groupoid, act.field, act.algebra.dim
+    out = []
+    for a, s in sorted(arrow_sums(act, coords).items()):
+        res = f.reduce(s - (act.idempotents[a] if a in g.identities else f.zeros(n)))
+        if np.any(res != 0):
+            out.append((a, res))
+    return out
 
 
 def whole_endomorphisms(act, invariant_ring) -> Subspace:
@@ -194,9 +265,92 @@ def test_ideal_coordinates_equal_the_whole_r_solves(name):
     for g in act.groupoid.arrows():
         assert ctx.jmodules[g] == j_module(act, g), g
     for e in act.groupoid.identities:
-        assert v_in_ideal(act, e) == whole_commutant(alg, alg.full_space, act.ideal(e)), e
+        want = whole_commutant(alg, alg.full_space, act.ideal(e))
+        assert ctx.jmodules[e] == v_in_ideal(act, e) == want, e
     for space in (ctx.center, ctx.invariant_ring, *ctx.jmodules.values()):
         assert commutant(alg, space, alg.full_space) == whole_commutant(alg, space, alg.full_space)
+
+
+def test_j_modules_are_solved_on_loops_only(count_calls):
+    # pair_f5x3 has 6 identities, its only loops, and 6 connecting arrows
+    solves = count_calls(linalg.nullspace)
+    GaloisContext(load_instance_dict(BENCHMARK["objects/pair_f5x3"]).action).jmodules
+    assert len(solves) == 6
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_lemma_3_4_equals_the_all_pairs_table(name):
+    state, oracle = states(DOCUMENTS[name])
+    assert record(CHECKS["lemma_3_4"](state)) == record(lemma_3_4(oracle))
+
+
+def random_pairs(act, seed: int) -> GaloisCoordinates:
+    """dim R + 2 pairs of random vectors; over Q, with denominators."""
+    f, n = act.field, act.algebra.dim
+    rng = np.random.default_rng(seed)
+    if f.modular:
+        rows = rng.integers(0, f.p, (2 * n + 4, n)).tolist()
+    else:
+        rows = [[Fraction(int(a), int(b)) for a, b in zip(*rng.integers(1, 7, (2, n)))] for _ in range(2 * n + 4)]
+    vecs = f.array(rows)
+    return GaloisCoordinates(list(zip(vecs[0::2], vecs[1::2])))
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_stacked_coordinate_sums_equal_the_per_arrow_sums(name):
+    # the certified system, where there is one, and more pairs than dim R
+    state = SuiteState(load_instance_dict(DOCUMENTS[name]))
+    act = state.inst.action
+    systems = [random_pairs(act, 0)] + ([state.coords] if state.coords is not None else [])
+    for coords in systems:
+        got, want = coordinate_sums(act, coords), arrow_sums(act, coords)
+        assert list(got) == list(want)
+        for g in want:
+            assert np.array_equal(got[g], want[g]) and got[g].dtype == want[g].dtype, g
+
+
+def test_stacked_coordinate_sums_fit_int64_at_the_headroom_limit():
+    # pair over the largest F_p the loader takes for it, 4^2 (p - 1)^2 < 2^63
+    # with 4 the dim of its skew ring, and 24 pairs of entries p - 1: R is
+    # F_p x F_p, so a sum over the pairs and b together would have 24
+    # nonzero terms of (p - 1)^2 and wrap
+    p = 759250111
+    act = load_instance_dict(WORKLOADS["pair"]({"kind": "Fp", "p": p})).action
+    top = act.field.vector([p - 1] * act.algebra.dim)
+    coords = GaloisCoordinates([(top, top)] * 24)
+    got, want = coordinate_sums(act, coords), arrow_sums(act, coords)
+    assert all(np.array_equal(got[g], want[g]) for g in want)
+    assert any(np.any(want[g]) for g in want)
+
+
+@cache
+def certified(name: str):
+    state = SuiteState(load_instance_dict(DOCUMENTS[name]))
+    assert state.coords is not None, name
+    return state.inst.action, state.coords
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(
+        ["builtins/pair_f5", "builtins/klein_disjoint2", "objects/pair_f5+cyclic_shift_c3", "rational/pair_qx2"]
+    ),
+    data=st.data(),
+)
+def test_a_bumped_coordinate_fails_where_the_per_arrow_check_fails(name, data):
+    act, coords = certified(name)
+    i = data.draw(st.integers(0, len(coords.pairs) - 1), label="pair")
+    side = data.draw(st.sampled_from([0, 1]), label="x or y")
+    k = data.draw(st.integers(0, act.algebra.dim - 1), label="entry")
+    pairs = [(x.copy(), y.copy()) for x, y in coords.pairs]
+    pairs[i][side][k] = act.field.reduce(pairs[i][side][k] + data.draw(st.integers(1, 4), label="bump"))
+    bumped = GaloisCoordinates(pairs)
+    ok, failures = check_galois_coordinates(act, bumped)
+    want = arrow_failures(act, bumped)
+    assert ok == (not want)
+    assert [a for a, _ in failures] == [a for a, _ in want]
+    for (_, res), (_, expect) in zip(failures, want):
+        assert np.array_equal(res, expect)
 
 
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
@@ -379,6 +533,44 @@ def test_a_spoiled_block_of_j_gives_the_whole_r_record(spoil):
     assert rep == whole_j_isomorphism(oracle.inst.action, oracle.skew, oracle.ctx.invariant_ring)
     assert (rep.injective, rep.surjective) == ((False, True) if spoil == "repeat" else (True, False))
     assert CHECKS["j_isomorphism"](state).verdict == "violation"
+
+
+@pytest.mark.parametrize("doc, arrow, spoil", [
+    ("builtins/klein_disjoint2", "a2", "ideal"),
+    ("builtins/klein_disjoint2", "a2", "b2"),
+    ("builtins/klein_disjoint2", "a2", "zero"),
+    ("builtins/pair_f5", "e1", "zero"),
+    ("builtins/pair_f5", "s", "ideal"),
+    ("builtins/pair_f5", "t", "ideal"),
+])
+def test_a_spoiled_j_module_gives_the_all_pairs_table(doc, arrow, spoil):
+    # J of one arrow is replaced by its ideal E_g, by the J of another
+    # loop at its object, or by 0: the suite's table must still be the one
+    # with every product formed.  pair_f5's only loops are its identities,
+    # and its arrows s and t connect its two objects
+    state, oracle = states(BENCHMARK[doc])
+    before = CHECKS["lemma_3_4"](SuiteState(load_instance_dict(BENCHMARK[doc])))
+    for s in (state, oracle):
+        act, g, jm = s.inst.action, s.inst.groupoid, dict(s.ctx.jmodules)
+        a = g.index(arrow)
+        if spoil == "zero":
+            jm[a] = Subspace.zero(act.field, act.algebra.dim)
+        else:
+            jm[a] = act.ideal(a) if spoil == "ideal" else jm[g.index(spoil)]
+        s.ctx.jmodules = jm
+    out, want = CHECKS["lemma_3_4"](state), lemma_3_4(oracle)
+    assert out.witnesses["pairs"] == want.witnesses["pairs"] != before.witnesses["pairs"]
+    if a in g.identities:
+        # the suite reads V_{E_e}(R) as J_e, a fact that a spoiled J_e
+        # breaks, so only the particular rows that read J_e may move
+        moved = [r["g"] for r, w in zip(out.witnesses["particular"], want.witnesses["particular"]) if r != w]
+        assert moved == [g.names[b] for b in g.arrows() if g.target[b] == a]
+    else:
+        assert record(out) == record(want)
+    if spoil != "zero":
+        rows = out.witnesses["pairs"]
+        assert any(not r["equal"] and not r["reversed_equal"] for r in rows)
+        assert out.verdict in ("skip", "violation") and (doc == "builtins/pair_f5") == (out.verdict == "skip")
 
 
 # -- a change of basis of R leaves the records unmoved --------------------------

@@ -12,11 +12,11 @@ from gglab.galois import (
     endomorphism_space,
     j_isomorphism_check,
     solve_galois_coordinates,
-    v_in_ideal,
 )
 from gglab.instances import load_builtin
 from gglab.linalg import Subspace
 from gglab.suite import SuiteState
+from test_component_galois import v_in_ideal
 from test_graded import skew_algebra
 
 
@@ -156,6 +156,7 @@ def test_v_in_ideal_matches_block_center():
     assert v.dim == 1  # center of the first M2 block
     one1 = inst.action.idempotents[e1]
     assert v.contains(one1)
+    assert GaloisContext(inst.action).jmodules[e1] == v  # Lemma 3.4 reads V_{E_e}(R) as J_e
 
 
 def test_theta_values_pair_f5():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gglab import groupoid
 from gglab.groupoid import (
     GroupoidError,
     closure,
@@ -110,6 +111,22 @@ def test_enumeration_is_blind_to_arrow_order(name, data):
     g0 = groupoid_of(name)
     g = permuted(g0, data.draw(st.permutations(list(g0.arrows()))))
     assert [h.members for h in enumerate_subgroupoids(g)] == whole_groupoid_subgroupoids(g)
+
+
+@pytest.mark.parametrize("name, walks", [
+    ("pair_f5x3", 3),
+    ("cyclic_shift_c3x3", 3),
+    ("klein_disjoint2", 2),
+    ("pair_f5x4", 4),
+    ("klein_m2f5", 1),
+])
+def test_each_component_is_walked_once(count_calls, name, walks):
+    # one closed-set walk per component (31, 13 and 7 on the first three
+    # when the walk ran once for every union already built)
+    g = groupoid_of(name)
+    calls = count_calls(groupoid._closed_sets)
+    enumerate_subgroupoids(g)
+    assert len(calls) == walks == len(components(g))
 
 
 def test_components_join_objects_along_arrows():
