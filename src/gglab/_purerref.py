@@ -17,6 +17,12 @@ and no back-substitution.  Each product it forms is of two entries in
 never overflows: piv * row_i - f_i * row_pivot lies strictly between
 -p^2 and p^2.
 
+``stack_size`` and ``stacked`` are gglab's one stack budget: every
+stacked step, of this kernel and of the load-time certification and the
+subalgebra walk and sweep, takes its items in consecutive slices of at
+most ``STACK_CELLS`` int64 entries (or multiply-adds) at once, or one
+item per slice when an item alone is larger.
+
 ``rref_frac`` keeps every entry in the canonical form of ``fields``: a
 Python ``int`` when integral, else a ``Fraction``.  Integer rows are
 therefore eliminated in int arithmetic, and only a pivot other than 1 or
@@ -67,6 +73,22 @@ def rref_mod(mat: np.ndarray, p: int) -> list[int]:
 STACK_CELLS = 1 << 20  # int64 entries a stacked step handles at once (8 MB)
 
 
+def stack_size(cells: int) -> int:
+    """How many items of ``cells`` int64 entries (or multiply-adds) one
+    stacked step holds: at most ``STACK_CELLS`` entries, and at least one item."""
+    return max(1, STACK_CELLS // max(1, cells))
+
+
+def stacked(count: int, cells: int, step_fn) -> np.ndarray:
+    """step_fn(s) over consecutive slices s of range(count), each of
+    ``stack_size(cells)`` items, concatenated; step_fn(slice(None)) when
+    one slice covers them all."""
+    step = stack_size(cells)
+    if step >= count:
+        return step_fn(slice(None))
+    return np.concatenate([step_fn(slice(lo, lo + step)) for lo in range(0, count, step)])
+
+
 def rank_mod_stack(mats: np.ndarray, p: int) -> np.ndarray:
     """The rank mod p of each matrix of ``mats`` (int64, shape (s, m, n),
     entries in 0..p-1), an int64 array of length s.  ``mats`` is
@@ -78,15 +100,13 @@ def rank_mod_stack(mats: np.ndarray, p: int) -> np.ndarray:
     in column c.  Scaling a row by the unit piv keeps the row space, so
     each matrix keeps its rank, which is its number of pivot rows.  Only
     the columns after c are updated, since no later step reads column c.
-    The stack is reduced ``STACK_CELLS`` entries at a time.
+    The stack is reduced ``stack_size(m * n)`` matrices at a time.
     """
     s, m, n = mats.shape
-    ranks = np.zeros(s, dtype=np.int64)
     if m == 0 or n == 0:
-        return ranks
-    step = max(1, STACK_CELLS // (m * n))
-    for lo in range(0, s, step):
-        block = mats[lo : lo + step]
+        return np.zeros(s, dtype=np.int64)
+
+    def ranks(block: np.ndarray) -> np.ndarray:
         at = np.arange(len(block))
         free = np.ones(block.shape[:2], dtype=bool)  # rows not yet a pivot row
         for c in range(n):
@@ -105,8 +125,9 @@ def rank_mod_stack(mats: np.ndarray, p: int) -> np.ndarray:
             rest *= piv[:, None, None]
             rest -= factor[:, :, None] * prow[:, None, :]
             rest %= p
-        ranks[lo : lo + step] = m - free.sum(axis=1)
-    return ranks
+        return m - free.sum(axis=1)
+
+    return stacked(s, m * n, lambda part: ranks(mats[part]))
 
 
 def rref_frac(mat: np.ndarray) -> list[int]:

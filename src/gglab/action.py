@@ -79,9 +79,11 @@ def validate_action(g: Groupoid, alg: Algebra, idempotents, beta) -> Action:
     """Certify every action axiom by explicit finite checks.
 
     Each axiom is decided for all identities, arrows or composable pairs
-    at once, by stacked products taken in chunks of at most
-    ``_purerref.STACK_CELLS`` multiply-adds (``_chunked``).  With P_e the
-    matrix of right multiplication by 1_e, the projection of R onto E_e:
+    at once, by stacked products taken in slices of at most
+    ``_purerref.STACK_CELLS`` multiply-adds (``_purerref.stacked``), which
+    also bounds the entries of each array a slice makes, since each entry
+    of a product costs at least one multiply-add.  With P_e the matrix of
+    right multiplication by 1_e, the projection of R onto E_e:
 
     - the 1_e are idempotent, central, pairwise orthogonal and sum to 1_R;
     - beta_a vanishes off E_{d(a)} and lands in E_{r(a)}: beta_a P_{d(a)}
@@ -147,7 +149,7 @@ def validate_action(g: Groupoid, alg: Algebra, idempotents, beta) -> Action:
     starts = accumulate([len(b) for b in bases[:-1]], initial=1)
     dom = rows[[[s + j if j < len(b) else 0 for j in range(width)] for s, b in zip(starts, bases)]]
     mult_work = width * n**3 + width * width * n * n  # products() of two stacks of width rows
-    dom_prods = _chunked(len(ids), mult_work, lambda s: alg.products(dom[s], dom[s]))
+    dom_prods = _purerref.stacked(len(ids), mult_work, lambda s: alg.products(dom[s], dom[s]))
     dom_prods = dom_prods.reshape(len(ids), width * width, n)
 
     def arrow_checks(s):
@@ -170,12 +172,12 @@ def validate_action(g: Groupoid, alg: Algebra, idempotents, beta) -> Action:
         )
 
     # imgs and lhs take less than a second products()
-    checks = _chunked(len(arrows), 2 * n**3 + n * n + 2 * mult_work, arrow_checks)
+    checks = _purerref.stacked(len(arrows), 2 * n**3 + n * n + 2 * mult_work, arrow_checks)
     vanishes, lands, unital, mult, identity = checks.T
     identity = identity[ids]
     pairs = [(a, b, g.comp[a][b]) for a in arrows for b in arrows if g.composable(a, b)]
     left, right, ab = (np.array(c) for c in zip(*pairs))
-    cocycle = _chunked(
+    cocycle = _purerref.stacked(
         len(pairs), n**3, lambda s: _equal(field.reduce(np.matmul(mats[left[s]], mats[right[s]])), mats[ab[s]])
     )
 
@@ -219,20 +221,6 @@ def _stack_entries(field, given, keys, shape, names, kind, owner) -> np.ndarray:
             raise ActionError(f"{kind} for {names[k]} has shape {got}, want {shape}")
     # every entry has the right shape, so one of them does not convert: raise that
     return field.reduce(np.array([given[k] for k in keys], dtype=field.dtype))
-
-
-def _chunked(count: int, work: int, step_fn) -> np.ndarray:
-    """step_fn(s) over consecutive slices s of range(count), concatenated.
-
-    One item takes ``work`` multiply-adds, and a slice at most
-    ``_purerref.STACK_CELLS`` of them (or one item).  That also bounds
-    the entries of each array a step makes, since each entry of a product
-    costs at least one multiply-add.
-    """
-    step = max(1, _purerref.STACK_CELLS // max(work, 1))
-    if step >= count:
-        return step_fn(slice(None))
-    return np.concatenate([step_fn(slice(lo, lo + step)) for lo in range(0, count, step)])
 
 
 def _equal(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -78,6 +78,8 @@ class Algebra:
 def validate_algebra(field: Field, labels, table, unit) -> Algebra:
     """Certify associativity and the unit laws on all basis triples."""
     n = len(labels)
+    if n == 0:
+        raise AlgebraError("algebra.basis is empty: an algebra needs at least one basis element, or 1 = 0")
     if len(set(labels)) != n:
         raise AlgebraError("duplicate basis labels")
     table = np.asarray(table)
@@ -98,24 +100,28 @@ def _check_associative(alg: Algebra) -> None:
     naming the row-major first triple that fails.
 
     Both sides are contractions of the table with itself, taken for a
-    chunk of the b_i at a time: 2 n^4 multiply-adds per b_i, and at most
-    ``_purerref.STACK_CELLS`` per chunk (or one b_i), which also bounds
-    the entries of each array a chunk makes.
+    slice of the b_i at a time (``_purerref.stacked``): 2 n^4
+    multiply-adds per b_i, and at most ``_purerref.STACK_CELLS`` per slice
+    (or one b_i), which also bounds the entries of each array a slice
+    makes.  Each slice gives its mask of failing (i, (j, k)), and the
+    first triple is read off their concatenation.
     """
     f, t, labels = alg.field, alg.table, alg.labels
     n = alg.dim
     rows, cols = t.reshape(n * n, n), t.reshape(n, n * n)
-    step = max(1, _purerref.STACK_CELLS // max(2 * n**4, 1))
-    for lo in range(0, n, step):
-        ts = t[lo : lo + step]
+
+    def failing(s):
+        ts = t[s]
         # [i, (j, k), l]: coefficient l of (b_i b_j) b_k - b_i (b_j b_k)
         diff = np.dot(ts.reshape(-1, n), cols).reshape(len(ts), n * n, n)
         diff -= np.matmul(rows, ts)
-        bad = f.reduce(diff).any(axis=2)
-        if bad.any():
-            i, jk = divmod(int(np.flatnonzero(bad)[0]), n * n)
-            j, k = divmod(jk, n)
-            raise AlgebraError(f"associativity fails at triple ({labels[lo + i]},{labels[j]},{labels[k]})")
+        return f.reduce(diff).any(axis=2)
+
+    bad = np.flatnonzero(_purerref.stacked(n, 2 * n**4, failing))
+    if len(bad):
+        i, jk = divmod(int(bad[0]), n * n)
+        j, k = divmod(jk, n)
+        raise AlgebraError(f"associativity fails at triple ({labels[i]},{labels[j]},{labels[k]})")
 
 
 def _check_unit_laws(alg: Algebra) -> None:

@@ -27,13 +27,14 @@ substitution check live in ``separability_idempotent`` alone.  Each
 member it finds carries the canonical key the walk built for it.
 
 The Theorem 3.9 sweep (``double_centralizer_sweep``) returns only the
-members that fail the double-centralizer statement.  It settles the
-members of one dimension that are their own commutants together
-(``_self_commutants``).  V(S) is the nullspace of S's commutator matrix.
-A member whose unreduced matrix annihilates its own basis lies in its
-commutant, and if one stacked rank of the matrix is also n minus dim S,
-then V(S) = S: such a member, a torus of M_2(F_p) say, is cached as its
-own commutant, with no nullspace formed.  A settled member that is not
+members that fail the double-centralizer statement.  Over F_p it
+settles the members of each dimension that are their own commutants
+together (``_self_commutants``); over Q it checks every member alone.
+V(S) is the nullspace of S's commutator matrix.  A member whose
+unreduced matrix annihilates its own basis lies in its commutant, and if
+one stacked rank of the matrix is also n minus dim S, then V(S) = S:
+such a member, a torus of M_2(F_p) say, is cached as its own commutant,
+with no nullspace formed.  A settled member that is not
 the base and is already known separable over it passes with no check:
 V(V(S)) = S, S is not central, and V(S) = S is separable, which is the
 proof the sweep carries for it.  Every other commutant is computed one
@@ -44,7 +45,6 @@ cached by canonical key.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations, groupby, product
@@ -63,14 +63,6 @@ from .algebra import (
 from .linalg import Subspace
 
 EXHAUSTIVE_DIM = 6  # above this dimension the subalgebra sweep is pool-restricted
-# The sweep stacks only the members of a dimension with at least this
-# many; the commutants of the others, and of every member a stack does
-# not settle, are computed one S at a time, when a check asks.  Settling
-# members that are their own commutants, a stack costs about 0.1 ms
-# however few they are, one member alone about 0.035 ms (tori of
-# M_2(F_11), 2-vCPU Xeon, best of 25 in each of two processes: 10 cost
-# 0.10-0.12 ms stacked, 0.33-0.35 ms alone; 20 cost 0.14 and 0.69-0.71 ms).
-SWEEP_STACK_MIN = 10
 
 
 @dataclass
@@ -235,21 +227,26 @@ def double_centralizer_sweep(
     V(V(A)) != A, when V(A) is not separable over the base, or when its
     tensor clause fails.
 
-    Over F_p, the members of a dimension that at least ``SWEEP_STACK_MIN``
-    of them share are first stacked (``_cache_commutants``): each one the
+    Over F_p, every member whose commutant ``facts`` lacks is first
+    stacked, one stack per dimension (``_self_commutants``): each one the
     stack settles as its own commutant, such as a torus of M_2(F_p), is
-    cached as V(A) = A itself.  A member A whose cached commutant is A,
-    that is not the base, and that ``facts`` already holds separable over
-    the base, passes without a check: V(V(A)) = V(A) = A;
-    A cap V(A) = A is not the base, so A is not central and the tensor
-    clause is skipped; and V(A) = A is separable by that verdict.  The
-    check would read all three from ``facts`` and add nothing to it.
-    Every other member is checked, and each commutant it needs and the
-    cache lacks is computed then.
+    cached as V(A) = A itself.  Over Q every member is checked one at a
+    time, since the stacked rank is mod p.  A member A whose cached
+    commutant is A, that is not the base, and that ``facts`` already
+    holds separable over the base, passes without a check:
+    V(V(A)) = V(A) = A; A cap V(A) = A is not the base, so A is not
+    central and the tensor clause is skipped; and V(A) = A is separable
+    by that verdict.  The check would read all three from ``facts`` and
+    add nothing to it.  Every other member is checked, and each commutant
+    it needs and the cache lacks is computed then.
     """
-    by_dim = Counter(s.dim for s in subalgebras)
-    stacked = [s for s in subalgebras if alg.field.modular and by_dim[s.dim] >= SWEEP_STACK_MIN]
-    _cache_commutants(alg, stacked, facts)
+    todo: dict[int, dict[tuple, Subspace]] = {}
+    for s in subalgebras if alg.field.modular else []:
+        if s.key() not in facts.commutants:
+            todo.setdefault(s.dim, {})[s.key()] = s
+    for group in todo.values():
+        members = list(group.values())
+        facts.commutants.update((s.key(), s) for s, own in zip(members, _self_commutants(alg, members)) if own)
     bkey = center_sub.key()
     fails = []
     for s in subalgebras:
@@ -263,26 +260,6 @@ def double_centralizer_sweep(
     return fails
 
 
-def _chunks(count: int, cells: int):
-    """Slices of ``count`` stacked members, each of ``cells`` int64
-    entries, holding at most ``_purerref.STACK_CELLS`` entries at once."""
-    step = max(1, _purerref.STACK_CELLS // max(1, cells))
-    for lo in range(0, count, step):
-        yield slice(lo, lo + step)
-
-
-def _cache_commutants(alg: Algebra, spaces: list[Subspace], facts: SubalgebraFacts) -> None:
-    """Cache V_R(S) = S for every S of ``spaces``, not in ``facts`` yet,
-    that ``_self_commutants`` settles, one stack per dimension."""
-    todo: dict[int, dict[tuple, Subspace]] = {}
-    for s in spaces:
-        if s.key() not in facts.commutants:
-            todo.setdefault(s.dim, {})[s.key()] = s
-    for group in todo.values():
-        members = list(group.values())
-        facts.commutants.update((s.key(), s) for s, own in zip(members, _self_commutants(alg, members)) if own)
-
-
 def _self_commutants(alg: Algebra, spaces: list[Subspace]) -> list[bool]:
     """Whether V_R(S) = S, for each S of ``spaces`` (all of one dimension
     k, over F_p).
@@ -292,22 +269,24 @@ def _self_commutants(alg: Algebra, spaces: list[Subspace]) -> list[bool]:
     whose unreduced matrix annihilates its own basis has S <= V(S),
     checked by substitution; one stacked rank of the matrices of those
     members follows, and rank n - k leaves dim V(S) = k, so V(S) = S.
+    The members are taken a slice at a time (``_purerref.stacked``).
     """
     f, n = alg.field, alg.dim
     k = spaces[0].dim
     # [i, c, j] = coordinate j of b_i e_c - e_c b_i, unreduced, so that its
     # entries stay below p in size
     diff = (alg.table - alg.table.transpose(1, 0, 2)).reshape(n, n * n)
-    out: list[bool] = []
-    for part in _chunks(len(spaces), k * n * n):
+
+    def settled(part):
         bases = np.stack([s.basis for s in spaces[part]])
         mats = f.reduce(np.matmul(bases, diff)).reshape(len(bases), k, n, n)
         mats = mats.transpose(0, 1, 3, 2).reshape(len(bases), k * n, n)
         own = ~f.reduce(np.matmul(mats, bases.transpose(0, 2, 1))).any(axis=(1, 2))
         if own.any():
             own[own] = _purerref.rank_mod_stack(mats[own], f.p) == n - k
-        out.extend(own.tolist())
-    return out
+        return own
+
+    return _purerref.stacked(len(spaces), k * n * n, settled).tolist()
 
 
 def relative_tensor_dim(alg: Algebra, a: Subspace, b: Subspace, base: Subspace) -> int:
@@ -569,13 +548,12 @@ def _walk(alg: Algebra, base: Subspace, facts: SubalgebraFacts) -> dict[tuple, S
     gram = _gram_base(alg, base)
     found: dict[tuple, Subspace] = {}
     for d, patterns in groupby(_patterns(len(comp)), lambda pattern: base.dim + len(pattern[0])):
-        cells = d * n * n
         # the closed candidates left to decide, one entry per stack of fills:
         # (RREF bases, structure constants, pivot columns, canonical keys)
         todo: list[tuple[np.ndarray, np.ndarray, list[int], list[tuple]]] = []
         for pivots, free in patterns:
             piv = sorted(base.pivots + [comp[c] for c in pivots])
-            for stack in _fills(f.p, len(comp), pivots, free, max(1, _purerref.STACK_CELLS // cells)):
+            for stack in _fills(f.p, len(comp), pivots, free, _purerref.stack_size(d * n * n)):
                 bases, tables = _closed_fills(alg, base, comp, pivots, piv, stack)
                 keys, new = [tuple(map(tuple, b)) for b in bases.tolist()], []
                 for i, key in enumerate(keys):

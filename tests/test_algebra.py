@@ -69,6 +69,12 @@ def test_validate_rejects_non_associative():
         validate_algebra(F3, alg.labels, table, alg.unit)
 
 
+def test_validate_rejects_the_zero_algebra():
+    # with no basis 1 = 0: the zero ring is refused before any other check
+    with pytest.raises(AlgebraError, match=r"^algebra\.basis is empty: "):
+        validate_algebra(F3, [], F3.zeros((0, 0, 0)), F3.zeros(0))
+
+
 def test_validate_rejects_bad_unit():
     alg = m2f3()
     bad_unit = alg.unit.copy()

@@ -166,6 +166,18 @@ def test_instance_without_arrows_is_refused(tmp_path, capsys, verb):
     assert err == "error: groupoid.arrows is empty: a groupoid needs at least one arrow\n"
 
 
+@pytest.mark.parametrize("verb", ["validate", "suite"])
+def test_instance_with_an_empty_basis_is_refused(tmp_path, capsys, verb):
+    # the zero ring: refused at the algebra section, not by the action loader
+    doc = builtin("trivial")
+    doc["algebra"] = {"basis": [], "structure": [], "unit": []}
+    path = tmp_path / "zero_ring.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli([verb, str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: algebra.basis is empty: ") and err.count("\n") == 1
+
+
 def test_missing_instance_arg():
     # a usage error exits 2; exit 1 is reserved for a recorded violation
     for verb in ("validate", "suite"):

@@ -211,6 +211,41 @@ def test_rank_mod_stack_chunks_alike(p, monkeypatch):
     assert np.array_equal(_purerref.rank_mod_stack(mats.copy(), p), whole)
 
 
+@pytest.mark.parametrize("budget", [10, 40, 1 << 20])
+def test_stack_size_bounds_each_slice(budget, monkeypatch):
+    monkeypatch.setattr(_purerref, "STACK_CELLS", budget)
+    assert _purerref.stack_size(10) == max(1, budget // 10)
+    assert _purerref.stack_size(0) == budget  # an empty item counts as one cell
+    assert _purerref.stack_size(budget + 1) == 1  # an item above the budget is alone
+
+
+# with STACK_CELLS = 40, items of 10 cells go 4 to a slice:
+# count 0, 1, step - 1, step, step + 1 and 3 step + 2
+@pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 14])
+def test_stacked_slices_cover_range_in_order(count, monkeypatch):
+    """The slices cover range(count) in order, without overlap, each of
+    stack_size(cells) items but the last; one slice covering everything
+    is slice(None)."""
+    monkeypatch.setattr(_purerref, "STACK_CELLS", 40)
+    step = _purerref.stack_size(10)
+    items, seen = np.arange(count), []
+
+    def step_fn(s):
+        seen.append(s)
+        return items[s] * 10
+
+    out = _purerref.stacked(count, 10, step_fn)
+    assert step == 4 and out.tolist() == [10 * i for i in range(count)]
+    if count <= step:
+        assert seen == [slice(None)]
+    else:
+        assert [range(count)[s] for s in seen] == [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
+    # an item above the budget is a slice of its own
+    seen.clear()
+    assert _purerref.stacked(count, 41, step_fn).tolist() == out.tolist()
+    assert seen == ([slice(None)] if count <= 1 else [slice(i, i + 1) for i in range(count)])
+
+
 def _rref_all_fractions(mat):
     """RREF with every entry a Fraction: the plain textbook elimination."""
     m, n = mat.shape

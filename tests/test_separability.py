@@ -574,14 +574,36 @@ def failing(rows):
     return [r for r in rows if not (r.double_centralizer_holds and r.commutant_separable and r.tensor_clause != "fails")]
 
 
-@pytest.mark.parametrize("stack_min", [separability.SWEEP_STACK_MIN, 1])
 @pytest.mark.parametrize("name", sorted(SWEEP_DOCUMENTS))
-def test_sweep_equals_per_subalgebra_checks(name, stack_min, monkeypatch):
+def test_sweep_equals_per_subalgebra_checks(name):
     """The sweep's failures, field by field, equal the failing rows of one
     ``double_centralizer_check`` per member, and the commutants and
-    verdicts it leaves in the facts equal those the checks leave; with the
-    threshold at 1 every dimension is stacked."""
-    monkeypatch.setattr(separability, "SWEEP_STACK_MIN", stack_min)
+    verdicts it leaves in the facts equal those the checks leave.  Over
+    F_p every dimension is stacked; ``pair_qx2`` takes the per-member path
+    over Q."""
+    assert_sweep_equals_per_subalgebra_checks(name)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_DOCUMENTS))
+def test_sweep_one_member_per_slice_equals_per_subalgebra_checks(name, monkeypatch):
+    """The same with a stack budget so small that every stacked step, at
+    load, in the walk and in the sweep, takes one item at a time."""
+    real, sizes = _purerref.stacked, []
+
+    def counted(count, cells, step_fn):
+        def step(s):
+            sizes.append(len(range(count)[s]))
+            return step_fn(s)
+
+        return real(count, cells, step)
+
+    monkeypatch.setattr(_purerref, "STACK_CELLS", 1)
+    monkeypatch.setattr(_purerref, "stacked", counted)
+    assert_sweep_equals_per_subalgebra_checks(name)
+    assert set(sizes) == {1}
+
+
+def assert_sweep_equals_per_subalgebra_checks(name):
     state = SuiteState(load_instance_dict(SWEEP_DOCUMENTS[name]))
     alg, c, subs = state.inst.algebra, state.ctx.center, state.center_enum.subalgebras
     per_s = SubalgebraFacts(alg)
@@ -596,23 +618,27 @@ def test_sweep_equals_per_subalgebra_checks(name, stack_min, monkeypatch):
 @pytest.mark.parametrize("p", [5, 11, 17])
 def test_the_stack_settles_every_torus_as_its_own_commutant(p, monkeypatch):
     """The p^2 tori of M_2(F_p) (289 at p = 17) are their own commutants.
-    The sweep settles them in one stacked rank per chunk and caches each
-    torus itself as its commutant; F_p and M_2(F_p), one member each, are
-    checked one at a time.  The suite's check sweeps all p^2 + 2 members,
-    and none fails."""
+    The sweep settles them in one stacked rank per slice and caches each
+    torus itself as its commutant.  F_p and M_2(F_p), one member each,
+    are stacked alone and checked one at a time: F_p's zero commutator
+    matrix passes the substitution check, and its one-member rank, 0,
+    leaves it unsettled; M_2(F_p) fails the substitution check and
+    reaches no rank.  The suite's check sweeps all p^2 + 2 members, and
+    none fails."""
     state = SuiteState(load_instance_dict(SWEEP_DOCUMENTS[f"klein_m2f{p}"]))
     alg, c, subs = state.inst.algebra, state.ctx.center, state.center_enum.subalgebras
     tori = [s for s in subs if s.dim == 2]
     assert len(tori) == p * p and len(subs) == p * p + 2
-    real, stacked = _purerref.rank_mod_stack, []
+    real, ranked = _purerref.rank_mod_stack, []
 
     def counted(mats, q):
-        stacked.append(len(mats))
+        ranked.append(len(mats))
         return real(mats, q)
 
     monkeypatch.setattr(_purerref, "rank_mod_stack", counted)
     out = CHECKS["theorem_3_9"](state)
-    assert stacked == [len(tori[part]) for part in separability._chunks(len(tori), 2 * alg.dim**2)]
+    step = _purerref.stack_size(2 * alg.dim**2)
+    assert ranked == [len(tori[lo : lo + step]) for lo in range(0, len(tori), step)] + [1]
     assert all(state.facts.commutants[s.key()] is s for s in tori)
     assert out.verdict == "pass" and out.witnesses == {"swept": p * p + 2, "mode": "exhaustive"}
     assert separability.double_centralizer_sweep(alg, subs, c, state.facts) == failing(
@@ -638,7 +664,6 @@ def test_stacked_sweep_over_any_base_and_list(monkeypatch):
         calls.append(args)
         return commutant(*args)
 
-    monkeypatch.setattr(separability, "SWEEP_STACK_MIN", 1)
     monkeypatch.setattr(separability, "commutant", counted)
     for base in bases:
         for members in [subalgebras] + [[a] for a in subalgebras]:
@@ -670,7 +695,7 @@ def test_sweep_on_three_copies_runs_the_tensor_clause_iff_a_meets_its_commutant_
     assert len(subs) == 125 and len(ranked) == 98 and sum(ranked) == 8
 
 
-def test_sweep_decides_a_self_commutant_member_central_iff_it_is_the_base(monkeypatch):
+def test_sweep_decides_a_self_commutant_member_central_iff_it_is_the_base():
     """V(A) = A gives A cap V(A) = A, so A is central over C iff A = C.
     The maximal commutative subalgebra D of M_2(F_3) swept over [D] is
     central (A = C = V(A)), so its tensor
@@ -683,7 +708,6 @@ def test_sweep_decides_a_self_commutant_member_central_iff_it_is_the_base(monkey
     maximal = [s for s in unital if commutant(alg, s, alg.full_space) == s]
     diag = Subspace(F3, 4, F3.array([[1, 0, 0, 0], [0, 0, 0, 1]]))
     assert diag in maximal and len(maximal) == 13 and {s.dim for s in maximal} == {2}
-    monkeypatch.setattr(separability, "SWEEP_STACK_MIN", 1)
     for members, base in (([diag], diag), (maximal, center(alg))):
         rows = [double_centralizer_check(alg, a, base) for a in members]
         assert separability.double_centralizer_sweep(alg, members, base, SubalgebraFacts(alg)) == failing(rows)
@@ -692,7 +716,7 @@ def test_sweep_decides_a_self_commutant_member_central_iff_it_is_the_base(monkey
 
 
 @pytest.mark.parametrize("verdict", [True, False])
-def test_sweep_with_known_verdicts_fails_what_the_check_fails(verdict, monkeypatch):
+def test_sweep_with_known_verdicts_fails_what_the_check_fails(verdict):
     """Seeded with one verdict, true or false, for every member over the
     base, the sweep passes a member without its check only where the check
     passes: its failures are the failing checks read from the same
@@ -703,7 +727,6 @@ def test_sweep_with_known_verdicts_fails_what_the_check_fails(verdict, monkeypat
     unital = [s for s in (Subspace(F3, 4, m) for m in all_subspaces(F3, 4)) if is_unital_subalgebra(alg, s)]
     maximal = [s for s in unital if commutant(alg, s, alg.full_space) == s]
     diag = Subspace(F3, 4, F3.array([[1, 0, 0, 0], [0, 0, 0, 1]]))
-    monkeypatch.setattr(separability, "SWEEP_STACK_MIN", 1)
     for members, base in (([diag], diag), (maximal, diag), (maximal, center(alg))):
         facts, per_s = SubalgebraFacts(alg), SubalgebraFacts(alg)
         for known in (facts, per_s):
