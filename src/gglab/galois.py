@@ -371,7 +371,8 @@ class GaloisContext:
 
     @cached_property
     def invariant_ring(self) -> Subspace:
-        return invariants(self.act, list(self.act.groupoid.arrows()))
+        """R^beta = theta(G), through the ``invariants`` cache theta(G) shares."""
+        return self.invariants(self.act.groupoid.arrows())
 
     @cached_property
     def center(self) -> Subspace:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gglab import _purerref, linalg
@@ -209,6 +209,71 @@ def test_rank_mod_stack_chunks_alike(p, monkeypatch):
     assert whole.tolist() == _ranks_one_at_a_time(mats, p)
     monkeypatch.setattr(_purerref, "STACK_CELLS", 64)  # two matrices per chunk
     assert np.array_equal(_purerref.rank_mod_stack(mats.copy(), p), whole)
+
+
+def _oracle_stack(p, shape, kinds, entries):
+    """s matrices m x n over F_p from drawn entries; by ``kinds``, matrix g
+    is as drawn (0), all zero (1), or its first row repeated, scaled by
+    1, 2, ... (2)."""
+    s, m, n = shape
+    mats = np.array(entries, dtype=np.int64).reshape(shape)
+    for g, kind in enumerate(kinds):
+        if kind == 1:
+            mats[g] = 0
+        elif kind == 2:
+            mats[g] = (np.arange(1, m + 1)[:, None] * mats[g, :1]) % p
+    return mats
+
+
+# stacks with m < n, m > n and m = n, empty stacks, and matrices drawn
+# whole, all zero or with repeated rows
+oracle_inputs = st.sampled_from([2, 3, 5, 17, 2**31 - 1]).flatmap(
+    lambda p: st.tuples(
+        st.just(p),
+        st.tuples(st.integers(0, 5), st.integers(1, 6), st.integers(1, 6)).flatmap(
+            lambda shape: st.tuples(
+                st.lists(st.integers(0, 2), min_size=shape[0], max_size=shape[0]),
+                st.lists(
+                    st.one_of(st.integers(0, p - 1), st.just(p - 1)),
+                    min_size=shape[0] * shape[1] * shape[2],
+                    max_size=shape[0] * shape[1] * shape[2],
+                ),
+            ).map(lambda drawn: _oracle_stack(p, shape, *drawn))
+        ),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_inputs)
+@example((17, np.zeros((0, 3, 4), dtype=np.int64)))
+@example((5, np.array([[[1, 2, 3, 4], [2, 4, 1, 3]]], dtype=np.int64)))
+@example((2**31 - 1, np.full((2, 4, 2), 2**31 - 2, dtype=np.int64)))
+def test_rank_mod_stack_equals_the_rank_of_each_matrix(case):
+    """The column-major stacked rank equals ``linalg.rank`` matrix by
+    matrix, at the default budget and at ``STACK_CELLS = 1``, where every
+    slice takes one matrix; the input is left as it was."""
+    p, mats = case
+    field = Field("Fp", p)
+    want = [linalg.rank(field, mat) for mat in mats]
+    drawn = mats.copy()
+    assert _purerref.rank_mod_stack(mats, p).tolist() == want
+    assert np.array_equal(mats, drawn)
+    sizes = []
+    real = _purerref.stacked
+
+    def counted(count, cells, step_fn):
+        def step(s):
+            sizes.append(len(range(count)[s]))
+            return step_fn(s)
+
+        return real(count, cells, step)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_purerref, "STACK_CELLS", 1)
+        mp.setattr(_purerref, "stacked", counted)
+        assert _purerref.rank_mod_stack(mats, p).tolist() == want
+    assert sizes == ([len(mats)] if len(mats) <= 1 else [1] * len(mats))
 
 
 @pytest.mark.parametrize("budget", [10, 40, 1 << 20])

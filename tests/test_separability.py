@@ -32,7 +32,7 @@ from gglab.separability import (
     tensor_square,
     verify_certificate,
 )
-from gglab.suite import CHECKS, SuiteState, _pool
+from gglab.suite import CHECKS, SuiteState, _pool, run_suite
 from test_batched import block_table, change_basis
 from test_linalg import all_subspaces
 
@@ -518,7 +518,7 @@ def assert_stacked_commutants_agree(alg, spaces):
     for s in spaces:
         by_dim.setdefault(s.dim, []).append(s)
     for group in by_dim.values():
-        got = separability._self_commutants(alg, group)
+        got = separability._self_commutants(alg, np.stack([s.basis for s in group])).tolist()
         assert got == [commutant(alg, s, alg.full_space) == s for s in group], [s.to_json() for s in group]
 
 
@@ -578,9 +578,9 @@ def failing(rows):
 def test_sweep_equals_per_subalgebra_checks(name):
     """The sweep's failures, field by field, equal the failing rows of one
     ``double_centralizer_check`` per member, and the commutants and
-    verdicts it leaves in the facts equal those the checks leave.  Over
-    F_p every dimension is stacked; ``pair_qx2`` takes the per-member path
-    over Q."""
+    verdicts it leaves in the facts equal those the checks leave, but for
+    V(C) = R, which the endpoint proof does not form.  Over F_p every
+    dimension is stacked; ``pair_qx2`` takes the per-member path over Q."""
     assert_sweep_equals_per_subalgebra_checks(name)
 
 
@@ -611,39 +611,93 @@ def assert_sweep_equals_per_subalgebra_checks(name):
     want = failing([double_centralizer_check(alg, s, c, per_s) for s in subs])
     got = separability.double_centralizer_sweep(alg, subs, c, state.facts)
     assert got == want
-    assert state.facts.commutants == per_s.commutants
+    # the suite's facts hold V(R) = C and R separable over C, so the
+    # sweep passes C and R by the endpoint proof and never forms V(C) = R
+    full = alg.full_space
+    assert state.facts.commutants[full.key()] == c and state.facts.separable[full.key(), c.key()]
+    unformed = {} if c == full else {c.key(): full}
+    assert unformed.keys().isdisjoint(state.facts.commutants)
+    assert {**state.facts.commutants, **unformed} == per_s.commutants
     assert state.facts.separable == per_s.separable
 
 
 @pytest.mark.parametrize("p", [5, 11, 17])
 def test_the_stack_settles_every_torus_as_its_own_commutant(p, monkeypatch):
     """The p^2 tori of M_2(F_p) (289 at p = 17) are their own commutants.
-    The sweep settles them in one stacked rank per slice and caches each
-    torus itself as its commutant.  F_p and M_2(F_p), one member each,
-    are stacked alone and checked one at a time: F_p's zero commutator
-    matrix passes the substitution check, and its one-member rank, 0,
-    leaves it unsettled; M_2(F_p) fails the substitution check and
-    reaches no rank.  The suite's check sweeps all p^2 + 2 members, and
-    none fails."""
+    The walk settles them in its own stack and caches each torus itself
+    as its commutant.  Of its other separable members, F_p is commutative
+    and is stacked alone: its zero commutator matrix passes the
+    substitution check, and its one-member rank, 0, leaves it unsettled;
+    M_2(F_p) is not commutative and is not stacked.  The suite's check
+    then sweeps all p^2 + 2 members with no stack, no rank and no
+    per-member check: F_p and M_2(F_p) pass by the endpoint proof."""
     state = SuiteState(load_instance_dict(SWEEP_DOCUMENTS[f"klein_m2f{p}"]))
-    alg, c, subs = state.inst.algebra, state.ctx.center, state.center_enum.subalgebras
+    alg, c = state.inst.algebra, state.ctx.center
+    real, stacks = separability._self_commutants, []
+
+    def counted(alg, bases):
+        settled = real(alg, bases)
+        stacks.append((len(bases), int(settled.sum())))
+        return settled
+
+    monkeypatch.setattr(separability, "_self_commutants", counted)
+    subs = state.center_enum.subalgebras
     tori = [s for s in subs if s.dim == 2]
-    assert len(tori) == p * p and len(subs) == p * p + 2
-    real, ranked = _purerref.rank_mod_stack, []
-
-    def counted(mats, q):
-        ranked.append(len(mats))
-        return real(mats, q)
-
-    monkeypatch.setattr(_purerref, "rank_mod_stack", counted)
-    out = CHECKS["theorem_3_9"](state)
-    step = _purerref.stack_size(2 * alg.dim**2)
-    assert ranked == [len(tori[lo : lo + step]) for lo in range(0, len(tori), step)] + [1]
+    assert len(tori) == p * p and len(subs) == p * p + 2 and state.azu
+    assert stacks == [(1, 0), (p * p, p * p)]
     assert all(state.facts.commutants[s.key()] is s for s in tori)
+    calls = []
+    monkeypatch.setattr(_purerref, "rank_mod_stack", lambda *args: calls.append(args))
+    monkeypatch.setattr(separability, "double_centralizer_check", lambda *args: calls.append(args))
+    out = CHECKS["theorem_3_9"](state)
     assert out.verdict == "pass" and out.witnesses == {"swept": p * p + 2, "mode": "exhaustive"}
+    assert stacks == [(1, 0), (p * p, p * p)] and calls == []
+    monkeypatch.undo()
     assert separability.double_centralizer_sweep(alg, subs, c, state.facts) == failing(
         [double_centralizer_check(alg, s, c) for s in subs]
     )
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS["documents"]("klein_p")))
+def test_no_klein_p_document_checks_a_member_one_at_a_time(name, count_calls):
+    """In a whole suite on each ``klein_p`` document, every Theorem 3.9
+    member passes without ``double_centralizer_check``: the tori as their
+    own commutants, F_p and M_2(F_p) by the endpoint proof."""
+    checks = count_calls(double_centralizer_check)
+    report = run_suite(load_instance_dict(json.loads(WORKLOADS["documents"]("klein_p")[name])), scope="all")
+    assert report.violations == [] and checks == []
+
+
+def test_endpoints_pass_unchecked_only_where_the_facts_prove_them(monkeypatch):
+    """The two endpoints, C and R, pass without ``double_centralizer_check``
+    only where the facts hold both V(R) = C, by key, and R separable over
+    C.  Lacking either, or over a base that is not V(R) (the bases of
+    ``test_stacked_sweep_over_any_base_and_list``), they are checked like
+    any member, and the failures equal the failing per-member rows."""
+    alg = m2f3()
+    c, full = center(alg), alg.full_space
+    unital = [s for s in (Subspace(F3, 4, m) for m in all_subspaces(F3, 4)) if is_unital_subalgebra(alg, s)]
+    checked = []
+
+    def counted(alg, a, base, facts=None):
+        checked.append(a.key())
+        return double_centralizer_check(alg, a, base, facts)
+
+    monkeypatch.setattr(separability, "double_centralizer_check", counted)
+    bases = [c, Subspace(F3, 4, F3.array([[1, 0, 0, 0], [0, 0, 0, 1]])), Subspace(F3, 4, F3.array([[1, 0, 0, 0]]))]
+    for base in bases:
+        for seed_center, seed_verdict in product([False, True], repeat=2):
+            facts = SubalgebraFacts(alg)
+            if seed_center:
+                facts.commutants[full.key()] = c
+            if seed_verdict:  # True over the center
+                facts.separable[full.key(), base.key()] = SubalgebraFacts(alg).separable_over(full, base)
+            want = failing([double_centralizer_check(alg, a, base) for a in unital])
+            del checked[:]
+            assert separability.double_centralizer_sweep(alg, unital, base, facts) == want
+            ends = [a.key() for a in unital if a in (base, full)]  # the last base is not unital
+            proved = seed_center and seed_verdict and base == c
+            assert [key for key in checked if key in ends] == ([] if proved else ends)
 
 
 def test_stacked_sweep_over_any_base_and_list(monkeypatch):
