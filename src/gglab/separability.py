@@ -20,33 +20,31 @@ The exhaustive walk (``_walk``) filters the candidates of one RREF pivot
 pattern together and decides the unital subalgebras of one dimension,
 across every pattern, together: where the base passes ``_gram_base``,
 one stacked rank (``_purerref.rank_mod_stack``) decides every
-candidate's Gram matrix.  The candidates it leaves undecided, and every
+candidate's Gram matrix.  That rank holds its stack column-major, as
+(n, s, m), so each column step reads and updates contiguous blocks
+rather than one strided row per matrix.  The candidates it leaves undecided, and every
 candidate over any other base, are decided one at a time by
 ``is_separable_subalgebra_over``, so the solve over S (x)_B S and its
 substitution check live in ``separability_idempotent`` alone.  Each
-member it finds carries the canonical key the walk built for it.  The
-walk also settles, in one more stack per dimension, which of its
-commutative members are their own commutants (``_self_commutants``).
-
-V(S) is the nullspace of S's commutator matrix.  A member whose
-unreduced matrix annihilates its own basis lies in its commutant, which
-needs S commutative, and if one stacked rank of the matrix is also n
-minus dim S, then V(S) = S: such a member, a torus of M_2(F_p) say, is
-cached as its own commutant, with no nullspace formed.  The walk holds
-each member's structure constants, so it stacks only the commutative
-ones; a seed-pool list is stacked by the sweep instead.
+member it finds carries the canonical key the walk built for it.
 
 The Theorem 3.9 sweep (``double_centralizer_sweep``) returns only the
 members that fail the double-centralizer statement.  It passes the two
 endpoints, the base C and R, by proof where the facts hold V(R) = C and
-R separable over C, with no check.  A settled member that is not the
-base and is already known separable over it passes with no check too:
+R separable over C, with no check.  Over F_p it then settles the other
+members of each dimension that are their own commutants together
+(``_self_commutants``); over Q it checks every member alone, since the
+stacked rank is mod p.  V(S) is the nullspace of S's commutator matrix.
+A member whose unreduced matrix annihilates its own basis lies in its
+commutant, and if one stacked rank of the matrix is also n minus dim S,
+then V(S) = S: such a member, a torus of M_2(F_p) say, is cached as its
+own commutant, with no nullspace formed.  A settled member that is not
+the base and is already known separable over it passes with no check:
 V(V(S)) = S, S is not central, and V(S) = S is separable, which is the
 proof the sweep carries for it.  Every other commutant is computed one
 S at a time (``SubalgebraFacts.commutant``), and every other member's
 clauses are read by ``double_centralizer_check`` from the commutants
-cached by canonical key.  Over Q nothing is stacked, since the stacked
-rank is mod p.
+cached by canonical key.
 """
 
 from __future__ import annotations
@@ -248,14 +246,11 @@ def double_centralizer_sweep(
 
     Over F_p, every other member whose commutant ``facts`` lacks is then
     stacked, one stack per dimension (``_self_commutants``): each one the
-    stack settles as its own commutant is cached as V(A) = A itself.  The
-    walk has already settled every member of a walked list that this
-    stack can settle, so only its noncommutative members and the
-    commutative ones with V(A) != A are stacked again; where those are C
-    and R alone, as on M_2(F_p), nothing is.  Over Q every member is
-    checked one at a time, since the stacked rank is mod p.  A member A
-    whose cached commutant is A, that is not the base, and that ``facts``
-    already holds separable over the base, passes without a check:
+    stack settles as its own commutant, such as a torus of M_2(F_p), is
+    cached as V(A) = A itself.  Over Q every member is checked one at a
+    time, since the stacked rank is mod p.  A member A whose cached
+    commutant is A, that is not the base, and that ``facts`` already
+    holds separable over the base, passes without a check:
     V(V(A)) = V(A) = A; A cap V(A) = A is not the base, so A is not
     central and the tensor clause is skipped; and V(A) = A is separable
     by that verdict.  The check would read all three from ``facts`` and
@@ -271,8 +266,7 @@ def double_centralizer_sweep(
             todo.setdefault(s.dim, {})[s.key()] = s
     for group in todo.values():
         members = list(group.values())
-        settled = _self_commutants(alg, np.stack([s.basis for s in members]))
-        facts.commutants.update((s.key(), s) for s, own in zip(members, settled) if own)
+        facts.commutants.update((s.key(), s) for s, own in zip(members, _self_commutants(alg, members)) if own)
     fails = []
     for s in subalgebras:
         key = s.key()
@@ -285,9 +279,9 @@ def double_centralizer_sweep(
     return fails
 
 
-def _self_commutants(alg: Algebra, bases: np.ndarray) -> np.ndarray:
-    """Whether V_R(S) = S, for the space S spanned by the rows of each
-    bases[g] (int64, shape (count, k, n), over F_p), a boolean array.
+def _self_commutants(alg: Algebra, spaces: list[Subspace]) -> list[bool]:
+    """Whether V_R(S) = S, for each S of ``spaces`` (all of one dimension
+    k, over F_p).
 
     Row (a, j) of S's commutator matrix holds coordinate j of
     s_a e_c - e_c s_a in column c, so V(S) is its nullspace.  A member
@@ -297,21 +291,21 @@ def _self_commutants(alg: Algebra, bases: np.ndarray) -> np.ndarray:
     The members are taken a slice at a time (``_purerref.stacked``).
     """
     f, n = alg.field, alg.dim
-    k = bases.shape[1]
+    k = spaces[0].dim
     # [i, c, j] = coordinate j of b_i e_c - e_c b_i, unreduced, so that its
     # entries stay below p in size
     diff = (alg.table - alg.table.transpose(1, 0, 2)).reshape(n, n * n)
 
     def settled(part):
-        stack = bases[part]
-        mats = f.reduce(np.matmul(stack, diff)).reshape(len(stack), k, n, n)
-        mats = mats.transpose(0, 1, 3, 2).reshape(len(stack), k * n, n)
-        own = ~f.reduce(np.matmul(mats, stack.transpose(0, 2, 1))).any(axis=(1, 2))
+        bases = np.stack([s.basis for s in spaces[part]])
+        mats = f.reduce(np.matmul(bases, diff)).reshape(len(bases), k, n, n)
+        mats = mats.transpose(0, 1, 3, 2).reshape(len(bases), k * n, n)
+        own = ~f.reduce(np.matmul(mats, bases.transpose(0, 2, 1))).any(axis=(1, 2))
         if own.any():
             own[own] = _purerref.rank_mod_stack(mats[own], f.p) == n - k
         return own
 
-    return _purerref.stacked(len(bases), k * n * n, settled)
+    return _purerref.stacked(len(spaces), k * n * n, settled).tolist()
 
 
 def relative_tensor_dim(alg: Algebra, a: Subspace, b: Subspace, base: Subspace) -> int:
@@ -437,11 +431,15 @@ def is_separable_subalgebra_over(alg: Algebra, sub: Subspace, base: Subspace) ->
 class SubalgebraFacts:
     """Facts about subspaces S of one algebra R, each computed once and kept
     by canonical key: the commutant V_R(S), and whether S is a unital
-    subalgebra separable over a base (``is_separable_subalgebra_over``)."""
+    subalgebra separable over a base (``is_separable_subalgebra_over``).
+    V_R(R) is the center of R, so a ``center`` already computed is
+    recorded as V_R(R) and never solved again."""
 
-    def __init__(self, alg: Algebra):
+    def __init__(self, alg: Algebra, center: Subspace | None = None):
         self.alg = alg
         self.commutants: dict[tuple, Subspace] = {}
+        if center is not None:
+            self.commutants[alg.full_space.key()] = center
         self.separable: dict[tuple, bool] = {}  # (S key, base key) -> verdict
 
     def commutant(self, s: Subspace) -> Subspace:
@@ -567,12 +565,6 @@ def _walk(alg: Algebra, base: Subspace, facts: SubalgebraFacts) -> dict[tuple, S
     every member over any other base, is decided by
     ``is_separable_subalgebra_over``.  Each verdict goes into ``facts``
     under the candidate's canonical key.
-
-    The separable members of the dimension whose structure constants are
-    commutative, and whose commutant ``facts`` lacks, then go into one
-    ``_self_commutants`` stack: V(S) = S needs S <= V(S), that is S
-    commutative, so no other member can settle.  Each one it settles is
-    cached in ``facts`` as its own commutant, the member object itself.
     """
     f, n = alg.field, alg.dim
     comp = [c for c in range(n) if c not in base.pivots]
@@ -580,40 +572,34 @@ def _walk(alg: Algebra, base: Subspace, facts: SubalgebraFacts) -> dict[tuple, S
     gram = _gram_base(alg, base)
     found: dict[tuple, Subspace] = {}
     for d, patterns in groupby(_patterns(len(comp)), lambda pattern: base.dim + len(pattern[0])):
-        # the closed candidates, one entry per stack of fills:
-        # (RREF bases, structure constants, pivot columns)
-        closed: list[tuple[np.ndarray, np.ndarray, list[int]]] = []
+        # the closed candidates left to decide, one entry per stack of fills:
+        # (RREF bases, structure constants, pivot columns, canonical keys)
+        todo: list[tuple[np.ndarray, np.ndarray, list[int], list[tuple]]] = []
         for pivots, free in patterns:
             piv = sorted(base.pivots + [comp[c] for c in pivots])
             for stack in _fills(f.p, len(comp), pivots, free, _purerref.stack_size(d * n * n)):
                 bases, tables = _closed_fills(alg, base, comp, pivots, piv, stack)
-                if len(bases):
-                    closed.append((bases, tables, piv))
-        if not closed:
+                keys, new = [tuple(map(tuple, b)) for b in bases.tolist()], []
+                for i, key in enumerate(keys):
+                    known = facts.separable.get((key, bkey))
+                    if known is None:
+                        new.append(i)
+                    elif known:
+                        found[key] = Subspace.from_rref(f, bases[i], piv, key)
+                if new:
+                    todo.append((bases[new], tables[new], piv, [keys[i] for i in new]))
+        if not todo:
             continue
-        bases = np.concatenate([b for b, _, _ in closed])
-        tables = np.concatenate([t for _, t, _ in closed])
-        pivs = [piv for b, _, piv in closed for _ in range(len(b))]
-        keys = [tuple(map(tuple, b)) for b in bases.tolist()]
-        verdicts = [facts.separable.get((key, bkey)) for key in keys]
-        new = [i for i, known in enumerate(verdicts) if known is None]
-        separable = decided = np.zeros(len(new), dtype=bool)
-        if gram and new:
-            separable, decided = _gram_verdicts(f, tables[new])
-        spaces: dict[int, Subspace] = {}  # the members solved one at a time
-        for i, ranked, done in zip(new, separable.tolist(), decided.tolist()):
-            if not done:
-                spaces[i] = Subspace.from_rref(f, bases[i], pivs[i], keys[i])
-            verdicts[i] = ranked if done else is_separable_subalgebra_over(alg, spaces[i], base)
-            facts.separable[(keys[i], bkey)] = verdicts[i]
-        kept = [i for i, verdict in enumerate(verdicts) if verdict]
-        for i in kept:
-            found[keys[i]] = spaces[i] if i in spaces else Subspace.from_rref(f, bases[i], pivs[i], keys[i])
-        commutative = ~np.any(tables != tables.transpose(0, 2, 1, 3), axis=(1, 2, 3))
-        own = [i for i in kept if commutative[i] and keys[i] not in facts.commutants]
-        if own:
-            settled = _self_commutants(alg, bases[own])
-            facts.commutants.update((keys[i], found[keys[i]]) for i, ok in zip(own, settled) if ok)
+        members = [(basis, piv, key) for bases, _, piv, keys in todo for basis, key in zip(bases, keys)]
+        separable = decided = np.zeros(len(members), dtype=bool)
+        if gram:
+            separable, decided = _gram_verdicts(f, np.concatenate([t for _, t, _, _ in todo]))
+        for (basis, piv, key), ranked, done in zip(members, separable.tolist(), decided.tolist()):
+            s = None if done and not ranked else Subspace.from_rref(f, basis, piv, key)
+            verdict = ranked if done else is_separable_subalgebra_over(alg, s, base)
+            facts.separable[(key, bkey)] = verdict
+            if verdict:
+                found[key] = s
     return found
 
 

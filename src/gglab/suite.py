@@ -185,10 +185,8 @@ class SuiteState:
     @cached_property
     def facts(self) -> SubalgebraFacts:
         """Commutants V_R(S) and separability verdicts, shared by every check.
-        V_R(R) is the center, so it is recorded as such and solved once."""
-        facts = SubalgebraFacts(self.inst.algebra)
-        facts.commutants[self.inst.algebra.full_space.key()] = self.ctx.center
-        return facts
+        V_R(R) is the center, so it is solved once."""
+        return SubalgebraFacts(self.inst.algebra, self.ctx.center)
 
     def bicommutant_failure(self, h: Subgroupoid) -> dict | None:
         """Where theta(H) differs from V_R(V_R(theta(H))), or None."""
@@ -313,8 +311,8 @@ class SuiteState:
             block = subspace_algebra(alg, space, act.idempotents[e])
             key = (block.dim, block.table.tobytes(), block.unit.tobytes())
             if key not in walked:
-                base, facts = center(block), SubalgebraFacts(block)
-                facts.commutants[block.full_space.key()] = base
+                base = center(block)
+                facts = SubalgebraFacts(block, base)
                 walked[key] = (block, base, facts, enumerate_separable_subalgebras(block, base, None, facts))
             block, base, facts, enum = walked[key]
             blocks.append(Block(alg, act.groupoid.names[e], block, space, base, facts, enum, c, parts))

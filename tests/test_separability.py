@@ -518,7 +518,7 @@ def assert_stacked_commutants_agree(alg, spaces):
     for s in spaces:
         by_dim.setdefault(s.dim, []).append(s)
     for group in by_dim.values():
-        got = separability._self_commutants(alg, np.stack([s.basis for s in group])).tolist()
+        got = separability._self_commutants(alg, group)
         assert got == [commutant(alg, s, alg.full_space) == s for s in group], [s.to_json() for s in group]
 
 
@@ -624,34 +624,30 @@ def assert_sweep_equals_per_subalgebra_checks(name):
 @pytest.mark.parametrize("p", [5, 11, 17])
 def test_the_stack_settles_every_torus_as_its_own_commutant(p, monkeypatch):
     """The p^2 tori of M_2(F_p) (289 at p = 17) are their own commutants.
-    The walk settles them in its own stack and caches each torus itself
-    as its commutant.  Of its other separable members, F_p is commutative
-    and is stacked alone: its zero commutator matrix passes the
-    substitution check, and its one-member rank, 0, leaves it unsettled;
-    M_2(F_p) is not commutative and is not stacked.  The suite's check
-    then sweeps all p^2 + 2 members with no stack, no rank and no
-    per-member check: F_p and M_2(F_p) pass by the endpoint proof."""
+    The walk stacks nothing; the suite's check sweeps all p^2 + 2 members
+    with one stack, the tori's, which settles every torus and caches it
+    as its own commutant, and no per-member check: F_p and M_2(F_p) pass
+    by the endpoint proof and are not stacked."""
     state = SuiteState(load_instance_dict(SWEEP_DOCUMENTS[f"klein_m2f{p}"]))
     alg, c = state.inst.algebra, state.ctx.center
     real, stacks = separability._self_commutants, []
 
-    def counted(alg, bases):
-        settled = real(alg, bases)
-        stacks.append((len(bases), int(settled.sum())))
+    def counted(alg, spaces):
+        settled = real(alg, spaces)
+        stacks.append((len(spaces), sum(settled)))
         return settled
 
     monkeypatch.setattr(separability, "_self_commutants", counted)
     subs = state.center_enum.subalgebras
     tori = [s for s in subs if s.dim == 2]
     assert len(tori) == p * p and len(subs) == p * p + 2 and state.azu
-    assert stacks == [(1, 0), (p * p, p * p)]
-    assert all(state.facts.commutants[s.key()] is s for s in tori)
-    calls = []
-    monkeypatch.setattr(_purerref, "rank_mod_stack", lambda *args: calls.append(args))
-    monkeypatch.setattr(separability, "double_centralizer_check", lambda *args: calls.append(args))
+    assert stacks == []
+    checks = []
+    monkeypatch.setattr(separability, "double_centralizer_check", lambda *args: checks.append(args))
     out = CHECKS["theorem_3_9"](state)
     assert out.verdict == "pass" and out.witnesses == {"swept": p * p + 2, "mode": "exhaustive"}
-    assert stacks == [(1, 0), (p * p, p * p)] and calls == []
+    assert stacks == [(p * p, p * p)] and checks == []
+    assert all(state.facts.commutants[s.key()] is s for s in tori)
     monkeypatch.undo()
     assert separability.double_centralizer_sweep(alg, subs, c, state.facts) == failing(
         [double_centralizer_check(alg, s, c) for s in subs]
